@@ -3,6 +3,7 @@ package adapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -157,8 +158,10 @@ var _ core.BatchMeasurer = (*Client)(nil)
 // encoded in the platform's dialect and shipped as one POST /measure-batch
 // exchange, costing one rate-limit token and one round trip for the whole
 // batch. Each slot carries the size or the typed error the equivalent
-// serial Measure call would have produced. Against a server predating the
-// batch endpoint the call transparently degrades to serial Measure calls.
+// serial Measure call would have produced. A batch whose envelope exceeds
+// the server's body limit is split in halves until each part fits; against
+// a server predating the batch endpoint the call transparently degrades to
+// serial Measure calls.
 func (c *Client) MeasureMany(specs []targeting.Spec) []core.BatchResult {
 	return c.MeasureManyContext(context.Background(), specs)
 }
@@ -198,9 +201,17 @@ func (c *Client) MeasureManyContext(ctx context.Context, specs []targeting.Spec)
 		return c.measureManySerial(ctx, specs)
 	}
 	respBody, err := c.do(ctx, http.MethodPost, c.base+"/"+c.name+"/measure-batch", reqBody)
+	if errors.Is(err, ErrBodyTooLarge) && len(specs) > 1 {
+		// Oversized envelope: each half ships as its own batch (its own
+		// child span, its own provenance), splitting again as needed.
+		span.Annotate("path", "split")
+		h := len(specs) / 2
+		return append(c.MeasureManyContext(ctx, specs[:h]), c.MeasureManyContext(ctx, specs[h:])...)
+	}
 	if err != nil {
-		// The exchange itself failed — a server without the endpoint, an
-		// oversized envelope, a network fault. Degrade to the serial door.
+		// The exchange itself failed — a server without the endpoint, a
+		// network fault, a spec too large to ship alone. Degrade to the
+		// serial door.
 		return c.measureManySerial(ctx, specs)
 	}
 	var resp batchResponse

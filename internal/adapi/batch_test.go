@@ -191,3 +191,40 @@ func TestMeasureBatchMalformedEnvelope(t *testing.T) {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// oversizedBatch returns 300 distinct two-attribute specs: far more than a
+// 4 KiB body holds, while any one of them fits easily.
+func oversizedBatch(nAttr int) []targeting.Spec {
+	specs := make([]targeting.Spec, 300)
+	for i := range specs {
+		specs[i] = targeting.And(targeting.Attr(i%nAttr), targeting.Attr((i/nAttr+i+1)%nAttr))
+	}
+	return specs
+}
+
+// TestMeasureBatchSplitsOversizedBatch: a batch over the server's body limit
+// is refused with 413, and the client splits it in halves until every part
+// fits — no serial fallback — with every slot matching serial Measure.
+func TestMeasureBatchSplitsOversizedBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts, _ := startServer(t, ServerOptions{MaxBodyBytes: 4 << 10, Metrics: reg})
+	c, err := NewClient(context.Background(), ts.URL, catalog.PlatformFacebook, ClientOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := oversizedBatch(len(c.AttributeNames()))
+	got := c.MeasureMany(specs)
+	iface := obs.L("interface", catalog.PlatformFacebook)
+	if n := reg.CounterValue("adapi_server_requests_total", iface, obs.L("door", "measure")); n != 0 {
+		t.Fatalf("serial measure exchanges = %d, want 0", n)
+	}
+	if n := reg.CounterValue("adapi_server_requests_total", iface, obs.L("door", "measure-batch")); n < 3 {
+		t.Fatalf("measure-batch exchanges = %d, want the batch split", n)
+	}
+	for i, spec := range specs {
+		size, serr := c.Measure(spec)
+		if (got[i].Err == nil) != (serr == nil) || got[i].Size != size {
+			t.Fatalf("slot %d: batch (%d, %v), serial (%d, %v)", i, got[i].Size, got[i].Err, size, serr)
+		}
+	}
+}

@@ -249,6 +249,8 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) ([]byt
 				switch {
 				case resp.StatusCode == http.StatusOK:
 					return respBody, nil
+				case resp.StatusCode == http.StatusRequestEntityTooLarge:
+					return nil, fmt.Errorf("%w: %d-byte body", ErrBodyTooLarge, len(body))
 				case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 					if resp.StatusCode == http.StatusTooManyRequests {
 						c.m429.Inc()

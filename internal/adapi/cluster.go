@@ -199,9 +199,29 @@ func (c *ShardConn) CatalogHash() (string, error) {
 }
 
 // CountBatch ships the batch to the remote shard door and decodes the raw
-// counts. Any transport or server-level failure is returned as a call
-// error, which the coordinator treats as a shard failure and fails over.
+// counts. A batch the shard refuses as too large (ErrBodyTooLarge) is split
+// in halves, recursively, and the parts' slots concatenated. Any other
+// transport or server-level failure is returned as a call error, which the
+// coordinator treats as a shard failure and fails over.
 func (c *ShardConn) CountBatch(ctx context.Context, iface string, door platform.Door, parts []uint32, reqs []platform.EstimateRequest) ([]platform.RawCount, error) {
+	out, err := c.countBatch(ctx, iface, door, parts, reqs)
+	if !errors.Is(err, ErrBodyTooLarge) || len(reqs) < 2 {
+		return out, err
+	}
+	h := len(reqs) / 2
+	lo, err := c.CountBatch(ctx, iface, door, parts, reqs[:h])
+	if err != nil {
+		return nil, err
+	}
+	hi, err := c.CountBatch(ctx, iface, door, parts, reqs[h:])
+	if err != nil {
+		return nil, err
+	}
+	return append(lo, hi...), nil
+}
+
+// countBatch is one count-batch exchange.
+func (c *ShardConn) countBatch(ctx context.Context, iface string, door platform.Door, parts []uint32, reqs []platform.EstimateRequest) ([]platform.RawCount, error) {
 	body, err := json.Marshal(countBatchRequest{
 		Interface:  iface,
 		Door:       door.String(),
@@ -227,6 +247,9 @@ func (c *ShardConn) CountBatch(ctx context.Context, iface string, door platform.
 	respBody, err := io.ReadAll(httpResp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("adapi: shard %s: reading response: %w", c.id, err)
+	}
+	if httpResp.StatusCode == http.StatusRequestEntityTooLarge {
+		return nil, fmt.Errorf("adapi: shard %s: %w: %d-byte body", c.id, ErrBodyTooLarge, len(body))
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		var env errorEnvelope

@@ -273,3 +273,67 @@ func TestBatchSlotErrorNamesCanonicalKey(t *testing.T) {
 		t.Fatalf("malformed-slot error %q still uses the batch index", res[1].Err)
 	}
 }
+
+// TestClusterDoorSplitsOversizedBatch: shards behind a 4 KiB body limit
+// refuse a large count-batch with 413; ShardConn splits it in halves until
+// each part fits, so the HTTP cluster answers without a PartialError and
+// slot for slot like the same shards wired in process.
+func TestClusterDoorSplitsOversizedBatch(t *testing.T) {
+	const size = 15000
+	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
+	nodes := []string{"s0", "s1", "s2"}
+	ring, err := cluster.NewRing(nodes, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := cluster.NewLayout(ring, size, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var httpConns, localConns []cluster.Conn
+	for _, n := range nodes {
+		s, err := cluster.NewShard(n, layout, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(s.Deployment(), ServerOptions{Metrics: obs.NewRegistry(), Shard: s, MaxBodyBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		httpConns = append(httpConns, NewShardConn(n, ts.URL, nil))
+		localConns = append(localConns, s)
+	}
+	coordOver := func(conns []cluster.Conn) *cluster.Coordinator {
+		coord, err := cluster.NewCoordinator(cluster.Options{Layout: layout, Conns: conns, Deploy: opts, Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord
+	}
+	overHTTP, inProcess := coordOver(httpConns), coordOver(localConns)
+	name := catalog.PlatformFacebook
+	nAttr := len(overHTTP.Metadata().Facebook.Catalog().Attributes)
+	specs := oversizedBatch(nAttr)
+	reqs := make([]platform.EstimateRequest, len(specs))
+	for i := range specs {
+		reqs[i] = platform.EstimateRequest{Spec: specs[i]}
+	}
+	if body, _ := json.Marshal(reqs); len(body) <= 4<<10 {
+		t.Fatalf("batch encodes to %d bytes, under the limit", len(body))
+	}
+	got, err := overHTTP.MeasureMany(name, reqs)
+	if err != nil {
+		t.Fatalf("cluster over HTTP: %v", err)
+	}
+	want, err := inProcess.MeasureMany(name, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		if (got[i].Err == nil) != (want[i].Err == nil) || got[i].Size != want[i].Size {
+			t.Fatalf("slot %d: HTTP (%d, %v), in process (%d, %v)", i, got[i].Size, got[i].Err, want[i].Size, want[i].Err)
+		}
+	}
+}

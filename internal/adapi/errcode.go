@@ -42,6 +42,11 @@ const (
 	codeMethodNotAllowed = "method_not_allowed"
 )
 
+// ErrBodyTooLarge marks an exchange the server refused with 413 because the
+// request body exceeded its MaxBodyBytes. The batch clients split such a
+// batch in halves instead of giving up on it. Match with errors.Is.
+var ErrBodyTooLarge = errors.New("adapi: request body too large")
+
 // sentinelByCode maps wire codes back to the typed errors the audit uses.
 var sentinelByCode = map[string]error{
 	codeEmptySpec:        targeting.ErrEmptySpec,

@@ -1,68 +1,34 @@
 package audience
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// This file implements the batched counting kernel. A single spec count
-// streams every attribute set once per query; a batch of M specs over the
-// same universe would stream the shared sets M times. CountMany instead
-// walks the universe in cache-sized word blocks and evaluates every pending
-// request per block, so a block of each set is loaded from memory once and
-// reused across all requests while it is hot. On top of the tiling, two
-// batch-level rewrites remove work a serial evaluator must repeat per query:
-// OR clauses shared across requests are materialized into one scratch union
-// per batch (instead of one scratch pass per query), and requests that
-// refine another request's set prefix are fused onto it as chain children.
+// This file implements the tiled counting kernels compiled batch schedules
+// (plan.go) execute. A single spec count streams every attribute set once
+// per query; a batch of M specs over the same universe would stream the
+// shared sets M times. A schedule instead walks the universe in cache-sized
+// word blocks and evaluates every pending request per block, so a block of
+// each set is loaded from memory once and reused across all requests while
+// it is hot, and requests that refine another request's operands are fused
+// onto it as chain children.
 
 // blockWords is the tile width of the batched kernel, in 64-bit words:
 // 512 words = 4 KiB per set, so a request touching a handful of sets works
 // entirely out of L1 within one tile.
 const blockWords = 512
 
-// KernelBlocks reports how many tiles CountMany walks for a universe of n
-// users — the unit of the batch_kernel_blocks_total counter.
+// KernelBlocks reports how many tiles a compiled batch walks for a universe
+// of n users — the unit of the batch_kernel_blocks_total counter.
 func KernelBlocks(n int) int {
 	return ((n+63)/64 + blockWords - 1) / blockWords
 }
 
-// CountClause is one OR-group of a batched count request: the union of its
-// sets, intersected into the running audience (or subtracted, when Negate
-// is set). This mirrors targeting's and-of-ors shape one level down, after
-// refs have been resolved to sets.
-type CountClause struct {
-	Or     []*Set
-	Negate bool
-}
-
-// CountReq is one audience-count request of a batch: the size of the
-// intersection of its positive clauses minus its negated clauses. The first
-// clause must be positive and every clause non-empty; all sets of a batch
-// must share one universe. Violations panic, as with the Set operations.
-type CountReq struct {
-	Clauses []CountClause
-}
-
-// loweredReq is one request compiled for the kernel: hoisted word slices
-// (base ∩ and… \ not…), with OR clauses already collapsed to their
-// materialized unions. Only a request that exhausts the batch's union
-// budget keeps its clauses and evaluates word-by-word.
+// loweredReq is one plan's kernel view: hoisted word slices
+// (base ∩ and… \ not…) plus the children fused onto its word.
 type loweredReq struct {
-	base    []uint64
-	and     [][]uint64
-	not     [][]uint64
-	clauses []CountClause // non-nil selects the general path
-	kids    []chainKid    // children fused onto this request's word
-	chained bool          // counted by a parent; skipped by the block loop
-}
-
-// reqSets is the chain-detection view of a lowered request: its base and
-// positive sets as pointers, after OR unions have been materialized. A nil
-// base marks a request on the general path, which never fuses.
-type reqSets struct {
-	base *Set
-	and  []*Set
+	base []uint64
+	and  [][]uint64
+	not  [][]uint64
+	kids []chainKid
 }
 
 // chainKid is one request fused onto a parent: its sets are the parent's
@@ -75,343 +41,12 @@ type chainKid struct {
 	extra [][]uint64 // sets ANDed onto the parent's word
 }
 
-// CountMany evaluates every request in one tiled pass over the universe and
-// returns the counts in request order. Results are bit-identical to
-// evaluating each request alone with the Set operations; only the memory
-// access order differs.
-func CountMany(reqs []CountReq) []int {
-	counts := make([]int, len(reqs))
-	if len(reqs) == 0 {
-		return counts
-	}
-	// Validate the batch and size the slice arenas for the lowered requests
-	// (one backing array for all of them, not one allocation per request).
-	// Each clause lowers to at most one entry, union or single set.
-	var first *Set
-	arenaCap := 0
-	for ri := range reqs {
-		cls := reqs[ri].Clauses
-		if len(cls) == 0 {
-			panic("audience: CountMany request without clauses")
-		}
-		if cls[0].Negate {
-			panic("audience: CountMany request must begin with a positive clause")
-		}
-		for ci := range cls {
-			if len(cls[ci].Or) == 0 {
-				panic("audience: CountMany clause without sets")
-			}
-			for _, s := range cls[ci].Or {
-				if first == nil {
-					first = s
-				} else {
-					first.checkCompat(s)
-				}
-			}
-		}
-		arenaCap += len(cls) - 1
-	}
-	words := make([][]uint64, 0, arenaCap)
-	sets := make([]*Set, 0, arenaCap)
-	lowered := make([]loweredReq, len(reqs))
-	det := make([]reqSets, len(reqs))
-	unions := unionTable{n: first.n}
-	defer unions.recycle()
-	for ri := range reqs {
-		cls := reqs[ri].Clauses
-		lr := &lowered[ri]
-		base := unions.resolve(cls[0].Or)
-		if base == nil {
-			lr.clauses = cls
-			continue
-		}
-		w0, s0 := len(words), len(sets)
-		ok := true
-		for _, cl := range cls[1:] {
-			if cl.Negate {
-				continue
-			}
-			s := unions.resolve(cl.Or)
-			if s == nil {
-				ok = false
-				break
-			}
-			words = append(words, s.words)
-			sets = append(sets, s)
-		}
-		w1 := len(words)
-		if ok {
-			for _, cl := range cls[1:] {
-				if !cl.Negate {
-					continue
-				}
-				s := unions.resolve(cl.Or)
-				if s == nil {
-					ok = false
-					break
-				}
-				words = append(words, s.words)
-			}
-		}
-		if !ok {
-			// Union budget exhausted mid-request: undo the partial lowering
-			// and keep the word-by-word general path.
-			words = words[:w0]
-			sets = sets[:s0]
-			lr.clauses = cls
-			continue
-		}
-		w2 := len(words)
-		lr.base = base.words
-		lr.and = words[w0:w1:w1]
-		lr.not = words[w1:w2:w2]
-		det[ri] = reqSets{base: base, and: sets[s0:len(sets):len(sets)]}
-	}
-	chainRequests(lowered, det)
-	nw := len(first.words)
-	for lo := 0; lo < nw; lo += blockWords {
-		hi := lo + blockWords
-		if hi > nw {
-			hi = nw
-		}
-		unions.fill(lo, hi)
-		for ri := range lowered {
-			lr := &lowered[ri]
-			if lr.chained {
-				continue
-			}
-			if len(lr.kids) == 0 {
-				counts[ri] += lr.countRange(lo, hi)
-				continue
-			}
-			lr.countChainRange(counts, ri, lo, hi)
-		}
-	}
-	return counts
-}
-
-// maxUnions bounds the distinct OR-clause unions one batch materializes
-// (each holds a pooled universe-sized scratch set); requests beyond the
-// budget fall back to the word-by-word general path.
-const maxUnions = 32
-
-// unionEntry is one distinct OR clause of the batch, materialized into a
-// pooled scratch set.
-type unionEntry struct {
-	set     *Set
-	members []*Set
-}
-
-// unionTable dedupes the OR clauses of a batch: clauses over the same
-// multiset of sets resolve to one shared scratch union, turning and-of-ors
-// requests into simple ANDs that tile and chain like any other. A serial
-// evaluator pays the union's set passes on every query; the batch pays them
-// once, filled tile by tile inside the block loop so locality holds.
-type unionTable struct {
-	n       int
-	ids     map[*Set]int
-	idBuf   []int
-	keyBuf  []byte
-	table   map[string]*Set
-	entries []unionEntry
-}
-
-// resolve maps one clause's Or list to a single set: the set itself for
-// single-set clauses, a shared materialized union otherwise. It returns nil
-// once the batch's union budget is exhausted.
-func (t *unionTable) resolve(or []*Set) *Set {
-	if len(or) == 1 {
-		return or[0]
-	}
-	if t.table == nil {
-		t.ids = make(map[*Set]int)
-		t.table = make(map[string]*Set)
-	}
-	// Key the clause by the sorted ids of its sets, so neither Or order nor
-	// pointer values affect dedup.
-	t.idBuf = t.idBuf[:0]
-	for _, s := range or {
-		id, ok := t.ids[s]
-		if !ok {
-			id = len(t.ids)
-			t.ids[s] = id
-		}
-		t.idBuf = append(t.idBuf, id)
-	}
-	sort.Ints(t.idBuf)
-	t.keyBuf = t.keyBuf[:0]
-	for _, id := range t.idBuf {
-		t.keyBuf = append(t.keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	key := string(t.keyBuf)
-	if u, ok := t.table[key]; ok {
-		return u
-	}
-	if len(t.entries) >= maxUnions {
-		return nil
-	}
-	u := NewScratch(t.n)
-	t.entries = append(t.entries, unionEntry{set: u, members: or})
-	t.table[key] = u
-	return u
-}
-
-// fill materializes words [lo, hi) of every union — run once per tile,
-// before the block's requests are evaluated.
-func (t *unionTable) fill(lo, hi int) {
-	for ei := range t.entries {
-		e := &t.entries[ei]
-		dst := e.set.words[lo:hi]
-		copy(dst, e.members[0].words[lo:hi])
-		for _, m := range e.members[1:] {
-			src := m.words[lo:hi]
-			src = src[:len(dst)]
-			for i := range dst {
-				dst[i] |= src[i]
-			}
-		}
-	}
-}
-
-// recycle returns the scratch unions to the pool.
-func (t *unionTable) recycle() {
-	for _, e := range t.entries {
-		e.set.Recycle()
-	}
-}
-
-// maxChainSets bounds the per-request set count chain detection considers;
-// longer requests stay unfused (the scan below is quadratic in it).
+// maxChainSets bounds the per-request operand count chain detection
+// considers; longer requests stay unfused (the scan is quadratic in it).
 const maxChainSets = 16
-
-// chainRequests links every request whose sets form a strict superset of
-// another request's sets (same base, no negations) to that request as a
-// fused child. Detection is scoped to requests sharing a base set, so a
-// batch of B requests costs O(B) map work plus a quadratic scan only
-// within each base group — groups are tiny in practice (one reach query
-// plus its conditioned refinements).
-func chainRequests(lowered []loweredReq, det []reqSets) {
-	eligible := 0
-	for ri := range lowered {
-		if det[ri].base != nil && len(lowered[ri].not) == 0 && len(det[ri].and) <= maxChainSets {
-			eligible++
-		}
-	}
-	if eligible < 2 {
-		return
-	}
-	cands := make([]int, 0, eligible) // request indices, in slot order
-	for ri := range lowered {
-		if det[ri].base != nil && len(lowered[ri].not) == 0 && len(det[ri].and) <= maxChainSets {
-			cands = append(cands, ri)
-		}
-	}
-	// Group candidates sharing a base set via a linked list threaded through
-	// one next slice; chain detection is quadratic only within a group.
-	heads := make(map[*Set]int, eligible)
-	next := make([]int, eligible)
-	tails := make([]int, 0, eligible) // group head indices, in first-seen order
-	for ci, ri := range cands {
-		next[ci] = -1
-		if head, ok := heads[det[ri].base]; ok {
-			// Prepend; the sort below restores slot order.
-			next[ci] = head
-			heads[det[ri].base] = ci
-		} else {
-			heads[det[ri].base] = ci
-			tails = append(tails, ci)
-		}
-	}
-	group := make([]int, 0, eligible)
-	for _, t := range tails {
-		head := heads[det[cands[t]].base]
-		group = group[:0]
-		for ci := head; ci >= 0; ci = next[ci] {
-			group = append(group, ci)
-		}
-		if len(group) < 2 {
-			continue
-		}
-		// Shortest set lists first (stable by slot), so parents are fixed
-		// before their supersets are considered.
-		sort.SliceStable(group, func(a, b int) bool {
-			la, lb := len(det[cands[group[a]]].and), len(det[cands[group[b]]].and)
-			if la != lb {
-				return la < lb
-			}
-			return cands[group[a]] < cands[group[b]]
-		})
-		for j := 1; j < len(group); j++ {
-			rj := cands[group[j]]
-			best := -1
-			for i := 0; i < j; i++ {
-				ri := cands[group[i]]
-				if lowered[ri].chained || len(det[ri].and) >= len(det[rj].and) {
-					continue
-				}
-				if !subsetOf(det[ri].and, det[rj].and) {
-					continue
-				}
-				if best < 0 || len(det[cands[group[best]]].and) < len(det[ri].and) {
-					best = i
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			rb := cands[group[best]]
-			lowered[rb].kids = append(lowered[rb].kids, chainKid{idx: rj, extra: extraSets(det[rb].and, det[rj].and)})
-			lowered[rj].chained = true
-		}
-	}
-}
-
-// subsetOf reports whether every set of sub appears in super, respecting
-// multiplicity.
-func subsetOf(sub, super []*Set) bool {
-	var used [maxChainSets]bool
-	for _, p := range sub {
-		found := false
-		for k, c := range super {
-			if !used[k] && c == p {
-				used[k] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// extraSets returns super minus sub (by multiplicity) as word slices — the
-// sets a fused child ANDs onto its parent's word.
-func extraSets(sub, super []*Set) [][]uint64 {
-	var used [maxChainSets]bool
-	for _, p := range sub {
-		for k, c := range super {
-			if !used[k] && c == p {
-				used[k] = true
-				break
-			}
-		}
-	}
-	extra := make([][]uint64, 0, len(super)-len(sub))
-	for k, c := range super {
-		if !used[k] {
-			extra = append(extra, c.words)
-		}
-	}
-	return extra
-}
 
 // countRange counts the request's matches within words [lo, hi).
 func (lr *loweredReq) countRange(lo, hi int) int {
-	if lr.clauses != nil {
-		return countGeneralRange(lr.clauses, lo, hi)
-	}
 	if len(lr.not) == 0 {
 		switch len(lr.and) {
 		case 0:
@@ -647,35 +282,6 @@ func countSimpleRange(base []uint64, and, not [][]uint64, lo, hi int) int {
 		}
 		for _, s := range not {
 			w &^= s[i]
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// countGeneralRange evaluates OR-clauses word by word over [lo, hi) — the
-// fallback for batches that exhaust the union budget. Subtracting each
-// negated clause individually equals subtracting their union
-// (w &^ a &^ b == w &^ (a|b)), so the clause order never changes the
-// result.
-func countGeneralRange(clauses []CountClause, lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		var w uint64
-		for ci := range clauses {
-			cl := &clauses[ci]
-			var t uint64
-			for _, s := range cl.Or {
-				t |= s.words[i]
-			}
-			switch {
-			case ci == 0:
-				w = t
-			case cl.Negate:
-				w &^= t
-			default:
-				w &= t
-			}
 		}
 		c += bits.OnesCount64(w)
 	}

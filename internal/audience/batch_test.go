@@ -6,91 +6,53 @@ import (
 	"repro/internal/xrand"
 )
 
-// naiveCount evaluates one CountReq with the plain Set operations — the
-// reference the tiled kernel must match bit for bit.
-func naiveCount(req CountReq) int {
-	var acc *Set
-	for _, cl := range req.Clauses {
-		s := cl.Or[0].Clone()
-		for _, t := range cl.Or[1:] {
-			s.OrWith(t)
-		}
-		switch {
-		case acc == nil:
-			acc = s
-		case cl.Negate:
-			acc.AndNotWith(s)
-		default:
-			acc.AndWith(s)
-		}
-	}
-	return acc.Count()
-}
-
 // batchSizes covers empty, sub-word, word-boundary, sub-block, exact-block,
 // and multi-block universes (blockWords words = blockWords*64 users).
 var batchSizes = []int{0, 1, 63, 64, 65, 1000, blockWords * 64, blockWords*64 + 1, blockWords*64*2 + 17}
 
+// TestCountManyMatchesNaive: the battery batched into one schedule, with
+// and without compressed operands, counts like the naive evaluator.
 func TestCountManyMatchesNaive(t *testing.T) {
 	for _, n := range batchSizes {
-		sets := make([]*Set, 6)
-		for i := range sets {
-			sets[i] = randomSet(uint64(100+i), n, 0.1+0.15*float64(i))
+		if n == 0 {
+			continue
 		}
-		reqs := []CountReq{
-			// Single set.
-			{Clauses: []CountClause{{Or: sets[0:1]}}},
-			// Pure ANDs of 2, 3, and 4 single-set clauses (the unrolled paths).
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[2:3]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[2:3]}, {Or: sets[3:4]}}},
-			// AND with exclusions.
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[4:5], Negate: true}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[4:5], Negate: true}, {Or: sets[5:6], Negate: true}}},
-			// General OR shapes.
-			{Clauses: []CountClause{{Or: sets[0:2]}, {Or: sets[2:4]}}},
-			{Clauses: []CountClause{{Or: sets[0:3]}, {Or: sets[3:5], Negate: true}}},
-			{Clauses: []CountClause{{Or: sets[0:2]}, {Or: sets[2:3]}, {Or: sets[3:6], Negate: true}}},
-		}
-		got := CountMany(reqs)
-		for i, req := range reqs {
-			if want := naiveCount(req); got[i] != want {
-				t.Errorf("n=%d req=%d: CountMany = %d, want %d", n, i, got[i], want)
+		reqs := matchBattery(batterySets(n))
+		for _, withC := range []bool{false, true} {
+			got := countMany(withC, reqs)
+			for i, req := range reqs {
+				if want := naiveCount(req); got[i] != want {
+					t.Errorf("n=%d withC=%v req=%d: countMany = %d, want %d", n, withC, i, got[i], want)
+				}
 			}
 		}
 	}
 }
 
-// TestCountManyRandomBatches drives many random batch shapes through the
-// kernel, exercising the block loop with mixed simple/general requests.
+// TestCountManyRandomBatches drives many random batch shapes — OR widths,
+// negations, repeated sets — through the schedule's block loop.
 func TestCountManyRandomBatches(t *testing.T) {
 	for trial := uint64(0); trial < 40; trial++ {
 		rng := xrand.New(xrand.Mix(42, trial))
-		n := rng.Intn(3 * blockWords * 64)
+		n := rng.Intn(3*blockWords*64) + 1
 		pool := make([]*Set, 5)
 		for i := range pool {
 			pool[i] = randomSet(trial*10+uint64(i), n, 0.05+0.2*float64(i%4))
 		}
-		batch := rng.Intn(7) + 1
-		reqs := make([]CountReq, batch)
+		reqs := make([][]testClause, rng.Intn(7)+1)
 		for ri := range reqs {
-			clauses := rng.Intn(3) + 1
-			for ci := 0; ci < clauses; ci++ {
-				width := rng.Intn(2) + 1
-				or := make([]*Set, width)
-				for k := range or {
-					or[k] = pool[rng.Intn(len(pool))]
+			for ci := rng.Intn(3) + 1; ci > 0; ci-- {
+				cl := testClause{negate: len(reqs[ri]) > 0 && rng.Intn(3) == 0}
+				for k := rng.Intn(2) + 1; k > 0; k-- {
+					cl.or = append(cl.or, pool[rng.Intn(len(pool))])
 				}
-				reqs[ri].Clauses = append(reqs[ri].Clauses, CountClause{
-					Or:     or,
-					Negate: ci > 0 && rng.Intn(3) == 0,
-				})
+				reqs[ri] = append(reqs[ri], cl)
 			}
 		}
-		got := CountMany(reqs)
+		got := countMany(trial%2 == 1, reqs)
 		for i, req := range reqs {
 			if want := naiveCount(req); got[i] != want {
-				t.Fatalf("trial=%d n=%d req=%d: CountMany = %d, want %d", trial, n, i, got[i], want)
+				t.Fatalf("trial=%d n=%d req=%d: countMany = %d, want %d", trial, n, i, got[i], want)
 			}
 		}
 	}
@@ -98,21 +60,17 @@ func TestCountManyRandomBatches(t *testing.T) {
 
 // TestCountManyChains pins the prefix-chain fusion: batches shaped like the
 // audit's reach/conditioned pairs — plus fan-outs, duplicates, and multiset
-// refinements — must count exactly like independent evaluation.
+// refinements — must fuse and count exactly like independent evaluation.
 func TestCountManyChains(t *testing.T) {
 	for _, n := range batchSizes {
+		if n == 0 {
+			continue
+		}
 		a := randomSet(11, n, 0.4)
 		b := randomSet(12, n, 0.3)
 		c := randomSet(13, n, 0.5)
 		d := randomSet(14, n, 0.2)
-		one := func(sets ...*Set) CountReq {
-			var req CountReq
-			for _, s := range sets {
-				req.Clauses = append(req.Clauses, CountClause{Or: []*Set{s}})
-			}
-			return req
-		}
-		reqs := []CountReq{
+		reqs := [][]testClause{
 			one(a, b),       // pair parent …
 			one(a, b, c),    // … with its conditioned child (fused pair path)
 			one(a, b, d),    // second child: fan-out (generic chain path)
@@ -124,98 +82,67 @@ func TestCountManyChains(t *testing.T) {
 			one(c, a, b, d), // … with one child (fused pair3 path)
 			one(d, a),       // parent whose child …
 			one(d, a, b, c), // … adds two sets (multi-extra generic path)
-			{Clauses: []CountClause{{Or: []*Set{a}}, {Or: []*Set{b}, Negate: true}}}, // negation: never fused
+			{anyOf(a), {or: []*Set{b}, negate: true}}, // negation: never fused
 		}
-		got := CountMany(reqs)
+		pl := &planner{}
+		plans := make([]*Plan, len(reqs))
+		for i, req := range reqs {
+			plans[i] = pl.plan(req)
+		}
+		pb := CompileBatch(plans)
+		if len(pb.roots) >= len(plans) {
+			t.Fatalf("n=%d: %d roots for %d plans, want chains fused", n, len(pb.roots), len(plans))
+		}
+		got := pb.Exec()
 		for i, req := range reqs {
 			if want := naiveCount(req); got[i] != want {
-				t.Errorf("n=%d req=%d: CountMany = %d, want %d", n, i, got[i], want)
+				t.Errorf("n=%d req=%d: Exec = %d, want %d", n, i, got[i], want)
 			}
 		}
 	}
 }
 
-// TestCountManyUnions pins the shared OR-clause materialization: a clause
-// repeated across requests resolves to one union (in any member order),
-// unions compose with negation and chaining, and a batch that exhausts the
-// union budget falls back to the general path — all bit-identical to
-// independent evaluation.
+// TestCountManyUnions pins OR clauses lowered to shared union operands, as
+// the platform's union cache hands them to the compiler: a clause repeated
+// across requests (in any member order) is one operand, which composes
+// with negation and chaining — all bit-identical to independent
+// evaluation.
 func TestCountManyUnions(t *testing.T) {
 	for _, n := range batchSizes {
-		pool := make([]*Set, 10)
+		if n == 0 {
+			continue
+		}
+		pool := make([]*Set, 4)
 		for i := range pool {
 			pool[i] = randomSet(uint64(300+i), n, 0.1+0.08*float64(i))
 		}
 		a, b, c, d := pool[0], pool[1], pool[2], pool[3]
-		or := func(sets ...*Set) CountClause { return CountClause{Or: sets} }
-		reqs := []CountReq{
+		reqs := [][]testClause{
 			// The same union as base, as conjunct, in swapped member order,
 			// negated, and refined by a chain (reqs[3] extends reqs[1] by d).
-			{Clauses: []CountClause{or(b, c), or(a)}},
-			{Clauses: []CountClause{or(a), or(b, c)}},
-			{Clauses: []CountClause{or(a), or(c, b)}},
-			{Clauses: []CountClause{or(a), or(d), or(b, c)}},
-			{Clauses: []CountClause{or(d), or(b, c, a)}},
-			{Clauses: []CountClause{or(d), {Or: []*Set{b, c}, Negate: true}}},
+			{anyOf(b, c), anyOf(a)},
+			{anyOf(a), anyOf(b, c)},
+			{anyOf(a), anyOf(c, b)},
+			{anyOf(a), anyOf(d), anyOf(b, c)},
+			{anyOf(d), anyOf(b, c, a)},
+			{anyOf(d), {or: []*Set{b, c}, negate: true}},
 		}
-		got := CountMany(reqs)
-		for i, req := range reqs {
-			if want := naiveCount(req); got[i] != want {
-				t.Errorf("n=%d req=%d: CountMany = %d, want %d", n, i, got[i], want)
+		for _, withC := range []bool{false, true} {
+			pl := &planner{withC: withC}
+			plans := make([]*Plan, len(reqs))
+			for i, req := range reqs {
+				plans[i] = pl.plan(req)
+			}
+			if len(pl.unions) != 2 {
+				t.Fatalf("n=%d: %d distinct unions, want 2", n, len(pl.unions))
+			}
+			got := ExecPlans(plans)
+			for i, req := range reqs {
+				if want := naiveCount(req); got[i] != want {
+					t.Errorf("n=%d withC=%v req=%d: ExecPlans = %d, want %d", n, withC, i, got[i], want)
+				}
 			}
 		}
-	}
-}
-
-// TestCountManyUnionOverflow drives more distinct OR clauses through one
-// batch than the union budget holds, forcing the general-path fallback for
-// the overflow; every request must still match independent evaluation.
-func TestCountManyUnionOverflow(t *testing.T) {
-	n := 3*blockWords*64 + 17
-	pool := make([]*Set, 12)
-	for i := range pool {
-		pool[i] = randomSet(uint64(400+i), n, 0.15+0.05*float64(i%5))
-	}
-	var reqs []CountReq
-	for i := 0; i < len(pool); i++ {
-		for j := i + 1; j < len(pool); j++ {
-			reqs = append(reqs, CountReq{Clauses: []CountClause{
-				{Or: []*Set{pool[i]}},
-				{Or: []*Set{pool[i], pool[j]}, Negate: (i+j)%3 == 0},
-			}})
-		}
-	}
-	got := CountMany(reqs)
-	for i, req := range reqs {
-		if want := naiveCount(req); got[i] != want {
-			t.Fatalf("req=%d: CountMany = %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-func TestCountManyEmptyBatch(t *testing.T) {
-	if got := CountMany(nil); len(got) != 0 {
-		t.Fatalf("CountMany(nil) = %v, want empty", got)
-	}
-}
-
-func TestCountManyPanics(t *testing.T) {
-	s := randomSet(1, 100, 0.5)
-	other := randomSet(2, 200, 0.5)
-	for name, reqs := range map[string][]CountReq{
-		"no clauses":     {{}},
-		"negated first":  {{Clauses: []CountClause{{Or: []*Set{s}, Negate: true}}}},
-		"empty clause":   {{Clauses: []CountClause{{Or: []*Set{s}}, {}}}},
-		"universe mixed": {{Clauses: []CountClause{{Or: []*Set{s}}, {Or: []*Set{other}}}}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: CountMany did not panic", name)
-				}
-			}()
-			CountMany(reqs)
-		}()
 	}
 }
 

@@ -1,9 +1,12 @@
 package audience
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
+	"unsafe"
 )
 
 // This file implements CSet, a roaring-style compressed bitset. A dense Set
@@ -23,6 +26,32 @@ import (
 // of 2 MiB of mostly-zero words. The plan executor (plan.go) walks a CSet's
 // containers directly when the sparsest operand of a query is compressed,
 // skipping every chunk the audience does not touch.
+//
+// A CSet has one representation: its canonical blob, the byte encoding a
+// snapshot file (internal/snapshot) stores per catalog option. The typed
+// container slices the kernels read alias the blob's payload windows, so a
+// set built in memory (FromSet) and one decoded over an mmap'd file
+// (DecodeCSet) are the same thing and run the same kernels.
+//
+// Blob layout (all little-endian):
+//
+//	header (24 bytes):
+//	  u64 n      universe size
+//	  u64 card   total membership
+//	  u32 nconts non-empty chunk count
+//	  u32 pad    zero
+//	directory (20 bytes per container):
+//	  u32 key    chunk index, strictly ascending
+//	  u8  typ    0 array | 1 bitmap | 2 run
+//	  u8  pad[3] zero
+//	  u32 count  payload elements (members | words | runs)
+//	  u32 card   container membership
+//	  u32 off    payload byte offset (8-aligned, relative to payload base)
+//	payload base: directory end rounded up to 8 bytes
+//	payloads, each zero-padded to 8 bytes:
+//	  array:  count × u16 member offsets, ascending
+//	  bitmap: count × u64 chunk words
+//	  run:    count × (u16 start, u16 last) inclusive intervals, ascending
 
 const (
 	// chunkBits is the log2 of the chunk width: one container covers 2^16
@@ -34,7 +63,19 @@ const (
 	// arrayCutoff is the largest membership an array container may hold;
 	// past it a bitmap (8 KiB) is smaller than the 2-byte entries.
 	arrayCutoff = chunkSize / 16
+
+	blobHeader   = 24
+	blobDirEntry = 20
 )
+
+// ErrBadCSetBlob marks a blob DecodeCSet rejected: truncation,
+// out-of-bounds offsets, non-ascending keys, or an unknown container form.
+// Match with errors.Is.
+var ErrBadCSetBlob = errors.New("audience: malformed cset blob")
+
+// littleEndian reports whether the host stores integers little-endian, the
+// blob's byte order — the condition for aliasing payloads in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Container forms.
 type ctype uint8
@@ -46,7 +87,8 @@ const (
 )
 
 // crun is one interval of consecutive members, inclusive on both ends
-// (an exclusive end could not express a run touching offset 65535).
+// (an exclusive end could not express a run touching offset 65535). Its
+// memory layout is the blob's (u16 start, u16 last) pair.
 type crun struct {
 	start, last uint16
 }
@@ -62,42 +104,84 @@ type container struct {
 }
 
 // CSet is a compressed audience set over user indices [0, Len()). CSets are
-// immutable once built: they are constructed from a dense Set (FromSet) and
-// queried, never mutated, which is what lets compiled plans share them
-// freely across goroutines.
+// immutable: they are built from a dense Set (FromSet) or decoded from a
+// blob (DecodeCSet) and queried, never mutated, which is what lets compiled
+// plans and snapshot-backed interfaces share them freely across goroutines.
 type CSet struct {
 	n     int
 	card  int
 	keys  []uint32 // chunk indices of non-empty chunks, ascending
 	conts []container
+	blob  []byte // canonical encoding; the container slices alias it when aligned
+}
+
+// chunkForm is one non-empty chunk's chosen container form, as FromSet
+// sizes the blob before writing it.
+type chunkForm struct {
+	key         uint32
+	typ         ctype
+	card, count int
+}
+
+// payloadBytes is the form's unpadded payload size.
+func (f *chunkForm) payloadBytes() int {
+	switch f.typ {
+	case ctArray:
+		return 2 * f.count
+	case ctBitmap:
+		return 8 * f.count
+	default:
+		return 4 * f.count
+	}
 }
 
 // FromSet compresses a dense set. Each chunk picks the smallest of the
-// three container forms; the result is bit-identical to s (ToSet inverts
-// it exactly, property-tested at container-boundary sizes).
+// three container forms and is packed straight into the set's blob; the
+// result is bit-identical to s (ToSet inverts it exactly, property-tested
+// at container-boundary sizes), and the same set always yields the same
+// bytes.
 func FromSet(s *Set) *CSet {
-	c := &CSet{n: s.n}
 	nw := len(s.words)
+	var forms []chunkForm
+	card, payload := 0, 0
 	for base := 0; base < nw; base += chunkWords {
-		end := base + chunkWords
-		if end > nw {
-			end = nw
-		}
-		words := s.words[base:end]
-		cont, ok := packChunk(words)
+		f, ok := chooseForm(s.words[base:min(base+chunkWords, nw)])
 		if !ok {
 			continue
 		}
-		c.keys = append(c.keys, uint32(base/chunkWords))
-		c.conts = append(c.conts, cont)
-		c.card += cont.card
+		f.key = uint32(base / chunkWords)
+		forms = append(forms, f)
+		card += f.card
+		payload += align8(f.payloadBytes())
+	}
+	payloadBase := align8(blobHeader + len(forms)*blobDirEntry)
+	blob := make([]byte, payloadBase+payload)
+	binary.LittleEndian.PutUint64(blob[0:8], uint64(s.n))
+	binary.LittleEndian.PutUint64(blob[8:16], uint64(card))
+	binary.LittleEndian.PutUint32(blob[16:20], uint32(len(forms)))
+	off := 0
+	for i := range forms {
+		f := &forms[i]
+		ent := blob[blobHeader+i*blobDirEntry:]
+		binary.LittleEndian.PutUint32(ent[0:4], f.key)
+		ent[4] = byte(f.typ)
+		binary.LittleEndian.PutUint32(ent[8:12], uint32(f.count))
+		binary.LittleEndian.PutUint32(ent[12:16], uint32(f.card))
+		binary.LittleEndian.PutUint32(ent[16:20], uint32(off))
+		base := int(f.key) * chunkWords
+		packChunk(blob[payloadBase+off:], s.words[base:min(base+chunkWords, nw)], f.typ)
+		off += align8(f.payloadBytes())
+	}
+	c, err := DecodeCSet(blob)
+	if err != nil {
+		panic(fmt.Sprintf("audience: FromSet produced an undecodable blob: %v", err))
 	}
 	return c
 }
 
-// packChunk compresses one chunk's words into its smallest container form.
-// It reports false for an empty chunk.
-func packChunk(words []uint64) (container, bool) {
+// chooseForm picks one chunk's smallest container form. It reports false
+// for an empty chunk.
+func chooseForm(words []uint64) (chunkForm, bool) {
 	card, runs := 0, 0
 	var carry uint64 // last bit of the previous word
 	for _, w := range words {
@@ -108,7 +192,7 @@ func packChunk(words []uint64) (container, bool) {
 		carry = w >> 63
 	}
 	if card == 0 {
-		return container{}, false
+		return chunkForm{}, false
 	}
 	arrayBytes, bitmapBytes, runBytes := 2*card, 8*len(words), 4*runs
 	if card > arrayCutoff {
@@ -116,64 +200,224 @@ func packChunk(words []uint64) (container, bool) {
 	}
 	switch {
 	case runBytes < arrayBytes && runBytes < bitmapBytes:
-		return container{typ: ctRun, card: card, runs: chunkRuns(words, runs)}, true
+		return chunkForm{typ: ctRun, card: card, count: runs}, true
 	case arrayBytes <= bitmapBytes:
-		return container{typ: ctArray, card: card, arr: chunkArray(words, card)}, true
+		return chunkForm{typ: ctArray, card: card, count: card}, true
 	default:
-		bw := make([]uint64, len(words))
-		copy(bw, words)
-		return container{typ: ctBitmap, card: card, bits: bw}, true
+		return chunkForm{typ: ctBitmap, card: card, count: len(words)}, true
 	}
 }
 
-// chunkArray extracts the sorted member offsets of one chunk.
-func chunkArray(words []uint64, card int) []uint16 {
-	out := make([]uint16, 0, card)
-	for wi, w := range words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, uint16(wi<<6+b))
-			w &= w - 1
-		}
-	}
-	return out
-}
-
-// chunkRuns extracts the sorted inclusive member intervals of one chunk.
-func chunkRuns(words []uint64, nruns int) []crun {
-	out := make([]crun, 0, nruns)
-	inRun := false
-	var start int
-	for wi, w := range words {
-		for b := 0; b < 64; b++ {
-			set := w&(1<<uint(b)) != 0
-			switch {
-			case set && !inRun:
-				start = wi<<6 + b
-				inRun = true
-			case !set && inRun:
-				out = append(out, crun{start: uint16(start), last: uint16(wi<<6 + b - 1)})
-				inRun = false
+// packChunk writes one chunk's members into dst, its payload window, in
+// the given form.
+func packChunk(dst []byte, words []uint64, typ ctype) {
+	switch typ {
+	case ctArray:
+		k := 0
+		for wi, w := range words {
+			for w != 0 {
+				binary.LittleEndian.PutUint16(dst[k:], uint16(wi<<6+bits.TrailingZeros64(w)))
+				k += 2
+				w &= w - 1
 			}
 		}
+	case ctBitmap:
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(dst[8*i:], w)
+		}
+	case ctRun:
+		k := 0
+		inRun := false
+		var start int
+		for wi, w := range words {
+			for b := 0; b < 64; b++ {
+				set := w&(1<<uint(b)) != 0
+				switch {
+				case set && !inRun:
+					start = wi<<6 + b
+					inRun = true
+				case !set && inRun:
+					binary.LittleEndian.PutUint16(dst[k:], uint16(start))
+					binary.LittleEndian.PutUint16(dst[k+2:], uint16(wi<<6+b-1))
+					k += 4
+					inRun = false
+				}
+			}
+		}
+		if inRun {
+			binary.LittleEndian.PutUint16(dst[k:], uint16(start))
+			binary.LittleEndian.PutUint16(dst[k+2:], uint16(len(words)<<6-1))
+		}
 	}
-	if inRun {
-		out = append(out, crun{start: uint16(start), last: uint16(len(words)<<6 - 1)})
-	}
-	return out
 }
+
+func align8(n int) int { return (n + 7) &^ 7 }
+
+// DecodeCSet returns the compressed set a blob encodes. The header and
+// directory are validated eagerly — every payload window must lie inside
+// the blob, keys must ascend, bitmap widths must match their chunk — and so
+// are the members of the universe's final short chunk, whose offsets index
+// shorter word slices. Full-chunk payloads are never read: a u16 offset
+// cannot escape a 2^16-user chunk, so every kernel stays in bounds on any
+// blob this accepts, and decoding an mmap'd snapshot touches only its
+// directory pages.
+//
+// On a little-endian host an 8-aligned blob is aliased: each container's
+// payload slice points into blob, which must then stay alive and unmodified
+// as long as the set is in use. Otherwise the payloads are copied into
+// fresh slices. Snapshot blobs are always 8-aligned: sections are
+// page-aligned and every blob length is a multiple of 8.
+func DecodeCSet(blob []byte) (*CSet, error) {
+	if len(blob) < blobHeader {
+		return nil, fmt.Errorf("%w: %d-byte blob shorter than header", ErrBadCSetBlob, len(blob))
+	}
+	n64 := binary.LittleEndian.Uint64(blob[0:8])
+	card64 := binary.LittleEndian.Uint64(blob[8:16])
+	nconts := int(binary.LittleEndian.Uint32(blob[16:20]))
+	const maxInt = int(^uint(0) >> 1)
+	if n64 > uint64(maxInt) || card64 > n64 {
+		return nil, fmt.Errorf("%w: universe %d / cardinality %d", ErrBadCSetBlob, n64, card64)
+	}
+	n := int(n64)
+	maxChunks := (n + chunkSize - 1) / chunkSize
+	if nconts > maxChunks {
+		return nil, fmt.Errorf("%w: %d containers over a %d-chunk universe", ErrBadCSetBlob, nconts, maxChunks)
+	}
+	payloadBase := align8(blobHeader + nconts*blobDirEntry)
+	if payloadBase > len(blob) {
+		return nil, fmt.Errorf("%w: directory truncated at %d of %d bytes", ErrBadCSetBlob, len(blob), payloadBase)
+	}
+	data := blob[payloadBase:]
+	alias := littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(blob)))%8 == 0
+	c := &CSet{
+		n:     n,
+		card:  int(card64),
+		keys:  make([]uint32, nconts),
+		conts: make([]container, nconts),
+		blob:  blob,
+	}
+	lastShortWords := 0 // word width of a trailing partial chunk, 0 if none
+	if rem := n % chunkSize; rem != 0 {
+		lastShortWords = (rem + 63) / 64
+	}
+	cardSum := 0
+	for i := 0; i < nconts; i++ {
+		ent := blob[blobHeader+i*blobDirEntry:]
+		key := binary.LittleEndian.Uint32(ent[0:4])
+		typ := ctype(ent[4])
+		count := int(binary.LittleEndian.Uint32(ent[8:12]))
+		card := int(binary.LittleEndian.Uint32(ent[12:16]))
+		off := int(binary.LittleEndian.Uint32(ent[16:20]))
+		if i > 0 && key <= c.keys[i-1] {
+			return nil, fmt.Errorf("%w: chunk keys not ascending at entry %d", ErrBadCSetBlob, i)
+		}
+		if int(key) >= maxChunks {
+			return nil, fmt.Errorf("%w: chunk key %d beyond universe %d", ErrBadCSetBlob, key, n)
+		}
+		chunkW := chunkWords
+		isLast := int(key) == maxChunks-1 && lastShortWords != 0
+		if isLast {
+			chunkW = lastShortWords
+		}
+		var size int
+		switch typ {
+		case ctArray:
+			if count == 0 || count != card || count > arrayCutoff {
+				return nil, fmt.Errorf("%w: array container %d count %d card %d", ErrBadCSetBlob, i, count, card)
+			}
+			size = 2 * count
+		case ctBitmap:
+			if count != chunkW {
+				return nil, fmt.Errorf("%w: bitmap container %d has %d words, chunk needs %d", ErrBadCSetBlob, i, count, chunkW)
+			}
+			if card <= 0 || card > count*64 {
+				return nil, fmt.Errorf("%w: bitmap container %d card %d", ErrBadCSetBlob, i, card)
+			}
+			size = 8 * count
+		case ctRun:
+			if count == 0 || card < count || card > chunkSize {
+				return nil, fmt.Errorf("%w: run container %d count %d card %d", ErrBadCSetBlob, i, count, card)
+			}
+			size = 4 * count
+		default:
+			return nil, fmt.Errorf("%w: unknown container form %d", ErrBadCSetBlob, typ)
+		}
+		if off%8 != 0 || off < 0 || off+size > len(data) {
+			return nil, fmt.Errorf("%w: container %d payload [%d, %d) outside %d-byte area", ErrBadCSetBlob, i, off, off+size, len(data))
+		}
+		p := data[off : off+size]
+		cont := &c.conts[i]
+		*cont = container{typ: typ, card: card}
+		switch {
+		case typ == ctArray && alias:
+			cont.arr = unsafe.Slice((*uint16)(unsafe.Pointer(&p[0])), count)
+		case typ == ctArray:
+			cont.arr = make([]uint16, count)
+			for k := range cont.arr {
+				cont.arr[k] = binary.LittleEndian.Uint16(p[2*k:])
+			}
+		case typ == ctBitmap && alias:
+			cont.bits = unsafe.Slice((*uint64)(unsafe.Pointer(&p[0])), count)
+		case typ == ctBitmap:
+			cont.bits = make([]uint64, count)
+			for k := range cont.bits {
+				cont.bits[k] = binary.LittleEndian.Uint64(p[8*k:])
+			}
+		case alias:
+			cont.runs = unsafe.Slice((*crun)(unsafe.Pointer(&p[0])), count)
+		default:
+			cont.runs = make([]crun, count)
+			for k := range cont.runs {
+				cont.runs[k] = crun{binary.LittleEndian.Uint16(p[4*k:]), binary.LittleEndian.Uint16(p[4*k+2:])}
+			}
+		}
+		c.keys[i] = key
+		if isLast {
+			if err := checkShortChunk(cont, lastShortWords*64); err != nil {
+				return nil, err
+			}
+		}
+		cardSum += card
+	}
+	if cardSum != c.card {
+		return nil, fmt.Errorf("%w: container cards sum to %d, header says %d", ErrBadCSetBlob, cardSum, c.card)
+	}
+	return c, nil
+}
+
+// checkShortChunk validates a final-partial-chunk container: its member
+// offsets must stay below the chunk's local bit width, or the expand and
+// subtract kernels would index past a short word slice.
+func checkShortChunk(cont *container, limit int) error {
+	for _, v := range cont.arr {
+		if int(v) >= limit {
+			return fmt.Errorf("%w: short-chunk member %d beyond %d", ErrBadCSetBlob, v, limit)
+		}
+	}
+	for _, r := range cont.runs {
+		if r.start > r.last || int(r.last) >= limit {
+			return fmt.Errorf("%w: short-chunk run [%d, %d] beyond %d", ErrBadCSetBlob, r.start, r.last, limit)
+		}
+	}
+	return nil
+}
+
+// Blob returns the set's canonical encoding — the bytes DecodeCSet reads
+// and a snapshot stores. Callers must not modify it.
+func (c *CSet) Blob() []byte { return c.blob }
 
 // ToSet decompresses back to a dense set.
 func (c *CSet) ToSet() *Set {
 	s := New(c.n)
 	for ci, key := range c.keys {
-		base := int(key) * chunkWords
-		expandChunk(&c.conts[ci], s.words[base:min(base+chunkWords, len(s.words))])
+		expandChunk(&c.conts[ci], s.chunkWordsOf(key))
 	}
 	return s
 }
 
 // expandChunk ORs one container's members into dst (the chunk's words).
+// Runs fill whole words at a time; an inverted run in a corrupt blob is an
+// empty range and expands to nothing instead of wrapping past the chunk.
 func expandChunk(cont *container, dst []uint64) {
 	switch cont.typ {
 	case ctArray:
@@ -181,17 +425,10 @@ func expandChunk(cont *container, dst []uint64) {
 			dst[v>>6] |= 1 << uint(v&63)
 		}
 	case ctBitmap:
-		for i, w := range cont.bits {
-			dst[i] |= w
-		}
+		orWords(dst, cont.bits)
 	case ctRun:
 		for _, r := range cont.runs {
-			for v := int(r.start); ; v++ {
-				dst[v>>6] |= 1 << uint(v&63)
-				if v == int(r.last) {
-					break
-				}
-			}
+			setBitRange(dst, int(r.start), int(r.last)+1)
 		}
 	}
 }
@@ -206,8 +443,8 @@ func (c *CSet) Count() int { return c.card }
 // work a compressed plan execution walks.
 func (c *CSet) Containers() int { return len(c.keys) }
 
-// Bytes reports the approximate heap footprint of the container payloads,
-// the number the dense/compressed memory comparison in DESIGN.md §9 uses.
+// Bytes reports the approximate footprint of the container payloads, the
+// number the dense/compressed memory comparison in DESIGN.md §9 uses.
 func (c *CSet) Bytes() int {
 	b := 4 * len(c.keys)
 	for i := range c.conts {
@@ -261,16 +498,22 @@ func (c *CSet) CountRange(lo, hi int) int {
 	if lo >= hi {
 		return 0
 	}
+	// Start at the first chunk the window touches: shards count many narrow
+	// windows of a wide set. Keys ascend strictly from 0, so that chunk's
+	// index is at most its key, and it is the key itself when no earlier
+	// chunk is empty.
+	first := lo >> chunkBits
+	ci := min(first, len(c.keys))
+	for ci > 0 && int(c.keys[ci-1]) >= first {
+		ci--
+	}
 	total := 0
-	for ci, key := range c.keys {
-		base := int(key) << chunkBits
+	for ; ci < len(c.keys); ci++ {
+		base := int(c.keys[ci]) << chunkBits
 		if base >= hi {
 			break
 		}
 		cont := &c.conts[ci]
-		if base+chunkSize <= lo {
-			continue
-		}
 		if lo <= base && base+chunkSize <= hi {
 			total += cont.card
 			continue
@@ -335,277 +578,4 @@ func bitmapCountRange(words []uint64, lo, hi int) int {
 		c += bits.OnesCount64(words[i])
 	}
 	return c
-}
-
-// checkCompat panics if d is not over the same universe as c.
-func (c *CSet) checkCompat(d *CSet) {
-	if c.n != d.n {
-		panic(fmt.Sprintf("audience: universe size mismatch %d != %d", c.n, d.n))
-	}
-}
-
-// --- container-wise counting kernels ---
-
-// CSetCountAnd returns |a ∩ b| walking only chunks present in both sets.
-func CSetCountAnd(a, b *CSet) int {
-	a.checkCompat(b)
-	total := 0
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			total += countAndChunk(&a.conts[i], &b.conts[j])
-			i++
-			j++
-		}
-	}
-	return total
-}
-
-// CSetCountAndNot returns |a \ b|: per chunk, a's membership minus the
-// intersection (chunks absent from b contribute a's full card).
-func CSetCountAndNot(a, b *CSet) int {
-	a.checkCompat(b)
-	return a.card - CSetCountAnd(a, b)
-}
-
-// CSetCountOr returns |a ∪ b| by inclusion–exclusion over the chunk walk.
-func CSetCountOr(a, b *CSet) int {
-	a.checkCompat(b)
-	return a.card + b.card - CSetCountAnd(a, b)
-}
-
-// countAndChunk counts the intersection of two aligned containers. Array
-// operands probe the other container; run pairs intersect intervals; the
-// remaining dense pairs run word kernels (runs expand against bitmaps via
-// masked range popcounts, never a scratch buffer).
-func countAndChunk(x, y *container) int {
-	// Probe with the smaller array.
-	if y.typ == ctArray && (x.typ != ctArray || len(x.arr) > len(y.arr)) {
-		x, y = y, x
-	}
-	switch {
-	case x.typ == ctArray && y.typ == ctArray:
-		c, i, j := 0, 0, 0
-		for i < len(x.arr) && j < len(y.arr) {
-			switch {
-			case x.arr[i] < y.arr[j]:
-				i++
-			case x.arr[i] > y.arr[j]:
-				j++
-			default:
-				c++
-				i++
-				j++
-			}
-		}
-		return c
-	case x.typ == ctArray:
-		c := 0
-		for _, v := range x.arr {
-			if containerContains(y, v) {
-				c++
-			}
-		}
-		return c
-	case x.typ == ctBitmap && y.typ == ctBitmap:
-		nw := min(len(x.bits), len(y.bits))
-		return countAndRange(x.bits[:nw], y.bits[:nw], 0, nw)
-	case x.typ == ctRun && y.typ == ctRun:
-		c, i, j := 0, 0, 0
-		for i < len(x.runs) && j < len(y.runs) {
-			xs, xl := int(x.runs[i].start), int(x.runs[i].last)
-			ys, yl := int(y.runs[j].start), int(y.runs[j].last)
-			if s, l := max(xs, ys), min(xl, yl); s <= l {
-				c += l - s + 1
-			}
-			if xl < yl {
-				i++
-			} else {
-				j++
-			}
-		}
-		return c
-	default:
-		// Run against bitmap: popcount the bitmap inside each run.
-		if x.typ != ctRun {
-			x, y = y, x
-		}
-		c := 0
-		for _, r := range x.runs {
-			c += bitmapCountRange(y.bits, int(r.start), int(r.last)+1)
-		}
-		return c
-	}
-}
-
-// --- container-wise materializing kernels ---
-
-// CSetAnd returns a ∩ b as a new compressed set.
-func CSetAnd(a, b *CSet) *CSet {
-	a.checkCompat(b)
-	out := &CSet{n: a.n}
-	var scratch [chunkWords]uint64
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			cont, ok := chunkOp(&a.conts[i], &b.conts[j], a.chunkLen(a.keys[i]), opAnd, &scratch)
-			out.appendChunk(a.keys[i], cont, ok)
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// CSetAndNot returns a \ b as a new compressed set.
-func CSetAndNot(a, b *CSet) *CSet {
-	a.checkCompat(b)
-	out := &CSet{n: a.n}
-	var scratch [chunkWords]uint64
-	i, j := 0, 0
-	for i < len(a.keys) {
-		switch {
-		case j >= len(b.keys) || a.keys[i] < b.keys[j]:
-			cont, ok := cloneContainer(&a.conts[i])
-			out.appendChunk(a.keys[i], cont, ok)
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			cont, ok := chunkOp(&a.conts[i], &b.conts[j], a.chunkLen(a.keys[i]), opAndNot, &scratch)
-			out.appendChunk(a.keys[i], cont, ok)
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// CSetOr returns a ∪ b as a new compressed set.
-func CSetOr(a, b *CSet) *CSet {
-	a.checkCompat(b)
-	out := &CSet{n: a.n}
-	var scratch [chunkWords]uint64
-	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
-		switch {
-		case j >= len(b.keys) || (i < len(a.keys) && a.keys[i] < b.keys[j]):
-			cont, ok := cloneContainer(&a.conts[i])
-			out.appendChunk(a.keys[i], cont, ok)
-			i++
-		case i >= len(a.keys) || a.keys[i] > b.keys[j]:
-			cont, ok := cloneContainer(&b.conts[j])
-			out.appendChunk(b.keys[j], cont, ok)
-			j++
-		default:
-			cont, ok := chunkOp(&a.conts[i], &b.conts[j], a.chunkLen(a.keys[i]), opOr, &scratch)
-			out.appendChunk(a.keys[i], cont, ok)
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// chunkLen returns the word width of chunk key (short for the last chunk of
-// a universe that is not a chunk multiple).
-func (c *CSet) chunkLen(key uint32) int {
-	nw := (c.n + 63) / 64
-	base := int(key) * chunkWords
-	if base+chunkWords > nw {
-		return nw - base
-	}
-	return chunkWords
-}
-
-// appendChunk adds a (possibly empty) result container to the set.
-func (c *CSet) appendChunk(key uint32, cont container, ok bool) {
-	if !ok {
-		return
-	}
-	c.keys = append(c.keys, key)
-	c.conts = append(c.conts, cont)
-	c.card += cont.card
-}
-
-// cloneContainer deep-copies a container (materializing ops must not alias
-// their operands' payloads).
-func cloneContainer(cont *container) (container, bool) {
-	out := container{typ: cont.typ, card: cont.card}
-	switch cont.typ {
-	case ctArray:
-		out.arr = append([]uint16(nil), cont.arr...)
-	case ctBitmap:
-		out.bits = append([]uint64(nil), cont.bits...)
-	default:
-		out.runs = append([]crun(nil), cont.runs...)
-	}
-	return out, true
-}
-
-// Chunk-op selectors for chunkOp.
-type chunkOpKind uint8
-
-const (
-	opAnd chunkOpKind = iota
-	opAndNot
-	opOr
-)
-
-// chunkOp combines two aligned containers through a scratch word buffer and
-// repacks the result into its smallest form. Array∩array takes a direct
-// merge path; the rest expand, which is still container-wise work — only
-// the two containers' payloads are touched, never the whole universe.
-func chunkOp(x, y *container, nw int, op chunkOpKind, scratch *[chunkWords]uint64) (container, bool) {
-	if op == opAnd && x.typ == ctArray && y.typ == ctArray {
-		var out []uint16
-		i, j := 0, 0
-		for i < len(x.arr) && j < len(y.arr) {
-			switch {
-			case x.arr[i] < y.arr[j]:
-				i++
-			case x.arr[i] > y.arr[j]:
-				j++
-			default:
-				out = append(out, x.arr[i])
-				i++
-				j++
-			}
-		}
-		if len(out) == 0 {
-			return container{}, false
-		}
-		return container{typ: ctArray, card: len(out), arr: out}, true
-	}
-	words := scratch[:nw]
-	clear(words)
-	expandChunk(x, words)
-	switch op {
-	case opAnd, opAndNot:
-		var buf [chunkWords]uint64
-		other := buf[:nw]
-		expandChunk(y, other)
-		if op == opAnd {
-			for i := range words {
-				words[i] &= other[i]
-			}
-		} else {
-			for i := range words {
-				words[i] &^= other[i]
-			}
-		}
-	case opOr:
-		expandChunk(y, words)
-	}
-	return packChunk(words)
 }

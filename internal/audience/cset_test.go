@@ -1,6 +1,8 @@
 package audience
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/xrand"
@@ -116,72 +118,91 @@ func TestSetCountRange(t *testing.T) {
 	}
 }
 
+// shapeNames lists csetShapes' keys in a fixed order for pairwise tests.
+var shapeNames = []string{"empty", "sparse", "dense", "full", "runs", "mixed", "gapped"}
+
+// TestCSetCountKernels pins the compressed plan walk — the one kernel that
+// counts straight off a CSet's containers — on every shape pair: a base
+// walked container-wise and probed against a dense operand, intersected and
+// subtracted, must count exactly like the dense kernels.
 func TestCSetCountKernels(t *testing.T) {
 	for _, n := range csetSizes {
 		shapes := csetShapes(n)
-		names := []string{"empty", "sparse", "dense", "full", "runs", "mixed", "gapped"}
-		for _, an := range names {
-			for _, bn := range names {
-				a, b := shapes[an], shapes[bn]
-				ca, cb := FromSet(a), FromSet(b)
-				if got, want := CSetCountAnd(ca, cb), CountAnd(a, b); got != want {
-					t.Fatalf("n=%d %s∩%s: CSetCountAnd = %d, want %d", n, an, bn, got, want)
+		none, all := New(n), New(n)
+		all.Fill()
+		for _, an := range shapeNames {
+			a := shapes[an]
+			ca := FromSet(a)
+			for _, bn := range shapeNames {
+				b := shapes[bn]
+				if got, want := walkPlan(Operand{Set: a, C: ca}, b, none), CountAnd(a, b); got != want {
+					t.Fatalf("n=%d %s∩%s: compressed walk = %d, want %d", n, an, bn, got, want)
 				}
-				if got, want := CSetCountAndNot(ca, cb), CountAndNot(a, b); got != want {
-					t.Fatalf("n=%d %s\\%s: CSetCountAndNot = %d, want %d", n, an, bn, got, want)
-				}
-				if got, want := CSetCountOr(ca, cb), CountOr(a, b); got != want {
-					t.Fatalf("n=%d %s∪%s: CSetCountOr = %d, want %d", n, an, bn, got, want)
+				if got, want := walkPlan(Operand{Set: a, C: ca}, all, b), CountAndNot(a, b); got != want {
+					t.Fatalf("n=%d %s\\%s: compressed walk = %d, want %d", n, an, bn, got, want)
 				}
 			}
 		}
 	}
 }
 
+// TestCSetMaterializingOps checks the dense-accumulator × compressed
+// kernels on every shape pair: each in-place result must equal the dense
+// set operation.
 func TestCSetMaterializingOps(t *testing.T) {
 	for _, n := range csetSizes {
 		shapes := csetShapes(n)
-		names := []string{"empty", "sparse", "dense", "full", "runs", "mixed", "gapped"}
-		for _, an := range names {
-			for _, bn := range names {
+		for _, an := range shapeNames {
+			for _, bn := range shapeNames {
 				a, b := shapes[an], shapes[bn]
-				ca, cb := FromSet(a), FromSet(b)
-				if got, want := CSetAnd(ca, cb).ToSet(), And(a, b); !Equal(got, want) {
-					t.Fatalf("n=%d %s∩%s: CSetAnd mismatch", n, an, bn)
+				cb := FromSet(b)
+				and, not, or := a.Clone(), a.Clone(), a.Clone()
+				and.AndWithC(cb)
+				not.AndNotWithC(cb)
+				or.OrWithC(cb)
+				if !Equal(and, And(a, b)) {
+					t.Fatalf("n=%d %s∩%s: AndWithC mismatch", n, an, bn)
 				}
-				if got, want := CSetAndNot(ca, cb).ToSet(), AndNot(a, b); !Equal(got, want) {
-					t.Fatalf("n=%d %s\\%s: CSetAndNot mismatch", n, an, bn)
+				if !Equal(not, AndNot(a, b)) {
+					t.Fatalf("n=%d %s\\%s: AndNotWithC mismatch", n, an, bn)
 				}
-				if got, want := CSetOr(ca, cb).ToSet(), Or(a, b); !Equal(got, want) {
-					t.Fatalf("n=%d %s∪%s: CSetOr mismatch", n, an, bn)
+				if !Equal(or, Or(a, b)) {
+					t.Fatalf("n=%d %s∪%s: OrWithC mismatch", n, an, bn)
 				}
 			}
 		}
 	}
 }
 
-// TestCSetMaterializedCardinality checks that the card caches of op results
-// match their membership, and that materializing ops do not alias operand
-// payloads.
+// TestCSetMaterializedCardinality checks that every container's cached card
+// matches its membership, for built and decoded sets alike, and that the
+// in-place kernels never write through to an operand's blob — the bytes a
+// snapshot-backed set aliases.
 func TestCSetMaterializedCardinality(t *testing.T) {
 	n := 2*chunkSize + 100
 	a := randomSet(31, n, 0.3)
 	b := randomSet(32, n, 0.02)
-	ca, cb := FromSet(a), FromSet(b)
-	for name, c := range map[string]*CSet{
-		"and":    CSetAnd(ca, cb),
-		"andnot": CSetAndNot(ca, cb),
-		"or":     CSetOr(ca, cb),
-	} {
-		if c.Count() != c.ToSet().Count() {
-			t.Fatalf("%s: cached Count %d != materialized %d", name, c.Count(), c.ToSet().Count())
+	for name, c := range decodedForms(t, FromSet(b)) {
+		sum := 0
+		for ci, key := range c.keys {
+			s := New(n)
+			expandChunk(&c.conts[ci], s.chunkWordsOf(key))
+			if got := s.Count(); got != c.conts[ci].card {
+				t.Fatalf("%s: container %d caches card %d, holds %d", name, ci, c.conts[ci].card, got)
+			}
+			sum += c.conts[ci].card
 		}
-	}
-	before := ca.ToSet()
-	_ = CSetOr(ca, cb)
-	_ = CSetAndNot(ca, cb)
-	if !Equal(before, ca.ToSet()) {
-		t.Fatal("materializing ops mutated their operand")
+		if sum != c.Count() || c.Count() != b.Count() {
+			t.Fatalf("%s: Count %d, containers sum %d, want %d", name, c.Count(), sum, b.Count())
+		}
+		before := append([]byte(nil), c.Blob()...)
+		acc := a.Clone()
+		acc.OrWithC(c)
+		acc.AndNotWithC(c)
+		acc.AndWithC(c)
+		if !bytes.Equal(before, c.Blob()) || !Equal(c.ToSet(), b) {
+			t.Fatalf("%s: kernels mutated their operand", name)
+		}
 	}
 }
 
@@ -204,34 +225,97 @@ func TestCSetCompression(t *testing.T) {
 	}
 }
 
+// TestCSetChecksCompat: the dense × compressed kernels refuse an operand
+// over a different universe.
 func TestCSetChecksCompat(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected universe-size mismatch panic")
-		}
-	}()
-	CSetCountAnd(FromSet(New(100)), FromSet(New(200)))
+	c := FromSet(randomSet(1, 1000, 0.1))
+	s := New(2000)
+	for name, op := range map[string]func(){
+		"or":     func() { s.OrWithC(c) },
+		"and":    func() { s.AndWithC(c) },
+		"andnot": func() { s.AndNotWithC(c) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: universe mismatch did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
 }
 
-func BenchmarkCSetCount(b *testing.B) {
-	n := 1 << 22 // a 4M-user shard: the scale the compressed path targets
-	sparse := NewFromFunc(n, func(i int) bool {
-		return xrand.Bernoulli(0.005, 51, uint64(i))
-	})
-	scope := NewFromFunc(n, func(i int) bool {
-		return xrand.Bernoulli(0.5, 52, uint64(i))
-	})
-	cs, cc := FromSet(sparse), FromSet(scope)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkInt = CountAnd(sparse, scope)
+// BenchmarkCSetKernels times every compressed kernel — the three Set×CSet
+// kernels, CountRange over partition-sized windows, and a compressed-base
+// plan walk — at 2^17 and 2^22 users on random sets of four densities and a
+// run-clustered set. Each case runs on the set FromSet builds and on a
+// DecodeCSet view of a copy of its blob, the form snapshot-booted shards
+// serve. results/BENCH_13.json records it.
+func BenchmarkCSetKernels(b *testing.B) {
+	for _, n := range []int{1 << 17, 1 << 22} {
+		acc := randomSet(51, n, 0.5)
+		scope := randomSet(52, n, 0.5)
+		excl := randomSet(53, n, 0.3)
+		shapes := []struct {
+			name string
+			s    *Set
+		}{
+			{"0.2%", randomSet(54, n, 0.002)},
+			{"1%", randomSet(55, n, 0.01)},
+			{"5%", randomSet(56, n, 0.05)},
+			{"30%", randomSet(57, n, 0.3)},
+			{"runs", NewFromFunc(n, func(i int) bool { return (i/997)%2 == 0 })},
 		}
-	})
-	b.Run("compressed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkInt = CSetCountAnd(cs, cc)
+		for _, sh := range shapes {
+			built := FromSet(sh.s)
+			decoded, err := DecodeCSet(append([]byte(nil), built.Blob()...))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if littleEndian && !aliases(decoded) {
+				b.Fatal("decoded blob copy is not aliased")
+			}
+			for _, form := range []struct {
+				name string
+				c    *CSet
+			}{{"built", built}, {"decoded", decoded}} {
+				c := form.c
+				prefix := fmt.Sprintf("n=%d/set=%s/form=%s/op=", n, sh.name, form.name)
+				for _, k := range []struct {
+					op  string
+					run func(dst *Set)
+				}{
+					{"and", func(dst *Set) { dst.AndWithC(c) }},
+					{"andnot", func(dst *Set) { dst.AndNotWithC(c) }},
+					{"or", func(dst *Set) { dst.OrWithC(c) }},
+				} {
+					dst := acc.Clone()
+					b.Run(prefix+k.op, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							k.run(dst)
+						}
+					})
+				}
+				b.Run(prefix+"countrange", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						total := 0
+						for lo := 1000; lo < n; lo += 1 << 14 {
+							total += c.CountRange(lo, lo+1<<14)
+						}
+						sinkInt = total
+					}
+				})
+				p := &Plan{n: n, ands: []Operand{{Set: sh.s, C: c}, {Set: scope}}, nots: []Operand{{Set: excl}}}
+				lr := p.lower(nil)
+				b.Run(prefix+"plan", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						sinkInt = p.execCompressed(&lr)
+					}
+				})
+			}
 		}
-	})
+	}
 }
 
 var sinkInt int

@@ -1,6 +1,7 @@
 package audience
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/xrand"
@@ -14,9 +15,9 @@ var fuzzSizes = []int{63, 1000, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunk
 // FuzzPlanExecEquivalence decodes arbitrary bytes into a batch of
 // and-of-ors requests over a pool of sets (sparse through dense, with and
 // without compressed forms), compiles them, and checks that both Count and
-// the batched Exec agree with the naive Set-operation evaluator. Any
-// rewrite the compiler performs — operand reordering, union folding, chain
-// fusion, tail extraction, compressed dispatch — must be invisible here.
+// the batched Exec agree with the naive Set-algebra evaluator. Any rewrite
+// the compiler performs — operand reordering, chain fusion, tail
+// extraction, compressed dispatch — must be invisible here.
 func FuzzPlanExecEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint64(1), []byte{0x02, 0x00, 0x13, 0x01, 0x27})
 	f.Add(uint8(3), uint64(2), []byte{0x03, 0x05, 0x81, 0x12, 0x02, 0x33, 0xa4})
@@ -33,8 +34,10 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 		// Each request is one count byte (1–3 clauses) followed by one byte
 		// per clause: low bits pick the first member, bit 5 widens the OR
 		// with a second member, bit 2 negates (never the first clause), bit
-		// 7 attaches the compressed form.
-		var reqs []CountReq
+		// 7 attaches the first member's compressed form and bit 6 the
+		// second's. A widened clause compiles to its materialized union,
+		// compressed only when both members are, as the platform lowers it.
+		var reqs [][]testClause
 		var plans []*Plan
 		for pos := 0; pos < len(prog) && len(plans) < 6; {
 			nclauses := int(prog[pos])%3 + 1
@@ -42,29 +45,26 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 			if pos+nclauses > len(prog) {
 				break
 			}
-			var req CountReq
+			var req []testClause
 			var pcs []PlanClause
 			for ci := 0; ci < nclauses; ci++ {
 				b := prog[pos]
 				pos++
 				idx := int(b) % len(pool)
-				or := []*Set{pool[idx]}
-				pc := PlanClause{Or: []Operand{{Set: pool[idx]}}}
+				cl := testClause{or: []*Set{pool[idx]}, negate: ci > 0 && b&0x04 != 0}
+				pc := PlanClause{Op: Operand{Set: pool[idx]}, Negate: cl.negate}
 				if b&0x80 != 0 {
-					pc.Or[0].C = cpool[idx]
+					pc.Op.C = cpool[idx]
 				}
 				if b&0x20 != 0 {
 					idx2 := int(b>>3) % len(pool)
-					or = append(or, pool[idx2])
-					op := Operand{Set: pool[idx2]}
-					if b&0x40 != 0 {
-						op.C = cpool[idx2]
+					cl.or = append(cl.or, pool[idx2])
+					pc.Op = Operand{Set: UnionAll(cl.or...)}
+					if b&0xc0 == 0xc0 {
+						pc.Op.C = FromSet(pc.Op.Set)
 					}
-					pc.Or = append(pc.Or, op)
 				}
-				negate := ci > 0 && b&0x04 != 0
-				pc.Negate = negate
-				req.Clauses = append(req.Clauses, CountClause{Or: or, Negate: negate})
+				req = append(req, cl)
 				pcs = append(pcs, pc)
 			}
 			reqs = append(reqs, req)
@@ -84,4 +84,61 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCSetDecode feeds arbitrary bytes to DecodeCSet at an arbitrary
+// address offset mod 8, so both the aliasing and the copying path run.
+// Every input must be rejected with ErrBadCSetBlob or decode to a set on
+// which every kernel returns: loads never read full-chunk payloads, so
+// validation alone must keep the kernels in bounds.
+func FuzzCSetDecode(f *testing.F) {
+	f.Add(uint8(0), invertedRunBlob(2*chunkSize))
+	f.Add(uint8(3), invertedRunBlob(chunkSize+1))
+	for _, n := range []int{chunkSize - 1, chunkSize, chunkSize + 1} {
+		for _, name := range []string{"sparse", "runs", "mixed"} {
+			f.Add(uint8(n%8), FromSet(csetShapes(n)[name]).Blob())
+		}
+	}
+	f.Fuzz(func(t *testing.T, off uint8, data []byte) {
+		c, err := DecodeCSet(blobAt(data, int(off)))
+		if err != nil {
+			if !errors.Is(err, ErrBadCSetBlob) {
+				t.Fatalf("error %v is not ErrBadCSetBlob", err)
+			}
+			return
+		}
+		if c.Len() > 1<<20 {
+			return // valid but too large to expand densely here
+		}
+		exerciseCSet(c)
+	})
+}
+
+// exerciseCSet runs every kernel over a decoded set — membership, counts,
+// expansion, the three Set×CSet kernels and a compressed plan walk. On any
+// blob DecodeCSet accepts none may panic, whatever the payloads hold.
+func exerciseCSet(c *CSet) {
+	n := c.Len()
+	_ = c.Count()
+	for _, i := range []int{-1, 0, 1, n / 2, n - 1, n, chunkSize - 1, chunkSize, chunkSize + 1} {
+		c.Contains(i)
+	}
+	for _, w := range [][2]int{{0, n}, {1, n - 1}, {n / 3, 2 * n / 3}, {chunkSize - 3, chunkSize + 3}} {
+		c.CountRange(w[0], w[1])
+	}
+	dense := c.ToSet()
+	acc := NewFromFunc(n, func(i int) bool { return i%3 == 0 })
+	acc.OrWithC(c)
+	acc.AndNotWithC(c)
+	acc.AndWithC(c)
+	walkPlan(Operand{Set: dense, C: c}, acc, NewFromFunc(n, func(i int) bool { return i%7 == 0 }))
+}
+
+// walkPlan counts base ∩ and \ not on the compressed path, whatever the
+// dispatch rule would pick: base is walked container by container and the
+// dense operands are probed.
+func walkPlan(base Operand, and, not *Set) int {
+	p := &Plan{n: base.Set.Len(), ands: []Operand{base, {Set: and}}, nots: []Operand{{Set: not}}}
+	lr := p.lower(nil)
+	return p.execCompressed(&lr)
 }

@@ -7,22 +7,20 @@ import (
 	"sync"
 )
 
-// This file implements the query compiler. CountMany (batch.go) re-lowers
-// every request on every call: OR unions are rebuilt, chain candidates
-// rescanned, word slices re-hoisted — per batch, for requests the audits
-// repeat thousands of times. A Plan is that lowering done once: an and-of-ors
-// request compiled into a flat program of kernel operands (unions
-// materialized, positive operands ordered sparsest-first, negations split
-// out) that a caller caches by the request's canonical key and executes any
-// number of times. CompileBatch then performs the batch-level analysis —
-// duplicate collapsing, chain fusion onto shared prefixes, common-tail
-// extraction across plans — once per distinct batch shape, so a cached
-// schedule's Exec runs only the tiled kernels.
+// This file implements the query compiler. A Plan is an and-of-ors
+// request lowered once — OR groups already materialized into single
+// operands, positive operands ordered sparsest-first, negations split out —
+// into a flat program of kernel operands that a caller caches by the
+// request's canonical key and executes any number of times. CompileBatch
+// then performs the batch-level analysis — duplicate collapsing, chain
+// fusion onto shared prefixes, common-tail extraction across plans — once
+// per distinct batch shape, so a cached schedule's Exec runs only the tiled
+// kernels (batch.go).
 //
-// Every rewrite the compiler performs is an AND/OR reassociation or
+// Every rewrite the compiler performs is an AND reassociation or
 // reordering, so executing a plan is bit-identical to evaluating the
-// clauses with the Set operations (property- and fuzz-tested against
-// CountMany and the naive evaluator).
+// clauses with the Set operations (property- and fuzz-tested against the
+// naive Set-algebra evaluator).
 
 // Operand is one audience input of a plan: the dense set, plus optionally
 // its compressed form. Set must be non-nil; C, when present, must hold
@@ -41,10 +39,12 @@ func (o Operand) card() int {
 	return o.Set.Count()
 }
 
-// PlanClause is one OR-group of a compiled request, mirroring
-// targeting's and-of-ors shape after refs are resolved to operands.
+// PlanClause is one clause of a compiled request: an operand intersected
+// into the count, or subtracted from it when Negate is set. An OR group of
+// targeting refs reaches the compiler as one operand, its materialized
+// union (the platform keeps those in a shared cache).
 type PlanClause struct {
-	Or     []Operand
+	Op     Operand
 	Negate bool
 }
 
@@ -65,12 +65,11 @@ type Plan struct {
 	compressed bool
 }
 
-// CompilePlan lowers one and-of-ors request over a universe of n users.
-// The first clause must be positive and every clause non-empty, as with
-// CountMany; violations panic. OR clauses are materialized into unions at
-// compile time — the cost this amortizes across executions — and positive
-// operands are sorted sparsest-first so both the compressed walk and the
-// dense kernels start from the most selective set.
+// CompilePlan lowers one request over a universe of n users. The first
+// clause must be positive and every operand must carry a dense set over n
+// users; violations panic. Positive operands are sorted sparsest-first so
+// both the compressed walk and the dense kernels start from the most
+// selective set.
 func CompilePlan(n int, clauses []PlanClause) *Plan {
 	if len(clauses) == 0 {
 		panic("audience: CompilePlan without clauses")
@@ -79,24 +78,17 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 		panic("audience: CompilePlan request must begin with a positive clause")
 	}
 	p := &Plan{n: n}
-	for ci := range clauses {
-		cl := &clauses[ci]
-		if len(cl.Or) == 0 {
-			panic("audience: CompilePlan clause without operands")
+	for _, cl := range clauses {
+		if cl.Op.Set == nil {
+			panic("audience: CompilePlan operand without a dense set")
 		}
-		for _, o := range cl.Or {
-			if o.Set == nil {
-				panic("audience: CompilePlan operand without a dense set")
-			}
-			if o.Set.n != n {
-				panic("audience: CompilePlan universe size mismatch")
-			}
+		if cl.Op.Set.n != n {
+			panic("audience: CompilePlan universe size mismatch")
 		}
-		op := resolveClause(n, cl.Or)
 		if cl.Negate {
-			p.nots = append(p.nots, op)
+			p.nots = append(p.nots, cl.Op)
 		} else {
-			p.ands = append(p.ands, op)
+			p.ands = append(p.ands, cl.Op)
 		}
 	}
 	sort.SliceStable(p.ands, func(i, j int) bool { return p.ands[i].card() < p.ands[j].card() })
@@ -126,31 +118,6 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 	return p
 }
 
-// resolveClause collapses one OR group to a single operand, materializing a
-// union for multi-operand clauses. The union gets a compressed form when
-// every member has one, so a union of sparse interests stays eligible for
-// the compressed walk.
-func resolveClause(n int, or []Operand) Operand {
-	if len(or) == 1 {
-		return or[0]
-	}
-	u := New(n)
-	allC := true
-	for _, o := range or {
-		u.OrWith(o.Set)
-		allC = allC && o.C != nil
-	}
-	out := Operand{Set: u}
-	if allC {
-		c := or[0].C
-		for _, o := range or[1:] {
-			c = CSetOr(c, o.C)
-		}
-		out.C = c
-	}
-	return out
-}
-
 // Len returns the plan's universe size.
 func (p *Plan) Len() int { return p.n }
 
@@ -159,10 +126,10 @@ func (p *Plan) Compressed() bool { return p.compressed }
 
 // Count executes the plan once, serially.
 func (p *Plan) Count() int {
-	if p.compressed {
-		return p.execCompressed()
-	}
 	lr := p.lower(nil)
+	if p.compressed {
+		return p.execCompressed(&lr)
+	}
 	return lr.countRange(0, len(p.ands[0].Set.words))
 }
 
@@ -189,69 +156,78 @@ func (p *Plan) lower(tail *Set) loweredReq {
 }
 
 // execCompressed counts the plan by walking the base operand's containers
-// and probing the remaining operands' dense words, so chunks the sparse
-// base never touches cost nothing. The count is the same formula as the
-// dense path: members of every positive operand and of no negated one.
-func (p *Plan) execCompressed() int {
+// and probing the remaining operands' dense words (lr, the plan's kernel
+// view), so chunks the sparse base never touches cost nothing. The count is
+// the same formula as the dense path: members of every positive operand
+// and of no negated one.
+func (p *Plan) execCompressed(lr *loweredReq) int {
 	c := p.ands[0].C
-	rest := p.ands[1:]
 	total := 0
 	for ci, key := range c.keys {
 		cont := &c.conts[ci]
-		wordBase := int(key) << (chunkBits - 6)
+		base := int(key) << chunkBits
 		switch cont.typ {
 		case ctArray:
 			for _, v := range cont.arr {
-				if p.probe(int(key)<<chunkBits + int(v)) {
+				if lr.probe(base + int(v)) {
 					total++
 				}
 			}
 		case ctRun:
+			// Each run is a masked word range of the base; an inverted run
+			// in a corrupt blob is an empty range.
 			for _, r := range cont.runs {
-				for v := int(r.start); ; v++ {
-					if p.probe(int(key)<<chunkBits + v) {
-						total++
+				lo, hi := base+int(r.start), base+int(r.last)+1
+				for wi := lo >> 6; lo < hi; wi++ {
+					w := ^uint64(0) << uint(lo&63)
+					if end := (wi + 1) << 6; hi < end {
+						w &= ^uint64(0) >> uint(end-hi)
 					}
-					if v == int(r.last) {
-						break
-					}
+					total += lr.passCount(wi, w)
+					lo = (wi + 1) << 6
 				}
 			}
 		case ctBitmap:
 			for i, w := range cont.bits {
-				wi := wordBase + i
-				for _, o := range rest {
-					w &= o.Set.words[wi]
-				}
-				for _, o := range p.nots {
-					w &^= o.Set.words[wi]
-				}
-				total += bits.OnesCount64(w)
+				total += lr.passCount(base>>6+i, w)
 			}
 		}
 	}
 	return total
 }
 
-// probe reports whether user idx passes every non-base operand of the plan.
-func (p *Plan) probe(idx int) bool {
+// probe reports whether user idx passes every non-base operand.
+func (lr *loweredReq) probe(idx int) bool {
 	wi, mask := idx>>6, uint64(1)<<uint(idx&63)
-	for _, o := range p.ands[1:] {
-		if o.Set.words[wi]&mask == 0 {
+	for _, s := range lr.and {
+		if s[wi]&mask == 0 {
 			return false
 		}
 	}
-	for _, o := range p.nots {
-		if o.Set.words[wi]&mask != 0 {
+	for _, s := range lr.not {
+		if s[wi]&mask != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// planNode is one dense root of a compiled batch schedule: an output slot,
-// its plan, an optional shared-tail register, and the children fused onto
-// its word. proto is the node's kernel view, frozen at compile time; tailed
+// passCount counts the members w of base word wi that pass every non-base
+// operand.
+func (lr *loweredReq) passCount(wi int, w uint64) int {
+	for _, s := range lr.and {
+		w &= s[wi]
+	}
+	for _, s := range lr.not {
+		w &^= s[wi]
+	}
+	return bits.OnesCount64(w)
+}
+
+// planNode is one plan of a compiled batch schedule: an output slot, its
+// plan, and for dense roots an optional shared-tail register and the
+// children fused onto its word. proto is the node's kernel view, frozen at
+// compile time (a compressed node's walk probes its operand words); tailed
 // nodes get their and-slice patched to the per-execution tail register.
 type planNode struct {
 	slot  int
@@ -318,6 +294,7 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 		seen[p] = slot
 		node := planNode{slot: slot, plan: p, tail: -1}
 		if p.compressed {
+			node.proto = p.lower(nil)
 			pb.comp = append(pb.comp, node)
 		} else {
 			dense = append(dense, node)
@@ -382,7 +359,7 @@ func (pb *PlanBatch) pairRoots() {
 	for i := range pb.roots {
 		node := &pb.roots[i]
 		lr := &node.proto
-		if lr.clauses != nil || len(lr.not) != 0 ||
+		if len(lr.not) != 0 ||
 			len(lr.kids) != 1 || len(lr.kids[0].extra) != 1 || len(lr.kids[0].extra[0]) == 0 {
 			continue
 		}
@@ -414,7 +391,7 @@ func (pb *PlanBatch) pairRoots() {
 
 // chainPlans fuses every dense plan whose positive operands strictly
 // contain another plan's (both negation-free) onto that plan as a child,
-// mirroring batch.go's chainRequests at the plan level. Candidates are
+// so the kernels derive the child's word from its parent's. Candidates are
 // grouped by base operand, so the quadratic scan stays within the tiny
 // groups the audits produce.
 func chainPlans(nodes []planNode) []planNode {
@@ -521,7 +498,7 @@ func extraOperands(sub, super []Operand) []Operand {
 func (pb *PlanBatch) Exec() []int {
 	counts := make([]int, pb.nslot)
 	for i := range pb.comp {
-		counts[pb.comp[i].slot] = pb.comp[i].plan.execCompressed()
+		counts[pb.comp[i].slot] = pb.comp[i].plan.execCompressed(&pb.comp[i].proto)
 	}
 	if len(pb.roots) > 0 {
 		pb.execDense(counts)
@@ -596,7 +573,7 @@ func (pb *PlanBatch) execDense(counts []int) {
 }
 
 // fillTail intersects the tail operands' words over [lo, hi) into dst's
-// words — the AND counterpart of unionTable.fill.
+// words.
 func fillTail(dst *Set, members []Operand, lo, hi int) {
 	w := dst.words[lo:hi]
 	copy(w, members[0].Set.words[lo:hi])

@@ -1,67 +1,141 @@
 package audience
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// planify converts a CountReq into plan clauses, optionally attaching
-// compressed forms to every operand so the compressed dispatch and the
-// union CSet folding get exercised.
-func planify(req CountReq, withC bool) []PlanClause {
-	out := make([]PlanClause, len(req.Clauses))
-	for ci, cl := range req.Clauses {
-		or := make([]Operand, len(cl.Or))
-		for k, s := range cl.Or {
-			or[k] = Operand{Set: s}
-			if withC {
-				or[k].C = FromSet(s)
+// testClause is one OR group of a test request: the union of its sets,
+// intersected into the running audience (subtracted when negate is set).
+type testClause struct {
+	or     []*Set
+	negate bool
+}
+
+// naiveCount evaluates an and-of-ors request with the plain Set operations
+// — the reference every compiled plan must match bit for bit.
+func naiveCount(req []testClause) int {
+	var acc *Set
+	for _, cl := range req {
+		s := UnionAll(cl.or...)
+		switch {
+		case acc == nil:
+			acc = s
+		case cl.negate:
+			acc.AndNotWith(s)
+		default:
+			acc.AndWith(s)
+		}
+	}
+	return acc.Count()
+}
+
+// one is a request ANDing single-set clauses.
+func one(sets ...*Set) []testClause {
+	req := make([]testClause, len(sets))
+	for i, s := range sets {
+		req[i] = testClause{or: []*Set{s}}
+	}
+	return req
+}
+
+// anyOf is one OR-group clause.
+func anyOf(sets ...*Set) testClause { return testClause{or: sets} }
+
+// planner lowers test requests the way the platform compiles specs: a
+// single-set clause passes its set through, and an OR group resolves to one
+// materialized union shared by every clause over the same member set (in
+// any order). withC attaches compressed forms to every operand, so the
+// compressed dispatch gets exercised.
+type planner struct {
+	withC  bool
+	unions map[string]*Set
+}
+
+// countMany counts a batch the way the platform's batch door does: every
+// request compiled through one planner, so OR groups share union operands,
+// and the plans executed as one schedule.
+func countMany(withC bool, reqs [][]testClause) []int {
+	pl := &planner{withC: withC}
+	plans := make([]*Plan, len(reqs))
+	for i, req := range reqs {
+		plans[i] = pl.plan(req)
+	}
+	return ExecPlans(plans)
+}
+
+func (pl *planner) plan(req []testClause) *Plan {
+	pcs := make([]PlanClause, len(req))
+	for i, cl := range req {
+		s := cl.or[0]
+		if len(cl.or) > 1 {
+			ids := make([]uint64, len(cl.or))
+			for k, m := range cl.or {
+				ids[k] = m.ID()
+			}
+			slices.Sort(ids)
+			key := fmt.Sprint(ids)
+			if pl.unions == nil {
+				pl.unions = make(map[string]*Set)
+			}
+			if s = pl.unions[key]; s == nil {
+				s = UnionAll(cl.or...)
+				pl.unions[key] = s
 			}
 		}
-		out[ci] = PlanClause{Or: or, Negate: cl.Negate}
+		pcs[i] = PlanClause{Op: Operand{Set: s}, Negate: cl.negate}
+		if pl.withC {
+			pcs[i].Op.C = FromSet(s)
+		}
 	}
-	return out
+	return CompilePlan(req[0].or[0].Len(), pcs)
 }
 
-// reqUniverse returns the universe size of a request's first set.
-func reqUniverse(req CountReq) int {
-	return req.Clauses[0].Or[0].Len()
+// matchBattery is the and-of-ors battery over six sets that both the
+// per-plan and the batched evaluation must count like the naive evaluator.
+func matchBattery(sets []*Set) [][]testClause {
+	neg := func(sets ...*Set) testClause { return testClause{or: sets, negate: true} }
+	return [][]testClause{
+		// Single set; pure ANDs of 2, 3, and 4 sets (the unrolled paths).
+		one(sets[0]),
+		one(sets[0], sets[1]),
+		one(sets[0], sets[1], sets[2]),
+		one(sets[0], sets[1], sets[2], sets[3]),
+		// AND with exclusions.
+		{anyOf(sets[0]), anyOf(sets[1]), neg(sets[4])},
+		{anyOf(sets[0]), neg(sets[4]), neg(sets[5])},
+		// OR groups, lowered to union operands.
+		{anyOf(sets[0:2]...), anyOf(sets[2:4]...)},
+		{anyOf(sets[0:3]...), neg(sets[3:5]...)},
+		{anyOf(sets[0:2]...), anyOf(sets[2]), neg(sets[3:6]...)},
+	}
 }
 
+// batterySets draws matchBattery's six sets over n users.
+func batterySets(n int) []*Set {
+	sets := make([]*Set, 6)
+	for i := range sets {
+		sets[i] = randomSet(uint64(100+i), n, 0.1+0.15*float64(i))
+	}
+	return sets
+}
+
+// TestPlanMatchesNaive: each compiled plan, counted alone, with and
+// without compressed operands, equals the naive evaluator.
 func TestPlanMatchesNaive(t *testing.T) {
 	for _, n := range batchSizes {
 		if n == 0 {
 			continue
 		}
-		sets := make([]*Set, 6)
-		for i := range sets {
-			sets[i] = randomSet(uint64(100+i), n, 0.1+0.15*float64(i))
-		}
-		reqs := []CountReq{
-			{Clauses: []CountClause{{Or: sets[0:1]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[2:3]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[2:3]}, {Or: sets[3:4]}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[1:2]}, {Or: sets[4:5], Negate: true}}},
-			{Clauses: []CountClause{{Or: sets[0:1]}, {Or: sets[4:5], Negate: true}, {Or: sets[5:6], Negate: true}}},
-			{Clauses: []CountClause{{Or: sets[0:2]}, {Or: sets[2:4]}}},
-			{Clauses: []CountClause{{Or: sets[0:3]}, {Or: sets[3:5], Negate: true}}},
-			{Clauses: []CountClause{{Or: sets[0:2]}, {Or: sets[2:3]}, {Or: sets[3:6], Negate: true}}},
-		}
 		for _, withC := range []bool{false, true} {
-			plans := make([]*Plan, len(reqs))
-			for i, req := range reqs {
-				plans[i] = CompilePlan(n, planify(req, withC))
-				if got, want := plans[i].Count(), naiveCount(req); got != want {
+			pl := &planner{withC: withC}
+			for i, req := range matchBattery(batterySets(n)) {
+				if got, want := pl.plan(req).Count(), naiveCount(req); got != want {
 					t.Errorf("n=%d withC=%v req=%d: Plan.Count = %d, want %d", n, withC, i, got, want)
-				}
-			}
-			got := ExecPlans(plans)
-			for i, req := range reqs {
-				if want := naiveCount(req); got[i] != want {
-					t.Errorf("n=%d withC=%v req=%d: ExecPlans = %d, want %d", n, withC, i, got[i], want)
 				}
 			}
 		}
@@ -79,9 +153,9 @@ func TestPlanCompressedDispatch(t *testing.T) {
 	excl := randomSet(63, n, 0.3)
 	for name, base := range map[string]*Set{"sparse": sparse, "clustered": clustered} {
 		p := CompilePlan(n, []PlanClause{
-			{Or: []Operand{{Set: scope}}},
-			{Or: []Operand{{Set: base, C: FromSet(base)}}},
-			{Or: []Operand{{Set: excl}}, Negate: true},
+			{Op: Operand{Set: scope}},
+			{Op: Operand{Set: base, C: FromSet(base)}},
+			{Op: Operand{Set: excl}, Negate: true},
 		})
 		if !p.Compressed() {
 			t.Fatalf("%s: plan not compressed despite sparse base with C", name)
@@ -92,8 +166,8 @@ func TestPlanCompressedDispatch(t *testing.T) {
 		}
 	}
 	dense := CompilePlan(n, []PlanClause{
-		{Or: []Operand{{Set: scope, C: FromSet(scope)}}},
-		{Or: []Operand{{Set: excl, C: FromSet(excl)}}},
+		{Op: Operand{Set: scope, C: FromSet(scope)}},
+		{Op: Operand{Set: excl, C: FromSet(excl)}},
 	})
 	if dense.Compressed() {
 		t.Fatal("dense plan took the compressed path")
@@ -112,13 +186,14 @@ func TestPlanBatteryShape(t *testing.T) {
 	scope := randomSet(71, n, 0.6)
 	age := randomSet(72, n, 0.4)
 	gender := randomSet(73, n, 0.5)
+	pl := &planner{}
 	var plans []*Plan
-	var reqs []CountReq
+	var reqs [][]testClause
 	for a := 0; a < 9; a++ {
 		attr := randomSet(uint64(80+a), n, 0.1)
-		reach := CountReq{Clauses: []CountClause{{Or: []*Set{attr}}, {Or: []*Set{scope}}, {Or: []*Set{age}}}}
-		cond := CountReq{Clauses: []CountClause{{Or: []*Set{attr}}, {Or: []*Set{scope}}, {Or: []*Set{age}}, {Or: []*Set{gender}}}}
-		plans = append(plans, CompilePlan(n, planify(reach, false)), CompilePlan(n, planify(cond, false)))
+		reach := one(attr, scope, age)
+		cond := one(attr, scope, age, gender)
+		plans = append(plans, pl.plan(reach), pl.plan(cond))
 		reqs = append(reqs, reach, cond)
 	}
 	// Duplicate pointer: the same compiled plan in two slots.
@@ -182,7 +257,7 @@ func TestPlanRandomBatches(t *testing.T) {
 			cpool[i] = FromSet(pool[i])
 		}
 		batch := rng.Intn(9) + 1
-		reqs := make([]CountReq, batch)
+		reqs := make([][]testClause, batch)
 		plans := make([]*Plan, batch)
 		for ri := range reqs {
 			if ri > 0 && rng.Intn(5) == 0 {
@@ -193,19 +268,27 @@ func TestPlanRandomBatches(t *testing.T) {
 			clauses := rng.Intn(3) + 1
 			var pcs []PlanClause
 			for ci := 0; ci < clauses; ci++ {
-				width := rng.Intn(2) + 1
-				or := make([]*Set, width)
-				pc := PlanClause{Negate: ci > 0 && rng.Intn(3) == 0}
-				for k := range or {
+				cl := testClause{negate: ci > 0 && rng.Intn(3) == 0}
+				pc := PlanClause{Negate: cl.negate}
+				allC := true
+				for k := rng.Intn(2) + 1; k > 0; k-- {
 					si := rng.Intn(len(pool))
-					or[k] = pool[si]
-					op := Operand{Set: pool[si]}
+					cl.or = append(cl.or, pool[si])
+					pc.Op = Operand{Set: pool[si]}
 					if rng.Intn(2) == 0 {
-						op.C = cpool[si]
+						pc.Op.C = cpool[si]
+					} else {
+						allC = false
 					}
-					pc.Or = append(pc.Or, op)
 				}
-				reqs[ri].Clauses = append(reqs[ri].Clauses, CountClause{Or: or, Negate: pc.Negate})
+				if len(cl.or) > 1 {
+					// A union operand is compressed only when every member is.
+					pc.Op = Operand{Set: UnionAll(cl.or...)}
+					if allC {
+						pc.Op.C = FromSet(pc.Op.Set)
+					}
+				}
+				reqs[ri] = append(reqs[ri], cl)
 				pcs = append(pcs, pc)
 			}
 			plans[ri] = CompilePlan(n, pcs)
@@ -228,14 +311,8 @@ func TestPlanBatchConcurrentExec(t *testing.T) {
 	b := randomSet(92, n, 0.5)
 	c := randomSet(93, n, 0.4)
 	d := randomSet(94, n, 0.2)
-	one := func(sets ...*Set) *Plan {
-		var pcs []PlanClause
-		for _, s := range sets {
-			pcs = append(pcs, PlanClause{Or: []Operand{{Set: s}}})
-		}
-		return CompilePlan(n, pcs)
-	}
-	pb := CompileBatch([]*Plan{one(a, b, c), one(a, b, c, d), one(d, b, c), one(d, b, c, a)})
+	pl := &planner{}
+	pb := CompileBatch([]*Plan{pl.plan(one(a, b, c)), pl.plan(one(a, b, c, d)), pl.plan(one(d, b, c)), pl.plan(one(d, b, c, a))})
 	want := pb.Exec()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -261,14 +338,14 @@ func TestPlanPanics(t *testing.T) {
 	other := randomSet(2, 200, 0.5)
 	for name, fn := range map[string]func(){
 		"no clauses":    func() { CompilePlan(100, nil) },
-		"negated first": func() { CompilePlan(100, []PlanClause{{Or: []Operand{{Set: s}}, Negate: true}}) },
-		"empty clause":  func() { CompilePlan(100, []PlanClause{{Or: []Operand{{Set: s}}}, {}}) },
-		"nil set":       func() { CompilePlan(100, []PlanClause{{Or: []Operand{{}}}}) },
-		"wrong n":       func() { CompilePlan(100, []PlanClause{{Or: []Operand{{Set: other}}}}) },
+		"negated first": func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}, Negate: true}}) },
+		"empty clause":  func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}}, {}}) },
+		"nil set":       func() { CompilePlan(100, []PlanClause{{Op: Operand{C: FromSet(s)}}}) },
+		"wrong n":       func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: other}}}) },
 		"batch mixed": func() {
 			CompileBatch([]*Plan{
-				CompilePlan(100, []PlanClause{{Or: []Operand{{Set: s}}}}),
-				CompilePlan(200, []PlanClause{{Or: []Operand{{Set: other}}}}),
+				CompilePlan(100, []PlanClause{{Op: Operand{Set: s}}}),
+				CompilePlan(200, []PlanClause{{Op: Operand{Set: other}}}),
 			})
 		},
 		"batch nil": func() { CompileBatch([]*Plan{nil}) },

@@ -342,7 +342,7 @@ func TestSetIdentityAndPlanLen(t *testing.T) {
 		t.Fatal("Remove left index 5 in the set")
 	}
 	a.Add(7)
-	p := CompilePlan(128, []PlanClause{{Or: []Operand{{Set: a}}}})
+	p := CompilePlan(128, []PlanClause{{Op: Operand{Set: a}}})
 	if p.Len() != 128 {
 		t.Fatalf("plan Len = %d, want 128", p.Len())
 	}

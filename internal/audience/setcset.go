@@ -2,13 +2,14 @@ package audience
 
 import "fmt"
 
-// This file adds the dense-accumulator × compressed-operand kernels the
-// cluster shards evaluate with: a scratch Set accumulates a spec's clauses
-// directly from the catalog's CSets, so a shard never materializes (or
-// retains) the dense form of any option audience. Per chunk the work is
-// container-wise — absent chunks cost one clear (AndWithC) or nothing
-// (OrWithC/AndNotWithC) — which is what keeps a 2^24-user shard's resident
-// set far below the dense-catalog footprint.
+// This file adds the dense-accumulator × compressed-operand kernels that
+// CSetOnly shards and snapshot-backed interfaces evaluate with: a scratch
+// Set accumulates a spec's clauses directly from the catalog's CSets, so
+// neither posture ever materializes (or retains) the dense form of an
+// option audience. Per chunk the work is container-wise — absent chunks
+// cost one clear (AndWithC) or nothing (OrWithC/AndNotWithC) — which is
+// what keeps a 2^24-user shard's resident set far below the dense-catalog
+// footprint.
 
 // checkCompatC panics if c is not over the same universe as s.
 func (s *Set) checkCompatC(c *CSet) {
@@ -54,17 +55,13 @@ func (s *Set) AndWithC(c *CSet) {
 		}
 		cont := &c.conts[ci]
 		if cont.typ == ctBitmap {
-			for i := range dst {
-				dst[i] &= cont.bits[i]
-			}
+			andWords(dst, cont.bits)
 			continue
 		}
 		words := scratch[:len(dst)]
 		clear(words)
 		expandChunk(cont, words)
-		for i := range dst {
-			dst[i] &= words[i]
-		}
+		andWords(dst, words)
 	}
 }
 
@@ -81,15 +78,80 @@ func (s *Set) AndNotWithC(c *CSet) {
 				dst[v>>6] &^= 1 << uint(v&63)
 			}
 		case ctBitmap:
-			for i := range dst {
-				dst[i] &^= cont.bits[i]
-			}
+			andNotWords(dst, cont.bits)
 		case ctRun:
 			for _, r := range cont.runs {
 				clearBitRange(dst, int(r.start), int(r.last)+1)
 			}
 		}
 	}
+}
+
+// andWords, andNotWords and orWords combine src into dst word by word,
+// four words per iteration: the bitmap containers' kernels. src must be at
+// least as long as dst.
+func andWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] &= s[0]
+		d[1] &= s[1]
+		d[2] &= s[2]
+		d[3] &= s[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] &= src[i]
+	}
+}
+
+func andNotWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] &^= s[0]
+		d[1] &^= s[1]
+		d[2] &^= s[2]
+		d[3] &^= s[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] &^= src[i]
+	}
+}
+
+func orWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] |= s[0]
+		d[1] |= s[1]
+		d[2] |= s[2]
+		d[3] |= s[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] |= src[i]
+	}
+}
+
+// setBitRange sets bit indices [lo, hi) of a word slice.
+func setBitRange(words []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	loW, hiW := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if loW == hiW {
+		words[loW] |= loMask & hiMask
+		return
+	}
+	words[loW] |= loMask
+	for i := loW + 1; i < hiW; i++ {
+		words[i] = ^uint64(0)
+	}
+	words[hiW] |= hiMask
 }
 
 // clearBitRange zeroes bit indices [lo, hi) of a word slice.

@@ -48,9 +48,18 @@ func writeJobsJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxSpecBytes bounds a submitted job spec's body, matching the adapi
+// server's default MaxBodyBytes.
+const maxSpecBytes = 1 << 20
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJobsError(w, http.StatusRequestEntityTooLarge, "too_large", "job spec body over 1 MiB")
+			return
+		}
 		writeJobsError(w, http.StatusBadRequest, "bad_request", "malformed job spec: "+err.Error())
 		return
 	}

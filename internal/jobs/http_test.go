@@ -111,6 +111,15 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	assertEnvelope(resp, http.StatusBadRequest, "bad_request")
 
+	// An oversized spec — a tenant name padded past the 1 MiB bound — is
+	// refused before it is decoded in full.
+	huge := `{"experiments":["fig1"],"tenant":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEnvelope(resp, http.StatusRequestEntityTooLarge, "too_large")
+
 	resp, err = http.Get(srv.URL + "/jobs/j99999999")
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,9 @@ type Estimate struct {
 }
 
 // MeasureMany answers a batch of auditor-door size queries in one tiled
-// pass over the universe (audience.CountMany): per cache-sized block,
-// every request is evaluated while the shared attribute words are hot, so
-// a batch loads each set from memory once instead of once per spec.
+// pass over the universe (a compiled audience.PlanBatch): per cache-sized
+// block, every request is evaluated while the shared attribute words are
+// hot, so a batch loads each set from memory once instead of once per spec.
 // Results are bit-identical to len(reqs) serial Measure calls — the same
 // validation, counting formula, scaling, and rounding run per request; no
 // grouping by objective or frequency cap is needed because the user count
@@ -58,8 +58,8 @@ func (p *Interface) EstimateManyCtx(ctx context.Context, reqs []EstimateRequest)
 // canonical key collapses duplicate refs and clauses that the rules reject,
 // so validation outcomes must never be shared across specs with equal
 // keys — and the scaling and rounding are identical to the serial path.
-// When the compiler is disabled (Config.PlanCacheSize < 0) the per-batch
-// lowering path is used instead.
+// CSetOnly and snapshot-backed interfaces, which hold no compiler, count
+// slot by slot through the compressed kernels instead.
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,
@@ -74,15 +74,8 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		span.AnnotateInt("specs", int64(len(reqs)))
 	}
 	if p.plans == nil {
-		// CSetOnly shards and snapshot-backed (view) interfaces share the
-		// compressed batch door: the legacy lowering would re-materialize
-		// dense catalog sets both postures exist to avoid.
-		if p.cfg.CSetOnly || p.cfg.Views != nil {
-			span.Annotate("path", "cset")
-			return p.sizeManyCSet(reqs, rules, queries)
-		}
-		span.Annotate("path", "legacy")
-		return p.sizeManyLegacy(reqs, rules, queries)
+		span.Annotate("path", "cset")
+		return p.sizeManyCSet(reqs, rules, queries)
 	}
 	out := make([]Estimate, len(reqs))
 	if len(reqs) == 0 {
@@ -254,111 +247,4 @@ func (p *Interface) scaleAndRound(out []Estimate, counts []int, slot []int, elig
 	if roundingHits > 0 {
 		p.mRoundingHits.Add(roundingHits)
 	}
-}
-
-// sizeManyLegacy validates every request, lowers the valid specs into
-// kernel count requests, runs the tiled kernel once, and applies each
-// platform's scaling and rounding per slot. This is the pre-compiler batch
-// path, kept behind Config.PlanCacheSize < 0 as the compiler's benchmark
-// baseline.
-func (p *Interface) sizeManyLegacy(reqs []EstimateRequest, rules targeting.Rules, queries *obs.Counter) ([]Estimate, error) {
-	out := make([]Estimate, len(reqs))
-	if len(reqs) == 0 {
-		return out, nil
-	}
-	p.mBatchSize.Observe(time.Duration(len(reqs)))
-
-	// Pass 1: per-request parameter validation (same order of checks as the
-	// serial path: rules, objective, frequency cap).
-	eligible := make([]float64, len(reqs))
-	impressions := make([]float64, len(reqs))
-	refTotal, clauseTotal := 0, 0
-	for i := range reqs {
-		e, f, err := p.queryParams(reqs[i], rules)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		eligible[i], impressions[i] = e, f
-		for _, cl := range reqs[i].Spec.Include {
-			refTotal += len(cl)
-		}
-		for _, cl := range reqs[i].Spec.Exclude {
-			refTotal += len(cl)
-		}
-		clauseTotal += len(reqs[i].Spec.Include) + len(reqs[i].Spec.Exclude)
-	}
-
-	// Pass 2: lower valid specs into kernel requests. One set arena and one
-	// clause arena back every request, so a 64-spec batch costs a handful
-	// of allocations rather than hundreds.
-	kreqs := make([]audience.CountReq, 0, len(reqs))
-	slot := make([]int, 0, len(reqs))
-	setArena := make([]*audience.Set, 0, refTotal)
-	clauseArena := make([]audience.CountClause, 0, clauseTotal)
-	for i := range reqs {
-		if out[i].Err != nil {
-			continue
-		}
-		kr, setEnd, clauseEnd, err := p.lowerSpec(reqs[i].Spec, setArena, clauseArena)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		setArena, clauseArena = setEnd, clauseEnd
-		kreqs = append(kreqs, kr)
-		slot = append(slot, i)
-	}
-
-	counts := audience.CountMany(kreqs)
-	if len(kreqs) > 0 {
-		n := int64(len(kreqs))
-		p.queryCount.Add(n)
-		queries.Add(n)
-		p.mBatchedQueries.Add(n)
-		p.mBatchBlocks.Add(int64(audience.KernelBlocks(p.cfg.Universe.Size())))
-	}
-
-	p.scaleAndRound(out, counts, slot, eligible, impressions)
-	return out, nil
-}
-
-// lowerSpec resolves a spec's refs into one kernel count request, appending
-// the resolved sets and clauses to the shared arenas. Error positions match
-// countMatched: clauses in include-then-exclude order, refs in clause
-// order, empty shapes rejected where the serial evaluation would reject
-// them.
-func (p *Interface) lowerSpec(spec targeting.Spec, setArena []*audience.Set, clauseArena []audience.CountClause) (audience.CountReq, []*audience.Set, []audience.CountClause, error) {
-	if len(spec.Include) == 0 {
-		return audience.CountReq{}, setArena, clauseArena, targeting.ErrEmptySpec
-	}
-	set0, clause0 := len(setArena), len(clauseArena)
-	lowerClause := func(cl targeting.Clause, negate bool) error {
-		if len(cl) == 0 {
-			return targeting.ErrEmptyClause
-		}
-		s0 := len(setArena)
-		for _, r := range cl {
-			s, err := p.refSet(r)
-			if err != nil {
-				return err
-			}
-			setArena = append(setArena, s)
-		}
-		s1 := len(setArena)
-		clauseArena = append(clauseArena, audience.CountClause{Or: setArena[s0:s1:s1], Negate: negate})
-		return nil
-	}
-	for _, cl := range spec.Include {
-		if err := lowerClause(cl, false); err != nil {
-			return audience.CountReq{}, setArena[:set0], clauseArena[:clause0], err
-		}
-	}
-	for _, cl := range spec.Exclude {
-		if err := lowerClause(cl, true); err != nil {
-			return audience.CountReq{}, setArena[:set0], clauseArena[:clause0], err
-		}
-	}
-	c1 := len(clauseArena)
-	return audience.CountReq{Clauses: clauseArena[clause0:c1:c1]}, setArena, clauseArena, nil
 }

@@ -74,41 +74,60 @@ func sameOutcome(t *testing.T, name string, i int, got Estimate, size int64, err
 }
 
 // TestMeasureManyMatchesSerial is the bit-identity property test: on all
-// four interfaces, MeasureMany over a mixed batch must return exactly what
-// N serial Measure calls return — same sizes, same errors — in any slot
-// order.
+// four interfaces, plain and with compressed catalog forms (the compiler's
+// container-walk dispatch), MeasureMany over a mixed batch must return
+// exactly what N serial Measure calls return — same sizes, same errors —
+// in any slot order, and again from the warmed plan and schedule caches.
 func TestMeasureManyMatchesSerial(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 23, UniverseSize: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range d.Interfaces() {
-		reqs := randomBatch(p, 1000+uint64(len(p.Name())), 80)
-		got, err := p.MeasureMany(reqs)
+	for _, tc := range []struct {
+		opts      DeployOptions
+		batchSeed uint64
+	}{
+		{DeployOptions{Seed: 23, UniverseSize: 1 << 12}, 1000},
+		{DeployOptions{Seed: 47, UniverseSize: 1 << 12, Compressed: true}, 4242},
+	} {
+		d, err := NewDeployment(tc.opts)
 		if err != nil {
-			t.Fatalf("%s: MeasureMany: %v", p.Name(), err)
+			t.Fatal(err)
 		}
-		if len(got) != len(reqs) {
-			t.Fatalf("%s: MeasureMany returned %d results for %d requests", p.Name(), len(got), len(reqs))
-		}
-		for i, req := range reqs {
-			size, serr := p.Measure(req)
-			sameOutcome(t, p.Name(), i, got[i], size, serr)
-		}
-		// Slot order must not matter: reverse the batch and re-check.
-		rev := make([]EstimateRequest, len(reqs))
-		for i := range reqs {
-			rev[len(reqs)-1-i] = reqs[i]
-		}
-		gotRev, err := p.MeasureMany(rev)
-		if err != nil {
-			t.Fatalf("%s: MeasureMany(reversed): %v", p.Name(), err)
-		}
-		for i := range reqs {
-			j := len(reqs) - 1 - i
-			if (got[i].Err == nil) != (gotRev[j].Err == nil) || got[i].Size != gotRev[j].Size {
-				t.Fatalf("%s req %d: order-dependent result: %+v vs %+v", p.Name(), i, got[i], gotRev[j])
+		for _, p := range d.Interfaces() {
+			reqs := randomBatch(p, tc.batchSeed+uint64(len(p.Name())), 80)
+			// The second pass runs from the warmed plan and schedule caches.
+			for pass := 0; pass < 2; pass++ {
+				measureManyMatchesSerial(t, p, reqs)
 			}
+		}
+	}
+}
+
+// measureManyMatchesSerial checks one batch against serial Measure, in
+// both slot orders.
+func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest) {
+	t.Helper()
+	got, err := p.MeasureMany(reqs)
+	if err != nil {
+		t.Fatalf("%s: MeasureMany: %v", p.Name(), err)
+	}
+	if len(got) != len(reqs) {
+		t.Fatalf("%s: MeasureMany returned %d results for %d requests", p.Name(), len(got), len(reqs))
+	}
+	for i, req := range reqs {
+		size, serr := p.Measure(req)
+		sameOutcome(t, p.Name(), i, got[i], size, serr)
+	}
+	// Slot order must not matter: reverse the batch and re-check.
+	rev := make([]EstimateRequest, len(reqs))
+	for i := range reqs {
+		rev[len(reqs)-1-i] = reqs[i]
+	}
+	gotRev, err := p.MeasureMany(rev)
+	if err != nil {
+		t.Fatalf("%s: MeasureMany(reversed): %v", p.Name(), err)
+	}
+	for i := range reqs {
+		j := len(reqs) - 1 - i
+		if (got[i].Err == nil) != (gotRev[j].Err == nil) || got[i].Size != gotRev[j].Size {
+			t.Fatalf("%s req %d: order-dependent result: %+v vs %+v", p.Name(), i, got[i], gotRev[j])
 		}
 	}
 }

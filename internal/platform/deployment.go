@@ -50,10 +50,6 @@ type DeployOptions struct {
 	// option sets, letting the query compiler dispatch sparse-base plans to
 	// the container walk instead of the dense kernel.
 	Compressed bool
-	// NoPlanCompiler disables the query compiler and its plan caches,
-	// keeping the legacy per-batch lowering path. This is the compiler's
-	// benchmark baseline.
-	NoPlanCompiler bool
 	// ShardSpans restricts every universe to the given global-ID spans
 	// (population.NewShard): each platform materializes only the spanned
 	// users, with all draws still hashed by global ID so the shard is
@@ -68,16 +64,6 @@ type DeployOptions struct {
 	// Metrics receives every interface's counters; nil selects the
 	// process-wide obs.Default() registry.
 	Metrics *obs.Registry
-}
-
-// planCacheSize maps the compiler knobs onto Config.PlanCacheSize: the
-// default cache when the compiler is on, the negative sentinel when it is
-// disabled.
-func (o DeployOptions) planCacheSize() int {
-	if o.NoPlanCompiler {
-		return -1
-	}
-	return 0
 }
 
 // withDefaults fills defaults.
@@ -309,7 +295,6 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:          pickRounder(estimate.Facebook()),
 		Objectives:       map[Objective]float64{ObjectiveReach: 1, ObjectiveTraffic: 0.72},
 		DefaultObjective: ObjectiveReach,
-		PlanCacheSize:    opts.planCacheSize(),
 		Compressed:       opts.Compressed,
 		CSetOnly:         csetOnly,
 		Views:            fbViews,
@@ -353,7 +338,6 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:            pickRounder(estimate.Facebook()),
 		Objectives:         map[Objective]float64{ObjectiveReach: 1, ObjectiveTraffic: 0.72},
 		DefaultObjective:   ObjectiveReach,
-		PlanCacheSize:      opts.planCacheSize(),
 		Compressed:         opts.Compressed,
 		CSetOnly:           csetOnly,
 		Views:              fbrViews,
@@ -394,7 +378,6 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Objectives:          map[Objective]float64{ObjectiveBrandAwarenessReach: 1, ObjectiveTraffic: 0.65},
 		DefaultObjective:    ObjectiveBrandAwarenessReach,
 		ImpressionEstimates: true,
-		PlanCacheSize:       opts.planCacheSize(),
 		Compressed:          opts.Compressed,
 		CSetOnly:            csetOnly,
 		Views:               gViews,
@@ -433,7 +416,6 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:          pickRounder(estimate.LinkedIn()),
 		Objectives:       map[Objective]float64{ObjectiveBrandAwareness: 1, ObjectiveTraffic: 0.70},
 		DefaultObjective: ObjectiveBrandAwareness,
-		PlanCacheSize:    opts.planCacheSize(),
 		Compressed:       opts.Compressed,
 		CSetOnly:         csetOnly,
 		Views:            liViews,

@@ -15,13 +15,13 @@ import (
 // frozen into audience.PlanBatch schedules, and multi-ref OR clauses
 // resolve to interface-wide shared unions so the batch analyzer can
 // common-subexpression them across plans. Everything here is bounded: plans,
-// unions, and schedules each live in an LRU sized by Config.PlanCacheSize.
+// unions, and schedules each live in an LRU.
 
-// Cache bounds. The plan cache holds PlanCacheSize entries (default below);
-// the union and schedule caches are derived from it.
+// Cache bounds: the plan cache's capacity, from which the union and
+// schedule caches are derived.
 const (
-	defaultPlanCacheSize = 4096
-	minDerivedCacheSize  = 16
+	planCacheEntries    = 4096
+	minDerivedCacheSize = 16
 )
 
 // lruNode is one entry of lruCache's intrusive recency list.
@@ -171,9 +171,6 @@ func (pc *planCache) noteUnionBuild(key string) (rebuild bool) {
 }
 
 func newPlanCache(size int) *planCache {
-	if size == 0 {
-		size = defaultPlanCacheSize
-	}
 	derived := size / 8
 	if derived < minDerivedCacheSize {
 		derived = minDerivedCacheSize
@@ -295,9 +292,8 @@ func specCacheable(spec targeting.Spec) bool {
 }
 
 // compileSpec lowers one spec into a compiled plan. Shape and resolution
-// errors are produced in the same order as the serial evaluation and the
-// legacy batch lowering: clauses in include-then-exclude order, refs in
-// clause order.
+// errors are produced in the same order as the serial evaluation: clauses
+// in include-then-exclude order, refs in clause order.
 func (p *Interface) compileSpec(spec targeting.Spec) (*audience.Plan, error) {
 	if len(spec.Include) == 0 {
 		return nil, targeting.ErrEmptySpec
@@ -317,7 +313,7 @@ func (p *Interface) compileSpec(spec targeting.Spec) (*audience.Plan, error) {
 		if err != nil {
 			return err
 		}
-		clauses = append(clauses, audience.PlanClause{Or: []audience.Operand{op}, Negate: negate})
+		clauses = append(clauses, audience.PlanClause{Op: op, Negate: negate})
 		return nil
 	}
 	for _, cl := range spec.Include {

@@ -77,13 +77,15 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 }
 
-// TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate at the
-// platform layer: on all four interfaces, compiled (plain and compressed)
-// batches must equal the legacy per-batch lowering path slot for slot —
-// sizes and errors both.
+// TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate across
+// deployments: on all four interfaces, compiled batches on a plain and on a
+// compressed deployment must equal the legacy uncompiled path of a separate
+// plain deployment of the same seed — serial Measure over the dense option
+// sets, which never touches the plan caches — slot for slot, sizes and
+// errors both, cold and again from the warmed caches.
 func TestPlanCompilerMatchesLegacy(t *testing.T) {
 	const seed, size = 47, 1 << 12
-	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size, NoPlanCompiler: true})
+	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +97,16 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plans, _, _ := legacy.Facebook.PlanCacheStats(); plans != 0 {
-			t.Fatalf("NoPlanCompiler deployment has a plan cache (%d plans)", plans)
-		}
 		for pi, p := range compiled.Interfaces() {
 			lp := legacy.Interfaces()[pi]
 			reqs := randomBatch(p, 4242, 80)
+			want := serialMeasure(lp, reqs)
+			if plans, unions, scheds := lp.PlanCacheStats(); plans+unions+scheds != 0 {
+				t.Fatalf("%s: serial path populated the plan caches (%d plans, %d unions, %d schedules)", lp.Name(), plans, unions, scheds)
+			}
 			got, err := p.MeasureMany(reqs)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
-			}
-			want, err := lp.MeasureMany(reqs)
-			if err != nil {
-				t.Fatalf("%s legacy: %v", lp.Name(), err)
 			}
 			for i := range reqs {
 				sameOutcome(t, fmt.Sprintf("%s compressed=%v", p.Name(), opts.Compressed), i, got[i], want[i].Size, want[i].Err)
@@ -126,13 +125,9 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 
 // TestPlanCacheEviction shrinks the plan cache below the working set and
 // checks both the bound (occupancy never exceeds capacity) and correctness
-// under thrash (every answer still matches the uncached path).
+// under thrash (every answer still matches serial Measure).
 func TestPlanCacheEviction(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 53, UniverseSize: 1 << 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := NewDeployment(DeployOptions{Seed: 53, UniverseSize: 1 << 11, NoPlanCompiler: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +138,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Spec = targeting.And(targeting.Attr(i), targeting.Attr((i+1)%12))
 	}
-	want, err := legacy.Facebook.MeasureMany(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialMeasure(p, reqs)
 	for round := 0; round < 3; round++ {
 		got, err := p.MeasureMany(reqs)
 		if err != nil {
@@ -208,15 +200,11 @@ func TestCustomAudiencePlansUncached(t *testing.T) {
 
 // TestPlanCacheConcurrentEviction hammers MeasureMany from many goroutines
 // with overlapping spec batches while a tiny LRU continuously evicts plans
-// and schedules, asserting every answer stays bit-identical to the uncached
-// execution. This is the compiler's race gate: plan reuse, schedule reuse,
+// and schedules, asserting every answer stays bit-identical to serial
+// Measure. This is the compiler's race gate: plan reuse, schedule reuse,
 // eviction, and recompilation must all be invisible under -race.
 func TestPlanCacheConcurrentEviction(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 61, UniverseSize: 1 << 11, Compressed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := NewDeployment(DeployOptions{Seed: 61, UniverseSize: 1 << 11, NoPlanCompiler: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +236,7 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 		}
 		pool[i] = EstimateRequest{Spec: spec}
 	}
-	want, err := legacy.Google.MeasureMany(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialMeasure(p, pool)
 	for i := range pool {
 		if want[i].Err != nil {
 			t.Fatalf("pool spec %d invalid: %v", i, want[i].Err)
@@ -290,4 +275,14 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 	if plans, _, _ := p.PlanCacheStats(); plans > 5 {
 		t.Fatalf("plan cache exceeded capacity: %d > 5", plans)
 	}
+}
+
+// serialMeasure answers a batch one serial Measure call at a time — the
+// reference the compiled batch door must match.
+func serialMeasure(p *Interface, reqs []EstimateRequest) []Estimate {
+	out := make([]Estimate, len(reqs))
+	for i, req := range reqs {
+		out[i].Size, out[i].Err = p.Measure(req)
+	}
+	return out
 }

@@ -103,11 +103,6 @@ type Config struct {
 	// lookalike creation is replaced by demographic-blind "Special Ad
 	// Audiences" (paper §2.2).
 	SpecialAdAudiences bool
-	// PlanCacheSize bounds the compiled-plan LRU behind the batched query
-	// doors. Zero selects the default size; a negative value disables the
-	// query compiler entirely, keeping the per-batch lowering path (used to
-	// benchmark the compiler against it).
-	PlanCacheSize int
 	// Compressed materializes roaring-style compressed forms of the
 	// catalog option sets alongside the dense ones, letting compiled plans
 	// with a sparse base walk containers instead of streaming words.
@@ -119,10 +114,10 @@ type Config struct {
 	// catalog fits in memory; it implies the query compiler is disabled
 	// (compiled plans hold dense operands).
 	CSetOnly bool
-	// Views supplies every catalog option audience as a zero-copy compressed
-	// view, typically aliasing an mmap'd snapshot (internal/snapshot). When
-	// set, the interface never materializes an option set: queries evaluate
-	// through the dense-scratch × view kernels, Warm is a no-op, and the
+	// Views supplies every catalog option audience as a compressed set,
+	// typically aliasing an mmap'd snapshot (internal/snapshot). When set,
+	// the interface never materializes an option set: queries evaluate
+	// through the dense-scratch × CSet kernels, Warm is a no-op, and the
 	// query compiler is disabled (compiled plans hold dense operands), the
 	// same posture CSetOnly establishes for shards.
 	Views *OptionViews
@@ -151,8 +146,8 @@ type Interface struct {
 	topicCSets     []lazyCSet
 	placementCSets []lazyCSet
 
-	// plans holds the query compiler's caches; nil when the compiler is
-	// disabled (Config.PlanCacheSize < 0).
+	// plans holds the query compiler's caches; nil on CSetOnly and
+	// snapshot-backed interfaces, which skip the compiler.
 	plans *planCache
 
 	// Query counters, resolved once at construction so the estimate hot
@@ -238,8 +233,8 @@ func New(cfg Config) (*Interface, error) {
 			return nil, err
 		}
 	}
-	if cfg.PlanCacheSize >= 0 && !cfg.CSetOnly && cfg.Views == nil {
-		p.plans = newPlanCache(cfg.PlanCacheSize)
+	if !cfg.CSetOnly && cfg.Views == nil {
+		p.plans = newPlanCache(planCacheEntries)
 	}
 	return p, nil
 }
@@ -621,8 +616,8 @@ func (p *Interface) Measure(req EstimateRequest) (int64, error) {
 // serving or benchmarking so first-query latency is not dominated by lazy
 // materialization. Safe to call concurrently with queries. On a
 // snapshot-backed interface (Config.Views) every option audience already
-// exists as a view over the mapped file, so Warm is a no-op — cold
-// containers fault in from the page cache on first touch instead.
+// exists as a compressed set over the mapped file, so Warm is a no-op —
+// cold containers fault in from the page cache on first touch instead.
 func (p *Interface) Warm() *Interface {
 	if p.cfg.Views != nil {
 		return p

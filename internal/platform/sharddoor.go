@@ -178,19 +178,18 @@ func (p *Interface) countMatchedRanges(spec targeting.Spec, ranges []IndexRange)
 
 // refOperand is a resolved targeting ref in whichever form the interface
 // retains: dense (demographics, custom audiences, and every set on a dense
-// interface), compressed-only (catalog option sets under CSetOnly), or a
-// zero-copy snapshot view (catalog option sets under Config.Views).
+// interface) or compressed-only (catalog option sets under CSetOnly or
+// Config.Views).
 type refOperand struct {
 	s *audience.Set
 	c *audience.CSet
-	v *audience.CSetView
 }
 
 // refOperand resolves one ref. Under CSetOnly, catalog option sets are
 // materialized dense transiently, compressed, and the dense form dropped —
 // the interface never retains more than the compressed catalog. On a
-// snapshot-backed interface the decoded views are returned directly: no
-// materialization, no compression, no copies, ever.
+// snapshot-backed interface the sets decoded over the mapped file are
+// returned directly: no materialization, no compression, no copies, ever.
 func (p *Interface) refOperand(r targeting.Ref) (refOperand, error) {
 	if vs := p.cfg.Views; vs != nil {
 		switch r.Kind {
@@ -198,17 +197,17 @@ func (p *Interface) refOperand(r targeting.Ref) (refOperand, error) {
 			if r.ID < 0 || r.ID >= len(vs.Attributes) {
 				return refOperand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
 			}
-			return refOperand{v: vs.Attributes[r.ID]}, nil
+			return refOperand{c: vs.Attributes[r.ID]}, nil
 		case targeting.KindTopic:
 			if r.ID < 0 || r.ID >= len(vs.Topics) {
 				return refOperand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
 			}
-			return refOperand{v: vs.Topics[r.ID]}, nil
+			return refOperand{c: vs.Topics[r.ID]}, nil
 		case targeting.KindPlacement:
 			if r.ID < 0 || r.ID >= len(vs.Placements) {
 				return refOperand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
 			}
-			return refOperand{v: vs.Placements[r.ID]}, nil
+			return refOperand{c: vs.Placements[r.ID]}, nil
 		}
 	}
 	if p.cfg.CSetOnly {
@@ -262,12 +261,9 @@ func (p *Interface) audienceScratch(spec targeting.Spec) (*audience.Set, error) 
 			if err != nil {
 				return err
 			}
-			switch {
-			case op.v != nil:
-				dst.OrWithView(op.v)
-			case op.c != nil:
+			if op.c != nil {
 				dst.OrWithC(op.c)
-			default:
+			} else {
 				dst.OrWith(op.s)
 			}
 		}
@@ -294,10 +290,6 @@ func (p *Interface) audienceScratch(spec targeting.Spec) (*audience.Set, error) 
 				return err
 			}
 			switch {
-			case op.v != nil && exclude:
-				acc.AndNotWithView(op.v)
-			case op.v != nil:
-				acc.AndWithView(op.v)
 			case op.c != nil && exclude:
 				acc.AndNotWithC(op.c)
 			case op.c != nil:

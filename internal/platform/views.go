@@ -12,23 +12,23 @@ import (
 	"repro/internal/targeting"
 )
 
-// OptionViews holds zero-copy compressed audiences for every catalog option
-// of one interface, indexed like the catalog slices. A snapshot loader
-// (internal/snapshot) decodes them over an mmap'd file and hands them to
-// Config.Views; the interface then answers every query through the
-// dense-scratch × view kernels without ever materializing an option set —
-// boot is O(directory) and cold containers fault in from the page cache on
-// first touch.
+// OptionViews holds the compressed audience of every catalog option of one
+// interface, indexed like the catalog slices. A snapshot loader
+// (internal/snapshot) decodes them over an mmap'd file — each CSet's
+// containers alias the mapped pages — and hands them to Config.Views; the
+// interface then answers every query through the dense-scratch × CSet
+// kernels without ever materializing an option set. Boot is O(directory)
+// and cold containers fault in from the page cache on first touch.
 type OptionViews struct {
-	Attributes []*audience.CSetView
-	Topics     []*audience.CSetView
-	Placements []*audience.CSetView
+	Attributes []*audience.CSet
+	Topics     []*audience.CSet
+	Placements []*audience.CSet
 }
 
 // validate checks the views line up with the catalog and universe the
 // interface is being assembled with.
 func (v *OptionViews) validate(cat *catalog.Catalog, size int) error {
-	check := func(kind string, views []*audience.CSetView, want int) error {
+	check := func(kind string, views []*audience.CSet, want int) error {
 		if len(views) != want {
 			return fmt.Errorf("platform: %d %s views for %d catalog options", len(views), kind, want)
 		}
@@ -113,12 +113,11 @@ func hashOptions(w io.Writer, kind string, opts []catalog.Attribute) {
 	}
 }
 
-// OptionCSet returns the compressed audience of one catalog option,
-// materializing through whichever form the interface retains: the cached
-// compressed set under CSetOnly, a round trip through the view in snapshot
-// mode, or a transient compression of the dense set otherwise. Only catalog
-// kinds (attribute, topic, placement) resolve; the snapshot writer uses
-// this to serialize a deployment's full catalog.
+// OptionCSet returns the compressed audience of one catalog option: the
+// retained set under CSetOnly or in snapshot mode, a transient compression
+// of the dense set otherwise. Only catalog kinds (attribute, topic,
+// placement) resolve; the snapshot writer stores each one's blob to
+// serialize a deployment's full catalog.
 func (p *Interface) OptionCSet(r targeting.Ref) (*audience.CSet, error) {
 	switch r.Kind {
 	case targeting.KindAttribute, targeting.KindTopic, targeting.KindPlacement:
@@ -129,12 +128,8 @@ func (p *Interface) OptionCSet(r targeting.Ref) (*audience.CSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case op.c != nil:
+	if op.c != nil {
 		return op.c, nil
-	case op.v != nil:
-		return audience.FromSet(op.v.ToSet()), nil
-	default:
-		return audience.FromSet(op.s), nil
 	}
+	return audience.FromSet(op.s), nil
 }

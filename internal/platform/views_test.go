@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -11,10 +12,11 @@ import (
 )
 
 // prebuiltFrom round-trips a built deployment's state through the snapshot
-// encoding in memory: per-user universe arrays plus every catalog option
-// encoded and re-decoded as a view. This is what internal/snapshot does over
-// an mmap'd file, reproduced here so the platform package can test the
-// view-backed posture without an import cycle.
+// encoding in memory: per-user universe arrays plus every catalog option's
+// blob, copied and decoded back into a CSet over the copy. This is what
+// internal/snapshot does over an mmap'd file, reproduced here so the
+// platform package can test the view-backed posture without an import
+// cycle.
 func prebuiltFrom(t testing.TB, d *Deployment) *Prebuilt {
 	t.Helper()
 	pre := &Prebuilt{
@@ -27,14 +29,14 @@ func prebuiltFrom(t testing.TB, d *Deployment) *Prebuilt {
 	}
 	for _, p := range d.Interfaces() {
 		views := &OptionViews{}
-		dim := func(kind targeting.Kind, count int) []*audience.CSetView {
-			out := make([]*audience.CSetView, count)
+		dim := func(kind targeting.Kind, count int) []*audience.CSet {
+			out := make([]*audience.CSet, count)
 			for i := 0; i < count; i++ {
 				c, err := p.OptionCSet(targeting.Ref{Kind: kind, ID: i})
 				if err != nil {
 					t.Fatalf("%s option %d: %v", p.Name(), i, err)
 				}
-				v, err := audience.DecodeCSetView(audience.EncodeCSet(nil, c))
+				v, err := audience.DecodeCSet(append([]byte(nil), c.Blob()...))
 				if err != nil {
 					t.Fatalf("%s option %d: %v", p.Name(), i, err)
 				}
@@ -178,7 +180,7 @@ func TestViewsValidate(t *testing.T) {
 	}
 
 	nilled := *pre.Views[catalog.PlatformFacebook]
-	nilled.Attributes = append([]*audience.CSetView(nil), nilled.Attributes...)
+	nilled.Attributes = append([]*audience.CSet(nil), nilled.Attributes...)
 	nilled.Attributes[3] = nil
 	preBad.Views[catalog.PlatformFacebook] = &nilled
 	if _, err := NewDeploymentFrom(opts, preBad); err == nil {
@@ -251,5 +253,10 @@ func TestOptionCSetKinds(t *testing.T) {
 	}
 	if dense.Count() != fromView.Count() || !audience.Equal(dense.ToSet(), fromView.ToSet()) {
 		t.Fatal("view-backed OptionCSet disagrees with dense")
+	}
+	// The retained set is returned as is, so a snapshot re-written from a
+	// view-backed deployment stores the bytes it loaded.
+	if !bytes.Equal(dense.Blob(), fromView.Blob()) {
+		t.Fatal("view-backed OptionCSet blob differs from the dense encoding")
 	}
 }

@@ -33,7 +33,7 @@ func ReadInfo(path string) (*Info, error) {
 // content-affecting options, or catalog hash disagree.
 //
 // The file is mmap'd and stays mapped for the life of the process: every
-// catalog option is served through an audience.CSetView whose container
+// catalog option is served through an audience.CSet whose container
 // payloads alias the mapped pages. Only the prelude, directory, and universe
 // sections are read eagerly; catalog bytes fault in on first touch.
 func LoadDeployment(path string, want platform.DeployOptions) (*platform.Deployment, *Info, error) {
@@ -42,7 +42,7 @@ func LoadDeployment(path string, want platform.DeployOptions) (*platform.Deploym
 	if err != nil {
 		return nil, nil, err
 	}
-	// The mapping must outlive the returned deployment (its views alias the
+	// The mapping must outlive the returned deployment (its sets alias the
 	// pages), so the closer is deliberately dropped: the mapping lives until
 	// process exit, like any other loaded read-only segment.
 	_ = closer
@@ -74,7 +74,7 @@ func LoadDeployment(path string, want platform.DeployOptions) (*platform.Deploym
 	}
 	// The catalogs were re-derived by NewDeploymentFrom from want's seed and
 	// current code; if they hash differently from what the snapshot's blobs
-	// were built against, the views would answer for the wrong options.
+	// were built against, the sets would answer for the wrong options.
 	if got := platform.CatalogHash(d); got != m.CatalogHash {
 		return nil, nil, fmt.Errorf("%w: current code derives %.12s, snapshot built against %.12s",
 			ErrCatalogMismatch, got, m.CatalogHash)
@@ -84,8 +84,8 @@ func LoadDeployment(path string, want platform.DeployOptions) (*platform.Deploym
 
 // decodeSections turns a parsed snapshot into platform.Prebuilt: universe
 // sections are CRC-verified and copied out (they are read in full anyway);
-// catalog sections are wrapped in views without touching their payload
-// bytes — DecodeCSetView's structural validation bounds every later access,
+// catalog sections are decoded over the mapped bytes without touching their
+// payloads — DecodeCSet's structural validation bounds every later access,
 // and VerifyFile covers their CRCs offline.
 func decodeSections(data []byte, m *fileMeta) (*platform.Prebuilt, error) {
 	pre := &platform.Prebuilt{
@@ -145,11 +145,11 @@ func decodeSections(data []byte, m *fileMeta) (*platform.Prebuilt, error) {
 	return pre, nil
 }
 
-// decodeDim builds one catalog dimension's views over a section's bytes.
-func decodeDim(sec []byte, locs []optionLoc, users int) ([]*audience.CSetView, error) {
-	views := make([]*audience.CSetView, len(locs))
+// decodeDim decodes one catalog dimension's sets over a section's bytes.
+func decodeDim(sec []byte, locs []optionLoc, users int) ([]*audience.CSet, error) {
+	views := make([]*audience.CSet, len(locs))
 	for i, loc := range locs {
-		v, err := audience.DecodeCSetView(sec[loc.Off : loc.Off+loc.Len])
+		v, err := audience.DecodeCSet(sec[loc.Off : loc.Off+loc.Len])
 		if err != nil {
 			return nil, fmt.Errorf("%w: option %d: %v", ErrCorrupt, i, err)
 		}

@@ -1,15 +1,15 @@
 // Package snapshot persists a fully built deployment's universe draws and
 // compressed catalog to one versioned, CRC-checked, page-aligned file, and
 // reconstructs a ready-to-serve deployment from it by mmapping the file and
-// wrapping every catalog option in a zero-copy audience.CSetView.
+// decoding every catalog option as an audience.CSet over the mapped bytes.
 //
 // Building a deployment is O(universe × catalog) hash draws — minutes of CPU
 // at the 2^22+ scales the benchmarks run — repeated on every platformd boot,
 // shard failover, and jobs-service restart. A snapshot moves that cost to a
 // single build: loading parses a small directory, reconstructs the universes
 // from their persisted per-user arrays (population.FromData, no hashing),
-// and serves every catalog query through views whose container payloads
-// alias the mapped pages. Boot cost is O(directory), steady RSS is the
+// and serves every catalog query through compressed sets whose container
+// payloads alias the mapped pages. Boot cost is O(directory), steady RSS is the
 // kernel page cache (shared across shard processes on one host), and cold
 // containers fault in lazily on first touch.
 //
@@ -28,9 +28,10 @@
 //	  one universe section per platform universe: the packed per-user
 //	  cells/factors/tiers/regions arrays, CRC-checked at load (they are
 //	  read in full anyway);
-//	  one catalog section per interface: every option's EncodeCSet blob,
-//	  8-aligned, never copied at load — the section CRC is stored but
-//	  verified only by VerifyFile so loading does not page the catalog in.
+//	  one catalog section per interface: every option's CSet blob
+//	  (audience.CSet.Blob), 8-aligned, never copied at load — the section
+//	  CRC is stored but verified only by VerifyFile so loading does not
+//	  page the catalog in.
 //	meta (JSON, at the recorded offset):
 //	  builder version, creation time, config/catalog/content hashes,
 //	  universe size + seed + shard spans, and per-section directories

@@ -91,7 +91,7 @@ func TestDecodeDimRejectsBadBlobs(t *testing.T) {
 	s := audience.New(64)
 	s.Add(3)
 	s.Add(40)
-	blob := audience.EncodeCSet(nil, audience.FromSet(s))
+	blob := audience.FromSet(s).Blob()
 	locs := []optionLoc{{Off: 0, Len: int64(len(blob))}}
 
 	views, err := decodeDim(blob, locs, 64)

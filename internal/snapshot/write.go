@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/audience"
 	"repro/internal/catalog"
 	"repro/internal/platform"
 	"repro/internal/population"
@@ -21,8 +20,8 @@ import (
 
 // configHash fingerprints the content-affecting deployment options: the
 // fields that change which bits end up in a snapshot. Presentation and
-// engine knobs — ExactEstimates (rounder choice), Compressed,
-// NoPlanCompiler, Metrics — are deliberately excluded, so one snapshot
+// engine knobs — ExactEstimates (rounder choice), Compressed, Metrics —
+// are deliberately excluded, so one snapshot
 // serves e.g. both the rounded and the exact-estimates ablation of the same
 // universe; the loader derives those from the requested options.
 func configHash(opts platform.DeployOptions) string {
@@ -230,9 +229,9 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 		})
 	}
 
-	// Catalog sections: one per interface, each option encoded transiently
-	// into a reused buffer — peak memory is one blob, not one catalog.
-	var blob []byte
+	// Catalog sections: one per interface, each option's blob written as it
+	// is. Dense interfaces compress one option at a time, so peak memory is
+	// one blob, not one catalog.
 	for _, p := range d.Interfaces() {
 		off, err := sw.beginSection()
 		if err != nil {
@@ -246,7 +245,7 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 				if err != nil {
 					return nil, err
 				}
-				blob = audience.EncodeCSet(blob[:0], c)
+				blob := c.Blob()
 				locs[i] = optionLoc{Off: sw.len, Len: int64(len(blob))}
 				if err := sw.write(blob); err != nil {
 					return nil, err
