@@ -353,6 +353,29 @@ func buildHandler(cfg config, st *store.Store) (http.Handler, *platform.Deployme
 	return srv.Handler(), d, mgr, nil
 }
 
+// Slow-client bounds. A request's headers must arrive within
+// readHeaderTimeout and the whole request, body included, within
+// readTimeout; a keep-alive connection idles at most idleTimeout. There is
+// no write timeout: GET /jobs/{id}/events streams NDJSON for a job's whole
+// lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the server platformd serves handler with, bounded
+// by the given slow-client timeouts.
+func newHTTPServer(addr string, handler http.Handler, readHeader, read, idle time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeader,
+		ReadTimeout:       read,
+		IdleTimeout:       idle,
+	}
+}
+
 func run(cfg config) error {
 	var st *store.Store
 	if cfg.storeDir != "" {
@@ -384,11 +407,7 @@ func run(cfg config) error {
 			}
 		}()
 	}
-	httpSrv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := newHTTPServer(cfg.addr, handler, readHeaderTimeout, readTimeout, idleTimeout)
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

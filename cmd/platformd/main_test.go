@@ -150,21 +150,32 @@ func TestBuildHandlerTracing(t *testing.T) {
 		t.Fatalf("traced options status %d", resp.StatusCode)
 	}
 
+	// The server span ends after the response is written, so the trace can
+	// reach the buffer after the client holds its answer: poll the listing
+	// until it names the trace or a deadline passes.
+	deadline := time.Now().Add(5 * time.Second)
 	for _, path := range []string{"/debug/traces", "/debug/provenance"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
-		}
-		if path == "/debug/traces" && !strings.Contains(string(body), traceID) {
-			t.Errorf("%s does not list continued trace %s:\n%s", path, traceID, body)
+		for {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s status %d", path, resp.StatusCode)
+			}
+			if path != "/debug/traces" || strings.Contains(string(body), traceID) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%s does not list continued trace %s:\n%s", path, traceID, body)
+				break
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }
@@ -607,5 +618,62 @@ func TestNewJobsFactorySharesSnapshotHost(t *testing.T) {
 		if got != want {
 			t.Fatalf("snapshot-hosted job provider measured %d, built %d", got, want)
 		}
+	}
+}
+
+// TestServerCutsTrickledBody: a client trickling a request body past the
+// read timeout is cut off — the handler's body read fails with a timeout —
+// instead of holding the request open for as long as it likes.
+func TestServerCutsTrickledBody(t *testing.T) {
+	bodyErr := make(chan error, 1)
+	srv := newHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, err := io.ReadAll(r.Body)
+		bodyErr <- err
+	}), time.Second, 200*time.Millisecond, time.Second)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /measure-batch HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// One byte every 20ms: the whole body would take 20s.
+	start := time.Now()
+	for i := 0; i < 1000; i++ {
+		if _, err := conn.Write([]byte{'x'}); err != nil {
+			break // the server closed the connection
+		}
+		select {
+		case err := <-bodyErr:
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatalf("trickled body read ended with %v, want a timeout", err)
+			}
+			if took := time.Since(start); took > 5*time.Second {
+				t.Fatalf("trickled body cut off after %v", took)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	select {
+	case err := <-bodyErr:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("trickled body read ended with %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never cut the trickled body off")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -96,6 +97,23 @@ func newTestTracer(seed uint64) *trace.Tracer {
 		Metrics:    obs.NewRegistry(),
 		Provenance: trace.NewProvenanceLog(0, nil),
 	})
+}
+
+// waitTrace polls tr until it holds trace id, failing after a deadline. A
+// server span ends after its response is written, so the client can hold
+// the answer before the server's trace is recorded.
+func waitTrace(t *testing.T, tr *trace.Tracer, id trace.TraceID) trace.TraceDump {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if d, ok := tr.Dump(id); ok {
+			return d
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %v not recorded within 5s", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // spanNames flattens a dump for containment checks.
@@ -286,13 +304,11 @@ func TestServerTraceContinuationPolicy(t *testing.T) {
 		t.Fatalf("unsampled request buffered %d traces", n)
 	}
 	get("00-00000000000000000000000000000abc-00000000000000ef-01") // sampled
+	id, _ := trace.ParseTraceID("00000000000000000000000000000abc")
+	// The continued trace must be retrievable by the remote trace ID.
+	d := waitTrace(t, srvTracer, id)
 	if n := srvTracer.Len(); n != 1 {
 		t.Fatalf("sampled request buffered %d traces, want 1", n)
-	}
-	id, _ := trace.ParseTraceID("00000000000000000000000000000abc")
-	d, ok := srvTracer.Dump(id)
-	if !ok {
-		t.Fatal("continued trace not retrievable by the remote trace ID")
 	}
 	if n := spanNames(d)["adapi.server.options"]; n != 1 {
 		t.Fatalf("continued spans %v, want one adapi.server.options", spanNames(d))

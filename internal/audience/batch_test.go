@@ -93,7 +93,7 @@ func TestCountManyChains(t *testing.T) {
 		if len(pb.roots) >= len(plans) {
 			t.Fatalf("n=%d: %d roots for %d plans, want chains fused", n, len(pb.roots), len(plans))
 		}
-		got := pb.Exec()
+		got, _ := pb.Exec(nil)
 		for i, req := range reqs {
 			if want := naiveCount(req); got[i] != want {
 				t.Errorf("n=%d req=%d: Exec = %d, want %d", n, i, got[i], want)
@@ -146,16 +146,43 @@ func TestCountManyUnions(t *testing.T) {
 	}
 }
 
+// TestKernelBlocks pins the tile count Exec reports — the tile-grid cells
+// each window touches: 512-word cells over dense operands, 64-word cells
+// once an operand is compressed-only — and that both schedules count the
+// window's users alone.
 func TestKernelBlocks(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{0, 0},
-		{1, 1},
-		{blockWords * 64, 1},
-		{blockWords*64 + 1, 2},
-		{blockWords * 64 * 3, 3},
+	n := blockWords*64*3 + 5
+	s := randomSet(5, n, 0.3)
+	dense := CompileBatch([]*Plan{CompilePlan(n, []PlanClause{{Op: Operand{Set: s}}})})
+	reg := CompileBatch([]*Plan{CompilePlan(n, []PlanClause{{Op: Operand{C: FromSet(s)}}})})
+	for _, tc := range []struct {
+		windows    []Window
+		dense, reg int
+	}{
+		{nil, 4, 25},
+		{[]Window{{0, 0}}, 0, 0},
+		{[]Window{{-5, 3}}, 1, 1},
+		{[]Window{{1000, 1064}}, 1, 1},
+		{[]Window{{0, blockWords * 64}}, 1, 8},
+		{[]Window{{blockWords*64 - 1, blockWords*64 + 1}}, 2, 2},
+		{[]Window{{0, 64}, {n - 70, n + 70}}, 3, 3},
 	} {
-		if got := KernelBlocks(tc.n); got != tc.want {
-			t.Errorf("KernelBlocks(%d) = %d, want %d", tc.n, got, tc.want)
+		want := 0
+		for _, w := range tc.windows {
+			want += s.CountRange(w.Lo, w.Hi)
+		}
+		if tc.windows == nil {
+			want = s.Count()
+		}
+		for _, c := range []struct {
+			name  string
+			pb    *PlanBatch
+			tiles int
+		}{{"dense", dense, tc.dense}, {"register", reg, tc.reg}} {
+			counts, tiles := c.pb.Exec(tc.windows)
+			if tiles != c.tiles || counts[0] != want {
+				t.Errorf("%s %v: %d tiles counting %d, want %d tiles counting %d", c.name, tc.windows, tiles, counts[0], c.tiles, want)
+			}
 		}
 	}
 }

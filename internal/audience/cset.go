@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -109,6 +110,7 @@ type container struct {
 // plans and snapshot-backed interfaces share them freely across goroutines.
 type CSet struct {
 	n     int
+	id    uint64 // process-unique, minted from Set's counter
 	card  int
 	keys  []uint32 // chunk indices of non-empty chunks, ascending
 	conts []container
@@ -291,6 +293,7 @@ func DecodeCSet(blob []byte) (*CSet, error) {
 	alias := littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(blob)))%8 == 0
 	c := &CSet{
 		n:     n,
+		id:    setIDs.Add(1),
 		card:  int(card64),
 		keys:  make([]uint32, nconts),
 		conts: make([]container, nconts),
@@ -409,10 +412,75 @@ func (c *CSet) Blob() []byte { return c.blob }
 // ToSet decompresses back to a dense set.
 func (c *CSet) ToSet() *Set {
 	s := New(c.n)
-	for ci, key := range c.keys {
-		expandChunk(&c.conts[ci], s.chunkWordsOf(key))
-	}
+	c.orInto(s)
 	return s
+}
+
+// orInto ORs c's members into s, a set over the same universe, container
+// by container.
+func (c *CSet) orInto(s *Set) {
+	if s.n != c.n {
+		panic(fmt.Sprintf("audience: universe size mismatch %d != %d", s.n, c.n))
+	}
+	for ci, key := range c.keys {
+		base := int(key) * chunkWords
+		expandChunk(&c.conts[ci], s.words[base:min(base+chunkWords, len(s.words))])
+	}
+}
+
+// Union returns the union of operands over n users as one dense operand
+// carrying its count: dense members are ORed word by word, compressed-only
+// members expanded container by container.
+func Union(n int, ops []Operand) Operand {
+	u := New(n)
+	for _, o := range ops {
+		if o.Set != nil {
+			u.OrWith(o.Set)
+		} else {
+			o.C.orInto(u)
+		}
+	}
+	return Operand{Set: u, Card: u.Count()}
+}
+
+// tileWords returns words [lo, hi) of the set, a range within one chunk:
+// a bitmap container's own words, the shared zero tile when the chunk is
+// empty (hi-lo ≤ regWords), or the chunk's members in the range expanded
+// into reg.
+func (c *CSet) tileWords(lo, hi int, reg []uint64) []uint64 {
+	ci, ok := c.findChunk(uint32(lo / chunkWords))
+	if !ok {
+		return zeroTile[:hi-lo]
+	}
+	cont := &c.conts[ci]
+	off := lo % chunkWords
+	if cont.typ == ctBitmap {
+		return cont.bits[off : off+hi-lo]
+	}
+	reg = reg[:hi-lo]
+	clear(reg)
+	blo, bhi := off<<6, (off+hi-lo)<<6
+	if cont.typ == ctArray {
+		i, _ := slices.BinarySearch(cont.arr, uint16(blo))
+		for _, v := range cont.arr[i:] {
+			b := int(v) - blo
+			if b >= len(reg)<<6 {
+				break
+			}
+			if b >= 0 { // always, unless a corrupt blob's array is unsorted
+				reg[b>>6] |= 1 << uint(b&63)
+			}
+		}
+		return reg
+	}
+	i := sort.Search(len(cont.runs), func(j int) bool { return int(cont.runs[j].last) >= blo })
+	for _, r := range cont.runs[i:] {
+		if int(r.start) >= bhi {
+			break
+		}
+		setBitRange(reg, max(int(r.start), blo)-blo, min(int(r.last)+1, bhi)-blo)
+	}
+	return reg
 }
 
 // expandChunk ORs one container's members into dst (the chunk's words).
@@ -425,12 +493,33 @@ func expandChunk(cont *container, dst []uint64) {
 			dst[v>>6] |= 1 << uint(v&63)
 		}
 	case ctBitmap:
-		orWords(dst, cont.bits)
+		for i, w := range cont.bits[:len(dst)] {
+			dst[i] |= w
+		}
 	case ctRun:
 		for _, r := range cont.runs {
 			setBitRange(dst, int(r.start), int(r.last)+1)
 		}
 	}
+}
+
+// setBitRange sets bit indices [lo, hi) of a word slice.
+func setBitRange(words []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	loW, hiW := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if loW == hiW {
+		words[loW] |= loMask & hiMask
+		return
+	}
+	words[loW] |= loMask
+	for i := loW + 1; i < hiW; i++ {
+		words[i] = ^uint64(0)
+	}
+	words[hiW] |= hiMask
 }
 
 // Len returns the universe size.
@@ -468,8 +557,20 @@ func (c *CSet) Contains(i int) bool {
 
 // findChunk locates the container index of a chunk key.
 func (c *CSet) findChunk(key uint32) (int, bool) {
-	i := sort.Search(len(c.keys), func(j int) bool { return c.keys[j] >= key })
-	return i, i < len(c.keys) && c.keys[i] == key
+	return slices.BinarySearch(c.keys, key)
+}
+
+// chunkFrom returns the index of the first container whose chunk ends past
+// user lo. Keys ascend strictly from 0, so that chunk's index is at most
+// its key, and it is the key itself when no earlier chunk is empty: shards
+// count many narrow windows of a wide set.
+func (c *CSet) chunkFrom(lo int) int {
+	first := lo >> chunkBits
+	ci := min(first, len(c.keys))
+	for ci > 0 && int(c.keys[ci-1]) >= first {
+		ci--
+	}
+	return ci
 }
 
 // containerContains reports membership of offset v in one container.
@@ -498,17 +599,8 @@ func (c *CSet) CountRange(lo, hi int) int {
 	if lo >= hi {
 		return 0
 	}
-	// Start at the first chunk the window touches: shards count many narrow
-	// windows of a wide set. Keys ascend strictly from 0, so that chunk's
-	// index is at most its key, and it is the key itself when no earlier
-	// chunk is empty.
-	first := lo >> chunkBits
-	ci := min(first, len(c.keys))
-	for ci > 0 && int(c.keys[ci-1]) >= first {
-		ci--
-	}
 	total := 0
-	for ; ci < len(c.keys); ci++ {
+	for ci := c.chunkFrom(lo); ci < len(c.keys); ci++ {
 		base := int(c.keys[ci]) << chunkBits
 		if base >= hi {
 			break

@@ -146,28 +146,40 @@ func TestCSetCountKernels(t *testing.T) {
 	}
 }
 
-// TestCSetMaterializingOps checks the dense-accumulator × compressed
-// kernels on every shape pair: each in-place result must equal the dense
-// set operation.
+// regCount counts a ∩ b, or a \ b when negate is set, over windows as a
+// batch of one whose operands are both compressed-only: the schedule reads
+// them through registers, whatever the dispatch rule would pick for a
+// dense probe.
+func regCount(a, b *CSet, negate bool, windows []Window) int {
+	p := CompilePlan(a.Len(), []PlanClause{{Op: Operand{C: a}}, {Op: Operand{C: b}, Negate: negate}})
+	counts, _ := CompileBatch([]*Plan{p}).Exec(windows)
+	return counts[0]
+}
+
+// TestCSetMaterializingOps checks the register-backed execution on every
+// shape pair: two compressed-only operands intersected or subtracted, over
+// the whole universe and over an unaligned window, and their Union, must
+// equal the dense set algebra.
 func TestCSetMaterializingOps(t *testing.T) {
 	for _, n := range csetSizes {
 		shapes := csetShapes(n)
+		window := []Window{{n / 3, n - n/5}}
 		for _, an := range shapeNames {
 			for _, bn := range shapeNames {
 				a, b := shapes[an], shapes[bn]
-				cb := FromSet(b)
-				and, not, or := a.Clone(), a.Clone(), a.Clone()
-				and.AndWithC(cb)
-				not.AndNotWithC(cb)
-				or.OrWithC(cb)
-				if !Equal(and, And(a, b)) {
-					t.Fatalf("n=%d %s∩%s: AndWithC mismatch", n, an, bn)
+				ca, cb := FromSet(a), FromSet(b)
+				if got, want := regCount(ca, cb, false, nil), CountAnd(a, b); got != want {
+					t.Fatalf("n=%d %s∩%s: registers count %d, want %d", n, an, bn, got, want)
 				}
-				if !Equal(not, AndNot(a, b)) {
-					t.Fatalf("n=%d %s\\%s: AndNotWithC mismatch", n, an, bn)
+				if got, want := regCount(ca, cb, true, nil), CountAndNot(a, b); got != want {
+					t.Fatalf("n=%d %s\\%s: registers count %d, want %d", n, an, bn, got, want)
 				}
-				if !Equal(or, Or(a, b)) {
-					t.Fatalf("n=%d %s∪%s: OrWithC mismatch", n, an, bn)
+				if got, want := regCount(ca, cb, false, window), And(a, b).CountRange(window[0].Lo, window[0].Hi); got != want {
+					t.Fatalf("n=%d %s∩%s window: registers count %d, want %d", n, an, bn, got, want)
+				}
+				u := Union(n, []Operand{{C: ca}, {Set: b}})
+				if !Equal(u.Set, Or(a, b)) || u.Card != u.Set.Count() {
+					t.Fatalf("n=%d %s∪%s: Union mismatch", n, an, bn)
 				}
 			}
 		}
@@ -176,17 +188,18 @@ func TestCSetMaterializingOps(t *testing.T) {
 
 // TestCSetMaterializedCardinality checks that every container's cached card
 // matches its membership, for built and decoded sets alike, and that the
-// in-place kernels never write through to an operand's blob — the bytes a
-// snapshot-backed set aliases.
+// register-backed execution and Union never write through to an operand's
+// blob — the bytes a snapshot-backed set aliases.
 func TestCSetMaterializedCardinality(t *testing.T) {
 	n := 2*chunkSize + 100
-	a := randomSet(31, n, 0.3)
+	a := FromSet(randomSet(31, n, 0.3))
 	b := randomSet(32, n, 0.02)
 	for name, c := range decodedForms(t, FromSet(b)) {
 		sum := 0
 		for ci, key := range c.keys {
 			s := New(n)
-			expandChunk(&c.conts[ci], s.chunkWordsOf(key))
+			base := int(key) * chunkWords
+			expandChunk(&c.conts[ci], s.words[base:min(base+chunkWords, len(s.words))])
 			if got := s.Count(); got != c.conts[ci].card {
 				t.Fatalf("%s: container %d caches card %d, holds %d", name, ci, c.conts[ci].card, got)
 			}
@@ -196,12 +209,79 @@ func TestCSetMaterializedCardinality(t *testing.T) {
 			t.Fatalf("%s: Count %d, containers sum %d, want %d", name, c.Count(), sum, b.Count())
 		}
 		before := append([]byte(nil), c.Blob()...)
-		acc := a.Clone()
-		acc.OrWithC(c)
-		acc.AndNotWithC(c)
-		acc.AndWithC(c)
+		regCount(a, c, false, nil)
+		regCount(a, c, true, []Window{{7, n - 7}})
+		Union(n, []Operand{{C: a}, {C: c}})
 		if !bytes.Equal(before, c.Blob()) || !Equal(c.ToSet(), b) {
 			t.Fatalf("%s: kernels mutated their operand", name)
+		}
+	}
+}
+
+// buildSetPattern fills a dense set with a deterministic mixture that forces
+// all three container forms: a sparse salt (array chunks), a dense band
+// (bitmap chunks), long runs (run chunks), and empty chunks in between.
+func buildSetPattern(n int, seed uint64) *Set {
+	return NewFromFunc(n, func(i int) bool {
+		switch (i >> chunkBits) % 4 {
+		case 0: // sparse
+			return xrand.Mix(seed, 1, uint64(i))%97 == 0
+		case 1: // dense
+			return xrand.Mix(seed, 2, uint64(i))%3 != 0
+		case 2: // runs
+			return (i>>9)%2 == 0
+		default: // mostly empty, a few stragglers
+			return xrand.Mix(seed, 3, uint64(i))%5011 == 0
+		}
+	})
+}
+
+// checkCSetOps compares the compiled path over compressed-only operands —
+// intersection and difference through registers, over the whole universe
+// and a window cutting words — and Union against the dense set algebra.
+func checkCSetOps(t *testing.T, a, b *Set) {
+	t.Helper()
+	n := a.Len()
+	ca, cb := FromSet(a), FromSet(b)
+	w := []Window{{n/7 + 3, n - n/9 - 1}}
+	for _, tc := range []struct {
+		name      string
+		got, want int
+	}{
+		{"and", regCount(ca, cb, false, nil), CountAnd(a, b)},
+		{"andnot", regCount(ca, cb, true, nil), CountAndNot(a, b)},
+		{"and window", regCount(ca, cb, false, w), And(a, b).CountRange(w[0].Lo, w[0].Hi)},
+		{"andnot window", regCount(ca, cb, true, w), AndNot(a, b).CountRange(w[0].Lo, w[0].Hi)},
+	} {
+		if tc.got != tc.want {
+			t.Fatalf("n=%d %s: got %d, want %d (|a|=%d |b|=%d)", n, tc.name, tc.got, tc.want, a.Count(), b.Count())
+		}
+	}
+	if u := Union(n, []Operand{{Set: a}, {C: cb}}); !Equal(u.Set, Or(a, b)) {
+		t.Fatalf("n=%d: Union mismatch (|a|=%d |b|=%d)", n, a.Count(), b.Count())
+	}
+}
+
+// TestSetCSetOpsMatchDense pins the dense × compressed operations of the
+// compiled path against their dense × dense counterparts at
+// container-boundary sizes.
+func TestSetCSetOpsMatchDense(t *testing.T) {
+	for _, n := range []int{63, 1000, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunkSize + 100, 4*chunkSize + 63} {
+		checkCSetOps(t, buildSetPattern(n, 11), buildSetPattern(n, 22))
+	}
+}
+
+// TestSetCSetOpsEdgeSets covers the degenerate operands: empty and full
+// compressed sets against empty, full, and patterned ones.
+func TestSetCSetOpsEdgeSets(t *testing.T) {
+	const n = chunkSize + 513
+	empty := New(n)
+	full := New(n)
+	full.Fill()
+	pat := buildSetPattern(n, 7)
+	for _, a := range []*Set{empty, full, pat} {
+		for _, b := range []*Set{empty, full, pat} {
+			checkCSetOps(t, a, b)
 		}
 	}
 }
@@ -225,15 +305,13 @@ func TestCSetCompression(t *testing.T) {
 	}
 }
 
-// TestCSetChecksCompat: the dense × compressed kernels refuse an operand
+// TestCSetChecksCompat: the compiler and Union refuse a compressed operand
 // over a different universe.
 func TestCSetChecksCompat(t *testing.T) {
 	c := FromSet(randomSet(1, 1000, 0.1))
-	s := New(2000)
 	for name, op := range map[string]func(){
-		"or":     func() { s.OrWithC(c) },
-		"and":    func() { s.AndWithC(c) },
-		"andnot": func() { s.AndNotWithC(c) },
+		"plan":  func() { CompilePlan(2000, []PlanClause{{Op: Operand{Set: New(2000)}}, {Op: Operand{C: c}}}) },
+		"union": func() { Union(2000, []Operand{{C: c}}) },
 	} {
 		func() {
 			defer func() {
@@ -246,15 +324,16 @@ func TestCSetChecksCompat(t *testing.T) {
 	}
 }
 
-// BenchmarkCSetKernels times every compressed kernel — the three Set×CSet
-// kernels, CountRange over partition-sized windows, and a compressed-base
-// plan walk — at 2^17 and 2^22 users on random sets of four densities and a
-// run-clustered set. Each case runs on the set FromSet builds and on a
-// DecodeCSet view of a copy of its blob, the form snapshot-booted shards
-// serve. results/BENCH_13.json records it.
+// BenchmarkCSetKernels times every compressed kernel — a register-backed
+// plan intersecting and subtracting the set from a compressed-only
+// operand, Union into a dense operand, CountRange over partition-sized
+// windows, and a compressed-base plan walk — at 2^17 and 2^22 users on
+// random sets of four densities and a run-clustered set. Each case runs on
+// the set FromSet builds and on a DecodeCSet view of a copy of its blob,
+// the form snapshot-booted shards serve.
 func BenchmarkCSetKernels(b *testing.B) {
 	for _, n := range []int{1 << 17, 1 << 22} {
-		acc := randomSet(51, n, 0.5)
+		acc := FromSet(randomSet(51, n, 0.5))
 		scope := randomSet(52, n, 0.5)
 		excl := randomSet(53, n, 0.3)
 		shapes := []struct {
@@ -284,16 +363,15 @@ func BenchmarkCSetKernels(b *testing.B) {
 				prefix := fmt.Sprintf("n=%d/set=%s/form=%s/op=", n, sh.name, form.name)
 				for _, k := range []struct {
 					op  string
-					run func(dst *Set)
+					run func() int
 				}{
-					{"and", func(dst *Set) { dst.AndWithC(c) }},
-					{"andnot", func(dst *Set) { dst.AndNotWithC(c) }},
-					{"or", func(dst *Set) { dst.OrWithC(c) }},
+					{"and", func() int { return regCount(acc, c, false, nil) }},
+					{"andnot", func() int { return regCount(acc, c, true, nil) }},
+					{"or", func() int { return Union(n, []Operand{{C: acc}, {C: c}}).Card }},
 				} {
-					dst := acc.Clone()
 					b.Run(prefix+k.op, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							k.run(dst)
+							sinkInt = k.run()
 						}
 					})
 				}
@@ -306,11 +384,10 @@ func BenchmarkCSetKernels(b *testing.B) {
 						sinkInt = total
 					}
 				})
-				p := &Plan{n: n, ands: []Operand{{Set: sh.s, C: c}, {Set: scope}}, nots: []Operand{{Set: excl}}}
-				lr := p.lower(nil)
+				pr := probe{and: [][]uint64{scope.words}, not: [][]uint64{excl.words}}
 				b.Run(prefix+"plan", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						sinkInt = p.execCompressed(&lr)
+						sinkInt = pr.walk(c, 0, n)
 					}
 				})
 			}

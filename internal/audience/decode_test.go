@@ -210,34 +210,32 @@ func TestCSetViewCountRange(t *testing.T) {
 	}
 }
 
-// TestCSetViewKernels checks the dense-accumulator × compressed kernels on
-// views against the built set on every size/shape pair: for each operation
-// the view result must be bit-identical.
+// TestCSetViewKernels checks the register-backed execution on views
+// against the built set on every size/shape pair: intersections and
+// differences of compressed-only operands, whole and windowed, and unions,
+// must count identically.
 func TestCSetViewKernels(t *testing.T) {
 	for _, n := range csetSizes {
 		shapes := csetShapes(n)
+		window := []Window{{n / 5, n - n/3}}
 		for aName, a := range shapes {
+			ca := FromSet(a)
 			for bName, b := range shapes {
 				c := FromSet(b)
-				or, and, not := a.Clone(), a.Clone(), a.Clone()
-				or.OrWithC(c)
-				and.AndWithC(c)
-				not.AndNotWithC(c)
+				and, not, win := regCount(ca, c, false, nil), regCount(ca, c, true, nil), regCount(ca, c, false, window)
+				or := Union(n, []Operand{{C: ca}, {C: c}})
 				for path, v := range viewsFor(t, b) {
-					got := a.Clone()
-					got.OrWithC(v)
-					if !Equal(got, or) {
-						t.Fatalf("n=%d %s|%s %s: view OrWithC differs", n, aName, bName, path)
+					if got := regCount(ca, v, false, nil); got != and {
+						t.Fatalf("n=%d %s&%s %s: view intersection counts %d, want %d", n, aName, bName, path, got, and)
 					}
-					got.CopyFrom(a)
-					got.AndWithC(v)
-					if !Equal(got, and) {
-						t.Fatalf("n=%d %s&%s %s: view AndWithC differs", n, aName, bName, path)
+					if got := regCount(ca, v, true, nil); got != not {
+						t.Fatalf("n=%d %s\\%s %s: view difference counts %d, want %d", n, aName, bName, path, got, not)
 					}
-					got.CopyFrom(a)
-					got.AndNotWithC(v)
-					if !Equal(got, not) {
-						t.Fatalf("n=%d %s\\%s %s: view AndNotWithC differs", n, aName, bName, path)
+					if got := regCount(ca, v, false, window); got != win {
+						t.Fatalf("n=%d %s&%s %s: windowed view intersection counts %d, want %d", n, aName, bName, path, got, win)
+					}
+					if got := Union(n, []Operand{{C: ca}, {C: v}}); !Equal(got.Set, or.Set) {
+						t.Fatalf("n=%d %s|%s %s: view union differs", n, aName, bName, path)
 					}
 				}
 			}
@@ -247,11 +245,9 @@ func TestCSetViewKernels(t *testing.T) {
 
 func TestCSetViewChecksCompat(t *testing.T) {
 	for path, v := range viewsFor(t, randomSet(1, 1000, 0.1)) {
-		s := New(2000)
 		for name, op := range map[string]func(){
-			"or":     func() { s.OrWithC(v) },
-			"and":    func() { s.AndWithC(v) },
-			"andnot": func() { s.AndNotWithC(v) },
+			"plan":  func() { CompilePlan(2000, []PlanClause{{Op: Operand{C: v}}}) },
+			"union": func() { Union(2000, []Operand{{C: v}}) },
 		} {
 			func() {
 				defer func() {
@@ -359,13 +355,14 @@ func TestInvertedRunBlob(t *testing.T) {
 		if got := c.ToSet().Count(); got != 0 {
 			t.Fatalf("@%d: inverted run expanded to %d members", off, got)
 		}
-		acc := New(c.Len())
-		acc.OrWithC(c)
-		if got := acc.Count(); got != 0 {
-			t.Fatalf("@%d: OrWithC added %d members", off, got)
+		if got := Union(c.Len(), []Operand{{C: c}}).Card; got != 0 {
+			t.Fatalf("@%d: Union added %d members", off, got)
 		}
 		all := New(c.Len())
 		all.Fill()
+		if got := regCount(FromSet(all), c, false, nil); got != 0 {
+			t.Fatalf("@%d: registers counted %d", off, got)
+		}
 		if got := walkPlan(Operand{Set: all, C: c}, all, New(c.Len())); got != 0 {
 			t.Fatalf("@%d: compressed walk counted %d", off, got)
 		}

@@ -13,11 +13,12 @@ import (
 var fuzzSizes = []int{63, 1000, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunkSize + 100}
 
 // FuzzPlanExecEquivalence decodes arbitrary bytes into a batch of
-// and-of-ors requests over a pool of sets (sparse through dense, with and
-// without compressed forms), compiles them, and checks that both Count and
-// the batched Exec agree with the naive Set-algebra evaluator. Any rewrite
-// the compiler performs — operand reordering, chain fusion, tail
-// extraction, compressed dispatch — must be invisible here.
+// and-of-ors requests over a pool of sets (sparse through dense; dense,
+// compressed-only, or both), compiles them, and checks that Count, the
+// batched Exec, and Exec over seeded windows with unaligned edges agree
+// with the naive Set-algebra evaluator. Any rewrite the compiler performs
+// — operand reordering, chain fusion, tail extraction, compressed
+// dispatch, register expansion — must be invisible here.
 func FuzzPlanExecEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint64(1), []byte{0x02, 0x00, 0x13, 0x01, 0x27})
 	f.Add(uint8(3), uint64(2), []byte{0x03, 0x05, 0x81, 0x12, 0x02, 0x33, 0xa4})
@@ -34,9 +35,10 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 		// Each request is one count byte (1–3 clauses) followed by one byte
 		// per clause: low bits pick the first member, bit 5 widens the OR
 		// with a second member, bit 2 negates (never the first clause), bit
-		// 7 attaches the first member's compressed form and bit 6 the
-		// second's. A widened clause compiles to its materialized union,
-		// compressed only when both members are, as the platform lowers it.
+		// 7 attaches the compressed form and bit 6 with it drops the dense
+		// one, as compressed catalogs lower options. A widened clause
+		// compiles to its materialized union, compressed only when bits 7
+		// and 6 are both set, as the platform lowers it.
 		var reqs [][]testClause
 		var plans []*Plan
 		for pos := 0; pos < len(prog) && len(plans) < 6; {
@@ -56,6 +58,9 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 				if b&0x80 != 0 {
 					pc.Op.C = cpool[idx]
 				}
+				if b&0xc0 == 0xc0 {
+					pc.Op.Set = nil
+				}
 				if b&0x20 != 0 {
 					idx2 := int(b>>3) % len(pool)
 					cl.or = append(cl.or, pool[idx2])
@@ -73,14 +78,30 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 		if len(plans) == 0 {
 			return
 		}
-		got := ExecPlans(plans)
+		// Up to three seeded windows, edges anywhere, possibly past the
+		// universe or empty.
+		rng := xrand.New(seed)
+		windows := make([]Window, rng.Intn(4))
+		for i := range windows {
+			lo := rng.Intn(n+2) - 1
+			windows[i] = Window{lo, lo + rng.Intn(n/2+130)}
+		}
+		pb := CompileBatch(plans)
+		got, _ := pb.Exec(nil)
+		part, _ := pb.Exec(windows)
 		for i, req := range reqs {
-			want := naiveCount(req)
-			if got[i] != want {
-				t.Fatalf("n=%d slot=%d: ExecPlans = %d, want %d", n, i, got[i], want)
-			}
-			if solo := plans[i].Count(); solo != want {
+			all := naiveSet(req)
+			if want := all.Count(); got[i] != want {
+				t.Fatalf("n=%d slot=%d: Exec = %d, want %d", n, i, got[i], want)
+			} else if solo := plans[i].Count(); solo != want {
 				t.Fatalf("n=%d slot=%d: Plan.Count = %d, want %d", n, i, solo, want)
+			}
+			want := 0
+			for _, w := range windows {
+				want += all.CountRange(w.Lo, w.Hi)
+			}
+			if part[i] != want {
+				t.Fatalf("n=%d slot=%d windows %v: Exec = %d, want %d", n, i, windows, part[i], want)
 			}
 		}
 	})
@@ -115,8 +136,9 @@ func FuzzCSetDecode(f *testing.F) {
 }
 
 // exerciseCSet runs every kernel over a decoded set — membership, counts,
-// expansion, the three Set×CSet kernels and a compressed plan walk. On any
-// blob DecodeCSet accepts none may panic, whatever the payloads hold.
+// expansion, Union, register-backed plan executions over the whole
+// universe and an unaligned window, and a compressed plan walk. On any blob
+// DecodeCSet accepts none may panic, whatever the payloads hold.
 func exerciseCSet(c *CSet) {
 	n := c.Len()
 	_ = c.Count()
@@ -128,9 +150,11 @@ func exerciseCSet(c *CSet) {
 	}
 	dense := c.ToSet()
 	acc := NewFromFunc(n, func(i int) bool { return i%3 == 0 })
-	acc.OrWithC(c)
-	acc.AndNotWithC(c)
-	acc.AndWithC(c)
+	Union(n, []Operand{{Set: acc}, {C: c}})
+	ca := FromSet(acc)
+	regCount(ca, c, false, nil)
+	regCount(ca, c, true, []Window{{n / 3, n - 5}})
+	regCount(c, ca, false, []Window{{1, n}})
 	walkPlan(Operand{Set: dense, C: c}, acc, NewFromFunc(n, func(i int) bool { return i%7 == 0 }))
 }
 
@@ -138,7 +162,6 @@ func exerciseCSet(c *CSet) {
 // dispatch rule would pick: base is walked container by container and the
 // dense operands are probed.
 func walkPlan(base Operand, and, not *Set) int {
-	p := &Plan{n: base.Set.Len(), ands: []Operand{base, {Set: and}}, nots: []Operand{{Set: not}}}
-	lr := p.lower(nil)
-	return p.execCompressed(&lr)
+	pr := probe{and: [][]uint64{and.words}, not: [][]uint64{not.words}}
+	return pr.walk(base.C, 0, base.C.Len())
 }

@@ -4,7 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
+	"strings"
 )
 
 // This file implements the query compiler. A Plan is an and-of-ors
@@ -22,21 +22,40 @@ import (
 // clauses with the Set operations (property- and fuzz-tested against the
 // naive Set-algebra evaluator).
 
-// Operand is one audience input of a plan: the dense set, plus optionally
-// its compressed form. Set must be non-nil; C, when present, must hold
-// exactly the same members (FromSet guarantees this) and enables the
-// compressed execution path when the operand is the sparsest of its plan.
+// Operand is one audience input of a plan: a dense set, a compressed set,
+// or both holding exactly the same members (FromSet guarantees this). Dense
+// words are read in place. A compressed-only operand is expanded into a
+// register tile by tile when its batch executes, and a compressed form
+// enables the container walk when the operand is the sparsest of its plan.
 type Operand struct {
 	Set *Set
 	C   *CSet
+	// Card is the operand's membership count. Callers that keep an operand
+	// across compilations count it once and carry the count here; zero
+	// makes CompilePlan count the operand itself, once per compilation.
+	Card int
 }
 
-// card returns the operand's membership count, O(1) when compressed.
-func (o Operand) card() int {
-	if o.C != nil {
-		return o.C.Count()
+// id identifies the operand for the batch analysis: its dense set's id, or
+// its compressed set's when it has no dense form.
+func (o Operand) id() uint64 {
+	if o.Set != nil {
+		return o.Set.id
 	}
-	return o.Set.Count()
+	return o.C.id
+}
+
+// count returns the operand's membership count: the carried Card, else the
+// compressed form's cached count, else one popcount of the dense words.
+func (o Operand) count() int {
+	switch {
+	case o.Card > 0:
+		return o.Card
+	case o.C != nil:
+		return o.C.Count()
+	default:
+		return o.Set.Count()
+	}
 }
 
 // PlanClause is one clause of a compiled request: an operand intersected
@@ -56,7 +75,7 @@ type Plan struct {
 	n    int
 	ands []Operand // positive operands, sparsest-first; ands[0] is the base
 	nots []Operand // negated operands (their union is subtracted)
-	sig  []uint64  // sorted ids of the positive operands' sets
+	sig  []uint64  // sorted ids of the positive operands
 	// tailKey identifies the ands[1:] multiset for cross-plan common-tail
 	// extraction; empty when the tail is shorter than two operands.
 	tailKey string
@@ -66,10 +85,10 @@ type Plan struct {
 }
 
 // CompilePlan lowers one request over a universe of n users. The first
-// clause must be positive and every operand must carry a dense set over n
-// users; violations panic. Positive operands are sorted sparsest-first so
-// both the compressed walk and the dense kernels start from the most
-// selective set.
+// clause must be positive and every operand must carry a dense or a
+// compressed set over n users; violations panic. Positive operands are
+// sorted sparsest-first so both the compressed walk and the dense kernels
+// start from the most selective set.
 func CompilePlan(n int, clauses []PlanClause) *Plan {
 	if len(clauses) == 0 {
 		panic("audience: CompilePlan without clauses")
@@ -77,38 +96,62 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 	if clauses[0].Negate {
 		panic("audience: CompilePlan request must begin with a positive clause")
 	}
-	p := &Plan{n: n}
+	// One backing array holds the positive operands, then the negated.
+	npos := 0
 	for _, cl := range clauses {
-		if cl.Op.Set == nil {
-			panic("audience: CompilePlan operand without a dense set")
-		}
-		if cl.Op.Set.n != n {
+		switch {
+		case cl.Op.Set == nil && cl.Op.C == nil:
+			panic("audience: CompilePlan operand without a set")
+		case cl.Op.Set != nil && cl.Op.Set.n != n, cl.Op.C != nil && cl.Op.C.n != n:
 			panic("audience: CompilePlan universe size mismatch")
 		}
-		if cl.Negate {
-			p.nots = append(p.nots, cl.Op)
-		} else {
-			p.ands = append(p.ands, cl.Op)
+		if !cl.Negate {
+			npos++
 		}
 	}
-	sort.SliceStable(p.ands, func(i, j int) bool { return p.ands[i].card() < p.ands[j].card() })
-	p.sig = make([]uint64, len(p.ands))
+	ops := make([]Operand, 0, len(clauses))
+	for _, cl := range clauses {
+		if !cl.Negate {
+			cl.Op.Card = cl.Op.count()
+			// Insertion keeps equal counts in clause order, as a stable
+			// sort would; plans hold a handful of operands.
+			i := len(ops)
+			ops = append(ops, cl.Op)
+			for ; i > 0 && ops[i-1].Card > cl.Op.Card; i-- {
+				ops[i] = ops[i-1]
+			}
+			ops[i] = cl.Op
+		}
+	}
+	for _, cl := range clauses {
+		if cl.Negate {
+			ops = append(ops, cl.Op)
+		}
+	}
+	p := &Plan{n: n, ands: ops[:npos:npos]}
+	if len(ops) > npos {
+		p.nots = ops[npos:]
+	}
+	ids := make([]uint64, 2*npos-1)
+	p.sig = ids[:npos]
 	for i, o := range p.ands {
-		p.sig[i] = o.Set.id
+		p.sig[i] = o.id()
 	}
 	slices.Sort(p.sig)
-	if len(p.ands) >= 3 {
-		tail := make([]uint64, len(p.ands)-1)
+	if npos >= 3 {
+		tail := ids[npos:]
 		for i, o := range p.ands[1:] {
-			tail[i] = o.Set.id
+			tail[i] = o.id()
 		}
 		slices.Sort(tail)
-		key := make([]byte, 0, 8*len(tail))
+		var key strings.Builder
+		key.Grow(8 * len(tail))
 		for _, id := range tail {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24),
-				byte(id>>32), byte(id>>40), byte(id>>48), byte(id>>56))
+			for b := 0; b < 64; b += 8 {
+				key.WriteByte(byte(id >> b))
+			}
 		}
-		p.tailKey = string(key)
+		p.tailKey = key.String()
 	}
 	// Compressed dispatch: walk the base's containers when its membership is
 	// below one per 64 users (the word width) — past that, the dense kernels'
@@ -124,87 +167,98 @@ func (p *Plan) Len() int { return p.n }
 // Compressed reports whether the plan executes on the compressed path.
 func (p *Plan) Compressed() bool { return p.compressed }
 
-// Count executes the plan once, serially.
+// Count executes the plan once over the whole universe, as a batch of one.
 func (p *Plan) Count() int {
-	lr := p.lower(nil)
-	if p.compressed {
-		return p.execCompressed(&lr)
-	}
-	return lr.countRange(0, len(p.ands[0].Set.words))
+	counts, _ := CompileBatch([]*Plan{p}).Exec(nil)
+	return counts[0]
 }
 
-// lower builds the kernel view of a dense plan. If tail is non-nil it
-// replaces ands[1:] — the caller has materialized their intersection into a
-// shared register.
-func (p *Plan) lower(tail *Set) loweredReq {
-	lr := loweredReq{base: p.ands[0].Set.words}
-	if tail != nil {
-		lr.and = [][]uint64{tail.words}
-	} else if len(p.ands) > 1 {
-		lr.and = make([][]uint64, len(p.ands)-1)
-		for i, o := range p.ands[1:] {
-			lr.and[i] = o.Set.words
-		}
-	}
-	if len(p.nots) > 0 {
-		lr.not = make([][]uint64, len(p.nots))
-		for i, o := range p.nots {
-			lr.not[i] = o.Set.words
-		}
-	}
-	return lr
+// probe is a compressed plan's kernel view: the dense words of every
+// operand but the base, which the container walk probes per member.
+type probe struct {
+	and, not [][]uint64
 }
 
-// execCompressed counts the plan by walking the base operand's containers
-// and probing the remaining operands' dense words (lr, the plan's kernel
-// view), so chunks the sparse base never touches cost nothing. The count is
-// the same formula as the dense path: members of every positive operand
-// and of no negated one.
-func (p *Plan) execCompressed(lr *loweredReq) int {
-	c := p.ands[0].C
+// probe returns the plan's walk view, or false when a non-base operand has
+// no dense words to probe; such a plan runs as a dense root instead, its
+// compressed operands expanded into registers.
+func (p *Plan) probe() (probe, bool) {
+	var pr probe
+	for _, o := range p.ands[1:] {
+		if o.Set == nil {
+			return probe{}, false
+		}
+		pr.and = append(pr.and, o.Set.words)
+	}
+	for _, o := range p.nots {
+		if o.Set == nil {
+			return probe{}, false
+		}
+		pr.not = append(pr.not, o.Set.words)
+	}
+	return pr, true
+}
+
+// walk counts the members of c with index in [lo, hi) that pass every
+// probed operand, walking c's containers so chunks and members outside the
+// window cost nothing. The count is the same formula as the dense path:
+// members of every positive operand and of no negated one.
+func (pr *probe) walk(c *CSet, lo, hi int) int {
 	total := 0
-	for ci, key := range c.keys {
+	for ci := c.chunkFrom(lo); ci < len(c.keys); ci++ {
+		base := int(c.keys[ci]) << chunkBits
+		if base >= hi {
+			break
+		}
+		clo, chi := max(lo-base, 0), min(hi-base, chunkSize)
 		cont := &c.conts[ci]
-		base := int(key) << chunkBits
 		switch cont.typ {
 		case ctArray:
-			for _, v := range cont.arr {
-				if lr.probe(base + int(v)) {
+			i, _ := slices.BinarySearch(cont.arr, uint16(clo))
+			for _, v := range cont.arr[i:] {
+				if int(v) >= chi {
+					break
+				}
+				if pr.probe(base + int(v)) {
 					total++
 				}
 			}
 		case ctRun:
-			// Each run is a masked word range of the base; an inverted run
-			// in a corrupt blob is an empty range.
+			// An inverted run in a corrupt blob is an empty range.
 			for _, r := range cont.runs {
-				lo, hi := base+int(r.start), base+int(r.last)+1
-				for wi := lo >> 6; lo < hi; wi++ {
-					w := ^uint64(0) << uint(lo&63)
-					if end := (wi + 1) << 6; hi < end {
-						w &= ^uint64(0) >> uint(end-hi)
-					}
-					total += lr.passCount(wi, w)
-					lo = (wi + 1) << 6
-				}
+				total += pr.passRange(base+max(int(r.start), clo), base+min(int(r.last)+1, chi))
 			}
 		case ctBitmap:
-			for i, w := range cont.bits {
-				total += lr.passCount(base>>6+i, w)
+			for wi := clo >> 6; wi<<6 < chi; wi++ {
+				total += pr.passCount(base>>6+wi, cont.bits[wi]&wordMask(wi, clo, chi))
 			}
 		}
 	}
 	return total
 }
 
+// wordMask returns the bits of word wi (indices [64·wi, 64·wi+64)) that
+// fall in [lo, hi).
+func wordMask(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := lo - wi<<6; b > 0 {
+		m <<= uint(b)
+	}
+	if e := wi<<6 + 64 - hi; e > 0 {
+		m &= ^uint64(0) >> uint(e)
+	}
+	return m
+}
+
 // probe reports whether user idx passes every non-base operand.
-func (lr *loweredReq) probe(idx int) bool {
+func (pr *probe) probe(idx int) bool {
 	wi, mask := idx>>6, uint64(1)<<uint(idx&63)
-	for _, s := range lr.and {
+	for _, s := range pr.and {
 		if s[wi]&mask == 0 {
 			return false
 		}
 	}
-	for _, s := range lr.not {
+	for _, s := range pr.not {
 		if s[wi]&mask != 0 {
 			return false
 		}
@@ -212,29 +266,47 @@ func (lr *loweredReq) probe(idx int) bool {
 	return true
 }
 
+// passRange counts the users in [lo, hi) that pass every non-base operand.
+func (pr *probe) passRange(lo, hi int) int {
+	total := 0
+	for lo < hi {
+		wi := lo >> 6
+		total += pr.passCount(wi, wordMask(wi, lo, hi))
+		lo = (wi + 1) << 6
+	}
+	return total
+}
+
 // passCount counts the members w of base word wi that pass every non-base
 // operand.
-func (lr *loweredReq) passCount(wi int, w uint64) int {
-	for _, s := range lr.and {
+func (pr *probe) passCount(wi int, w uint64) int {
+	for _, s := range pr.and {
 		w &= s[wi]
 	}
-	for _, s := range lr.not {
+	for _, s := range pr.not {
 		w &^= s[wi]
 	}
 	return bits.OnesCount64(w)
 }
 
-// planNode is one plan of a compiled batch schedule: an output slot, its
-// plan, and for dense roots an optional shared-tail register and the
-// children fused onto its word. proto is the node's kernel view, frozen at
-// compile time (a compressed node's walk probes its operand words); tailed
-// nodes get their and-slice patched to the per-execution tail register.
-type planNode struct {
+// compNode is one plan of a compiled batch executed on the compressed
+// path: its output slot, its base's containers, and the walk's frozen
+// probe view.
+type compNode struct {
 	slot  int
-	plan  *Plan
-	tail  int // index into PlanBatch.tails, or -1
-	kids  []planKid
-	proto loweredReq
+	base  *CSet
+	probe probe
+}
+
+// planNode is one dense plan while CompileBatch analyzes it: its output
+// slot, its plan, an optional shared-tail register, and the children fused
+// onto its word. The schedule keeps only the kernel view lowered from it,
+// so a batch compiled per call holds no plan once it executes.
+type planNode struct {
+	slot int
+	plan *Plan
+	tail int // index into the tail registers, or -1
+	kids []planKid
 }
 
 // planKid is one plan fused onto a parent: its positive operands are the
@@ -248,38 +320,44 @@ type planKid struct {
 // fusion, and common-tail analysis of CompileBatch frozen so repeated
 // executions of the same batch shape pay only the kernel work. A PlanBatch
 // is immutable after compilation and safe for concurrent Exec calls —
-// per-execution scratch is acquired from the pool inside Exec.
+// per-execution scratch comes from a pool inside Exec.
+//
+// The tiled kernels read every operand through a source table: ops[k]'s
+// words are source k, and tail register t is source len(ops)+t. When no
+// operand is compressed-only, sources are the operands' own words, indexed
+// absolutely, and only the tail registers are written per tile. Otherwise
+// every tile loads its sources tile-relative: dense words are re-sliced,
+// and each compressed-only operand reads its bitmap container in place,
+// the shared zero tile for an empty chunk, or its register, into which the
+// tile's array or run members are expanded.
 type PlanBatch struct {
 	n      int
 	nslot  int
-	comp   []planNode // plans executed on the compressed path
-	roots  []planNode // dense roots, walked tile by tile
-	tails  [][]Operand
-	dups   [][2]int  // duplicate plans: [dst slot, src slot]
-	pairs  [][2]int  // root pairs sharing AND and kid-extra operands
-	paired []bool    // roots consumed by pairs, skipped by the root loop
-	pool   sync.Pool // *execScratch, sized for this schedule
-}
-
-// execScratch is one execution's mutable state: the per-root kernel views
-// (copied from the frozen protos so tail registers can be patched in) and
-// the tail register sets.
-type execScratch struct {
-	lowered []loweredReq
-	tailAnd [][]uint64
-	tails   []*Set
+	tile   int       // tile width in words: blockWords, or regWords with registers
+	ops    []Operand // distinct operands the roots and tails read, by identity
+	reg    []int     // ops[k]'s register index, or -1 for dense words
+	nreg   int
+	comp   []compNode   // plans executed on the compressed path
+	roots  []loweredReq // dense roots, walked tile by tile
+	tails  [][]int      // source indices of each shared tail's members
+	dups   [][2]int     // duplicate plans: [dst slot, src slot]
+	pairs  [][2]int     // root pairs sharing AND and kid-extra operands
+	paired []bool       // roots consumed by pairs, skipped by the root loop
 }
 
 // CompileBatch analyzes a batch of compiled plans into an executable
 // schedule. All plans must share one universe; violations panic.
 func CompileBatch(plans []*Plan) *PlanBatch {
-	pb := &PlanBatch{nslot: len(plans)}
+	pb := &PlanBatch{nslot: len(plans), tile: blockWords}
 	if len(plans) == 0 {
 		return pb
 	}
 	pb.n = plans[0].n
-	seen := make(map[*Plan]int, len(plans))
-	var dense []planNode
+	var seen map[*Plan]int // a lone plan has nothing to share with
+	if len(plans) > 1 {
+		seen = make(map[*Plan]int, len(plans))
+	}
+	dense := make([]planNode, 0, len(plans))
 	for slot, p := range plans {
 		if p == nil {
 			panic("audience: CompileBatch nil plan")
@@ -291,54 +369,99 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 			pb.dups = append(pb.dups, [2]int{slot, first})
 			continue
 		}
-		seen[p] = slot
-		node := planNode{slot: slot, plan: p, tail: -1}
-		if p.compressed {
-			node.proto = p.lower(nil)
-			pb.comp = append(pb.comp, node)
-		} else {
-			dense = append(dense, node)
+		if seen != nil {
+			seen[p] = slot
 		}
+		if p.compressed {
+			if pr, ok := p.probe(); ok {
+				pb.comp = append(pb.comp, compNode{slot: slot, base: p.ands[0].C, probe: pr})
+				continue
+			}
+		}
+		dense = append(dense, planNode{slot: slot, plan: p, tail: -1})
 	}
-	dense = chainPlans(dense)
-	pb.roots = dense
+	nodes := chainPlans(dense)
 	// Common-tail extraction: roots sharing the same ands[1:] multiset (two
 	// or more operands) intersect it once per tile into a shared register,
 	// instead of once per plan per word.
-	groups := make(map[string][]int)
-	for i := range pb.roots {
-		if key := pb.roots[i].plan.tailKey; key != "" {
+	var groups map[string][]int
+	for i := range nodes {
+		if key := nodes[i].plan.tailKey; key != "" && len(nodes) > 1 {
+			if groups == nil {
+				groups = make(map[string][]int)
+			}
 			groups[key] = append(groups[key], i)
 		}
 	}
+	var tailOps [][]Operand
 	for _, members := range groups {
 		if len(members) < 2 {
 			continue
 		}
-		ti := len(pb.tails)
-		pb.tails = append(pb.tails, pb.roots[members[0]].plan.ands[1:])
 		for _, i := range members {
-			pb.roots[i].tail = ti
+			nodes[i].tail = len(tailOps)
+		}
+		tailOps = append(tailOps, nodes[members[0]].plan.ands[1:])
+	}
+	// Freeze each root's kernel view over the source table. Operands are
+	// numbered by identity, so a set shared by many plans is one source,
+	// loaded once per tile. The views' index lists are carved from one
+	// arena, sized for every operand of every plan plus the tail indices.
+	size := len(nodes)
+	for _, p := range plans {
+		size += len(p.ands) + len(p.nots)
+	}
+	for _, ops := range tailOps {
+		size += len(ops)
+	}
+	arena := make([]int, 0, size)
+	index := make(map[uint64]int)
+	sources := func(ops []Operand) []int {
+		start := len(arena)
+		for _, o := range ops {
+			k, ok := index[o.id()]
+			if !ok {
+				k = len(pb.ops)
+				index[o.id()] = k
+				pb.ops = append(pb.ops, o)
+			}
+			arena = append(arena, k)
+		}
+		return arena[start:len(arena):len(arena)]
+	}
+	pb.tails = make([][]int, len(tailOps))
+	for t, ops := range tailOps {
+		pb.tails[t] = sources(ops)
+	}
+	pb.roots = make([]loweredReq, len(nodes))
+	for i := range nodes {
+		node, lr := &nodes[i], &pb.roots[i]
+		p := node.plan
+		*lr = loweredReq{slot: node.slot, base: sources(p.ands[:1])[0], not: sources(p.nots)}
+		if node.tail < 0 {
+			lr.and = sources(p.ands[1:])
+		}
+		lr.kids = make([]chainKid, len(node.kids))
+		for k, kid := range node.kids {
+			lr.kids[k] = chainKid{idx: kid.slot, extra: sources(kid.extra)}
 		}
 	}
-	// Freeze each root's kernel view. Tailed roots leave their and-slice nil;
-	// Exec patches in the per-execution tail register. Everything else —
-	// operand word slices, fused-child extras — is immutable and shared by
-	// concurrent executions.
-	for i := range pb.roots {
-		node := &pb.roots[i]
-		node.proto = node.plan.lower(nil)
-		if node.tail >= 0 {
-			node.proto.and = nil
+	for i := range nodes {
+		if t := nodes[i].tail; t >= 0 {
+			arena = append(arena, len(pb.ops)+t)
+			pb.roots[i].and = arena[len(arena)-1:]
 		}
-		node.proto.kids = make([]chainKid, len(node.kids))
-		for k, kid := range node.kids {
-			extra := make([][]uint64, len(kid.extra))
-			for e, o := range kid.extra {
-				extra[e] = o.Set.words
-			}
-			node.proto.kids[k] = chainKid{idx: kid.slot, extra: extra}
+	}
+	pb.reg = make([]int, len(pb.ops))
+	for k, o := range pb.ops {
+		pb.reg[k] = -1
+		if o.Set == nil {
+			pb.reg[k] = pb.nreg
+			pb.nreg++
 		}
+	}
+	if pb.nreg > 0 {
+		pb.tile = regWords
 	}
 	pb.pairRoots()
 	return pb
@@ -351,27 +474,16 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 // loads the shared words once per pair. The inner loop is load-bound, and
 // the shared operands are half its traffic.
 func (pb *PlanBatch) pairRoots() {
-	type pairKey struct {
-		tail       int
-		and, extra *uint64
+	if len(pb.roots) < 2 {
+		return
 	}
-	groups := make(map[pairKey][]int)
+	groups := make(map[[2]int][]int)
 	for i := range pb.roots {
-		node := &pb.roots[i]
-		lr := &node.proto
-		if len(lr.not) != 0 ||
-			len(lr.kids) != 1 || len(lr.kids[0].extra) != 1 || len(lr.kids[0].extra[0]) == 0 {
+		lr := &pb.roots[i]
+		if len(lr.not) != 0 || len(lr.and) != 1 || len(lr.kids) != 1 || len(lr.kids[0].extra) != 1 {
 			continue
 		}
-		key := pairKey{tail: node.tail, extra: &lr.kids[0].extra[0][0]}
-		switch {
-		case node.tail >= 0 && lr.and == nil:
-			// Tail register patched per execution; equal index, equal words.
-		case node.tail < 0 && len(lr.and) == 1 && len(lr.and[0]) > 0:
-			key.and = &lr.and[0][0]
-		default:
-			continue
-		}
+		key := [2]int{lr.and[0], lr.kids[0].extra[0]}
 		groups[key] = append(groups[key], i)
 	}
 	for _, members := range groups {
@@ -395,11 +507,14 @@ func (pb *PlanBatch) pairRoots() {
 // grouped by base operand, so the quadratic scan stays within the tiny
 // groups the audits produce.
 func chainPlans(nodes []planNode) []planNode {
+	if len(nodes) < 2 {
+		return nodes
+	}
 	byBase := make(map[uint64][]int)
 	for i := range nodes {
 		p := nodes[i].plan
 		if len(p.nots) == 0 && len(p.ands) <= maxChainSets {
-			id := p.ands[0].Set.id
+			id := p.ands[0].id()
 			byBase[id] = append(byBase[id], i)
 		}
 	}
@@ -472,13 +587,13 @@ func sigSubset(sub, super []uint64) bool {
 	return true
 }
 
-// extraOperands returns super minus sub by set-id multiplicity — the
+// extraOperands returns super minus sub by operand-id multiplicity — the
 // operands a fused child ANDs onto its parent's word.
 func extraOperands(sub, super []Operand) []Operand {
 	var used [maxChainSets]bool
 	for _, p := range sub {
 		for k, c := range super {
-			if !used[k] && c.Set.id == p.Set.id {
+			if !used[k] && c.id() == p.id() {
 				used[k] = true
 				break
 			}
@@ -493,101 +608,10 @@ func extraOperands(sub, super []Operand) []Operand {
 	return extra
 }
 
-// Exec runs the schedule and returns the counts in plan order. Results are
-// bit-identical to calling Count on each plan alone.
-func (pb *PlanBatch) Exec() []int {
-	counts := make([]int, pb.nslot)
-	for i := range pb.comp {
-		counts[pb.comp[i].slot] = pb.comp[i].plan.execCompressed(&pb.comp[i].proto)
-	}
-	if len(pb.roots) > 0 {
-		pb.execDense(counts)
-	}
-	for _, d := range pb.dups {
-		counts[d[0]] = counts[d[1]]
-	}
-	return counts
-}
-
-// execDense walks the universe tile by tile: shared tails are intersected
-// into pooled registers once per tile, then every root (and its fused
-// children) counts from hot words via the batch kernels. All per-execution
-// state comes from the schedule's scratch pool, so steady-state executions
-// of a cached schedule allocate nothing but the result slice.
-func (pb *PlanBatch) execDense(counts []int) {
-	s, _ := pb.pool.Get().(*execScratch)
-	if s == nil {
-		s = &execScratch{
-			lowered: make([]loweredReq, len(pb.roots)),
-			tailAnd: make([][]uint64, len(pb.roots)),
-			tails:   make([]*Set, len(pb.tails)),
-		}
-	}
-	defer pb.pool.Put(s)
-	for i := range s.tails {
-		s.tails[i] = NewScratch(pb.n)
-	}
-	defer func() {
-		for _, t := range s.tails {
-			t.Recycle()
-		}
-	}()
-	for i := range pb.roots {
-		node := &pb.roots[i]
-		s.lowered[i] = node.proto
-		if node.tail >= 0 {
-			s.tailAnd[i] = s.tails[node.tail].words
-			s.lowered[i].and = s.tailAnd[i : i+1 : i+1]
-		}
-	}
-	nw := (pb.n + 63) / 64
-	for lo := 0; lo < nw; lo += blockWords {
-		hi := lo + blockWords
-		if hi > nw {
-			hi = nw
-		}
-		for ti := range s.tails {
-			fillTail(s.tails[ti], pb.tails[ti], lo, hi)
-		}
-		for _, pr := range pb.pairs {
-			l0, l1 := &s.lowered[pr[0]], &s.lowered[pr[1]]
-			cp0, ck0, cp1, ck1 := countPairRange2(l0.base, l1.base, l0.and[0], l0.kids[0].extra[0], lo, hi)
-			counts[pb.roots[pr[0]].slot] += cp0
-			counts[l0.kids[0].idx] += ck0
-			counts[pb.roots[pr[1]].slot] += cp1
-			counts[l1.kids[0].idx] += ck1
-		}
-		for ri := range s.lowered {
-			if pb.paired != nil && pb.paired[ri] {
-				continue
-			}
-			lr := &s.lowered[ri]
-			slot := pb.roots[ri].slot
-			if len(lr.kids) == 0 {
-				counts[slot] += lr.countRange(lo, hi)
-				continue
-			}
-			lr.countChainRange(counts, slot, lo, hi)
-		}
-	}
-}
-
-// fillTail intersects the tail operands' words over [lo, hi) into dst's
-// words.
-func fillTail(dst *Set, members []Operand, lo, hi int) {
-	w := dst.words[lo:hi]
-	copy(w, members[0].Set.words[lo:hi])
-	for _, m := range members[1:] {
-		src := m.Set.words[lo:hi]
-		src = src[:len(w)]
-		for i := range w {
-			w[i] &= src[i]
-		}
-	}
-}
-
-// ExecPlans compiles and executes a batch in one shot — the uncached
-// convenience path, and the reference the cached path is tested against.
+// ExecPlans compiles and executes a batch over the whole universe in one
+// shot — the uncached convenience path, and the reference the cached path
+// is tested against.
 func ExecPlans(plans []*Plan) []int {
-	return CompileBatch(plans).Exec()
+	counts, _ := CompileBatch(plans).Exec(nil)
+	return counts
 }

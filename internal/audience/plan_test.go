@@ -18,7 +18,10 @@ type testClause struct {
 
 // naiveCount evaluates an and-of-ors request with the plain Set operations
 // — the reference every compiled plan must match bit for bit.
-func naiveCount(req []testClause) int {
+func naiveCount(req []testClause) int { return naiveSet(req).Count() }
+
+// naiveSet is the set naiveCount counts.
+func naiveSet(req []testClause) *Set {
 	var acc *Set
 	for _, cl := range req {
 		s := UnionAll(cl.or...)
@@ -31,7 +34,7 @@ func naiveCount(req []testClause) int {
 			acc.AndWith(s)
 		}
 	}
-	return acc.Count()
+	return acc
 }
 
 // one is a request ANDing single-set clauses.
@@ -224,14 +227,15 @@ func TestPlanBatteryShape(t *testing.T) {
 	if paired != 8 {
 		t.Fatalf("paired roots = %d, want 8", paired)
 	}
-	got := pb.Exec()
+	got, _ := pb.Exec(nil)
 	for i, req := range reqs {
 		if want := naiveCount(req); got[i] != want {
 			t.Errorf("slot %d: Exec = %d, want %d", i, got[i], want)
 		}
 	}
 	// Re-execution of the cached schedule must be stable.
-	for i, v := range pb.Exec() {
+	again, _ := pb.Exec(nil)
+	for i, v := range again {
 		if v != got[i] {
 			t.Fatalf("slot %d: re-Exec = %d, want %d", i, v, got[i])
 		}
@@ -239,8 +243,8 @@ func TestPlanBatteryShape(t *testing.T) {
 }
 
 // TestPlanRandomBatches drives random spec shapes — mixed unions,
-// negations, duplicate plans, and operands with and without compressed
-// forms — through CompileBatch, checking every slot against the naive
+// negations, duplicate plans, and dense, compressed and compressed-only
+// operands — through CompileBatch, checking every slot against the naive
 // evaluator.
 func TestPlanRandomBatches(t *testing.T) {
 	for trial := uint64(0); trial < 40; trial++ {
@@ -275,9 +279,12 @@ func TestPlanRandomBatches(t *testing.T) {
 					si := rng.Intn(len(pool))
 					cl.or = append(cl.or, pool[si])
 					pc.Op = Operand{Set: pool[si]}
-					if rng.Intn(2) == 0 {
+					switch rng.Intn(3) {
+					case 0:
 						pc.Op.C = cpool[si]
-					} else {
+					case 1:
+						pc.Op = Operand{C: cpool[si]}
+					default:
 						allC = false
 					}
 				}
@@ -302,9 +309,11 @@ func TestPlanRandomBatches(t *testing.T) {
 	}
 }
 
-// TestPlanBatchConcurrentExec hammers one cached schedule from many
-// goroutines: Exec acquires its scratch per call, so concurrent runs must
-// all return the same counts.
+// TestPlanBatchConcurrentExec hammers cached schedules from many
+// goroutines — a dense one, and one reading compressed-only operands
+// through registers over windows — while they share the execution pool and
+// the zero tile: Exec acquires its scratch per call, so concurrent runs
+// must all return the same counts.
 func TestPlanBatchConcurrentExec(t *testing.T) {
 	n := blockWords*64 + 333
 	a := randomSet(91, n, 0.3)
@@ -312,23 +321,32 @@ func TestPlanBatchConcurrentExec(t *testing.T) {
 	c := randomSet(93, n, 0.4)
 	d := randomSet(94, n, 0.2)
 	pl := &planner{}
-	pb := CompileBatch([]*Plan{pl.plan(one(a, b, c)), pl.plan(one(a, b, c, d)), pl.plan(one(d, b, c)), pl.plan(one(d, b, c, a))})
-	want := pb.Exec()
+	dense := CompileBatch([]*Plan{pl.plan(one(a, b, c)), pl.plan(one(a, b, c, d)), pl.plan(one(d, b, c)), pl.plan(one(d, b, c, a))})
+	ca, cd := Operand{C: FromSet(a)}, Operand{C: FromSet(NewFromFunc(n, func(i int) bool { return i > n/2 && d.Contains(i) }))}
+	reg := CompileBatch([]*Plan{
+		CompilePlan(n, []PlanClause{{Op: ca}, {Op: Operand{Set: b}}, {Op: Operand{Set: c}}}),
+		CompilePlan(n, []PlanClause{{Op: ca}, {Op: Operand{Set: b}}, {Op: Operand{Set: c}}, {Op: cd}}),
+		CompilePlan(n, []PlanClause{{Op: cd}, {Op: ca, Negate: true}}),
+	})
+	windows := []Window{{5, n / 3}, {n / 2, n - 70}}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				got := pb.Exec()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("slot %d: concurrent Exec = %d, want %d", i, got[i], want[i])
-						return
+	for _, pb := range []*PlanBatch{dense, reg} {
+		want, _ := pb.Exec(windows)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for iter := 0; iter < 50; iter++ {
+					got, _ := pb.Exec(windows)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("slot %d: concurrent Exec = %d, want %d", i, got[i], want[i])
+							return
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
 	}
 	wg.Wait()
 }
@@ -340,8 +358,9 @@ func TestPlanPanics(t *testing.T) {
 		"no clauses":    func() { CompilePlan(100, nil) },
 		"negated first": func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}, Negate: true}}) },
 		"empty clause":  func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}}, {}}) },
-		"nil set":       func() { CompilePlan(100, []PlanClause{{Op: Operand{C: FromSet(s)}}}) },
+		"no set":        func() { CompilePlan(100, []PlanClause{{Op: Operand{Card: 3}}}) },
 		"wrong n":       func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: other}}}) },
+		"wrong n C":     func() { CompilePlan(100, []PlanClause{{Op: Operand{C: FromSet(other)}}}) },
 		"batch mixed": func() {
 			CompileBatch([]*Plan{
 				CompilePlan(100, []PlanClause{{Op: Operand{Set: s}}}),

@@ -139,8 +139,8 @@ func (s *Shard) CountBatch(ctx context.Context, iface string, door platform.Door
 		}
 		ranges = append(ranges, r)
 	}
-	// Ascending ranges let the full-cover fast path in RawCountMany trigger
-	// when the batch asks for everything the shard holds.
+	// Ascending ranges let each compiled schedule walk the shard's local
+	// index space in order.
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Lo < ranges[j].Lo })
 	return p.RawCountMany(door, reqs, ranges), nil
 }

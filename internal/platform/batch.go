@@ -58,8 +58,8 @@ func (p *Interface) EstimateManyCtx(ctx context.Context, reqs []EstimateRequest)
 // canonical key collapses duplicate refs and clauses that the rules reject,
 // so validation outcomes must never be shared across specs with equal
 // keys — and the scaling and rounding are identical to the serial path.
-// CSetOnly and snapshot-backed interfaces, which hold no compiler, count
-// slot by slot through the compressed kernels instead.
+// CSetOnly and snapshot-backed interfaces, which retain no plans, compile
+// every batch afresh and need no canonical keys.
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,
@@ -72,10 +72,6 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		span.Annotate("interface", p.cfg.Name)
 		span.Annotate("door", door)
 		span.AnnotateInt("specs", int64(len(reqs)))
-	}
-	if p.plans == nil {
-		span.Annotate("path", "cset")
-		return p.sizeManyCSet(reqs, rules, queries)
 	}
 	out := make([]Estimate, len(reqs))
 	if len(reqs) == 0 {
@@ -114,25 +110,27 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		if out[i].Err != nil {
 			continue
 		}
-		key := reqs[i].CacheKey
-		if key == "" {
-			key = targeting.Canonical(reqs[i].Spec)
-		}
-		keys[i] = key
 		valid = append(valid, i)
+		keys[i] = ""
+		if p.plans == nil {
+			continue
+		}
+		key := requestKey(reqs[i])
+		keys[i] = key
 		schedKey = append(schedKey, key...)
 		schedKey = append(schedKey, 0)
 	}
 
 	var counts []int
 	var slot []int
-	if pb, ok := p.plans.scheds.getBytes(schedKey); ok && len(valid) > 0 {
+	tiles := 0
+	if pb, ok := p.schedule(schedKey); ok && len(valid) > 0 {
 		p.mPlanHits.Add(int64(len(valid)))
 		span.Annotate("sched_cache", "hit")
 		ks := trace.ChildOf(span, "platform.kernel")
-		counts = pb.Exec()
+		counts, tiles = pb.Exec(nil)
 		if ks != nil {
-			ks.AnnotateInt("blocks", int64(audience.KernelBlocks(p.cfg.Universe.Size())))
+			ks.AnnotateInt("blocks", int64(tiles))
 			ks.End()
 		}
 		slot = valid
@@ -147,10 +145,11 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		cs := trace.ChildOf(span, "platform.plan_compile")
 		plans := make([]*audience.Plan, 0, len(valid))
 		slot = make([]int, 0, len(valid))
-		schedulable := true
+		schedulable := p.plans != nil
 		planMisses := int64(0)
+		var memo unionMemo
 		for _, i := range valid {
-			plan, cached, err := p.planFor(keys[i], reqs[i].Spec)
+			plan, cached, err := p.planFor(keys[i], reqs[i].Spec, &memo)
 			if err != nil {
 				out[i].Err = err
 				schedulable = false
@@ -174,9 +173,9 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 				p.plans.scheds.add(string(schedKey), pb)
 			}
 			ks := trace.ChildOf(span, "platform.kernel")
-			counts = pb.Exec()
+			counts, tiles = pb.Exec(nil)
 			if ks != nil {
-				ks.AnnotateInt("blocks", int64(audience.KernelBlocks(p.cfg.Universe.Size())))
+				ks.AnnotateInt("blocks", int64(tiles))
 				ks.End()
 			}
 		}
@@ -186,7 +185,7 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		p.queryCount.Add(n)
 		queries.Add(n)
 		p.mBatchedQueries.Add(n)
-		p.mBatchBlocks.Add(int64(audience.KernelBlocks(p.cfg.Universe.Size())))
+		p.mBatchBlocks.Add(int64(tiles))
 	}
 
 	p.scaleAndRound(out, counts, slot, eligible, impressions)
@@ -195,11 +194,15 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 		// the size to the canonical key, the compiled plan, and the trace.
 		tid := span.TraceID()
 		for _, i := range slot {
+			key := keys[i]
+			if key == "" {
+				key = requestKey(reqs[i])
+			}
 			plog.Add(trace.Provenance{
 				Platform: p.cfg.Name,
-				Key:      keys[i],
+				Key:      key,
 				Source:   "platform",
-				PlanHash: trace.PlanHash(p.cfg.Name, keys[i]),
+				PlanHash: trace.PlanHash(p.cfg.Name, key),
 				TraceID:  tid,
 				Value:    out[i].Size,
 			})
@@ -208,6 +211,24 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 	bs.valid, bs.keys, bs.schedKey = valid, keys, schedKey
 	batchScratchPool.Put(bs)
 	return out, nil
+}
+
+// schedule returns the cached schedule for a batch key; interfaces with a
+// compressed catalog cache none.
+func (p *Interface) schedule(key []byte) (*audience.PlanBatch, bool) {
+	if p.plans == nil {
+		return nil, false
+	}
+	return p.plans.scheds.getBytes(key)
+}
+
+// requestKey returns a request's canonical key: the one its caller
+// precomputed, else targeting.Canonical of its spec.
+func requestKey(req EstimateRequest) string {
+	if req.CacheKey != "" {
+		return req.CacheKey
+	}
+	return targeting.Canonical(req.Spec)
 }
 
 // batchScratch is sizeMany's pooled per-batch bookkeeping: the valid-slot

@@ -166,7 +166,7 @@ func TestMeasureManyEmpty(t *testing.T) {
 
 // TestMeasureManyConcurrentWithSerial hammers one shared interface with
 // concurrent batches and single-spec calls — the race detector's view of
-// the batch path sharing lazySet caches and counters with serial traffic.
+// the batch path sharing lazyOperand caches and counters with serial traffic.
 func TestMeasureManyConcurrentWithSerial(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 37, UniverseSize: 1 << 11})
 	if err != nil {

@@ -86,19 +86,11 @@ func TestWarmReturnsInterface(t *testing.T) {
 	if p != d.Google {
 		t.Fatal("Warm did not return its receiver")
 	}
-	for i := range p.attrSets {
-		if p.attrSets[i].ptr.Load() == nil {
-			t.Fatalf("attribute %d not materialized after Warm", i)
-		}
-	}
-	for i := range p.topicSets {
-		if p.topicSets[i].ptr.Load() == nil {
-			t.Fatalf("topic %d not materialized after Warm", i)
-		}
-	}
-	for i := range p.placementSets {
-		if p.placementSets[i].ptr.Load() == nil {
-			t.Fatalf("placement %d not materialized after Warm", i)
+	for k, d := range p.dims {
+		for i := range d.dense {
+			if !d.dense[i].done.Load() {
+				t.Fatalf("%v option %d not materialized after Warm", optionKinds[k], i)
+			}
 		}
 	}
 }

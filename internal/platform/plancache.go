@@ -1,9 +1,9 @@
 package platform
 
 import (
+	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/audience"
 	"repro/internal/targeting"
@@ -15,7 +15,9 @@ import (
 // frozen into audience.PlanBatch schedules, and multi-ref OR clauses
 // resolve to interface-wide shared unions so the batch analyzer can
 // common-subexpression them across plans. Everything here is bounded: plans,
-// unions, and schedules each live in an LRU.
+// unions, and schedules each live in an LRU. Interfaces with a compressed
+// catalog keep none of it: they compile every batch, and share each union
+// within the batch only.
 
 // Cache bounds: the plan cache's capacity, from which the union and
 // schedule caches are derived.
@@ -142,8 +144,8 @@ type planCache struct {
 	// seenMu guards seenUnions: every union key ever materialized, bounded
 	// by seenUnionCap. A union-cache miss on a seen key is a rebuild — the
 	// eviction-refill churn plan_cache_rebuilds_total counts (each one
-	// re-runs UnionAll and possibly audience.FromSet). Snapshot-backed
-	// interfaces disable the compiler entirely, so their counter pins at 0.
+	// re-runs audience.Union and possibly audience.FromSet). Interfaces with
+	// a compressed catalog have no union cache, so their counter pins at 0.
 	seenMu     sync.Mutex
 	seenUnions map[string]struct{}
 }
@@ -182,59 +184,61 @@ func newPlanCache(size int) *planCache {
 	}
 }
 
-// lazyCSet caches one compressed audience behind an atomic pointer,
-// mirroring lazySet for the dense forms.
-type lazyCSet struct {
-	ptr  atomic.Pointer[audience.CSet]
-	once sync.Once
-}
-
-func (lc *lazyCSet) get(build func() *audience.CSet) *audience.CSet {
-	if c := lc.ptr.Load(); c != nil {
-		return c
+// compressedOperand resolves a catalog option to its compressed audience
+// alone: the snapshot view, or the set materialized dense once, compressed,
+// and the dense form dropped — a compressed-catalog interface never retains
+// more than the compressed catalog.
+func (p *Interface) compressedOperand(r targeting.Ref) (audience.Operand, error) {
+	d := p.dim(r.Kind)
+	switch {
+	case d == nil:
+		return audience.Operand{}, fmt.Errorf("%w: %s is not a catalog option", targeting.ErrKindForbidden, r)
+	case r.ID < 0 || r.ID >= len(d.opts):
+		return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
+	case d.views != nil:
+		return audience.Operand{C: d.views[r.ID], Card: d.views[r.ID].Count()}, nil
 	}
-	lc.once.Do(func() { lc.ptr.Store(build()) })
-	return lc.ptr.Load()
+	return d.comp[r.ID].get(func() audience.Operand {
+		c := audience.FromSet(p.cfg.Universe.Materialize(d.opts[r.ID].Model))
+		return audience.Operand{C: c, Card: c.Count()}
+	}), nil
 }
 
-// csetFor returns the compressed form of a catalog-backed option set,
-// building it lazily. Demographic and custom-audience sets stay dense-only:
+// operandFor resolves one targeting ref to a plan operand carrying its
+// membership count. On a compressed catalog an option resolves to its
+// compressed set alone; everything else resolves to its dense set. Under
+// Compressed, an option's compressed form, built lazily, rides along:
 // demographics are far too dense for the compressed walk to ever win, and
 // custom audiences are transient per-advertiser state.
-func (p *Interface) csetFor(r targeting.Ref, s *audience.Set) *audience.CSet {
-	build := func() *audience.CSet { return audience.FromSet(s) }
-	switch r.Kind {
-	case targeting.KindAttribute:
-		return p.attrCSets[r.ID].get(build)
-	case targeting.KindTopic:
-		return p.topicCSets[r.ID].get(build)
-	case targeting.KindPlacement:
-		return p.placementCSets[r.ID].get(build)
-	default:
-		return nil
-	}
-}
-
-// operandFor resolves one targeting ref to a plan operand, attaching the
-// compressed form when the interface materializes them.
 func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
-	s, err := p.refSet(r)
-	if err != nil {
-		return audience.Operand{}, err
+	d := p.dim(r.Kind)
+	if d != nil && p.compressedCatalog() {
+		return p.compressedOperand(r)
 	}
-	op := audience.Operand{Set: s}
-	if p.cfg.Compressed {
-		op.C = p.csetFor(r, s)
+	op, err := p.denseOperand(r)
+	if err != nil || d == nil || !p.cfg.Compressed {
+		return op, err
 	}
+	op.C = d.comp[r.ID].get(func() audience.Operand {
+		c := audience.FromSet(op.Set)
+		return audience.Operand{C: c, Card: c.Count()}
+	}).C
 	return op, nil
 }
+
+// unionMemo holds the OR-clause unions of one batch compiled on a
+// compressed catalog, by union key; the zero value is ready to use.
+type unionMemo map[string]audience.Operand
 
 // unionOperand resolves a multi-ref OR clause to a single shared operand.
 // The union is keyed by its sorted, deduplicated ref strings — the same
 // normalization targeting.Canonical applies — so every plan whose clause
 // unions the same options references the same materialized set, which is
-// what lets CompileBatch common-subexpression tails across plans.
-func (p *Interface) unionOperand(cl targeting.Clause) (audience.Operand, error) {
+// what lets CompileBatch common-subexpression tails across plans. Dense
+// catalogs share unions interface-wide through the union LRU; compressed
+// catalogs build them from the compressed operands once per batch, in
+// memo.
+func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience.Operand, error) {
 	parts := make([]string, len(cl))
 	for i, r := range cl {
 		parts[i] = r.String()
@@ -246,28 +250,42 @@ func (p *Interface) unionOperand(cl targeting.Clause) (audience.Operand, error) 
 			key += "|" + parts[i]
 		}
 	}
-	if op, ok := p.plans.unions.get(key); ok {
+	if p.plans != nil {
+		if op, ok := p.plans.unions.get(key); ok {
+			return op, nil
+		}
+	} else if op, ok := (*memo)[key]; ok {
 		return op, nil
+	}
+	// Resolve in clause order so error positions match the serial path.
+	resolve := p.operandFor
+	if p.plans != nil {
+		resolve = p.denseOperand
+	}
+	ops := make([]audience.Operand, len(cl))
+	for i, r := range cl {
+		op, err := resolve(r)
+		if err != nil {
+			return audience.Operand{}, err
+		}
+		ops[i] = op
+	}
+	u := audience.Union(p.cfg.Universe.Size(), ops)
+	if p.plans == nil {
+		if *memo == nil {
+			*memo = make(unionMemo)
+		}
+		(*memo)[key] = u
+		return u, nil
 	}
 	if p.plans.noteUnionBuild(key) {
 		p.mPlanRebuilds.Inc()
 	}
-	// Resolve in clause order so error positions match the serial path.
-	sets := make([]*audience.Set, len(cl))
-	for i, r := range cl {
-		s, err := p.refSet(r)
-		if err != nil {
-			return audience.Operand{}, err
-		}
-		sets[i] = s
+	if p.cfg.Compressed && u.Card < (u.Set.Len()+63)/64 {
+		u.C = audience.FromSet(u.Set)
 	}
-	u := audience.UnionAll(sets...)
-	op := audience.Operand{Set: u}
-	if p.cfg.Compressed && u.Count() < (u.Len()+63)/64 {
-		op.C = audience.FromSet(u)
-	}
-	p.plans.unions.add(key, op)
-	return op, nil
+	p.plans.unions.add(key, u)
+	return u, nil
 }
 
 // specCacheable reports whether a spec's plan may be cached: specs touching
@@ -291,14 +309,16 @@ func specCacheable(spec targeting.Spec) bool {
 	return true
 }
 
-// compileSpec lowers one spec into a compiled plan. Shape and resolution
-// errors are produced in the same order as the serial evaluation: clauses
-// in include-then-exclude order, refs in clause order.
-func (p *Interface) compileSpec(spec targeting.Spec) (*audience.Plan, error) {
+// compileSpec lowers one spec into a compiled plan, sharing the batch's
+// unions through memo on a compressed catalog. Shape and resolution errors
+// are produced in the same order as the serial evaluation: clauses in
+// include-then-exclude order, refs in clause order.
+func (p *Interface) compileSpec(spec targeting.Spec, memo *unionMemo) (*audience.Plan, error) {
 	if len(spec.Include) == 0 {
 		return nil, targeting.ErrEmptySpec
 	}
-	clauses := make([]audience.PlanClause, 0, len(spec.Include)+len(spec.Exclude))
+	var buf [8]audience.PlanClause // the audit's specs hold a few clauses
+	clauses := buf[:0]
 	lower := func(cl targeting.Clause, negate bool) error {
 		if len(cl) == 0 {
 			return targeting.ErrEmptyClause
@@ -308,7 +328,7 @@ func (p *Interface) compileSpec(spec targeting.Spec) (*audience.Plan, error) {
 		if len(cl) == 1 {
 			op, err = p.operandFor(cl[0])
 		} else {
-			op, err = p.unionOperand(cl)
+			op, err = p.unionOperand(cl, memo)
 		}
 		if err != nil {
 			return err
@@ -331,9 +351,9 @@ func (p *Interface) compileSpec(spec targeting.Spec) (*audience.Plan, error) {
 
 // planFor returns the compiled plan for a spec, from cache when possible.
 // The second result reports whether the plan is cache-stable (usable in a
-// cached batch schedule).
-func (p *Interface) planFor(key string, spec targeting.Spec) (*audience.Plan, bool, error) {
-	cacheable := specCacheable(spec)
+// cached batch schedule); on a compressed catalog no plan is.
+func (p *Interface) planFor(key string, spec targeting.Spec, memo *unionMemo) (*audience.Plan, bool, error) {
+	cacheable := p.plans != nil && specCacheable(spec)
 	if cacheable {
 		if plan, ok := p.plans.plans.get(key); ok {
 			p.mPlanHits.Inc()
@@ -341,7 +361,7 @@ func (p *Interface) planFor(key string, spec targeting.Spec) (*audience.Plan, bo
 		}
 		p.mPlanMisses.Inc()
 	}
-	plan, err := p.compileSpec(spec)
+	plan, err := p.compileSpec(spec, memo)
 	if err != nil {
 		return nil, false, err
 	}

@@ -109,17 +109,17 @@ type Config struct {
 	Compressed bool
 	// CSetOnly retains catalog option audiences only in compressed form:
 	// each is materialized dense once, compressed, and the dense form
-	// dropped, and every spec evaluates through the dense-scratch ×
-	// compressed kernels. Cluster shards set this so a 2^24-user shard's
-	// catalog fits in memory; it implies the query compiler is disabled
-	// (compiled plans hold dense operands).
+	// dropped. Compiled plans read the options as compressed-only operands,
+	// and the interface retains no plans or schedules: every batch compiles
+	// afresh. Cluster shards set this so a 2^24-user shard's catalog fits in
+	// memory.
 	CSetOnly bool
 	// Views supplies every catalog option audience as a compressed set,
 	// typically aliasing an mmap'd snapshot (internal/snapshot). When set,
-	// the interface never materializes an option set: queries evaluate
-	// through the dense-scratch × CSet kernels, Warm is a no-op, and the
-	// query compiler is disabled (compiled plans hold dense operands), the
-	// same posture CSetOnly establishes for shards.
+	// the interface never materializes an option set: compiled plans read
+	// the views as compressed-only operands, Warm is a no-op, and no plans
+	// or schedules are retained, the same posture CSetOnly establishes for
+	// shards.
 	Views *OptionViews
 	// Metrics receives the interface's query counters; nil selects the
 	// process-wide obs.Default() registry.
@@ -135,19 +135,13 @@ type Config struct {
 type Interface struct {
 	cfg Config
 
-	attrSets      []lazySet // lazily materialized, by attribute index
-	topicSets     []lazySet // lazily materialized, by topic index
-	placementSets []lazySet // lazily materialized, by placement index
-	queryCount    atomic.Int64
-
-	// Compressed forms of the catalog sets, built lazily when
-	// cfg.Compressed is set (plancache.go).
-	attrCSets      []lazyCSet
-	topicCSets     []lazyCSet
-	placementCSets []lazyCSet
+	dims       [len(optionKinds)]optionDim // catalog option state, by kind
+	demo       []lazyOperand               // the universe's demographic sets, counted once
+	queryCount atomic.Int64
 
 	// plans holds the query compiler's caches; nil on CSetOnly and
-	// snapshot-backed interfaces, which skip the compiler.
+	// snapshot-backed interfaces, which compile every batch afresh and
+	// retain nothing.
 	plans *planCache
 
 	// Query counters, resolved once at construction so the estimate hot
@@ -171,23 +165,59 @@ type Interface struct {
 	tracker *pixel.Tracker
 }
 
-// lazySet caches one materialized audience behind an atomic pointer. The
-// steady-state path is a single atomic load; the first miss materializes
-// under a sync.Once so racing callers never duplicate the build and all
-// observe the same set.
-type lazySet struct {
-	ptr  atomic.Pointer[audience.Set]
+// optionKinds are the catalog option kinds, in Interface.dims order.
+var optionKinds = [...]targeting.Kind{targeting.KindAttribute, targeting.KindTopic, targeting.KindPlacement}
+
+// optionDim is one catalog option kind's state: the options, their lazily
+// built dense and compressed audiences (the compressed ones under
+// Compressed or CSetOnly), and on a snapshot-backed interface their views.
+type optionDim struct {
+	opts  []catalog.Attribute
+	dense []lazyOperand
+	comp  []lazyOperand
+	views []*audience.CSet
+}
+
+// dim returns the state of catalog option kind k, or nil for other kinds.
+func (p *Interface) dim(k targeting.Kind) *optionDim {
+	switch k {
+	case targeting.KindAttribute:
+		return &p.dims[0]
+	case targeting.KindTopic:
+		return &p.dims[1]
+	case targeting.KindPlacement:
+		return &p.dims[2]
+	}
+	return nil
+}
+
+// lazyOperand caches one audience as a plan operand with its membership
+// count. The steady-state path is one atomic load and reads the operand
+// from the slot itself, not through a pointer: the serial door resolves
+// several refs per query, and a chase to a separate object costs each one
+// a cache miss. The first miss builds under a sync.Once so racing callers
+// never duplicate the build and all observe the same operand; done is set
+// only after op is written.
+type lazyOperand struct {
+	done atomic.Bool
+	op   audience.Operand
 	once sync.Once
 }
 
-// get returns the cached set, building it on first use.
-func (ls *lazySet) get(build func() *audience.Set) *audience.Set {
-	if s := ls.ptr.Load(); s != nil {
-		return s
+// get returns the cached operand, building it on first use.
+func (lo *lazyOperand) get(build func() audience.Operand) audience.Operand {
+	if lo.done.Load() {
+		return lo.op
 	}
-	ls.once.Do(func() { ls.ptr.Store(build()) })
-	return ls.ptr.Load()
+	lo.once.Do(func() {
+		lo.op = build()
+		lo.done.Store(true)
+	})
+	return lo.op
 }
+
+// counted returns a dense set as an operand carrying its count.
+func counted(s *audience.Set) audience.Operand { return audience.Operand{Set: s, Card: s.Count()} }
 
 // New builds an Interface and validates its configuration.
 func New(cfg Config) (*Interface, error) {
@@ -210,12 +240,7 @@ func New(cfg Config) (*Interface, error) {
 	iface := obs.L("interface", cfg.Name)
 	p := &Interface{
 		cfg:              cfg,
-		attrSets:         make([]lazySet, len(cfg.Catalog.Attributes)),
-		topicSets:        make([]lazySet, len(cfg.Catalog.Topics)),
-		placementSets:    make([]lazySet, len(cfg.Catalog.Placements)),
-		attrCSets:        make([]lazyCSet, len(cfg.Catalog.Attributes)),
-		topicCSets:       make([]lazyCSet, len(cfg.Catalog.Topics)),
-		placementCSets:   make([]lazyCSet, len(cfg.Catalog.Placements)),
+		demo:             make([]lazyOperand, population.NumGenders+population.NumAgeRanges+population.NumRegions),
 		mEstimateQueries: reg.Counter("platform_queries_total", iface, obs.L("door", "estimate")),
 		mMeasureQueries:  reg.Counter("platform_queries_total", iface, obs.L("door", "measure")),
 		mRoundingHits:    reg.Counter("platform_rounding_hits_total", iface),
@@ -228,16 +253,24 @@ func New(cfg Config) (*Interface, error) {
 		mPlansCompiled:   reg.Counter("plans_compiled_total", iface),
 		mPlanRebuilds:    reg.Counter("plan_cache_rebuilds_total", iface),
 	}
-	if cfg.Views != nil {
-		if err := cfg.Views.validate(cfg.Catalog, cfg.Universe.Size()); err != nil {
+	for i, opts := range [][]catalog.Attribute{cfg.Catalog.Attributes, cfg.Catalog.Topics, cfg.Catalog.Placements} {
+		p.dims[i] = optionDim{opts: opts, dense: make([]lazyOperand, len(opts)), comp: make([]lazyOperand, len(opts))}
+	}
+	if v := cfg.Views; v != nil {
+		if err := v.validate(cfg.Catalog, cfg.Universe.Size()); err != nil {
 			return nil, err
 		}
+		p.dims[0].views, p.dims[1].views, p.dims[2].views = v.Attributes, v.Topics, v.Placements
 	}
-	if !cfg.CSetOnly && cfg.Views == nil {
+	if !p.compressedCatalog() {
 		p.plans = newPlanCache(planCacheEntries)
 	}
 	return p, nil
 }
+
+// compressedCatalog reports whether the interface holds its catalog option
+// audiences only in compressed form (CSetOnly or snapshot Views).
+func (p *Interface) compressedCatalog() bool { return p.cfg.CSetOnly || p.cfg.Views != nil }
 
 // Name returns the interface name.
 func (p *Interface) Name() string { return p.cfg.Name }
@@ -270,66 +303,48 @@ func (p *Interface) QueryCount() int64 {
 	return p.queryCount.Load()
 }
 
-// attrSet returns the materialized audience of attribute i, caching it.
-func (p *Interface) attrSet(i int) *audience.Set {
-	return p.attrSets[i].get(func() *audience.Set {
-		return p.cfg.Universe.Materialize(p.cfg.Catalog.Attributes[i].Model)
-	})
-}
-
-// topicSet returns the materialized audience of topic i, caching it.
-func (p *Interface) topicSet(i int) *audience.Set {
-	return p.topicSets[i].get(func() *audience.Set {
-		return p.cfg.Universe.Materialize(p.cfg.Catalog.Topics[i].Model)
-	})
-}
-
-// placementSet returns the materialized visitor audience of placement i,
-// caching it.
-func (p *Interface) placementSet(i int) *audience.Set {
-	return p.placementSets[i].get(func() *audience.Set {
-		return p.cfg.Universe.Materialize(p.cfg.Catalog.Placements[i].Model)
-	})
-}
-
 // refSet resolves one targeting ref to its audience set.
 func (p *Interface) refSet(r targeting.Ref) (*audience.Set, error) {
-	switch r.Kind {
-	case targeting.KindAttribute:
-		if r.ID < 0 || r.ID >= len(p.cfg.Catalog.Attributes) {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
+	op, err := p.denseOperand(r)
+	return op.Set, err
+}
+
+// denseOperand resolves one targeting ref to its dense audience set as a
+// plan operand. Catalog options and demographics carry their membership
+// count, taken once per interface; a custom audience leaves counting to
+// the compiler.
+func (p *Interface) denseOperand(r targeting.Ref) (audience.Operand, error) {
+	if d := p.dim(r.Kind); d != nil {
+		if r.ID < 0 || r.ID >= len(d.opts) {
+			return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
 		}
-		return p.attrSet(r.ID), nil
-	case targeting.KindTopic:
-		if r.ID < 0 || r.ID >= len(p.cfg.Catalog.Topics) {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
-		}
-		return p.topicSet(r.ID), nil
-	case targeting.KindGender:
-		if r.ID < 0 || r.ID >= population.NumGenders {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrInvalidDemoValue, r)
-		}
-		return p.cfg.Universe.GenderSet(population.Gender(r.ID)), nil
-	case targeting.KindAge:
-		if r.ID < 0 || r.ID >= population.NumAgeRanges {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrInvalidDemoValue, r)
-		}
-		return p.cfg.Universe.AgeSet(population.AgeRange(r.ID)), nil
-	case targeting.KindCustomAudience:
-		return p.customSet(r)
-	case targeting.KindLocation:
-		if r.ID < 0 || r.ID >= population.NumRegions {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrInvalidDemoValue, r)
-		}
-		return p.cfg.Universe.RegionSet(population.Region(r.ID)), nil
-	case targeting.KindPlacement:
-		if r.ID < 0 || r.ID >= len(p.cfg.Catalog.Placements) {
-			return nil, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
-		}
-		return p.placementSet(r.ID), nil
-	default:
-		return nil, fmt.Errorf("%w: %s", targeting.ErrKindForbidden, r)
+		return d.dense[r.ID].get(func() audience.Operand {
+			return counted(p.cfg.Universe.Materialize(d.opts[r.ID].Model))
+		}), nil
 	}
+	u := p.cfg.Universe
+	var slot, limit int
+	var set func() *audience.Set
+	switch r.Kind {
+	case targeting.KindGender:
+		slot, limit = r.ID, population.NumGenders
+		set = func() *audience.Set { return u.GenderSet(population.Gender(r.ID)) }
+	case targeting.KindAge:
+		slot, limit = population.NumGenders+r.ID, population.NumAgeRanges
+		set = func() *audience.Set { return u.AgeSet(population.AgeRange(r.ID)) }
+	case targeting.KindLocation:
+		slot, limit = population.NumGenders+population.NumAgeRanges+r.ID, population.NumRegions
+		set = func() *audience.Set { return u.RegionSet(population.Region(r.ID)) }
+	case targeting.KindCustomAudience:
+		s, err := p.customSet(r)
+		return audience.Operand{Set: s}, err
+	default:
+		return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrKindForbidden, r)
+	}
+	if r.ID < 0 || r.ID >= limit {
+		return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrInvalidDemoValue, r)
+	}
+	return p.demo[slot].get(func() audience.Operand { return counted(set()) }), nil
 }
 
 // clauseSet evaluates one OR-clause into an audience set.
@@ -546,7 +561,7 @@ func (p *Interface) estimateExact(req EstimateRequest, rules targeting.Rules) (f
 	if err != nil {
 		return 0, err
 	}
-	count, err := p.countMatchedRanges(req.Spec, nil)
+	count, err := p.countSpec(req.Spec)
 	if err != nil {
 		return 0, err
 	}
@@ -614,72 +629,37 @@ func (p *Interface) Measure(req EstimateRequest) (int64, error) {
 // the builds out across GOMAXPROCS workers, and returns the interface so
 // deployments can chain it. Optional; useful to front-load cost before
 // serving or benchmarking so first-query latency is not dominated by lazy
-// materialization. Safe to call concurrently with queries. On a
-// snapshot-backed interface (Config.Views) every option audience already
-// exists as a compressed set over the mapped file, so Warm is a no-op —
-// cold containers fault in from the page cache on first touch instead.
+// materialization. Safe to call concurrently with queries. CSetOnly
+// interfaces warm the compressed forms, dropping each transient dense set
+// as its build finishes. On a snapshot-backed interface (Config.Views)
+// every option audience already exists as a compressed set over the mapped
+// file, so Warm is a no-op — cold containers fault in from the page cache
+// on first touch instead.
 func (p *Interface) Warm() *Interface {
 	if p.cfg.Views != nil {
 		return p
 	}
-	warmAttr, warmTopic, warmPlacement := p.attrSet, p.topicSet, p.placementSet
+	warm := p.denseOperand
 	if p.cfg.CSetOnly {
-		// Shards warm the compressed forms; the transient dense sets are
-		// dropped as each build finishes.
-		warmAttr = func(i int) *audience.Set {
-			p.refOperand(targeting.Ref{Kind: targeting.KindAttribute, ID: i})
-			return nil
-		}
-		warmTopic = func(i int) *audience.Set {
-			p.refOperand(targeting.Ref{Kind: targeting.KindTopic, ID: i})
-			return nil
-		}
-		warmPlacement = func(i int) *audience.Set {
-			p.refOperand(targeting.Ref{Kind: targeting.KindPlacement, ID: i})
-			return nil
+		warm = p.compressedOperand
+	}
+	var refs []targeting.Ref
+	for i, k := range optionKinds {
+		for id := range p.dims[i].opts {
+			refs = append(refs, targeting.Ref{Kind: k, ID: id})
 		}
 	}
-	total := len(p.cfg.Catalog.Attributes) + len(p.cfg.Catalog.Topics) + len(p.cfg.Catalog.Placements)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		for i := range p.cfg.Catalog.Attributes {
-			warmAttr(i)
-		}
-		for i := range p.cfg.Catalog.Topics {
-			warmTopic(i)
-		}
-		for i := range p.cfg.Catalog.Placements {
-			warmPlacement(i)
-		}
-		return p
-	}
-	jobs := make(chan func(), workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(refs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for f := range jobs {
-				f()
+			for i := next.Add(1) - 1; i < int64(len(refs)); i = next.Add(1) - 1 {
+				warm(refs[i])
 			}
 		}()
 	}
-	for i := range p.cfg.Catalog.Attributes {
-		i := i
-		jobs <- func() { warmAttr(i) }
-	}
-	for i := range p.cfg.Catalog.Topics {
-		i := i
-		jobs <- func() { warmTopic(i) }
-	}
-	for i := range p.cfg.Catalog.Placements {
-		i := i
-		jobs <- func() { warmPlacement(i) }
-	}
-	close(jobs)
 	wg.Wait()
 	return p
 }

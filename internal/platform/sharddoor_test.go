@@ -35,63 +35,101 @@ func TestDoorStringParse(t *testing.T) {
 	}
 }
 
-// TestRawCountsAdditive is the invariant the cluster is built on: raw counts
-// over disjoint index ranges sum to the full-universe raw count, and pushing
-// the sum through ScaleAndRound is bit-identical to the single-node door.
-func TestRawCountsAdditive(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 43, UniverseSize: 1 << 12})
+// postures builds one deployment per catalog posture over the same seed
+// and universe: dense (the reference), a compressed shard spanning the
+// whole universe (CSetOnly), and a snapshot-loaded deployment (Views). All
+// three must answer every door identically.
+func postures(t *testing.T, opts DeployOptions) []*Deployment {
+	t.Helper()
+	dense, err := NewDeployment(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shardOpts := opts
+	shardOpts.Compressed = true
+	shardOpts.ShardSpans = []population.Span{{Lo: 0, Hi: opts.UniverseSize}}
+	shard, err := NewDeployment(shardOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed, err := NewDeploymentFrom(opts, prebuiltFrom(t, dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Deployment{dense, shard, viewed}
+}
+
+// postureNames labels postures' deployments in failure messages.
+var postureNames = []string{"dense", "cset-only", "views"}
+
+// TestRawCountsAdditive is the invariant the cluster is built on: raw counts
+// over disjoint index ranges sum to the full-universe raw count, and pushing
+// the sum through ScaleAndRound is bit-identical to the single-node door.
+// Compressed-catalog postures must count exactly what the dense one does,
+// and retain no plan, union or schedule doing it.
+func TestRawCountsAdditive(t *testing.T) {
+	const n = 1 << 12
+	deps := postures(t, DeployOptions{Seed: 43, UniverseSize: n})
 	specs := shardSpecs()
-	for _, p := range d.Interfaces() {
-		reqs := make([]EstimateRequest, len(specs))
-		for i := range specs {
-			reqs[i] = EstimateRequest{Spec: specs[i]}
-		}
+	reqs := make([]EstimateRequest, len(specs))
+	for i := range specs {
+		reqs[i] = EstimateRequest{Spec: specs[i]}
+	}
+	// Three uneven windows covering [0, n) without gaps.
+	windows := [][]IndexRange{
+		{{Lo: 0, Hi: 1000}},
+		{{Lo: 1000, Hi: 1064}, {Lo: 1064, Hi: 3000}},
+		{{Lo: 3000, Hi: n}},
+	}
+	for pi, p := range deps[0].Interfaces() {
 		for _, door := range []Door{DoorMeasure, DoorEstimate} {
-			full := p.RawCountMany(door, reqs, nil)
-			// Three uneven windows covering [0, n) without gaps.
-			n := 1 << 12
-			windows := [][]IndexRange{
-				{{Lo: 0, Hi: 1000}},
-				{{Lo: 1000, Hi: 1064}, {Lo: 1064, Hi: 3000}},
-				{{Lo: 3000, Hi: n}},
-			}
-			for i := range reqs {
-				eligible, impressions, err := p.QueryParams(door, reqs[i])
-				if (err == nil) != (full[i].Err == nil) {
-					t.Fatalf("%s %v slot %d: QueryParams err %v, RawCountMany err %v",
-						p.Name(), door, i, err, full[i].Err)
-				}
-				if full[i].Err != nil {
-					continue
-				}
-				var sum int64
-				for _, w := range windows {
-					part := p.RawCountMany(door, reqs[i:i+1], w)
-					if part[0].Err != nil {
-						t.Fatalf("%s %v slot %d window %v: %v", p.Name(), door, i, w, part[0].Err)
+			ref := p.RawCountMany(door, reqs, nil)
+			for di, d := range deps {
+				p := d.Interfaces()[pi]
+				name := postureNames[di] + "/" + p.Name()
+				full := p.RawCountMany(door, reqs, nil)
+				for i := range reqs {
+					eligible, impressions, err := p.QueryParams(door, reqs[i])
+					if (err == nil) != (full[i].Err == nil) {
+						t.Fatalf("%s %v slot %d: QueryParams err %v, RawCountMany err %v",
+							name, door, i, err, full[i].Err)
 					}
-					sum += part[0].Count
+					if full[i].Count != ref[i].Count || (full[i].Err == nil) != (ref[i].Err == nil) {
+						t.Fatalf("%s %v slot %d: counts %d (%v), dense counts %d (%v)",
+							name, door, i, full[i].Count, full[i].Err, ref[i].Count, ref[i].Err)
+					}
+					if full[i].Err != nil {
+						continue
+					}
+					var sum int64
+					for _, w := range windows {
+						part := p.RawCountMany(door, reqs[i:i+1], w)
+						if part[0].Err != nil {
+							t.Fatalf("%s %v slot %d window %v: %v", name, door, i, w, part[0].Err)
+						}
+						sum += part[0].Count
+					}
+					if sum != full[i].Count {
+						t.Fatalf("%s %v slot %d: windows sum %d, full count %d",
+							name, door, i, sum, full[i].Count)
+					}
+					got := p.ScaleAndRound(sum, eligible, impressions)
+					var want int64
+					if door == DoorMeasure {
+						want, err = p.Measure(reqs[i])
+					} else {
+						want, err = p.Estimate(reqs[i])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s %v slot %d: ScaleAndRound(sum)=%d, door=%d",
+							name, door, i, got, want)
+					}
 				}
-				if sum != full[i].Count {
-					t.Fatalf("%s %v slot %d: windows sum %d, full count %d",
-						p.Name(), door, i, sum, full[i].Count)
-				}
-				got := p.ScaleAndRound(sum, eligible, impressions)
-				var want int64
-				if door == DoorMeasure {
-					want, err = p.Measure(reqs[i])
-				} else {
-					want, err = p.Estimate(reqs[i])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s %v slot %d: ScaleAndRound(sum)=%d, door=%d",
-						p.Name(), door, i, got, want)
+				if plans, unions, scheds := p.PlanCacheStats(); di > 0 && plans+unions+scheds != 0 {
+					t.Fatalf("%s: compressed catalog retained %d plans, %d unions, %d schedules", name, plans, unions, scheds)
 				}
 			}
 		}
@@ -100,23 +138,25 @@ func TestRawCountsAdditive(t *testing.T) {
 
 // TestRawCountManyDoorRules: the estimate door enforces advertiser rules, so
 // a demographic spec that measures fine on facebook-restricted must fail in
-// its slot — with the same error the single-node door returns.
+// its slot — with the same error the single-node door returns, on every
+// posture.
 func TestRawCountManyDoorRules(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 47, UniverseSize: 1 << 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.FacebookRestricted
 	reqs := []EstimateRequest{{Spec: targeting.WithGender(targeting.Attr(0), 1)}}
-	if got := p.RawCountMany(DoorMeasure, reqs, nil); got[0].Err != nil {
-		t.Fatalf("measure door rejected demographics: %v", got[0].Err)
-	}
-	got := p.RawCountMany(DoorEstimate, reqs, nil)
-	if got[0].Err == nil {
+	deps := postures(t, DeployOptions{Seed: 47, UniverseSize: 1 << 11})
+	measured := deps[0].FacebookRestricted.RawCountMany(DoorMeasure, reqs, nil)
+	_, wantErr := deps[0].FacebookRestricted.Estimate(reqs[0])
+	if wantErr == nil {
 		t.Fatal("estimate door accepted demographics on restricted interface")
 	}
-	if _, wantErr := p.Estimate(reqs[0]); wantErr == nil || wantErr.Error() != got[0].Err.Error() {
-		t.Fatalf("slot error %q, single-node door error %q", got[0].Err, wantErr)
+	for di, d := range deps {
+		p := d.FacebookRestricted
+		if got := p.RawCountMany(DoorMeasure, reqs, nil); got[0].Err != nil || got[0].Count != measured[0].Count {
+			t.Fatalf("%s: measure door counted %d (%v), dense %d", postureNames[di], got[0].Count, got[0].Err, measured[0].Count)
+		}
+		got := p.RawCountMany(DoorEstimate, reqs, nil)
+		if got[0].Err == nil || got[0].Err.Error() != wantErr.Error() {
+			t.Fatalf("%s: slot error %v, single-node door error %q", postureNames[di], got[0].Err, wantErr)
+		}
 	}
 }
 
@@ -182,18 +222,23 @@ func TestShardSliceMatchesFullUniverse(t *testing.T) {
 }
 
 // TestShardDoorErrors: malformed specs and unknown refs surface the same
-// typed errors on the shard door as on the dense path.
+// typed errors, with the same text, on the shard door of every posture —
+// a span-restricted compressed shard included — as on the dense path.
 func TestShardDoorErrors(t *testing.T) {
-	shard, err := NewDeployment(DeployOptions{
-		Seed: 59, UniverseSize: 1 << 11, Compressed: true,
+	const n = 1 << 11
+	deps := postures(t, DeployOptions{Seed: 59, UniverseSize: n})
+	span, err := NewDeployment(DeployOptions{
+		Seed: 59, UniverseSize: n, Compressed: true,
 		ShardSpans: []population.Span{{Lo: 0, Hi: 1 << 10}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := shard.Google // offers both attributes and topics
-	nAttr := len(p.Catalog().Attributes)
-	nTopic := len(p.Catalog().Topics)
+	deps = append(deps, span)
+	names := append(postureNames[:3:3], "span")
+	dense := deps[0].Google // offers both attributes and topics
+	nAttr := len(dense.Catalog().Attributes)
+	nTopic := len(dense.Catalog().Topics)
 	cases := []struct {
 		name string
 		spec targeting.Spec
@@ -208,31 +253,19 @@ func TestShardDoorErrors(t *testing.T) {
 		{"unknown topic", targeting.Topic(nTopic + 3), targeting.ErrUnknownOption},
 		{"unknown attr in and", targeting.And(targeting.Attr(0), targeting.Attr(nAttr+3)), targeting.ErrUnknownOption},
 		{"unknown attr excluded", targeting.Excluding(targeting.Attr(0), targeting.Attr(nAttr+3)), targeting.ErrUnknownOption},
+		{"unknown attr in union", targeting.AnyAttr(1, nAttr+3), targeting.ErrUnknownOption},
 	}
 	for _, tc := range cases {
-		got := p.RawCountMany(DoorMeasure, []EstimateRequest{{Spec: tc.spec}}, []IndexRange{{Lo: 0, Hi: 64}})
-		if !errors.Is(got[0].Err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, got[0].Err, tc.want)
+		reqs := []EstimateRequest{{Spec: tc.spec}}
+		want := dense.RawCountMany(DoorMeasure, reqs, []IndexRange{{Lo: 0, Hi: 64}})[0].Err
+		if !errors.Is(want, tc.want) {
+			t.Fatalf("%s: dense door got %v, want %v", tc.name, want, tc.want)
 		}
-	}
-}
-
-func TestCoversAll(t *testing.T) {
-	cases := []struct {
-		ranges []IndexRange
-		n      int
-		want   bool
-	}{
-		{nil, 10, false},
-		{[]IndexRange{{0, 10}}, 10, true},
-		{[]IndexRange{{0, 4}, {4, 10}}, 10, true},
-		{[]IndexRange{{0, 4}, {6, 10}}, 10, false},
-		{[]IndexRange{{0, 4}, {2, 10}}, 10, true},
-		{[]IndexRange{{0, 9}}, 10, false},
-	}
-	for _, tc := range cases {
-		if got := coversAll(tc.ranges, tc.n); got != tc.want {
-			t.Errorf("coversAll(%v, %d) = %v, want %v", tc.ranges, tc.n, got, tc.want)
+		for di, d := range deps {
+			got := d.Google.RawCountMany(DoorMeasure, reqs, []IndexRange{{Lo: 0, Hi: 64}})[0].Err
+			if !errors.Is(got, tc.want) || got.Error() != want.Error() {
+				t.Errorf("%s %s: got %v, want %v", names[di], tc.name, got, want)
+			}
 		}
 	}
 }

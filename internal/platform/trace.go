@@ -39,13 +39,9 @@ func (p *Interface) sizeCtx(ctx context.Context, req EstimateRequest, rules targ
 	if span != nil {
 		span.Annotate("interface", p.cfg.Name)
 		if plog := span.ProvenanceLog(); plog != nil {
-			key := req.CacheKey
-			if key == "" {
-				key = targeting.Canonical(req.Spec)
-			}
 			plog.Add(trace.Provenance{
 				Platform: p.cfg.Name,
-				Key:      key,
+				Key:      requestKey(req),
 				Source:   "platform",
 				TraceID:  span.TraceID(),
 				Value:    size,

@@ -16,9 +16,10 @@ import (
 // interface, indexed like the catalog slices. A snapshot loader
 // (internal/snapshot) decodes them over an mmap'd file — each CSet's
 // containers alias the mapped pages — and hands them to Config.Views; the
-// interface then answers every query through the dense-scratch × CSet
-// kernels without ever materializing an option set. Boot is O(directory)
-// and cold containers fault in from the page cache on first touch.
+// interface then answers every query through compiled plans that read the
+// views as compressed-only operands, without ever materializing an option
+// set. Boot is O(directory) and cold containers fault in from the page
+// cache on first touch.
 type OptionViews struct {
 	Attributes []*audience.CSet
 	Topics     []*audience.CSet
@@ -119,17 +120,13 @@ func hashOptions(w io.Writer, kind string, opts []catalog.Attribute) {
 // placement) resolve; the snapshot writer stores each one's blob to
 // serialize a deployment's full catalog.
 func (p *Interface) OptionCSet(r targeting.Ref) (*audience.CSet, error) {
-	switch r.Kind {
-	case targeting.KindAttribute, targeting.KindTopic, targeting.KindPlacement:
-	default:
-		return nil, fmt.Errorf("%w: %s is not a catalog option", targeting.ErrKindForbidden, r)
+	if p.compressedCatalog() || p.dim(r.Kind) == nil {
+		op, err := p.compressedOperand(r)
+		return op.C, err
 	}
-	op, err := p.refOperand(r)
+	s, err := p.refSet(r)
 	if err != nil {
 		return nil, err
 	}
-	if op.c != nil {
-		return op.c, nil
-	}
-	return audience.FromSet(op.s), nil
+	return audience.FromSet(s), nil
 }
