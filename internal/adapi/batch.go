@@ -53,8 +53,9 @@ func slotError(code, message string) batchSlot {
 // handleMeasureBatch serves the auditor door's batch endpoint. Each slot is
 // decoded, measured, and encoded exactly as POST /measure would treat it —
 // store tier included — but the decodable slots reach the platform as one
-// MeasureMany call, so the in-process simulators answer them with single
-// tiled passes over the universe.
+// MeasureManyCtx call under the request's context, so the in-process
+// simulators answer them with single tiled passes over the universe, and a
+// continued trace records the kernel and plan-compile spans.
 func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, h.opts.MaxBodyBytes+1))
 	if err != nil {
@@ -72,14 +73,6 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 	}
 
 	results := make([]batchSlot, len(env.Requests))
-	// The platform batch door: traced when the request continues a
-	// distributed trace, so the kernel and plan-compile spans join it.
-	measureMany := h.p.MeasureMany
-	if ctx := r.Context(); trace.FromContext(ctx) != nil {
-		measureMany = func(reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
-			return h.p.MeasureManyCtx(ctx, reqs)
-		}
-	}
 	// Decode every slot first; only the well-formed ones go to the platform.
 	reqs := make([]platform.EstimateRequest, 0, len(env.Requests))
 	slots := make([]int, 0, len(env.Requests))
@@ -108,7 +101,7 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 			missIdx = append(missIdx, k)
 			miss = append(miss, req)
 		}
-		missSizes, err := measureMany(miss)
+		missSizes, err := h.p.MeasureManyCtx(r.Context(), miss)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 			return
@@ -124,7 +117,7 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 			}
 		}
 	} else {
-		ests, err := measureMany(reqs)
+		ests, err := h.p.MeasureManyCtx(r.Context(), reqs)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 			return
@@ -163,18 +156,14 @@ var _ core.BatchMeasurer = (*Client)(nil)
 // a server predating the batch endpoint the call transparently degrades to
 // serial Measure calls.
 func (c *Client) MeasureMany(specs []targeting.Spec) []core.BatchResult {
-	return c.MeasureManyContext(context.Background(), specs)
+	return c.MeasureManyCtx(context.Background(), specs)
 }
 
-// MeasureManyCtx implements core.ContextBatchMeasurer.
+// MeasureManyCtx implements core.ContextBatchMeasurer: MeasureMany with
+// caller-controlled cancellation. A trace span riding the context records
+// the exchange as one child span (the batch is one wire exchange) and
+// propagates the trace to the server.
 func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []core.BatchResult {
-	return c.MeasureManyContext(ctx, specs)
-}
-
-// MeasureManyContext is MeasureMany with caller-controlled cancellation.
-// A trace span riding the context records the exchange as one child span
-// (the batch is one wire exchange) and propagates the trace to the server.
-func (c *Client) MeasureManyContext(ctx context.Context, specs []targeting.Spec) []core.BatchResult {
 	out := make([]core.BatchResult, len(specs))
 	if len(specs) == 0 {
 		return out
@@ -206,7 +195,7 @@ func (c *Client) MeasureManyContext(ctx context.Context, specs []targeting.Spec)
 		// child span, its own provenance), splitting again as needed.
 		span.Annotate("path", "split")
 		h := len(specs) / 2
-		return append(c.MeasureManyContext(ctx, specs[:h]), c.MeasureManyContext(ctx, specs[h:])...)
+		return append(c.MeasureManyCtx(ctx, specs[:h]), c.MeasureManyCtx(ctx, specs[h:])...)
 	}
 	if err != nil {
 		// The exchange itself failed — a server without the endpoint, a
@@ -259,7 +248,7 @@ func (c *Client) measureManySerial(ctx context.Context, specs []targeting.Spec) 
 	trace.FromContext(ctx).Annotate("path", "serial")
 	out := make([]core.BatchResult, len(specs))
 	for i, spec := range specs {
-		out[i].Size, out[i].Err = c.MeasureContext(ctx, spec)
+		out[i].Size, out[i].Err = c.MeasureCtx(ctx, spec)
 	}
 	return out
 }

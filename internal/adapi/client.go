@@ -141,20 +141,15 @@ func (c *Client) CrossFeature() bool { return c.crossFeature }
 
 // Measure implements core.Provider: one auditor-door size query.
 func (c *Client) Measure(spec targeting.Spec) (int64, error) {
-	return c.MeasureContext(context.Background(), spec)
+	return c.MeasureCtx(context.Background(), spec)
 }
 
-// MeasureContext is Measure with caller-controlled cancellation. When the
-// context carries a trace span the exchange is recorded as a child span and
-// the trace rides the X-Adaudit-Trace header to the server, which continues
-// it — one trace spans both processes.
-func (c *Client) MeasureContext(ctx context.Context, spec targeting.Spec) (int64, error) {
-	return c.size(ctx, "/measure", platform.EstimateRequest{Spec: spec})
-}
-
-// MeasureCtx implements core.ContextMeasurer.
+// MeasureCtx implements core.ContextMeasurer: Measure with caller-controlled
+// cancellation. When the context carries a trace span the exchange is
+// recorded as a child span and the trace rides the X-Adaudit-Trace header
+// to the server, which continues it — one trace spans both processes.
 func (c *Client) MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error) {
-	return c.MeasureContext(ctx, spec)
+	return c.size(ctx, "/measure", platform.EstimateRequest{Spec: spec})
 }
 
 // Estimate queries the advertiser door, validating the spec as an

@@ -199,7 +199,7 @@ func TestClientSleepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.MeasureContext(ctx, targeting.Attr(0)); err == nil {
+	if _, err := c.MeasureCtx(ctx, targeting.Attr(0)); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }

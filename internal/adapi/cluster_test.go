@@ -192,6 +192,46 @@ func TestClusterDoorPartitionNotHeld(t *testing.T) {
 	}
 }
 
+// TestClusterDoorUnknownInterface: a count-batch naming an interface the
+// shard does not serve is the caller's mistake — answered 400 with the
+// unknown_platform code and the platform's message — and the typed error
+// survives the round trip through ShardConn.
+func TestClusterDoorUnknownInterface(t *testing.T) {
+	const size = 1 << 12
+	ring, err := cluster.NewRing([]string{"s0"}, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := cluster.NewLayout(ring, size, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cluster.NewShard("s0", layout, platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := startShardServer(t, s)
+	body := `{"interface":"nope","door":"measure","partitions":[0],"requests":[]}`
+	resp, err := http.Post(ts.URL+"/cluster/count-batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeUnknownPlatform || env.Error.Message != `platform: unknown interface "nope"` {
+		t.Fatalf("unknown interface: HTTP %d %+v, want 400 %s", resp.StatusCode, env.Error, codeUnknownPlatform)
+	}
+	conn := NewShardConn("s0", ts.URL, nil)
+	_, err = conn.CountBatch(context.Background(), "nope", platform.DoorMeasure,
+		[]uint32{0}, []platform.EstimateRequest{{Spec: targeting.Attr(0)}})
+	if !errors.Is(err, platform.ErrUnknownInterface) {
+		t.Fatalf("unknown interface over HTTP: got %v, want platform.ErrUnknownInterface", err)
+	}
+}
+
 // TestShardConnRejectsMiswiredShard: a conn that reaches the wrong shard
 // must fail loudly instead of merging the wrong partial counts.
 func TestShardConnRejectsMiswiredShard(t *testing.T) {

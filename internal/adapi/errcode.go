@@ -62,6 +62,7 @@ var sentinelByCode = map[string]error{
 	codeInvalidDemoValue: targeting.ErrInvalidDemoValue,
 	codeUnknownObjective: platform.ErrUnknownObjective,
 	codeBadFrequencyCap:  platform.ErrBadFrequencyCap,
+	codeUnknownPlatform:  platform.ErrUnknownInterface,
 }
 
 // codeByError pairs typed errors with their wire codes, checked in order.
@@ -82,6 +83,7 @@ var codeByError = []struct {
 	{targeting.ErrKindForbidden, codeKindForbidden},
 	{platform.ErrUnknownObjective, codeUnknownObjective},
 	{platform.ErrBadFrequencyCap, codeBadFrequencyCap},
+	{platform.ErrUnknownInterface, codeUnknownPlatform},
 }
 
 // errorCode classifies an error into a wire code.

@@ -1,9 +1,15 @@
 package adapi
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/targeting"
 )
@@ -121,6 +127,119 @@ func FuzzDecodeResponse(f *testing.F) {
 				if err != nil || v2 != v {
 					t.Fatalf("%s: response round trip %d -> %d (%v)", name, v, v2, err)
 				}
+			}
+		}
+	})
+}
+
+// FuzzServerRequestBodies posts arbitrary bytes through Server.Handler to
+// every route that decodes a request body: each interface's /measure and
+// /measure-batch, and /cluster/count-batch on a server fronting an
+// in-process shard. Whatever arrives, the answer is a 2xx, or a 4xx whose
+// body is the error envelope with a declared code other than internal —
+// a caller's mistake is never reported as the server's — and the handler
+// never panics.
+func FuzzServerRequestBodies(f *testing.F) {
+	const size = 1 << 10
+	ring, err := cluster.NewRing([]string{"s0"}, 8, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	layout, err := cluster.NewLayout(ring, size, 256)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dep, err := platform.NewDeployment(platform.DeployOptions{
+		Seed: 31, UniverseSize: size, ShardSpans: layout.ShardSpans("s0"), Metrics: obs.NewRegistry(),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	shard, err := cluster.NewShardFromDeployment("s0", layout, dep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := NewServer(dep, ServerOptions{Metrics: obs.NewRegistry(), Shard: shard})
+	if err != nil {
+		f.Fatal(err)
+	}
+	handler := srv.Handler()
+	declared := map[string]bool{
+		codeMalformedRequest: true, codeRateLimited: true, codeMethodNotAllowed: true, codePartitionNotHeld: true,
+	}
+	for _, e := range codeByError {
+		declared[e.code] = true
+	}
+
+	routes := []string{"/cluster/count-batch"}
+	var seeds [][]byte
+	add := func(body []byte) { seeds = append(seeds, body, body[:len(body)/2]) }
+	specs := []targeting.Spec{
+		targeting.Attr(1),
+		targeting.And(targeting.AnyAttr(1, 2), targeting.Attr(3)),
+		targeting.WithAge(targeting.WithGender(targeting.Attr(0), 1), 0, 3),
+		targeting.Excluding(targeting.Attr(5), targeting.AnyAttr(6, 7)),
+		targeting.Attr(1 << 20),
+	}
+	for _, p := range dep.Interfaces() {
+		routes = append(routes, "/"+p.Name()+"/measure", "/"+p.Name()+"/measure-batch")
+		codec, err := CodecFor(p.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		var batch batchRequest
+		var reqs []platform.EstimateRequest
+		for _, spec := range specs {
+			req := platform.EstimateRequest{Spec: spec}
+			reqs = append(reqs, req)
+			if body, err := codec.EncodeRequest(req); err == nil {
+				add(body)
+				batch.Requests = append(batch.Requests, body)
+			}
+		}
+		// Long slot lists: the seed specs sixteen times over.
+		long, longReqs := batchRequest{}, []platform.EstimateRequest(nil)
+		for i := 0; i < 16; i++ {
+			long.Requests = append(long.Requests, batch.Requests...)
+			longReqs = append(longReqs, reqs...)
+		}
+		for _, b := range []batchRequest{batch, long} {
+			body, err := json.Marshal(b)
+			if err != nil {
+				f.Fatal(err)
+			}
+			add(body)
+		}
+		for _, cb := range []countBatchRequest{
+			{Interface: p.Name(), Door: "measure", Partitions: shard.Held(), Requests: reqs},
+			{Interface: p.Name(), Door: "estimate", Partitions: []uint32{2, 0}, Requests: longReqs},
+			{Interface: p.Name(), Door: "measure", Partitions: []uint32{99}, Requests: reqs},
+			{Interface: p.Name(), Door: "back", Partitions: []uint32{0}, Requests: reqs},
+			{Interface: "nope", Door: "measure", Partitions: []uint32{0}, Requests: reqs},
+		} {
+			body, err := json.Marshal(cb)
+			if err != nil {
+				f.Fatal(err)
+			}
+			add(body)
+		}
+	}
+	seeds = append(seeds, []byte("{}"), []byte("[]"), []byte(`{"requests":[{}, [], null, 7]}`), nil)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, route := range routes {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+			if rec.Code/100 == 2 {
+				continue
+			}
+			var env errorEnvelope
+			err := json.Unmarshal(rec.Body.Bytes(), &env)
+			if rec.Code/100 != 4 || err != nil || !declared[env.Error.Code] || env.Error.Code == codeInternal {
+				t.Fatalf("POST %s %q: HTTP %d %s", route, body, rec.Code, rec.Body)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package adapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -399,43 +400,25 @@ func (h *ifaceHandler) handleOptions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEstimate serves the advertiser door, through the platform's traced
-// door when the request continues a distributed trace.
+// handleEstimate serves the advertiser door through the platform's context
+// door, which joins the request's distributed trace when it carries one.
 func (h *ifaceHandler) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if ctx := r.Context(); trace.FromContext(ctx) != nil {
-		h.serveSize(w, r, func(req platform.EstimateRequest) (int64, error) {
-			return h.p.EstimateCtx(ctx, req)
-		})
+	h.serveSize(w, r, h.p.EstimateCtx)
+}
+
+// handleMeasure serves the auditor door through the platform's context
+// door, from the durable cache when one is configured.
+func (h *ifaceHandler) handleMeasure(w http.ResponseWriter, r *http.Request) {
+	if h.store != nil {
+		h.serveSize(w, r, h.storedMeasureCtx)
 		return
 	}
-	h.serveSize(w, r, h.p.Estimate)
+	h.serveSize(w, r, h.p.MeasureCtx)
 }
 
-// handleMeasure serves the auditor door, from the durable cache when one is
-// configured, and through the platform's traced door when the request
-// continues a distributed trace.
-func (h *ifaceHandler) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	traced := trace.FromContext(ctx) != nil
-	switch {
-	case h.store != nil && traced:
-		h.serveSize(w, r, func(req platform.EstimateRequest) (int64, error) {
-			return h.storedMeasureCtx(ctx, req)
-		})
-	case h.store != nil:
-		h.serveSize(w, r, h.storedMeasure)
-	case traced:
-		h.serveSize(w, r, func(req platform.EstimateRequest) (int64, error) {
-			return h.p.MeasureCtx(ctx, req)
-		})
-	default:
-		h.serveSize(w, r, h.p.Measure)
-	}
-}
-
-// serveSize decodes the dialect request, queries the platform, and encodes
-// the dialect response.
-func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query func(platform.EstimateRequest) (int64, error)) {
+// serveSize decodes the dialect request, queries the platform under the
+// request's context, and encodes the dialect response.
+func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query func(context.Context, platform.EstimateRequest) (int64, error)) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, h.opts.MaxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeMalformedRequest, "reading body: "+err.Error())
@@ -450,7 +433,7 @@ func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query f
 		writeError(w, http.StatusBadRequest, errorCodeOrMalformed(err), err.Error())
 		return
 	}
-	size, err := query(req)
+	size, err := query(r.Context(), req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return

@@ -237,7 +237,7 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := c.MeasureContext(cancelled, targeting.Attr(0)); err == nil {
+	if _, err := c.MeasureCtx(cancelled, targeting.Attr(0)); err == nil {
 		t.Fatal("cancelled context should fail")
 	}
 }

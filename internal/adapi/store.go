@@ -37,33 +37,15 @@ func measureStoreKey(req platform.EstimateRequest) string {
 		"\x00cap=" + strconv.Itoa(cap)
 }
 
-// storedMeasure is the auditor door's measurement path when a store is
+// storedMeasureCtx is the auditor door's measurement path when a store is
 // configured: persisted answers are served without touching the platform
-// (its query counters stay flat), fresh answers are appended before they
-// are returned. Append failures degrade the door to uncached serving and
-// are counted, never surfaced to the client — the measurement itself is
-// still good.
-func (h *ifaceHandler) storedMeasure(req platform.EstimateRequest) (int64, error) {
-	key := measureStoreKey(req)
-	if v, ok := h.store.GetMeasurement(h.p.Name(), key); ok {
-		h.mStoreHits.Inc()
-		return v, nil
-	}
-	v, err := h.p.Measure(req)
-	if err != nil {
-		return v, err
-	}
-	if serr := h.store.PutMeasurement(h.p.Name(), key, v); serr != nil {
-		h.mStoreErrors.Inc()
-		h.opts.logf("adapi: %s: store append failed: %v", h.p.Name(), serr)
-	}
-	return v, nil
-}
-
-// storedMeasureCtx is storedMeasure under a distributed trace: store-tier
-// hits annotate the server span and record "store"-sourced provenance (the
-// platform was never queried), misses go through the platform's traced
-// door, which records its own span and provenance.
+// (its query counters stay flat), fresh answers go through the platform's
+// context door and are appended before they are returned. Append failures
+// degrade the door to uncached serving and are counted, never surfaced to
+// the client — the measurement itself is still good. Under a distributed
+// trace, store-tier hits annotate the server span and record
+// "store"-sourced provenance (the platform was never queried); misses
+// record the platform's own span and provenance.
 func (h *ifaceHandler) storedMeasureCtx(ctx context.Context, req platform.EstimateRequest) (int64, error) {
 	key := measureStoreKey(req)
 	if v, ok := h.store.GetMeasurement(h.p.Name(), key); ok {

@@ -486,20 +486,3 @@ func countAnd3Range(a, b, d []uint64, lo, hi int) int {
 	}
 	return c
 }
-
-// countSimpleRange counts base ∩ and… \ not… over [lo, hi) for any number
-// of single-set clauses, with every word slice already hoisted.
-func countSimpleRange(base []uint64, and, not [][]uint64, lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		w := base[i]
-		for _, s := range and {
-			w &= s[i]
-		}
-		for _, s := range not {
-			w &^= s[i]
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}

@@ -187,8 +187,9 @@ func TestKernelBlocks(t *testing.T) {
 	}
 }
 
-// naiveCountAndAll is the pre-hoisting form of CountAndAll, kept as the
-// reference for the rewritten fast paths.
+// naiveCountAndAll counts |base ∩ rest…| one word and one set at a time,
+// popcounting bit by bit: the reference for the kernels' unrolled and
+// hoisted loops.
 func naiveCountAndAll(base *Set, rest ...*Set) int {
 	c := 0
 	for i, w := range base.words {
@@ -208,17 +209,26 @@ func popcount(w uint64) int {
 	return c
 }
 
-func TestCountAndAllMatchesNaive(t *testing.T) {
+// TestLonePlanMatchesNaive runs a lone compiled plan — the platform's
+// serial door — over an AND of one to ten dense operands on every batch
+// size, so each kernel arity (the unrolled loops for up to three operands
+// and the generic word loop) meets empty, sub-word, word-edge and
+// multi-block universes.
+func TestLonePlanMatchesNaive(t *testing.T) {
 	for _, n := range batchSizes {
 		sets := make([]*Set, 10)
 		for i := range sets {
 			sets[i] = randomSet(uint64(200+i), n, 0.08*float64(i+1))
 		}
-		// Every arity from 0 extra sets through the >8 slow path.
+		// Every arity from 0 extra sets through the generic word loop.
 		for k := 0; k <= 9; k++ {
+			clauses := make([]PlanClause, 1+k)
+			for i := range clauses {
+				clauses[i] = PlanClause{Op: Operand{Set: sets[i]}}
+			}
 			want := naiveCountAndAll(sets[0], sets[1:1+k]...)
-			if got := CountAndAll(sets[0], sets[1:1+k]...); got != want {
-				t.Errorf("n=%d k=%d: CountAndAll = %d, want %d", n, k, got, want)
+			if got := CompilePlan(n, clauses).Count(); got != want {
+				t.Errorf("n=%d k=%d: lone plan counts %d, want %d", n, k, got, want)
 			}
 		}
 	}

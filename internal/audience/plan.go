@@ -4,7 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
+	"unsafe"
 )
 
 // This file implements the query compiler. A Plan is an and-of-ors
@@ -144,14 +144,8 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 			tail[i] = o.id()
 		}
 		slices.Sort(tail)
-		var key strings.Builder
-		key.Grow(8 * len(tail))
-		for _, id := range tail {
-			for b := 0; b < 64; b += 8 {
-				key.WriteByte(byte(id >> b))
-			}
-		}
-		p.tailKey = key.String()
+		// The key aliases the sorted ids' bytes, which nothing writes again.
+		p.tailKey = unsafe.String((*byte)(unsafe.Pointer(&tail[0])), 8*len(tail))
 	}
 	// Compressed dispatch: walk the base's containers when its membership is
 	// below one per 64 users (the word width) — past that, the dense kernels'
@@ -405,8 +399,10 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 	}
 	// Freeze each root's kernel view over the source table. Operands are
 	// numbered by identity, so a set shared by many plans is one source,
-	// loaded once per tile. The views' index lists are carved from one
-	// arena, sized for every operand of every plan plus the tail indices.
+	// loaded once per tile; a lone plan — the serial door — has no other
+	// plan to share with, so its operands are numbered in order. The
+	// views' index lists are carved from one arena, sized for every operand
+	// of every plan plus the tail indices.
 	size := len(nodes)
 	for _, p := range plans {
 		size += len(p.ands) + len(p.nots)
@@ -415,14 +411,21 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 		size += len(ops)
 	}
 	arena := make([]int, 0, size)
-	index := make(map[uint64]int)
+	var index map[uint64]int
+	if len(plans) > 1 {
+		index = make(map[uint64]int)
+	} else {
+		pb.ops = make([]Operand, 0, size)
+	}
 	sources := func(ops []Operand) []int {
 		start := len(arena)
 		for _, o := range ops {
 			k, ok := index[o.id()]
 			if !ok {
 				k = len(pb.ops)
-				index[o.id()] = k
+				if index != nil {
+					index[o.id()] = k
+				}
 				pb.ops = append(pb.ops, o)
 			}
 			arena = append(arena, k)

@@ -3,16 +3,15 @@
 // platform simulators intersect, union, and count these sets to answer
 // size-estimate queries.
 //
-// Sets are fixed-size at creation (the universe size) and support
-// allocation-free counting of intersections, which is the hot path of every
-// experiment: a representation-ratio computation is a handful of
-// CountAnd calls.
+// Sets are fixed-size at creation (the universe size). Size queries, the
+// hot path of every experiment, count through compiled plans (plan.go) over
+// dense or compressed (cset.go) operands; the Set algebra here builds the
+// operands and serves as the reference evaluator.
 package audience
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -26,7 +25,7 @@ type Set struct {
 
 // setIDs hands out a process-unique id per constructed Set. The plan
 // compiler keys subset detection and cross-plan sharing on these ids, so
-// every constructor (including scratch reuse) must mint a fresh one.
+// every constructor must mint a fresh one.
 var setIDs atomic.Uint64
 
 // ID returns a process-unique identifier for the set, assigned at
@@ -119,13 +118,6 @@ func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, id: setIDs.Add(1), words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of t. The sets must be over the
-// same universe size.
-func (s *Set) CopyFrom(t *Set) {
-	s.checkCompat(t)
-	copy(s.words, t.words)
 }
 
 // Fill adds every user in the universe to the set.
@@ -241,37 +233,6 @@ func CountOr(a, b *Set) int {
 	return c
 }
 
-// CountAndAll returns |base ∩ s1 ∩ s2 ∩ ...| without allocating. With no
-// extra sets it returns base.Count(). The word slices are hoisted out of
-// the counting loop (indexing through each *Set per word defeats
-// bounds-check elimination) and the 1–2 extra-set shapes — the audit's
-// dominant queries — run the unrolled kernels of the batch path.
-func CountAndAll(base *Set, rest ...*Set) int {
-	for _, t := range rest {
-		base.checkCompat(t)
-	}
-	nw := len(base.words)
-	switch len(rest) {
-	case 0:
-		return countRange1(base.words, 0, nw)
-	case 1:
-		return countAndRange(base.words, rest[0].words, 0, nw)
-	case 2:
-		return countAnd3Range(base.words, rest[0].words, rest[1].words, 0, nw)
-	}
-	var buf [8][]uint64
-	var words [][]uint64
-	if len(rest) <= len(buf) {
-		words = buf[:len(rest)]
-	} else {
-		words = make([][]uint64, len(rest))
-	}
-	for i, t := range rest {
-		words[i] = t.words
-	}
-	return countSimpleRange(base.words, words, nil, 0, nw)
-}
-
 // IntersectAll returns the intersection of all given sets. It panics on an
 // empty argument list.
 func IntersectAll(sets ...*Set) *Set {
@@ -333,35 +294,4 @@ func (s *Set) Indices() []int {
 	out := make([]int, 0, s.Count())
 	s.ForEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-// scratchPool recycles Set backing storage for transient spec evaluation.
-// Word slices are reused across universe sizes by re-slicing, so a steady
-// query load allocates no bitset words at all.
-var scratchPool = sync.Pool{New: func() any { return new(Set) }}
-
-// NewScratch returns an empty set over n users backed by pooled storage.
-// The caller must release it with Recycle once done; the set must not be
-// retained or shared after that. Intended for short-lived intermediates on
-// hot query paths where New's per-call allocation would dominate.
-func NewScratch(n int) *Set {
-	if n < 0 {
-		panic("audience: negative universe size")
-	}
-	s := scratchPool.Get().(*Set)
-	nw := (n + 63) / 64
-	if cap(s.words) < nw {
-		s.words = make([]uint64, nw)
-	} else {
-		s.words = s.words[:nw]
-		clear(s.words)
-	}
-	s.n = n
-	s.id = setIDs.Add(1)
-	return s
-}
-
-// Recycle returns a scratch set to the pool. The set must not be used after.
-func (s *Set) Recycle() {
-	scratchPool.Put(s)
 }

@@ -25,37 +25,6 @@ func TestCountAndNot(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a := randomSet(9, 200, 0.5)
-	b := New(200)
-	b.Add(3)
-	b.CopyFrom(a)
-	if !Equal(a, b) {
-		t.Fatal("CopyFrom did not produce an equal set")
-	}
-	b.Add(0)
-	b.Remove(1)
-	if Equal(a, b) {
-		t.Fatal("CopyFrom aliased backing storage")
-	}
-}
-
-func TestScratchPoolReuse(t *testing.T) {
-	// A scratch set must come back empty and correctly sized even after a
-	// larger set was recycled.
-	big := NewScratch(1024)
-	big.Fill()
-	big.Recycle()
-	s := NewScratch(100)
-	if s.Len() != 100 || s.Count() != 0 {
-		t.Fatalf("scratch after recycle: len=%d count=%d, want 100, 0", s.Len(), s.Count())
-	}
-	s.Add(99)
-	other := randomSet(11, 100, 0.5)
-	s.AndWith(other)
-	s.Recycle()
-}
-
 func TestNewEmpty(t *testing.T) {
 	s := New(100)
 	if s.Count() != 0 || s.Len() != 100 {
@@ -219,19 +188,6 @@ func TestDeMorgan(t *testing.T) {
 	}
 }
 
-func TestCountAndAll(t *testing.T) {
-	a := randomSet(8, 400, 0.6)
-	b := randomSet(9, 400, 0.6)
-	c := randomSet(10, 400, 0.6)
-	want := And(And(a, b), c).Count()
-	if got := CountAndAll(a, b, c); got != want {
-		t.Fatalf("CountAndAll = %d, want %d", got, want)
-	}
-	if got := CountAndAll(a); got != a.Count() {
-		t.Fatalf("CountAndAll(a) = %d, want %d", got, a.Count())
-	}
-}
-
 func TestIntersectUnionAll(t *testing.T) {
 	a := randomSet(11, 100, 0.5)
 	b := randomSet(12, 100, 0.5)
@@ -306,16 +262,6 @@ func BenchmarkCountAnd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CountAnd(x, y)
-	}
-}
-
-func BenchmarkCountAndAll3(b *testing.B) {
-	x := randomSet(1, 1<<20, 0.1)
-	y := randomSet(2, 1<<20, 0.1)
-	z := randomSet(3, 1<<20, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CountAndAll(x, y, z)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/audience"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/targeting"
 )
@@ -28,7 +27,7 @@ type Estimate struct {
 // is independent of both (they only scale the counted statistic).
 // Per-request failures are reported in their slot, never as a batch error.
 func (p *Interface) MeasureMany(reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(nil, reqs, p.MeasurementRules(), p.mMeasureQueries, "measure")
+	return p.sizeMany(nil, DoorMeasure, reqs)
 }
 
 // MeasureManyCtx is MeasureMany under a trace context: when ctx carries a
@@ -37,18 +36,13 @@ func (p *Interface) MeasureMany(reqs []EstimateRequest) ([]Estimate, error) {
 // two doors are byte-identical in behavior and within noise in cost — the
 // only extra work is one context value lookup per batch.
 func (p *Interface) MeasureManyCtx(ctx context.Context, reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(trace.FromContext(ctx), reqs, p.MeasurementRules(), p.mMeasureQueries, "measure")
+	return p.sizeMany(trace.FromContext(ctx), DoorMeasure, reqs)
 }
 
 // EstimateMany is the advertiser-door equivalent of MeasureMany: batched
 // Estimate calls under the advertiser rules.
 func (p *Interface) EstimateMany(reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(nil, reqs, p.cfg.AdvertiserRules, p.mEstimateQueries, "estimate")
-}
-
-// EstimateManyCtx is EstimateMany under a trace context.
-func (p *Interface) EstimateManyCtx(ctx context.Context, reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(trace.FromContext(ctx), reqs, p.cfg.AdvertiserRules, p.mEstimateQueries, "estimate")
+	return p.sizeMany(nil, DoorEstimate, reqs)
 }
 
 // sizeMany answers a batch through the query compiler: every valid spec
@@ -57,20 +51,20 @@ func (p *Interface) EstimateManyCtx(ctx context.Context, reqs []EstimateRequest)
 // kernels run per call. Validation stays per-request and syntactic — the
 // canonical key collapses duplicate refs and clauses that the rules reject,
 // so validation outcomes must never be shared across specs with equal
-// keys — and the scaling and rounding are identical to the serial path.
-// CSetOnly and snapshot-backed interfaces, which retain no plans, compile
-// every batch afresh and need no canonical keys.
+// keys — and each served count goes through ScaleAndRound, as on the
+// serial door. CSetOnly and snapshot-backed interfaces, which retain no
+// plans, compile every batch afresh and need no canonical keys.
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,
 // never per spec, except provenance emission, which is gated on the parent
 // being a sampled span of a provenance-collecting tracer.
-func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules targeting.Rules, queries *obs.Counter, door string) ([]Estimate, error) {
+func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateRequest) ([]Estimate, error) {
 	span := trace.ChildOf(parent, "platform.size_many")
 	if span != nil {
 		defer span.End()
 		span.Annotate("interface", p.cfg.Name)
-		span.Annotate("door", door)
+		span.Annotate("door", door.String())
 		span.AnnotateInt("specs", int64(len(reqs)))
 	}
 	out := make([]Estimate, len(reqs))
@@ -79,12 +73,12 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 	}
 	p.mBatchSize.Observe(time.Duration(len(reqs)))
 
-	// Pass 1: per-request parameter validation, exactly as the serial path
-	// orders its checks (rules, objective, frequency cap).
+	// Pass 1: per-request parameter validation through QueryParams, as on
+	// every door.
 	eligible := make([]float64, len(reqs))
 	impressions := make([]float64, len(reqs))
 	for i := range reqs {
-		e, f, err := p.queryParams(reqs[i], rules)
+		e, f, err := p.QueryParams(door, reqs[i])
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -183,12 +177,14 @@ func (p *Interface) sizeMany(parent *trace.Span, reqs []EstimateRequest, rules t
 	if len(slot) > 0 {
 		n := int64(len(slot))
 		p.queryCount.Add(n)
-		queries.Add(n)
+		p.doorCounter(door).Add(n)
 		p.mBatchedQueries.Add(n)
 		p.mBatchBlocks.Add(int64(tiles))
 	}
 
-	p.scaleAndRound(out, counts, slot, eligible, impressions)
+	for k, i := range slot {
+		out[i].Size = p.ScaleAndRound(int64(counts[k]), eligible[i], impressions[i])
+	}
 	if plog := span.ProvenanceLog(); plog != nil {
 		// Sampled + provenance-collecting: one record per served slot, tying
 		// the size to the canonical key, the compiled plan, and the trace.
@@ -240,32 +236,3 @@ type batchScratch struct {
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// scaleAndRound applies the platform's scaling and rounding to the raw
-// kernel counts, exactly as the serial path does, with the counter updates
-// tallied once per batch.
-func (p *Interface) scaleAndRound(out []Estimate, counts []int, slot []int, eligible, impressions []float64) {
-	sf := p.ScaleFactor()
-	var roundingHits, floorRejections int64
-	for k, i := range slot {
-		v := float64(counts[k]) * sf * eligible[i]
-		if p.cfg.ImpressionEstimates {
-			v *= impressions[i]
-		}
-		exact := int64(v + 0.5)
-		rounded := p.cfg.Rounder.Round(exact)
-		switch {
-		case rounded == 0 && exact > 0:
-			floorRejections++
-		case rounded != exact:
-			roundingHits++
-		}
-		out[i].Size = rounded
-	}
-	if floorRejections > 0 {
-		p.mFloorRejections.Add(floorRejections)
-	}
-	if roundingHits > 0 {
-		p.mRoundingHits.Add(roundingHits)
-	}
-}

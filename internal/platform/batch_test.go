@@ -56,28 +56,46 @@ func randomBatch(p *Interface, seed uint64, n int) []EstimateRequest {
 	return reqs
 }
 
-// sameOutcome asserts one batch slot matches the serial call's outcome.
+// oracle answers one request the reference way, outside the query
+// compiler: the door's parameter checks (QueryParams), the audience
+// materialized by dense set algebra (Interface.Audience) and counted, then
+// ScaleAndRound.
+func oracle(p *Interface, door Door, req EstimateRequest) (int64, error) {
+	eligible, impressions, err := p.QueryParams(door, req)
+	if err != nil {
+		return 0, err
+	}
+	set, err := p.Audience(req.Spec)
+	if err != nil {
+		return 0, err
+	}
+	return p.ScaleAndRound(int64(set.Count()), eligible, impressions), nil
+}
+
+// sameOutcome asserts one answer matches the reference outcome: the same
+// size, or an error with the same text.
 func sameOutcome(t *testing.T, name string, i int, got Estimate, size int64, err error) {
 	t.Helper()
 	if (got.Err == nil) != (err == nil) {
-		t.Fatalf("%s req %d: batch err=%v, serial err=%v", name, i, got.Err, err)
+		t.Fatalf("%s req %d: got err=%v, want err=%v", name, i, got.Err, err)
 	}
 	if err != nil {
 		if got.Err.Error() != err.Error() {
-			t.Fatalf("%s req %d: batch err %q, serial err %q", name, i, got.Err, err)
+			t.Fatalf("%s req %d: got err %q, want err %q", name, i, got.Err, err)
 		}
 		return
 	}
 	if got.Size != size {
-		t.Fatalf("%s req %d: batch size %d, serial size %d", name, i, got.Size, size)
+		t.Fatalf("%s req %d: got size %d, want size %d", name, i, got.Size, size)
 	}
 }
 
 // TestMeasureManyMatchesSerial is the bit-identity property test: on all
 // four interfaces, plain and with compressed catalog forms (the compiler's
-// container-walk dispatch), MeasureMany over a mixed batch must return
-// exactly what N serial Measure calls return — same sizes, same errors —
-// in any slot order, and again from the warmed plan and schedule caches.
+// container-walk dispatch), MeasureMany over a mixed batch and N serial
+// Measure calls must both return exactly what the oracle returns — same
+// sizes, same errors — in any slot order, and again from the warmed plan
+// and schedule caches.
 func TestMeasureManyMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		opts      DeployOptions
@@ -100,8 +118,8 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 	}
 }
 
-// measureManyMatchesSerial checks one batch against serial Measure, in
-// both slot orders.
+// measureManyMatchesSerial checks one batch, and each of its requests on
+// the serial door, against the oracle, in both slot orders.
 func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest) {
 	t.Helper()
 	got, err := p.MeasureMany(reqs)
@@ -112,8 +130,10 @@ func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest
 		t.Fatalf("%s: MeasureMany returned %d results for %d requests", p.Name(), len(got), len(reqs))
 	}
 	for i, req := range reqs {
+		want, werr := oracle(p, DoorMeasure, req)
+		sameOutcome(t, p.Name()+" batch", i, got[i], want, werr)
 		size, serr := p.Measure(req)
-		sameOutcome(t, p.Name(), i, got[i], size, serr)
+		sameOutcome(t, p.Name()+" serial", i, Estimate{Size: size, Err: serr}, want, werr)
 	}
 	// Slot order must not matter: reverse the batch and re-check.
 	rev := make([]EstimateRequest, len(reqs))
@@ -133,7 +153,8 @@ func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest
 }
 
 // TestEstimateManyMatchesSerial checks the advertiser door the same way
-// (its rules differ: FB-restricted rejects demographics and exclusions).
+// (its rules differ: FB-restricted rejects demographics and exclusions):
+// EstimateMany and serial Estimate both against the oracle.
 func TestEstimateManyMatchesSerial(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 29, UniverseSize: 1 << 12})
 	if err != nil {
@@ -146,8 +167,10 @@ func TestEstimateManyMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: EstimateMany: %v", p.Name(), err)
 		}
 		for i, req := range reqs {
+			want, werr := oracle(p, DoorEstimate, req)
+			sameOutcome(t, p.Name()+" batch", i, got[i], want, werr)
 			size, serr := p.Estimate(req)
-			sameOutcome(t, p.Name(), i, got[i], size, serr)
+			sameOutcome(t, p.Name()+" serial", i, Estimate{Size: size, Err: serr}, want, werr)
 		}
 	}
 }

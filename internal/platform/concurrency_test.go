@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -95,15 +96,13 @@ func TestWarmReturnsInterface(t *testing.T) {
 	}
 }
 
-// TestCountMatchedMatchesAudience cross-checks the allocation-free counting
-// path against full Audience materialization across spec shapes: include-only
-// ANDs, multi-ref OR clauses, and exclusions.
-func TestCountMatchedMatchesAudience(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 19, UniverseSize: 1 << 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.Facebook
+// TestSerialDoorMatchesAudience cross-checks the serial doors against the
+// oracle's full Audience materialization across spec shapes — include-only
+// ANDs, multi-ref OR clauses, and exclusions — on every catalog posture,
+// and pins that each serial query compiles one plan, which on the dense
+// posture (no compressed forms, so no container walk) runs the tiled
+// kernel.
+func TestSerialDoorMatchesAudience(t *testing.T) {
 	specs := []targeting.Spec{
 		targeting.Attr(0),
 		targeting.And(targeting.Attr(1), targeting.Attr(2)),
@@ -123,17 +122,29 @@ func TestCountMatchedMatchesAudience(t *testing.T) {
 			},
 		},
 	}
-	for i, s := range specs {
-		set, err := p.Audience(s)
-		if err != nil {
-			t.Fatalf("spec %d: Audience: %v", i, err)
-		}
-		got, err := p.countMatched(s)
-		if err != nil {
-			t.Fatalf("spec %d: countMatched: %v", i, err)
-		}
-		if got != set.Count() {
-			t.Fatalf("spec %d: countMatched = %d, Audience.Count = %d", i, got, set.Count())
+	for di, d := range postures(t, DeployOptions{Seed: 19, UniverseSize: 1 << 11}) {
+		p := d.Facebook
+		for i, s := range specs {
+			req := EstimateRequest{Spec: s}
+			for _, door := range []Door{DoorMeasure, DoorEstimate} {
+				want, werr := oracle(p, door, req)
+				c0, b0 := p.mPlansCompiled.Value(), p.mBatchBlocks.Value()
+				var got int64
+				var err error
+				if door == DoorMeasure {
+					got, err = p.Measure(req)
+				} else {
+					got, err = p.Estimate(req)
+				}
+				name := fmt.Sprintf("%s %v", postureNames[di], door)
+				sameOutcome(t, name, i, Estimate{Size: got, Err: err}, want, werr)
+				if werr != nil {
+					continue
+				}
+				if c, b := p.mPlansCompiled.Value()-c0, p.mBatchBlocks.Value()-b0; c != 1 || (di == 0 && b < 1) {
+					t.Fatalf("%s spec %d: compiled %d plans over %d kernel blocks, want 1 plan", name, i, c, b)
+				}
+			}
 		}
 	}
 }

@@ -92,14 +92,19 @@ func (d *Deployment) Interfaces() []*Interface {
 	return []*Interface{d.FacebookRestricted, d.Facebook, d.Google, d.LinkedIn}
 }
 
-// ByName returns the interface with the given name, or an error.
+// ErrUnknownInterface marks a lookup of an interface name the deployment
+// does not serve. Match with errors.Is.
+var ErrUnknownInterface = errors.New("platform: unknown interface")
+
+// ByName returns the interface with the given name, or an error wrapping
+// ErrUnknownInterface.
 func (d *Deployment) ByName(name string) (*Interface, error) {
 	for _, p := range d.Interfaces() {
 		if p.Name() == name {
 			return p, nil
 		}
 	}
-	return nil, fmt.Errorf("platform: unknown interface %q", name)
+	return nil, fmt.Errorf("%w %q", ErrUnknownInterface, name)
 }
 
 // activitySigma returns the platform's activity spread, honouring the

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/audience"
@@ -17,7 +16,8 @@ import (
 // common-subexpression them across plans. Everything here is bounded: plans,
 // unions, and schedules each live in an LRU. Interfaces with a compressed
 // catalog keep none of it: they compile every batch, and share each union
-// within the batch only.
+// within the batch only. Serial queries compile one spec afresh on every
+// posture, outside the plan and schedule caches.
 
 // Cache bounds: the plan cache's capacity, from which the union and
 // schedule caches are derived.
@@ -231,25 +231,14 @@ func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
 type unionMemo map[string]audience.Operand
 
 // unionOperand resolves a multi-ref OR clause to a single shared operand.
-// The union is keyed by its sorted, deduplicated ref strings — the same
-// normalization targeting.Canonical applies — so every plan whose clause
-// unions the same options references the same materialized set, which is
-// what lets CompileBatch common-subexpression tails across plans. Dense
-// catalogs share unions interface-wide through the union LRU; compressed
-// catalogs build them from the compressed operands once per batch, in
-// memo.
+// The union is keyed by the clause's canonical form (targeting.Canonical:
+// refs sorted and deduplicated), so every plan whose clause unions the same
+// options references the same materialized set, which is what lets
+// CompileBatch common-subexpression tails across plans. Dense catalogs
+// share unions interface-wide through the union LRU; compressed catalogs
+// build them from the compressed operands once per batch, in memo.
 func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience.Operand, error) {
-	parts := make([]string, len(cl))
-	for i, r := range cl {
-		parts[i] = r.String()
-	}
-	sort.Strings(parts)
-	key := parts[0]
-	for i := 1; i < len(parts); i++ {
-		if parts[i] != parts[i-1] {
-			key += "|" + parts[i]
-		}
-	}
+	key := targeting.Canonical(targeting.Spec{Include: []targeting.Clause{cl}})
 	if p.plans != nil {
 		if op, ok := p.plans.unions.get(key); ok {
 			return op, nil
@@ -257,7 +246,7 @@ func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience
 	} else if op, ok := (*memo)[key]; ok {
 		return op, nil
 	}
-	// Resolve in clause order so error positions match the serial path.
+	// Resolve in clause order so error positions match Interface.Audience.
 	resolve := p.operandFor
 	if p.plans != nil {
 		resolve = p.denseOperand
@@ -311,8 +300,8 @@ func specCacheable(spec targeting.Spec) bool {
 
 // compileSpec lowers one spec into a compiled plan, sharing the batch's
 // unions through memo on a compressed catalog. Shape and resolution errors
-// are produced in the same order as the serial evaluation: clauses in
-// include-then-exclude order, refs in clause order.
+// are produced in the same order as Interface.Audience evaluates: clauses
+// in include-then-exclude order, refs in clause order.
 func (p *Interface) compileSpec(spec targeting.Spec, memo *unionMemo) (*audience.Plan, error) {
 	if len(spec.Include) == 0 {
 		return nil, targeting.ErrEmptySpec

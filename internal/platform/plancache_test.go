@@ -79,10 +79,12 @@ func TestPlanCacheCounters(t *testing.T) {
 
 // TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate across
 // deployments: on all four interfaces, compiled batches on a plain and on a
-// compressed deployment must equal the legacy uncompiled path of a separate
-// plain deployment of the same seed — serial Measure over the dense option
-// sets, which never touches the plan caches — slot for slot, sizes and
-// errors both, cold and again from the warmed caches.
+// compressed deployment must equal the uncompiled oracle on a separate
+// plain deployment of the same seed — dense set algebra over the option
+// sets — slot for slot, sizes and errors both, cold and again from the
+// warmed caches. The reference deployment also answers every request on
+// its serial door, which must match the oracle and leave the plan and
+// schedule caches empty (unions are shared by design).
 func TestPlanCompilerMatchesLegacy(t *testing.T) {
 	const seed, size = 47, 1 << 12
 	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size})
@@ -100,9 +102,13 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 		for pi, p := range compiled.Interfaces() {
 			lp := legacy.Interfaces()[pi]
 			reqs := randomBatch(p, 4242, 80)
-			want := serialMeasure(lp, reqs)
-			if plans, unions, scheds := lp.PlanCacheStats(); plans+unions+scheds != 0 {
-				t.Fatalf("%s: serial path populated the plan caches (%d plans, %d unions, %d schedules)", lp.Name(), plans, unions, scheds)
+			want := oracleMeasure(lp, reqs)
+			for i, req := range reqs {
+				size, err := lp.Measure(req)
+				sameOutcome(t, lp.Name()+" serial", i, Estimate{Size: size, Err: err}, want[i].Size, want[i].Err)
+			}
+			if plans, _, scheds := lp.PlanCacheStats(); plans+scheds != 0 {
+				t.Fatalf("%s: serial traffic populated the plan caches (%d plans, %d schedules)", lp.Name(), plans, scheds)
 			}
 			got, err := p.MeasureMany(reqs)
 			if err != nil {
@@ -125,7 +131,7 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 
 // TestPlanCacheEviction shrinks the plan cache below the working set and
 // checks both the bound (occupancy never exceeds capacity) and correctness
-// under thrash (every answer still matches serial Measure).
+// under thrash (every answer still matches the oracle).
 func TestPlanCacheEviction(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 53, UniverseSize: 1 << 11})
 	if err != nil {
@@ -138,7 +144,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	for i := range reqs {
 		reqs[i].Spec = targeting.And(targeting.Attr(i), targeting.Attr((i+1)%12))
 	}
-	want := serialMeasure(p, reqs)
+	want := oracleMeasure(p, reqs)
 	for round := 0; round < 3; round++ {
 		got, err := p.MeasureMany(reqs)
 		if err != nil {
@@ -200,9 +206,9 @@ func TestCustomAudiencePlansUncached(t *testing.T) {
 
 // TestPlanCacheConcurrentEviction hammers MeasureMany from many goroutines
 // with overlapping spec batches while a tiny LRU continuously evicts plans
-// and schedules, asserting every answer stays bit-identical to serial
-// Measure. This is the compiler's race gate: plan reuse, schedule reuse,
-// eviction, and recompilation must all be invisible under -race.
+// and schedules, asserting every answer stays bit-identical to the oracle.
+// This is the compiler's race gate: plan reuse, schedule reuse, eviction,
+// and recompilation must all be invisible under -race.
 func TestPlanCacheConcurrentEviction(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 61, UniverseSize: 1 << 11, Compressed: true})
 	if err != nil {
@@ -236,7 +242,7 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 		}
 		pool[i] = EstimateRequest{Spec: spec}
 	}
-	want := serialMeasure(p, pool)
+	want := oracleMeasure(p, pool)
 	for i := range pool {
 		if want[i].Err != nil {
 			t.Fatalf("pool spec %d invalid: %v", i, want[i].Err)
@@ -277,12 +283,12 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 	}
 }
 
-// serialMeasure answers a batch one serial Measure call at a time — the
-// reference the compiled batch door must match.
-func serialMeasure(p *Interface, reqs []EstimateRequest) []Estimate {
+// oracleMeasure answers a batch one oracle call at a time on the measure
+// door — the reference the compiled doors must match.
+func oracleMeasure(p *Interface, reqs []EstimateRequest) []Estimate {
 	out := make([]Estimate, len(reqs))
 	for i, req := range reqs {
-		out[i].Size, out[i].Err = p.Measure(req)
+		out[i].Size, out[i].Err = oracle(p, DoorMeasure, req)
 	}
 	return out
 }

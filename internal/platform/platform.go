@@ -16,9 +16,17 @@
 //
 // Estimates are reported at platform scale (simulated count × ScaleFactor)
 // so rounding floors and recall magnitudes behave like the live platforms'.
+//
+// Every door counts through the audience query compiler: a batch compiles
+// into a schedule (cached on a dense catalog), a serial query into a lone
+// plan executed once, so each counts in plans_compiled_total and
+// batch_kernel_blocks_total whatever the catalog posture. Dense set
+// algebra, Interface.Audience, is kept as the oracle the compiled doors are
+// tested against.
 package platform
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -29,6 +37,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/estimate"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/pii"
 	"repro/internal/pixel"
 	"repro/internal/population"
@@ -111,8 +120,8 @@ type Config struct {
 	// each is materialized dense once, compressed, and the dense form
 	// dropped. Compiled plans read the options as compressed-only operands,
 	// and the interface retains no plans or schedules: every batch compiles
-	// afresh. Cluster shards set this so a 2^24-user shard's catalog fits in
-	// memory.
+	// afresh, as every serial query does on any posture. Cluster shards set
+	// this so a 2^24-user shard's catalog fits in memory.
 	CSetOnly bool
 	// Views supplies every catalog option audience as a compressed set,
 	// typically aliasing an mmap'd snapshot (internal/snapshot). When set,
@@ -129,9 +138,10 @@ type Config struct {
 // Interface is one simulated advertiser-facing targeting interface.
 //
 // Estimate, Measure, Audience, and Warm are safe for concurrent use: the
-// catalog-option caches are per-slot atomics (no global lock on the query
-// path) and the query counter is atomic. Custom-audience creation and lookup
-// serialize on a narrow RWMutex.
+// catalog-option caches are per-slot atomics and the query counter is
+// atomic; the compiler caches are mutex-guarded LRUs, which a serial query
+// touches only for a multi-ref OR clause's union. Custom-audience creation
+// and lookup serialize on a narrow RWMutex.
 type Interface struct {
 	cfg Config
 
@@ -141,7 +151,7 @@ type Interface struct {
 
 	// plans holds the query compiler's caches; nil on CSetOnly and
 	// snapshot-backed interfaces, which compile every batch afresh and
-	// retain nothing.
+	// retain nothing. Serial queries compile afresh on every posture.
 	plans *planCache
 
 	// Query counters, resolved once at construction so the estimate hot
@@ -151,12 +161,12 @@ type Interface struct {
 	mMeasureQueries  *obs.Counter   // platform_queries_total{door="measure"}
 	mRoundingHits    *obs.Counter   // estimates the rounder changed
 	mFloorRejections *obs.Counter   // nonzero exact sizes floored to 0
-	mBatchedQueries  *obs.Counter   // batched_queries_total: queries answered via the tiled kernel
-	mBatchBlocks     *obs.Counter   // batch_kernel_blocks_total: tiles the kernel walked
+	mBatchedQueries  *obs.Counter   // batched_queries_total: queries answered by a batch door
+	mBatchBlocks     *obs.Counter   // batch_kernel_blocks_total: tiles the kernel walked, serial doors included
 	mBatchSize       *obs.Histogram // batch_size_specs: log2 batch-size distribution
 	mPlanHits        *obs.Counter   // plan_cache_hits_total: specs served by a cached plan
 	mPlanMisses      *obs.Counter   // plan_cache_misses_total: cacheable specs that had to compile
-	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run (incl. uncacheable)
+	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run (incl. uncacheable and serial)
 	mPlanRebuilds    *obs.Counter   // plan_cache_rebuilds_total: union operands rematerialized after eviction
 
 	mu      sync.RWMutex // guards custom, dir, tracker
@@ -367,10 +377,11 @@ func (p *Interface) clauseSet(cl targeting.Clause) (*audience.Set, error) {
 	return out, nil
 }
 
-// Audience evaluates a spec into the exact set of matching users. It does
-// not validate rules; callers wanting advertiser or measurement semantics
-// use Estimate or Measure. Exposed for ground-truth verification in tests
-// and ablations.
+// Audience evaluates a spec into the exact set of matching users by dense
+// set algebra, outside the query compiler. It does not validate rules;
+// callers wanting advertiser or measurement semantics use Estimate or
+// Measure. It is the oracle the compiled doors are tested against, and
+// serves ablations that need the matched users themselves.
 func (p *Interface) Audience(spec targeting.Spec) (*audience.Set, error) {
 	if len(spec.Include) == 0 {
 		return nil, targeting.ErrEmptySpec
@@ -397,136 +408,15 @@ func (p *Interface) Audience(spec targeting.Spec) (*audience.Set, error) {
 	return acc, nil
 }
 
-// refSetsPool recycles the small per-query slice of resolved ref sets used
-// by the allocation-free counting fast path.
-var refSetsPool = sync.Pool{New: func() any { return new([]*audience.Set) }}
-
-// clauseInto evaluates one OR-clause into dst, overwriting its contents.
-func (p *Interface) clauseInto(dst *audience.Set, cl targeting.Clause) error {
-	if len(cl) == 0 {
-		return targeting.ErrEmptyClause
-	}
-	for k, r := range cl {
-		s, err := p.refSet(r)
-		if err != nil {
-			return err
-		}
-		if k == 0 {
-			dst.CopyFrom(s)
-		} else {
-			dst.OrWith(s)
-		}
-	}
-	return nil
-}
-
-// countMatched returns |Audience(spec)| without materializing a result set.
-// The audit's dominant shapes — an AND of single-option clauses, optionally
-// minus a single exclusion — are counted with zero allocations via
-// audience.CountAndAll / CountAndNot over the cached option sets; general
-// specs evaluate through pooled scratch sets, so a steady query load
-// allocates no bitset words either way.
-func (p *Interface) countMatched(spec targeting.Spec) (int, error) {
-	if len(spec.Include) == 0 {
-		return 0, targeting.ErrEmptySpec
-	}
-	single := true
-	for _, cl := range spec.Include {
-		if len(cl) != 1 {
-			single = false
-			break
-		}
-	}
-	if single && len(spec.Exclude) == 0 {
-		sp := refSetsPool.Get().(*[]*audience.Set)
-		sets := (*sp)[:0]
-		for _, cl := range spec.Include {
-			s, err := p.refSet(cl[0])
-			if err != nil {
-				*sp = sets[:0]
-				refSetsPool.Put(sp)
-				return 0, err
-			}
-			sets = append(sets, s)
-		}
-		c := audience.CountAndAll(sets[0], sets[1:]...)
-		*sp = sets[:0]
-		refSetsPool.Put(sp)
-		return c, nil
-	}
-	if single && len(spec.Include) == 1 && len(spec.Exclude) == 1 && len(spec.Exclude[0]) == 1 {
-		inc, err := p.refSet(spec.Include[0][0])
-		if err != nil {
-			return 0, err
-		}
-		exc, err := p.refSet(spec.Exclude[0][0])
-		if err != nil {
-			return 0, err
-		}
-		return audience.CountAndNot(inc, exc), nil
-	}
-	// General shape: AND-of-ORs with exclusions, evaluated in pooled scratch
-	// sets (the only per-query storage; recycled on return).
-	acc := audience.NewScratch(p.cfg.Universe.Size())
-	defer acc.Recycle()
-	var tmp *audience.Set
-	defer func() {
-		if tmp != nil {
-			tmp.Recycle()
-		}
-	}()
-	if err := p.clauseInto(acc, spec.Include[0]); err != nil {
-		return 0, err
-	}
-	combine := func(cl targeting.Clause, exclude bool) error {
-		if len(cl) == 0 {
-			return targeting.ErrEmptyClause
-		}
-		if len(cl) == 1 {
-			s, err := p.refSet(cl[0])
-			if err != nil {
-				return err
-			}
-			if exclude {
-				acc.AndNotWith(s)
-			} else {
-				acc.AndWith(s)
-			}
-			return nil
-		}
-		if tmp == nil {
-			tmp = audience.NewScratch(p.cfg.Universe.Size())
-		}
-		if err := p.clauseInto(tmp, cl); err != nil {
-			return err
-		}
-		if exclude {
-			acc.AndNotWith(tmp)
-		} else {
-			acc.AndWith(tmp)
-		}
-		return nil
-	}
-	for _, cl := range spec.Include[1:] {
-		if err := combine(cl, false); err != nil {
-			return 0, err
-		}
-	}
-	for _, cl := range spec.Exclude {
-		if err := combine(cl, true); err != nil {
-			return 0, err
-		}
-	}
-	return acc.Count(), nil
-}
-
-// queryParams validates the non-spec estimate parameters and returns the
-// two factors the exact statistic is scaled by: the objective-eligibility
-// fraction and, on impression-estimating interfaces, the frequency-cap
-// impression factor (1 elsewhere). Shared by the serial and batched paths
-// so both reject and scale identically.
-func (p *Interface) queryParams(req EstimateRequest, rules targeting.Rules) (eligible, impressions float64, err error) {
-	if err := rules.Validate(req.Spec); err != nil {
+// QueryParams validates a request under the door's rules and returns the
+// two factors its count is scaled by: the objective-eligibility fraction
+// and, on impression-estimating interfaces, the frequency-cap impression
+// factor (1 elsewhere). Every door calls it, so all reject and scale
+// identically; the cluster coordinator calls it on its zero-user metadata
+// interface, deciding validation outcomes and factors once, exactly as a
+// single node does.
+func (p *Interface) QueryParams(door Door, req EstimateRequest) (eligible, impressions float64, err error) {
+	if err := p.doorRules(door).Validate(req.Spec); err != nil {
 		return 0, 0, err
 	}
 	obj := req.Objective
@@ -555,24 +445,6 @@ func (p *Interface) queryParams(req EstimateRequest, rules targeting.Rules) (eli
 	return eligible, impressions, nil
 }
 
-// estimateExact computes the unrounded platform-scale statistic.
-func (p *Interface) estimateExact(req EstimateRequest, rules targeting.Rules) (float64, error) {
-	eligible, impressions, err := p.queryParams(req, rules)
-	if err != nil {
-		return 0, err
-	}
-	count, err := p.countSpec(req.Spec)
-	if err != nil {
-		return 0, err
-	}
-	v := float64(count) * p.ScaleFactor() * eligible
-	if p.cfg.ImpressionEstimates {
-		v *= impressions
-	}
-	p.queryCount.Add(1)
-	return v, nil
-}
-
 // impressionFactor converts a frequency cap into expected impressions per
 // matched user. Cap 1 yields exactly 1 (impressions ≈ unique users — the
 // setting the paper uses); higher caps saturate as light users run out of
@@ -587,15 +459,23 @@ func impressionFactor(cap int) float64 {
 	return f
 }
 
-// roundAndCount rounds the exact statistic and records the query against
-// the door's counters: every served query, plus whether rounding changed
-// the reported value (rounding hit) or floored a nonzero audience to 0
-// (the paper's minimum-reporting floors: Facebook 1,000, LinkedIn 300,
-// Google 40).
-func (p *Interface) roundAndCount(v float64, queries *obs.Counter) int64 {
+// ScaleAndRound converts a raw matched-user count into the door-visible
+// rounded platform-scale size — count × ScaleFactor × eligible, × the
+// impression factor on impression-estimating interfaces, +0.5 truncation,
+// then the interface's rounder — and tallies whether rounding changed the
+// value (rounding hit) or floored a nonzero audience to 0 (the paper's
+// minimum-reporting floors: Facebook 1,000, LinkedIn 300, Google 40). It
+// is the one scale-and-round expression: the serial and batched doors
+// apply it to their counts, and a cluster coordinator to the sum of its
+// shards' counts, which is therefore bit-identical to a single node
+// counting the full universe.
+func (p *Interface) ScaleAndRound(count int64, eligible, impressions float64) int64 {
+	v := float64(count) * p.ScaleFactor() * eligible
+	if p.cfg.ImpressionEstimates {
+		v *= impressions
+	}
 	exact := int64(v + 0.5)
 	rounded := p.cfg.Rounder.Round(exact)
-	queries.Inc()
 	switch {
 	case rounded == 0 && exact > 0:
 		p.mFloorRejections.Inc()
@@ -607,22 +487,80 @@ func (p *Interface) roundAndCount(v float64, queries *obs.Counter) int64 {
 
 // Estimate returns the advertiser-visible rounded size estimate.
 func (p *Interface) Estimate(req EstimateRequest) (int64, error) {
-	v, err := p.estimateExact(req, p.cfg.AdvertiserRules)
-	if err != nil {
-		return 0, err
-	}
-	return p.roundAndCount(v, p.mEstimateQueries), nil
+	return p.size(nil, DoorEstimate, req)
 }
 
 // Measure returns the rounded size estimate under measurement rules — the
 // auditor's view, which may condition on demographics even when the
 // advertiser interface forbids them.
 func (p *Interface) Measure(req EstimateRequest) (int64, error) {
-	v, err := p.estimateExact(req, p.MeasurementRules())
+	return p.size(nil, DoorMeasure, req)
+}
+
+// EstimateCtx is Estimate under a trace context.
+func (p *Interface) EstimateCtx(ctx context.Context, req EstimateRequest) (int64, error) {
+	return p.size(trace.FromContext(ctx), DoorEstimate, req)
+}
+
+// MeasureCtx is Measure under a trace context: when ctx carries a sampled
+// span the measurement records a platform child span and a provenance
+// record; an untraced context costs one context lookup.
+func (p *Interface) MeasureCtx(ctx context.Context, req EstimateRequest) (int64, error) {
+	return p.size(trace.FromContext(ctx), DoorMeasure, req)
+}
+
+// size answers one serial size query through the door: QueryParams,
+// countSpec, then ScaleAndRound. parent is the caller's trace span, nil on
+// untraced calls; traced and untraced calls run the same code and return
+// the same answers.
+func (p *Interface) size(parent *trace.Span, door Door, req EstimateRequest) (int64, error) {
+	var span *trace.Span
+	if parent != nil {
+		span = trace.ChildOf(parent, "platform."+door.String())
+		span.Annotate("interface", p.cfg.Name)
+		defer span.End()
+	}
+	eligible, impressions, err := p.QueryParams(door, req)
+	if err != nil {
+		span.SetError(err)
+		return 0, err
+	}
+	count, err := p.countSpec(req.Spec)
+	if err != nil {
+		span.SetError(err)
+		return 0, err
+	}
+	p.queryCount.Add(1)
+	p.doorCounter(door).Inc()
+	size := p.ScaleAndRound(int64(count), eligible, impressions)
+	if plog := span.ProvenanceLog(); plog != nil {
+		plog.Add(trace.Provenance{
+			Platform: p.cfg.Name,
+			Key:      requestKey(req),
+			Source:   "platform",
+			TraceID:  span.TraceID(),
+			Value:    size,
+		})
+	}
+	return size, nil
+}
+
+// countSpec counts the users matching one spec on every catalog posture
+// the same way: it compiles the spec afresh and executes it as a lone
+// plan. It computes no canonical key and neither reads nor writes the plan
+// or schedule cache, so serial traffic never evicts what batches cached;
+// multi-ref OR clauses share the union cache on a dense catalog. Each call
+// counts in plans_compiled_total and batch_kernel_blocks_total.
+func (p *Interface) countSpec(spec targeting.Spec) (int, error) {
+	var memo unionMemo
+	plan, err := p.compileSpec(spec, &memo)
 	if err != nil {
 		return 0, err
 	}
-	return p.roundAndCount(v, p.mMeasureQueries), nil
+	counts, tiles := audience.CompileBatch([]*audience.Plan{plan}).Exec(nil)
+	p.mPlansCompiled.Inc()
+	p.mBatchBlocks.Add(int64(tiles))
+	return counts[0], nil
 }
 
 // Warm materializes every attribute, topic, and placement audience, fanning

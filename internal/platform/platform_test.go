@@ -55,8 +55,8 @@ func TestInterfaceNames(t *testing.T) {
 	if _, err := d.ByName(catalog.PlatformGoogle); err != nil {
 		t.Errorf("ByName(google): %v", err)
 	}
-	if _, err := d.ByName("myspace"); err == nil {
-		t.Error("ByName should fail for unknown interface")
+	if _, err := d.ByName("myspace"); !errors.Is(err, ErrUnknownInterface) || err.Error() != `platform: unknown interface "myspace"` {
+		t.Errorf("ByName(myspace) = %v, want ErrUnknownInterface", err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // coordinator fans a batch out to shards, each shard answers with raw
 // matched-user counts restricted to the partitions it was asked to serve,
 // and the coordinator sums the partial counts and applies scaling and
-// rounding exactly once — through ScaleAndRound below, which replicates the
-// single-node float op order bit for bit.
+// rounding exactly once — through ScaleAndRound, the expression every
+// single-node door applies to its own counts.
 
 // Door selects which of the interface's two query doors a request goes
 // through: the auditor's Measure door or the advertiser's Estimate door.
@@ -61,38 +61,6 @@ func (p *Interface) doorCounter(d Door) *obs.Counter {
 	return p.mMeasureQueries
 }
 
-// QueryParams validates a request's non-spec parameters under the door's
-// rules and returns the scaling factors the statistic multiplies by. The
-// cluster coordinator calls this on its zero-user metadata interface so
-// validation outcomes and factors are decided once, identically to the
-// single-node path.
-func (p *Interface) QueryParams(door Door, req EstimateRequest) (eligible, impressions float64, err error) {
-	return p.queryParams(req, p.doorRules(door))
-}
-
-// ScaleAndRound converts a raw matched-user count into the door-visible
-// rounded platform-scale size. The expression mirrors estimateExact and the
-// batched scaleAndRound term for term — same multiplication order, same
-// +0.5 truncation, same rounder — so a coordinator applying it to a sum of
-// shard counts is bit-identical to a single node counting the full
-// universe. Rounding metrics are tallied exactly as the single-node doors
-// tally them.
-func (p *Interface) ScaleAndRound(count int64, eligible, impressions float64) int64 {
-	v := float64(count) * p.ScaleFactor() * eligible
-	if p.cfg.ImpressionEstimates {
-		v *= impressions
-	}
-	exact := int64(v + 0.5)
-	rounded := p.cfg.Rounder.Round(exact)
-	switch {
-	case rounded == 0 && exact > 0:
-		p.mFloorRejections.Inc()
-	case rounded != exact:
-		p.mRoundingHits.Inc()
-	}
-	return rounded
-}
-
 // IndexRange is a half-open window [Lo, Hi) of local user indices.
 type IndexRange = audience.Window
 
@@ -121,7 +89,6 @@ const rawBatchSlots = 512
 // plan, schedule or canonical key outlives the call — and each schedule
 // walks only the ranges' tiles.
 func (p *Interface) RawCountMany(door Door, reqs []EstimateRequest, ranges []IndexRange) []RawCount {
-	rules := p.doorRules(door)
 	out := make([]RawCount, len(reqs))
 	plans := make([]*audience.Plan, 0, min(len(reqs), rawBatchSlots))
 	slot := make([]int, 0, cap(plans))
@@ -129,7 +96,7 @@ func (p *Interface) RawCountMany(door Door, reqs []EstimateRequest, ranges []Ind
 	for lo := 0; lo < len(reqs); lo += rawBatchSlots {
 		plans, slot = plans[:0], slot[:0]
 		for i := lo; i < min(lo+rawBatchSlots, len(reqs)); i++ {
-			if _, _, err := p.queryParams(reqs[i], rules); err != nil {
+			if _, _, err := p.QueryParams(door, reqs[i]); err != nil {
 				out[i].Err = err
 				continue
 			}
@@ -156,22 +123,4 @@ func (p *Interface) RawCountMany(door Door, reqs []EstimateRequest, ranges []Ind
 		p.mBatchBlocks.Add(int64(tiles))
 	}
 	return out
-}
-
-// countSpec counts the users matching one spec. Dense catalogs take the
-// zero-allocation countMatched paths; a compressed catalog compiles the
-// spec and executes it as a batch of one.
-func (p *Interface) countSpec(spec targeting.Spec) (int, error) {
-	if !p.compressedCatalog() {
-		return p.countMatched(spec)
-	}
-	var memo unionMemo
-	plan, err := p.compileSpec(spec, &memo)
-	if err != nil {
-		return 0, err
-	}
-	counts, tiles := audience.CompileBatch([]*audience.Plan{plan}).Exec(nil)
-	p.mPlansCompiled.Inc()
-	p.mBatchBlocks.Add(int64(tiles))
-	return counts[0], nil
 }

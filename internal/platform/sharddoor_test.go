@@ -9,8 +9,8 @@ import (
 )
 
 // shardSpecs is the battery the shard-door tests count: conjunctions,
-// exclusions, multi-ref clauses, topics, and demographic chains, so both the
-// dense fast path and the scratch-accumulator path see every clause shape.
+// exclusions, multi-ref clauses, topics, and demographic chains, so the
+// compiled doors meet every clause shape.
 func shardSpecs() []targeting.Spec {
 	return []targeting.Spec{
 		targeting.Attr(0),
@@ -64,9 +64,9 @@ var postureNames = []string{"dense", "cset-only", "views"}
 
 // TestRawCountsAdditive is the invariant the cluster is built on: raw counts
 // over disjoint index ranges sum to the full-universe raw count, and pushing
-// the sum through ScaleAndRound is bit-identical to the single-node door.
-// Compressed-catalog postures must count exactly what the dense one does,
-// and retain no plan, union or schedule doing it.
+// the sum through ScaleAndRound is bit-identical to the oracle and to the
+// single-node door. Compressed-catalog postures must count exactly what the
+// dense one does, and retain no plan, union or schedule doing it.
 func TestRawCountsAdditive(t *testing.T) {
 	const n = 1 << 12
 	deps := postures(t, DeployOptions{Seed: 43, UniverseSize: n})
@@ -98,8 +98,15 @@ func TestRawCountsAdditive(t *testing.T) {
 						t.Fatalf("%s %v slot %d: counts %d (%v), dense counts %d (%v)",
 							name, door, i, full[i].Count, full[i].Err, ref[i].Count, ref[i].Err)
 					}
+					want, werr := oracle(p, door, reqs[i])
 					if full[i].Err != nil {
+						if werr == nil || full[i].Err.Error() != werr.Error() {
+							t.Fatalf("%s %v slot %d: RawCountMany err %v, oracle err %v", name, door, i, full[i].Err, werr)
+						}
 						continue
+					}
+					if werr != nil {
+						t.Fatal(werr)
 					}
 					var sum int64
 					for _, w := range windows {
@@ -114,18 +121,22 @@ func TestRawCountsAdditive(t *testing.T) {
 							name, door, i, sum, full[i].Count)
 					}
 					got := p.ScaleAndRound(sum, eligible, impressions)
-					var want int64
+					if got != want {
+						t.Fatalf("%s %v slot %d: ScaleAndRound(sum)=%d, oracle=%d",
+							name, door, i, got, want)
+					}
+					var served int64
 					if door == DoorMeasure {
-						want, err = p.Measure(reqs[i])
+						served, err = p.Measure(reqs[i])
 					} else {
-						want, err = p.Estimate(reqs[i])
+						served, err = p.Estimate(reqs[i])
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != want {
-						t.Fatalf("%s %v slot %d: ScaleAndRound(sum)=%d, door=%d",
-							name, door, i, got, want)
+					if served != want {
+						t.Fatalf("%s %v slot %d: door=%d, oracle=%d",
+							name, door, i, served, want)
 					}
 				}
 				if plans, unions, scheds := p.PlanCacheStats(); di > 0 && plans+unions+scheds != 0 {
@@ -138,24 +149,30 @@ func TestRawCountsAdditive(t *testing.T) {
 
 // TestRawCountManyDoorRules: the estimate door enforces advertiser rules, so
 // a demographic spec that measures fine on facebook-restricted must fail in
-// its slot — with the same error the single-node door returns, on every
-// posture.
+// its slot — with the same error the oracle returns, on every posture —
+// while the measure door counts what the oracle's audience holds.
 func TestRawCountManyDoorRules(t *testing.T) {
 	reqs := []EstimateRequest{{Spec: targeting.WithGender(targeting.Attr(0), 1)}}
 	deps := postures(t, DeployOptions{Seed: 47, UniverseSize: 1 << 11})
 	measured := deps[0].FacebookRestricted.RawCountMany(DoorMeasure, reqs, nil)
-	_, wantErr := deps[0].FacebookRestricted.Estimate(reqs[0])
-	if wantErr == nil {
-		t.Fatal("estimate door accepted demographics on restricted interface")
-	}
 	for di, d := range deps {
 		p := d.FacebookRestricted
-		if got := p.RawCountMany(DoorMeasure, reqs, nil); got[0].Err != nil || got[0].Count != measured[0].Count {
-			t.Fatalf("%s: measure door counted %d (%v), dense %d", postureNames[di], got[0].Count, got[0].Err, measured[0].Count)
+		set, err := p.Audience(reqs[0].Spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := p.RawCountMany(DoorEstimate, reqs, nil)
+		got := p.RawCountMany(DoorMeasure, reqs, nil)
+		if got[0].Err != nil || got[0].Count != measured[0].Count || got[0].Count != int64(set.Count()) {
+			t.Fatalf("%s: measure door counted %d (%v), dense %d, oracle %d",
+				postureNames[di], got[0].Count, got[0].Err, measured[0].Count, set.Count())
+		}
+		_, wantErr := oracle(p, DoorEstimate, reqs[0])
+		if wantErr == nil {
+			t.Fatalf("%s: estimate door accepted demographics on restricted interface", postureNames[di])
+		}
+		got = p.RawCountMany(DoorEstimate, reqs, nil)
 		if got[0].Err == nil || got[0].Err.Error() != wantErr.Error() {
-			t.Fatalf("%s: slot error %v, single-node door error %q", postureNames[di], got[0].Err, wantErr)
+			t.Fatalf("%s: slot error %v, oracle error %q", postureNames[di], got[0].Err, wantErr)
 		}
 	}
 }
