@@ -24,13 +24,20 @@ import (
 	"repro/internal/store"
 )
 
+// The flag defaults, the settings the committed results/ are generated with.
+const (
+	defaultUniverse  = 1 << 17
+	defaultK         = 1000
+	defaultGranCalls = 80000
+)
+
 func main() {
 	var (
 		dir       = flag.String("dir", "results", "output directory")
-		universe  = flag.Int("universe", 1<<17, "simulated users per platform")
+		universe  = flag.Int("universe", defaultUniverse, "simulated users per platform")
 		seed      = flag.Uint64("seed", 0, "deployment seed")
-		k         = flag.Int("k", 1000, "compositions per discovered set")
-		granCalls = flag.Int("granularity-calls", 80000, "distinct calls for the granularity study")
+		k         = flag.Int("k", defaultK, "compositions per discovered set")
+		granCalls = flag.Int("granularity-calls", defaultGranCalls, "distinct calls for the granularity study")
 		storeDir  = flag.String("store", "", "durable measurement store directory; a re-run over it replays persisted measurements from disk")
 		snapPath  = flag.String("snapshot", "", "load the deployment from this snapshot file (internal/snapshot) instead of building it")
 	)

@@ -121,7 +121,7 @@ func main() {
 	flag.Float64Var(&cfg.burst, "burst", 20, "rate-limit burst capacity")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable auditor-door cache directory (empty = uncached)")
 	flag.BoolVar(&cfg.warm, "warm", false, "materialize all option audiences before serving")
-	flag.BoolVar(&cfg.comp, "compressed", false, "materialize compressed audience forms (shard mode: retain catalog audiences compressed-only)")
+	flag.BoolVar(&cfg.comp, "compressed", false, "hold catalog audiences compressed-only, as a snapshot boot does (less memory, slower queries)")
 	flag.BoolVar(&cfg.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.BoolVar(&cfg.verbose, "v", false, "log every request")
 	flag.StringVar(&cfg.snapPath, "snapshot", "", "boot from this deployment snapshot instead of building (shard mode loads the node's slice)")

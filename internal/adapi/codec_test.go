@@ -330,7 +330,12 @@ func TestAgeRangeFromBoundsUnknown(t *testing.T) {
 }
 
 func TestErrorCodeMapping(t *testing.T) {
+	seen := map[string]bool{}
 	for _, e := range codeByError {
+		if seen[e.code] {
+			t.Errorf("wire code %s listed twice", e.code)
+		}
+		seen[e.code] = true
 		code := errorCode(e.err)
 		if code == codeInternal {
 			t.Errorf("error %v classified as internal", e.err)

@@ -47,25 +47,8 @@ const (
 // batch in halves instead of giving up on it. Match with errors.Is.
 var ErrBodyTooLarge = errors.New("adapi: request body too large")
 
-// sentinelByCode maps wire codes back to the typed errors the audit uses.
-var sentinelByCode = map[string]error{
-	codeEmptySpec:        targeting.ErrEmptySpec,
-	codeEmptyClause:      targeting.ErrEmptyClause,
-	codeMixedClause:      targeting.ErrMixedClause,
-	codeExcludeForbidden: targeting.ErrExcludeForbidden,
-	codeKindForbidden:    targeting.ErrKindForbidden,
-	codeDemoForbidden:    targeting.ErrDemoForbidden,
-	codeAndWithinFeature: targeting.ErrAndWithinFeature,
-	codeTooManyClauses:   targeting.ErrTooManyClauses,
-	codeUnknownOption:    targeting.ErrUnknownOption,
-	codeDuplicateRef:     targeting.ErrDuplicateRef,
-	codeInvalidDemoValue: targeting.ErrInvalidDemoValue,
-	codeUnknownObjective: platform.ErrUnknownObjective,
-	codeBadFrequencyCap:  platform.ErrBadFrequencyCap,
-	codeUnknownPlatform:  platform.ErrUnknownInterface,
-}
-
-// codeByError pairs typed errors with their wire codes, checked in order.
+// codeByError pairs typed errors with their wire codes, one entry per code:
+// errorCode checks it in order, errorFromCode looks codes up in it.
 var codeByError = []struct {
 	err  error
 	code string
@@ -98,8 +81,10 @@ func errorCode(err error) string {
 
 // errorFromCode reconstructs a typed error from a wire code and message.
 func errorFromCode(code, message string) error {
-	if sentinel, ok := sentinelByCode[code]; ok {
-		return fmt.Errorf("adapi: remote rejected request: %w (%s)", sentinel, message)
+	for _, e := range codeByError {
+		if e.code == code {
+			return fmt.Errorf("adapi: remote rejected request: %w (%s)", e.err, message)
+		}
 	}
 	return fmt.Errorf("adapi: remote error %s: %s", code, message)
 }

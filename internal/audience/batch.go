@@ -259,6 +259,8 @@ func (lr *loweredReq) countRange(src [][]uint64, lo, hi int) int {
 			return countAndRange(base, src[lr.and[0]], lo, hi)
 		case 2:
 			return countAnd3Range(base, src[lr.and[0]], src[lr.and[1]], lo, hi)
+		case 3:
+			return countAnd4Range(base, src[lr.and[0]], src[lr.and[1]], src[lr.and[2]], lo, hi)
 		}
 	}
 	var wbuf [blockWords]uint64
@@ -483,6 +485,31 @@ func countAnd3Range(a, b, d []uint64, lo, hi int) int {
 	}
 	for ; i < len(a); i++ {
 		c += bits.OnesCount64(a[i] & b[i] & d[i])
+	}
+	return c
+}
+
+// countAnd4Range popcounts a ∩ b ∩ d ∩ e over [lo, hi) — the audit
+// campaign's commonest spec shape (two options AND a demographic class AND
+// the location scope), on which the generic word loop more than doubled a
+// serial query's latency.
+func countAnd4Range(a, b, d, e []uint64, lo, hi int) int {
+	a = a[lo:hi]
+	b = b[lo:hi]
+	d = d[lo:hi]
+	e = e[lo:hi]
+	b = b[:len(a)]
+	d = d[:len(a)]
+	e = e[:len(a)]
+	c, i := 0, 0
+	for ; i+4 <= len(a); i += 4 {
+		c += bits.OnesCount64(a[i]&b[i]&d[i]&e[i]) +
+			bits.OnesCount64(a[i+1]&b[i+1]&d[i+1]&e[i+1]) +
+			bits.OnesCount64(a[i+2]&b[i+2]&d[i+2]&e[i+2]) +
+			bits.OnesCount64(a[i+3]&b[i+3]&d[i+3]&e[i+3])
+	}
+	for ; i < len(a); i++ {
+		c += bits.OnesCount64(a[i] & b[i] & d[i] & e[i])
 	}
 	return c
 }

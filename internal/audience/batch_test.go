@@ -211,7 +211,7 @@ func popcount(w uint64) int {
 
 // TestLonePlanMatchesNaive runs a lone compiled plan — the platform's
 // serial door — over an AND of one to ten dense operands on every batch
-// size, so each kernel arity (the unrolled loops for up to three operands
+// size, so each kernel arity (the unrolled loops for up to four operands
 // and the generic word loop) meets empty, sub-word, word-edge and
 // multi-block universes.
 func TestLonePlanMatchesNaive(t *testing.T) {

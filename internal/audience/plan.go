@@ -22,11 +22,13 @@ import (
 // clauses with the Set operations (property- and fuzz-tested against the
 // naive Set-algebra evaluator).
 
-// Operand is one audience input of a plan: a dense set, a compressed set,
-// or both holding exactly the same members (FromSet guarantees this). Dense
-// words are read in place. A compressed-only operand is expanded into a
-// register tile by tile when its batch executes, and a compressed form
-// enables the container walk when the operand is the sparsest of its plan.
+// Operand is one audience input of a plan: a dense set or a compressed
+// set. Dense words are read in place. A compressed-only operand is expanded
+// into a register tile by tile when its batch executes, or walked container
+// by container when it is the sparse base of a plan whose other operands
+// are dense. The platform hands the compiler one form per operand; one
+// carrying both must hold exactly the same members in each (FromSet
+// guarantees this), and the compressed form then enables the walk.
 type Operand struct {
 	Set *Set
 	C   *CSet

@@ -31,8 +31,9 @@ type Shard struct {
 // NewShard materializes node id's slice of the deployment described by
 // opts. The layout decides which global-ID spans the node holds; opts'
 // UniverseSize is overridden by the layout's (they describe the same
-// space). With opts.Compressed set the shard retains catalog audiences
-// compressed-only — the memory posture that fits a 2^24-user shard.
+// space). With opts.Compressed set the shard holds its catalog audiences
+// compressed-only, as any deployment does — the memory posture that fits a
+// 2^24-user shard.
 func NewShard(id string, layout *Layout, opts platform.DeployOptions) (*Shard, error) {
 	found := false
 	for _, n := range layout.Ring().Nodes() {

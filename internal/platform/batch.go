@@ -52,8 +52,8 @@ func (p *Interface) EstimateMany(reqs []EstimateRequest) ([]Estimate, error) {
 // canonical key collapses duplicate refs and clauses that the rules reject,
 // so validation outcomes must never be shared across specs with equal
 // keys — and each served count goes through ScaleAndRound, as on the
-// serial door. CSetOnly and snapshot-backed interfaces, which retain no
-// plans, compile every batch afresh and need no canonical keys.
+// serial door. A compressed catalog retains no plans: it compiles every
+// batch afresh and needs no canonical keys.
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,

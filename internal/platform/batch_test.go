@@ -91,11 +91,11 @@ func sameOutcome(t *testing.T, name string, i int, got Estimate, size int64, err
 }
 
 // TestMeasureManyMatchesSerial is the bit-identity property test: on all
-// four interfaces, plain and with compressed catalog forms (the compiler's
-// container-walk dispatch), MeasureMany over a mixed batch and N serial
-// Measure calls must both return exactly what the oracle returns — same
-// sizes, same errors — in any slot order, and again from the warmed plan
-// and schedule caches.
+// four interfaces, on a dense and on a compressed-only deployment,
+// MeasureMany over a mixed batch and N serial Measure calls must both
+// return exactly what the oracle returns — same sizes, same errors — in any
+// slot order, and again on a second pass (from the plan and schedule caches
+// on the dense deployment, compiled afresh on the compressed one).
 func TestMeasureManyMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		opts      DeployOptions
@@ -110,7 +110,8 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 		}
 		for _, p := range d.Interfaces() {
 			reqs := randomBatch(p, tc.batchSeed+uint64(len(p.Name())), 80)
-			// The second pass runs from the warmed plan and schedule caches.
+			// On the dense deployment the second pass runs from the plan and
+			// schedule caches.
 			for pass := 0; pass < 2; pass++ {
 				measureManyMatchesSerial(t, p, reqs)
 			}

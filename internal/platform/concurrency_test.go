@@ -76,23 +76,65 @@ func TestConcurrentMeasureWarm(t *testing.T) {
 	}
 }
 
-// TestWarmReturnsInterface asserts Warm chains and leaves every catalog
-// audience materialized (second Warm and queries are pure cache hits).
+// TestWarmReturnsInterface asserts Warm chains and fills every catalog
+// slot in the catalog's one form: the dense set alone on a dense
+// deployment, the compressed set alone on a Compressed and on a snapshot
+// views deployment. On the compressed catalogs neither Warm nor the
+// Audience oracle may leave a dense set or a compiler cache behind.
 func TestWarmReturnsInterface(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 18, UniverseSize: 1 << 10})
+	opts := DeployOptions{Seed: 18, UniverseSize: 1 << 10}
+	dense, err := NewDeployment(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Google.Warm()
-	if p != d.Google {
-		t.Fatal("Warm did not return its receiver")
+	copts := opts
+	copts.Compressed = true
+	comp, err := NewDeployment(copts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, d := range p.dims {
-		for i := range d.dense {
-			if !d.dense[i].done.Load() {
-				t.Fatalf("%v option %d not materialized after Warm", optionKinds[k], i)
+	viewed, err := NewDeploymentFrom(opts, prebuiltFrom(t, dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An OR clause, a second feature and an exclusion: every catalog kind.
+	spec := targeting.Spec{
+		Include: []targeting.Clause{
+			{{Kind: targeting.KindAttribute, ID: 0}, {Kind: targeting.KindAttribute, ID: 1}},
+			{{Kind: targeting.KindTopic, ID: 0}},
+		},
+		Exclude: []targeting.Clause{{{Kind: targeting.KindPlacement, ID: 0}}},
+	}
+	for di, d := range []*Deployment{dense, comp, viewed} {
+		name := []string{"dense", "compressed", "views"}[di]
+		p := d.Google.Warm()
+		if p != d.Google {
+			t.Fatalf("%s: Warm did not return its receiver", name)
+		}
+		check := func(stage string) {
+			t.Helper()
+			for k, dim := range p.dims {
+				for i := range dim.sets {
+					s := &dim.sets[i]
+					if !s.done.Load() {
+						t.Fatalf("%s: %v option %d not built after %s", name, optionKinds[k], i, stage)
+					}
+					if wantDense := di == 0; (s.op.Set != nil) != wantDense || (s.op.C != nil) == wantDense {
+						t.Fatalf("%s: %v option %d holds dense=%v compressed=%v after %s",
+							name, optionKinds[k], i, s.op.Set != nil, s.op.C != nil, stage)
+					}
+				}
+			}
+			if plans, unions, scheds := p.PlanCacheStats(); di > 0 && plans+unions+scheds != 0 {
+				t.Fatalf("%s: compiler caches hold %d plans, %d unions, %d schedules after %s",
+					name, plans, unions, scheds, stage)
 			}
 		}
+		check("Warm")
+		if _, err := p.Audience(spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("Audience")
 	}
 }
 

@@ -46,9 +46,11 @@ type DeployOptions struct {
 	// UniformActivity disables the heavy-tailed per-user activity offsets,
 	// for the activity ablation.
 	UniformActivity bool
-	// Compressed materializes roaring-style compressed forms of the catalog
-	// option sets, letting the query compiler dispatch sparse-base plans to
-	// the container walk instead of the dense kernel.
+	// Compressed holds every interface's catalog option audiences only in
+	// compressed form (Config.CSetOnly), on full and shard deployments
+	// alike: the posture a snapshot boot serves. It trades query speed for
+	// memory, letting a 2^24-user shard fit where a dense catalog would
+	// not; answers are identical on both postures.
 	Compressed bool
 	// ShardSpans restricts every universe to the given global-ID spans
 	// (population.NewShard): each platform materializes only the spanned
@@ -57,9 +59,7 @@ type DeployOptions struct {
 	// universes; a non-nil empty slice builds a zero-user metadata
 	// deployment — catalogs, rules, rounders, and objectives with nobody in
 	// them — which is the cluster coordinator's validation and scaling
-	// view. Shard deployments with Compressed set retain catalog option
-	// sets compressed-only (Config.CSetOnly), the memory posture that lets
-	// a 2^24-user shard fit where a dense catalog would not.
+	// view.
 	ShardSpans []population.Span
 	// Metrics receives every interface's counters; nil selects the
 	// process-wide obs.Default() registry.
@@ -209,8 +209,6 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		}
 		return v, nil
 	}
-	csetOnly := opts.Compressed && opts.ShardSpans != nil && pre == nil
-
 	fbUni, err := newUni(population.Config{
 		Seed:        opts.Seed,
 		Size:        opts.UniverseSize,
@@ -300,8 +298,7 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:          pickRounder(estimate.Facebook()),
 		Objectives:       map[Objective]float64{ObjectiveReach: 1, ObjectiveTraffic: 0.72},
 		DefaultObjective: ObjectiveReach,
-		Compressed:       opts.Compressed,
-		CSetOnly:         csetOnly,
+		CSetOnly:         opts.Compressed,
 		Views:            fbViews,
 		Metrics:          opts.Metrics,
 	})
@@ -343,8 +340,7 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:            pickRounder(estimate.Facebook()),
 		Objectives:         map[Objective]float64{ObjectiveReach: 1, ObjectiveTraffic: 0.72},
 		DefaultObjective:   ObjectiveReach,
-		Compressed:         opts.Compressed,
-		CSetOnly:           csetOnly,
+		CSetOnly:           opts.Compressed,
 		Views:              fbrViews,
 		Metrics:            opts.Metrics,
 	})
@@ -383,8 +379,7 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Objectives:          map[Objective]float64{ObjectiveBrandAwarenessReach: 1, ObjectiveTraffic: 0.65},
 		DefaultObjective:    ObjectiveBrandAwarenessReach,
 		ImpressionEstimates: true,
-		Compressed:          opts.Compressed,
-		CSetOnly:            csetOnly,
+		CSetOnly:            opts.Compressed,
 		Views:               gViews,
 		Metrics:             opts.Metrics,
 	})
@@ -421,8 +416,7 @@ func NewDeploymentFrom(opts DeployOptions, pre *Prebuilt) (*Deployment, error) {
 		Rounder:          pickRounder(estimate.LinkedIn()),
 		Objectives:       map[Objective]float64{ObjectiveBrandAwareness: 1, ObjectiveTraffic: 0.70},
 		DefaultObjective: ObjectiveBrandAwareness,
-		Compressed:       opts.Compressed,
-		CSetOnly:         csetOnly,
+		CSetOnly:         opts.Compressed,
 		Views:            liViews,
 		Metrics:          opts.Metrics,
 	})

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/audience"
@@ -144,8 +143,8 @@ type planCache struct {
 	// seenMu guards seenUnions: every union key ever materialized, bounded
 	// by seenUnionCap. A union-cache miss on a seen key is a rebuild — the
 	// eviction-refill churn plan_cache_rebuilds_total counts (each one
-	// re-runs audience.Union and possibly audience.FromSet). Interfaces with
-	// a compressed catalog have no union cache, so their counter pins at 0.
+	// re-runs audience.Union). Interfaces with a compressed catalog have no
+	// union cache, so their counter pins at 0.
 	seenMu     sync.Mutex
 	seenUnions map[string]struct{}
 }
@@ -184,48 +183,6 @@ func newPlanCache(size int) *planCache {
 	}
 }
 
-// compressedOperand resolves a catalog option to its compressed audience
-// alone: the snapshot view, or the set materialized dense once, compressed,
-// and the dense form dropped — a compressed-catalog interface never retains
-// more than the compressed catalog.
-func (p *Interface) compressedOperand(r targeting.Ref) (audience.Operand, error) {
-	d := p.dim(r.Kind)
-	switch {
-	case d == nil:
-		return audience.Operand{}, fmt.Errorf("%w: %s is not a catalog option", targeting.ErrKindForbidden, r)
-	case r.ID < 0 || r.ID >= len(d.opts):
-		return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
-	case d.views != nil:
-		return audience.Operand{C: d.views[r.ID], Card: d.views[r.ID].Count()}, nil
-	}
-	return d.comp[r.ID].get(func() audience.Operand {
-		c := audience.FromSet(p.cfg.Universe.Materialize(d.opts[r.ID].Model))
-		return audience.Operand{C: c, Card: c.Count()}
-	}), nil
-}
-
-// operandFor resolves one targeting ref to a plan operand carrying its
-// membership count. On a compressed catalog an option resolves to its
-// compressed set alone; everything else resolves to its dense set. Under
-// Compressed, an option's compressed form, built lazily, rides along:
-// demographics are far too dense for the compressed walk to ever win, and
-// custom audiences are transient per-advertiser state.
-func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
-	d := p.dim(r.Kind)
-	if d != nil && p.compressedCatalog() {
-		return p.compressedOperand(r)
-	}
-	op, err := p.denseOperand(r)
-	if err != nil || d == nil || !p.cfg.Compressed {
-		return op, err
-	}
-	op.C = d.comp[r.ID].get(func() audience.Operand {
-		c := audience.FromSet(op.Set)
-		return audience.Operand{C: c, Card: c.Count()}
-	}).C
-	return op, nil
-}
-
 // unionMemo holds the OR-clause unions of one batch compiled on a
 // compressed catalog, by union key; the zero value is ready to use.
 type unionMemo map[string]audience.Operand
@@ -234,9 +191,10 @@ type unionMemo map[string]audience.Operand
 // The union is keyed by the clause's canonical form (targeting.Canonical:
 // refs sorted and deduplicated), so every plan whose clause unions the same
 // options references the same materialized set, which is what lets
-// CompileBatch common-subexpression tails across plans. Dense catalogs
-// share unions interface-wide through the union LRU; compressed catalogs
-// build them from the compressed operands once per batch, in memo.
+// CompileBatch common-subexpression tails across plans. The union is a
+// dense set on both postures. Dense catalogs share unions interface-wide
+// through the union LRU; compressed catalogs build them from the
+// compressed operands once per batch, in memo.
 func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience.Operand, error) {
 	key := targeting.Canonical(targeting.Spec{Include: []targeting.Clause{cl}})
 	if p.plans != nil {
@@ -247,13 +205,9 @@ func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience
 		return op, nil
 	}
 	// Resolve in clause order so error positions match Interface.Audience.
-	resolve := p.operandFor
-	if p.plans != nil {
-		resolve = p.denseOperand
-	}
 	ops := make([]audience.Operand, len(cl))
 	for i, r := range cl {
-		op, err := resolve(r)
+		op, err := p.operandFor(r)
 		if err != nil {
 			return audience.Operand{}, err
 		}
@@ -269,9 +223,6 @@ func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience
 	}
 	if p.plans.noteUnionBuild(key) {
 		p.mPlanRebuilds.Inc()
-	}
-	if p.cfg.Compressed && u.Card < (u.Set.Len()+63)/64 {
-		u.C = audience.FromSet(u.Set)
 	}
 	p.plans.unions.add(key, u)
 	return u, nil

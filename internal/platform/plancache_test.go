@@ -78,13 +78,14 @@ func TestPlanCacheCounters(t *testing.T) {
 }
 
 // TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate across
-// deployments: on all four interfaces, compiled batches on a plain and on a
-// compressed deployment must equal the uncompiled oracle on a separate
-// plain deployment of the same seed — dense set algebra over the option
-// sets — slot for slot, sizes and errors both, cold and again from the
-// warmed caches. The reference deployment also answers every request on
-// its serial door, which must match the oracle and leave the plan and
-// schedule caches empty (unions are shared by design).
+// deployments: on all four interfaces, compiled batches on a dense and on a
+// compressed-only deployment must equal the uncompiled oracle on a separate
+// dense deployment of the same seed — dense set algebra over the option
+// sets — slot for slot, sizes and errors both, cold and again on a second
+// pass (from the plan and schedule caches on the dense deployment, compiled
+// afresh on the compressed one). The reference deployment also answers
+// every request on its serial door, which must match the oracle and leave
+// the plan and schedule caches empty (unions are shared by design).
 func TestPlanCompilerMatchesLegacy(t *testing.T) {
 	const seed, size = 47, 1 << 12
 	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size})
@@ -117,7 +118,7 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 			for i := range reqs {
 				sameOutcome(t, fmt.Sprintf("%s compressed=%v", p.Name(), opts.Compressed), i, got[i], want[i].Size, want[i].Err)
 			}
-			// Second pass through the warmed caches must be identical too.
+			// The second pass must be identical too.
 			again, err := p.MeasureMany(reqs)
 			if err != nil {
 				t.Fatalf("%s warm: %v", p.Name(), err)
@@ -210,7 +211,7 @@ func TestCustomAudiencePlansUncached(t *testing.T) {
 // This is the compiler's race gate: plan reuse, schedule reuse, eviction,
 // and recompilation must all be invisible under -race.
 func TestPlanCacheConcurrentEviction(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 61, UniverseSize: 1 << 11, Compressed: true})
+	d, err := NewDeployment(DeployOptions{Seed: 61, UniverseSize: 1 << 11})
 	if err != nil {
 		t.Fatal(err)
 	}

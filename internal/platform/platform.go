@@ -112,23 +112,20 @@ type Config struct {
 	// lookalike creation is replaced by demographic-blind "Special Ad
 	// Audiences" (paper §2.2).
 	SpecialAdAudiences bool
-	// Compressed materializes roaring-style compressed forms of the
-	// catalog option sets alongside the dense ones, letting compiled plans
-	// with a sparse base walk containers instead of streaming words.
-	Compressed bool
-	// CSetOnly retains catalog option audiences only in compressed form:
-	// each is materialized dense once, compressed, and the dense form
-	// dropped. Compiled plans read the options as compressed-only operands,
-	// and the interface retains no plans or schedules: every batch compiles
-	// afresh, as every serial query does on any posture. Cluster shards set
-	// this so a 2^24-user shard's catalog fits in memory.
+	// CSetOnly selects the compressed catalog: each catalog option audience
+	// is held only in compressed form, materialized dense once on first
+	// use, compressed, and the dense form dropped. Compiled plans read the
+	// options as compressed-only operands, and the interface retains no
+	// plans or schedules: every batch compiles afresh, as every serial
+	// query does on any posture. Without it, and without Views, the
+	// catalog is dense. The compressed catalog is what lets a 2^24-user
+	// shard fit in memory.
 	CSetOnly bool
 	// Views supplies every catalog option audience as a compressed set,
-	// typically aliasing an mmap'd snapshot (internal/snapshot). When set,
-	// the interface never materializes an option set: compiled plans read
-	// the views as compressed-only operands, Warm is a no-op, and no plans
-	// or schedules are retained, the same posture CSetOnly establishes for
-	// shards.
+	// typically aliasing an mmap'd snapshot (internal/snapshot), and
+	// implies the compressed catalog: New fills each option's slot from
+	// its view, so the interface never materializes an option for a query
+	// and Warm has nothing left to build.
 	Views *OptionViews
 	// Metrics receives the interface's query counters; nil selects the
 	// process-wide obs.Default() registry.
@@ -149,9 +146,9 @@ type Interface struct {
 	demo       []lazyOperand               // the universe's demographic sets, counted once
 	queryCount atomic.Int64
 
-	// plans holds the query compiler's caches; nil on CSetOnly and
-	// snapshot-backed interfaces, which compile every batch afresh and
-	// retain nothing. Serial queries compile afresh on every posture.
+	// plans holds the query compiler's caches; nil on a compressed catalog,
+	// which compiles every batch afresh and retains nothing. Serial queries
+	// compile afresh on both postures.
 	plans *planCache
 
 	// Query counters, resolved once at construction so the estimate hot
@@ -178,14 +175,12 @@ type Interface struct {
 // optionKinds are the catalog option kinds, in Interface.dims order.
 var optionKinds = [...]targeting.Kind{targeting.KindAttribute, targeting.KindTopic, targeting.KindPlacement}
 
-// optionDim is one catalog option kind's state: the options, their lazily
-// built dense and compressed audiences (the compressed ones under
-// Compressed or CSetOnly), and on a snapshot-backed interface their views.
+// optionDim is one catalog option kind's state: the options and one lazily
+// built audience slot per option, holding the dense set on a dense catalog
+// and only the compressed set on a compressed one.
 type optionDim struct {
-	opts  []catalog.Attribute
-	dense []lazyOperand
-	comp  []lazyOperand
-	views []*audience.CSet
+	opts []catalog.Attribute
+	sets []lazyOperand
 }
 
 // dim returns the state of catalog option kind k, or nil for other kinds.
@@ -263,14 +258,20 @@ func New(cfg Config) (*Interface, error) {
 		mPlansCompiled:   reg.Counter("plans_compiled_total", iface),
 		mPlanRebuilds:    reg.Counter("plan_cache_rebuilds_total", iface),
 	}
-	for i, opts := range [][]catalog.Attribute{cfg.Catalog.Attributes, cfg.Catalog.Topics, cfg.Catalog.Placements} {
-		p.dims[i] = optionDim{opts: opts, dense: make([]lazyOperand, len(opts)), comp: make([]lazyOperand, len(opts))}
-	}
+	var views [len(optionKinds)][]*audience.CSet
 	if v := cfg.Views; v != nil {
 		if err := v.validate(cfg.Catalog, cfg.Universe.Size()); err != nil {
 			return nil, err
 		}
-		p.dims[0].views, p.dims[1].views, p.dims[2].views = v.Attributes, v.Topics, v.Placements
+		views = [...][]*audience.CSet{v.Attributes, v.Topics, v.Placements}
+	}
+	for i, opts := range [][]catalog.Attribute{cfg.Catalog.Attributes, cfg.Catalog.Topics, cfg.Catalog.Placements} {
+		sets := make([]lazyOperand, len(opts))
+		for j, c := range views[i] {
+			sets[j].op = audience.Operand{C: c, Card: c.Count()}
+			sets[j].done.Store(true)
+		}
+		p.dims[i] = optionDim{opts: opts, sets: sets}
 	}
 	if !p.compressedCatalog() {
 		p.plans = newPlanCache(planCacheEntries)
@@ -279,7 +280,7 @@ func New(cfg Config) (*Interface, error) {
 }
 
 // compressedCatalog reports whether the interface holds its catalog option
-// audiences only in compressed form (CSetOnly or snapshot Views).
+// audiences only in compressed form (CSetOnly or Views).
 func (p *Interface) compressedCatalog() bool { return p.cfg.CSetOnly || p.cfg.Views != nil }
 
 // Name returns the interface name.
@@ -313,23 +314,34 @@ func (p *Interface) QueryCount() int64 {
 	return p.queryCount.Load()
 }
 
-// refSet resolves one targeting ref to its audience set.
+// refSet resolves one targeting ref to a dense audience set. On a
+// compressed catalog an option is materialized afresh and not retained, so
+// the oracle never reads the encoding it checks.
 func (p *Interface) refSet(r targeting.Ref) (*audience.Set, error) {
-	op, err := p.denseOperand(r)
+	if d := p.dim(r.Kind); d != nil && p.compressedCatalog() && r.ID >= 0 && r.ID < len(d.opts) {
+		return p.cfg.Universe.Materialize(d.opts[r.ID].Model), nil
+	}
+	op, err := p.operandFor(r)
 	return op.Set, err
 }
 
-// denseOperand resolves one targeting ref to its dense audience set as a
-// plan operand. Catalog options and demographics carry their membership
-// count, taken once per interface; a custom audience leaves counting to
-// the compiler.
-func (p *Interface) denseOperand(r targeting.Ref) (audience.Operand, error) {
+// operandFor resolves one targeting ref to a plan operand. A catalog option
+// resolves to its slot, built on first use: the dense set on a dense
+// catalog, the compressed set alone on a compressed one. Options and
+// demographics carry their membership count, taken once per interface; a
+// custom audience leaves counting to the compiler.
+func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
 	if d := p.dim(r.Kind); d != nil {
 		if r.ID < 0 || r.ID >= len(d.opts) {
 			return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrUnknownOption, r)
 		}
-		return d.dense[r.ID].get(func() audience.Operand {
-			return counted(p.cfg.Universe.Materialize(d.opts[r.ID].Model))
+		return d.sets[r.ID].get(func() audience.Operand {
+			s := p.cfg.Universe.Materialize(d.opts[r.ID].Model)
+			if !p.compressedCatalog() {
+				return counted(s)
+			}
+			c := audience.FromSet(s)
+			return audience.Operand{C: c, Card: c.Count()}
 		}), nil
 	}
 	u := p.cfg.Universe
@@ -563,24 +575,15 @@ func (p *Interface) countSpec(spec targeting.Spec) (int, error) {
 	return counts[0], nil
 }
 
-// Warm materializes every attribute, topic, and placement audience, fanning
+// Warm builds every attribute, topic, and placement audience slot, fanning
 // the builds out across GOMAXPROCS workers, and returns the interface so
 // deployments can chain it. Optional; useful to front-load cost before
 // serving or benchmarking so first-query latency is not dominated by lazy
-// materialization. Safe to call concurrently with queries. CSetOnly
-// interfaces warm the compressed forms, dropping each transient dense set
-// as its build finishes. On a snapshot-backed interface (Config.Views)
-// every option audience already exists as a compressed set over the mapped
-// file, so Warm is a no-op — cold containers fault in from the page cache
-// on first touch instead.
+// materialization. Safe to call concurrently with queries. A compressed
+// catalog retains only the compressed forms; on a snapshot-backed one
+// (Config.Views) every slot is already filled, and cold containers fault
+// in from the page cache on first touch instead.
 func (p *Interface) Warm() *Interface {
-	if p.cfg.Views != nil {
-		return p
-	}
-	warm := p.denseOperand
-	if p.cfg.CSetOnly {
-		warm = p.compressedOperand
-	}
 	var refs []targeting.Ref
 	for i, k := range optionKinds {
 		for id := range p.dims[i].opts {
@@ -594,7 +597,7 @@ func (p *Interface) Warm() *Interface {
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(refs)); i = next.Add(1) - 1 {
-				warm(refs[i])
+				p.operandFor(refs[i])
 			}
 		}()
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/audience"
 	"repro/internal/catalog"
+	"repro/internal/estimate"
 	"repro/internal/population"
 	"repro/internal/targeting"
 )
@@ -422,6 +423,58 @@ func TestPlacementsOnlyOnGoogle(t *testing.T) {
 	for _, p := range []*Interface{d.Facebook, d.FacebookRestricted, d.LinkedIn} {
 		if _, err := p.Estimate(EstimateRequest{Spec: targeting.Placement(0)}); !errors.Is(err, targeting.ErrKindForbidden) {
 			t.Errorf("%s: want ErrKindForbidden, got %v", p.Name(), err)
+		}
+	}
+}
+
+// TestScaleAndRoundHalfUp pins ScaleAndRound's formula on exact-rounder
+// interfaces with scale factor 2.5: a scaled size landing on x.5 rounds up,
+// one at x.49… rounds down, and the impression factor applies only on
+// impression-estimating interfaces. No figure of the paper moves if the
+// +0.5 drifts to +0.49, so this table is what catches it.
+func TestScaleAndRoundHalfUp(t *testing.T) {
+	u, err := population.New(population.Config{
+		Seed: 1, Size: 64, ScaleFactor: 2.5, MaleShare: 0.5,
+		AgeShare: [population.NumAgeRanges]float64{0.25, 0.25, 0.25, 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iface := func(impressionEstimates bool) *Interface {
+		p, err := New(Config{
+			Name: "exact", Universe: u, Catalog: &catalog.Catalog{}, Rounder: estimate.Exact{},
+			Objectives: map[Objective]float64{ObjectiveReach: 1}, DefaultObjective: ObjectiveReach,
+			ImpressionEstimates: impressionEstimates,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, impr := iface(false), iface(true)
+	for _, tc := range []struct {
+		count                 int64
+		eligible, impressions float64
+		plain, impr           int64 // expected sizes without and with impressions
+	}{
+		{0, 1, 1, 0, 0},
+		{1, 1, 1, 3, 3},           // 2.5
+		{3, 1, 1, 8, 8},           // 7.5
+		{1, 0.2, 1, 1, 1},         // 0.5: the smallest size that is not 0
+		{1, 0.9998, 1, 2, 2},      // 2.4995
+		{1, 0.19999, 1, 0, 0},     // 0.499975
+		{5, 0.5, 1, 6, 6},         // 6.25
+		{3, 0.25, 1, 2, 2},        // 1.875
+		{1, 1, 1.5, 3, 4},         // 2.5; 3.75 with impressions
+		{1, 0.5, 2, 1, 3},         // 1.25; 2.5 with impressions
+		{1, 0.9998, 1.0004, 2, 3}, // 2.4995; 2.50049… with impressions
+		{1 << 20, 0.5, 1, 1310720, 1310720},
+	} {
+		if got := plain.ScaleAndRound(tc.count, tc.eligible, tc.impressions); got != tc.plain {
+			t.Errorf("ScaleAndRound(%d, %v, %v) = %d, want %d", tc.count, tc.eligible, tc.impressions, got, tc.plain)
+		}
+		if got := impr.ScaleAndRound(tc.count, tc.eligible, tc.impressions); got != tc.impr {
+			t.Errorf("impressions: ScaleAndRound(%d, %v, %v) = %d, want %d", tc.count, tc.eligible, tc.impressions, got, tc.impr)
 		}
 	}
 }

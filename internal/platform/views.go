@@ -115,18 +115,17 @@ func hashOptions(w io.Writer, kind string, opts []catalog.Attribute) {
 }
 
 // OptionCSet returns the compressed audience of one catalog option: the
-// retained set under CSetOnly or in snapshot mode, a transient compression
-// of the dense set otherwise. Only catalog kinds (attribute, topic,
-// placement) resolve; the snapshot writer stores each one's blob to
-// serialize a deployment's full catalog.
+// retained set on a compressed catalog, a transient compression of the
+// dense set otherwise. Only catalog kinds (attribute, topic, placement)
+// resolve; the snapshot writer stores each one's blob to serialize a
+// deployment's full catalog.
 func (p *Interface) OptionCSet(r targeting.Ref) (*audience.CSet, error) {
-	if p.compressedCatalog() || p.dim(r.Kind) == nil {
-		op, err := p.compressedOperand(r)
+	if p.dim(r.Kind) == nil {
+		return nil, fmt.Errorf("%w: %s is not a catalog option", targeting.ErrKindForbidden, r)
+	}
+	op, err := p.operandFor(r)
+	if err != nil || op.C != nil {
 		return op.C, err
 	}
-	s, err := p.refSet(r)
-	if err != nil {
-		return nil, err
-	}
-	return audience.FromSet(s), nil
+	return audience.FromSet(op.Set), nil
 }

@@ -168,10 +168,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotBytesCanonical pins that the snapshot's content does not
-// depend on how the source deployment held its catalog: dense, compressed,
-// and snapshot-loaded deployments over the same options serialize to the
-// same content hash (CSet blobs are canonical, and the directory hash covers
-// every payload byte).
+// depend on how the source deployment held its catalog: dense,
+// compressed-only (Compressed), and snapshot-loaded deployments over the
+// same options serialize to the same content hash (CSet blobs are
+// canonical, and the directory hash covers every payload byte).
 func TestSnapshotBytesCanonical(t *testing.T) {
 	opts := snapOpts(17, 2048)
 	path, _, dense := buildAndWrite(t, opts)

@@ -20,10 +20,12 @@ import (
 
 // configHash fingerprints the content-affecting deployment options: the
 // fields that change which bits end up in a snapshot. Presentation and
-// engine knobs — ExactEstimates (rounder choice), Compressed, Metrics —
-// are deliberately excluded, so one snapshot
-// serves e.g. both the rounded and the exact-estimates ablation of the same
-// universe; the loader derives those from the requested options.
+// engine knobs — ExactEstimates (rounder choice), Compressed (the source's
+// catalog posture: compressed blobs are canonical, and a snapshot boot
+// serves compressed-only either way), Metrics — are deliberately excluded,
+// so one snapshot serves e.g. both the rounded and the exact-estimates
+// ablation of the same universe; the loader derives those from the
+// requested options.
 func configHash(opts platform.DeployOptions) string {
 	o := opts.Normalized()
 	h := sha256.New()
