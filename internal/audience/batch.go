@@ -61,13 +61,14 @@ type chainKid struct {
 const maxChainSets = 16
 
 // execScratch is one execution's mutable state, pooled across schedules:
-// the source tables, the registers, the tail registers, and the masked
-// edge words.
+// the source tables, the registers, the tail registers, the masked edge
+// words, and the generic kernels' word buffer (one tile, blockWords long).
 type execScratch struct {
 	abs, rel [][]uint64
 	regs     []uint64
 	tails    []uint64
 	edge     []uint64
+	word     []uint64
 }
 
 var execPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -123,6 +124,7 @@ func (pb *PlanBatch) execRoots(counts []int, windows []Window) int {
 	s.rel = growSlice(s.rel, nsrc)
 	s.edge = growSlice(s.edge, nsrc)
 	s.regs = growSlice(s.regs, pb.nreg*regWords)
+	s.word = growSlice(s.word, blockWords)
 	relative := pb.nreg > 0
 	if relative {
 		s.tails = growSlice(s.tails, len(pb.tails)*regWords)
@@ -163,10 +165,10 @@ func (pb *PlanBatch) execRoots(counts []int, windows []Window) int {
 					s.rel[nops+ti] = s.tails[ti*regWords : ti*regWords+bhi-blo]
 				}
 				pb.fillTails(s.rel, 0, bhi-blo)
-				pb.run(s.rel, counts, 0, bhi-blo)
+				pb.run(s.rel, s.word, counts, 0, bhi-blo)
 			default:
 				pb.fillTails(s.abs, blo, bhi)
-				pb.run(s.abs, counts, blo, bhi)
+				pb.run(s.abs, s.word, counts, blo, bhi)
 			}
 			t = e
 		}
@@ -202,7 +204,7 @@ func (pb *PlanBatch) execEdge(s *execScratch, counts []int, wi int, mask uint64)
 		s.rel[k] = s.edge[k : k+1]
 	}
 	pb.fillTails(s.rel, 0, 1)
-	pb.run(s.rel, counts, 0, 1)
+	pb.run(s.rel, s.word, counts, 0, 1)
 }
 
 // fillTails intersects each shared tail's members over words [lo, hi) of
@@ -217,8 +219,9 @@ func (pb *PlanBatch) fillTails(src [][]uint64, lo, hi int) {
 	}
 }
 
-// run counts every root and fused child over words [lo, hi) of src.
-func (pb *PlanBatch) run(src [][]uint64, counts []int, lo, hi int) {
+// run counts every root and fused child over words [lo, hi) of src; the
+// generic kernels build their words in w, which holds a whole tile.
+func (pb *PlanBatch) run(src [][]uint64, w []uint64, counts []int, lo, hi int) {
 	for _, pr := range pb.pairs {
 		l0, l1 := &pb.roots[pr[0]], &pb.roots[pr[1]]
 		cp0, ck0, cp1, ck1 := countPairRange2(src[l0.base], src[l1.base], src[l0.and[0]], src[l0.kids[0].extra[0]], lo, hi)
@@ -233,10 +236,10 @@ func (pb *PlanBatch) run(src [][]uint64, counts []int, lo, hi int) {
 		}
 		lr := &pb.roots[ri]
 		if len(lr.kids) == 0 {
-			counts[lr.slot] += lr.countRange(src, lo, hi)
+			counts[lr.slot] += lr.countRange(src, w, lo, hi)
 			continue
 		}
-		lr.countChainRange(src, counts, lo, hi)
+		lr.countChainRange(src, w, counts, lo, hi)
 	}
 }
 
@@ -248,8 +251,9 @@ func andInto(dst, src []uint64) {
 	}
 }
 
-// countRange counts the request's matches within words [lo, hi).
-func (lr *loweredReq) countRange(src [][]uint64, lo, hi int) int {
+// countRange counts the request's matches within words [lo, hi), building
+// the generic case's word in w.
+func (lr *loweredReq) countRange(src [][]uint64, w []uint64, lo, hi int) int {
 	base := src[lr.base]
 	if len(lr.not) == 0 {
 		switch len(lr.and) {
@@ -263,8 +267,7 @@ func (lr *loweredReq) countRange(src [][]uint64, lo, hi int) int {
 			return countAnd4Range(base, src[lr.and[0]], src[lr.and[1]], src[lr.and[2]], lo, hi)
 		}
 	}
-	var wbuf [blockWords]uint64
-	w := lr.word(wbuf[:hi-lo], src, lo, hi)
+	w = lr.word(w[:hi-lo], src, lo, hi)
 	return countRange1(w, 0, len(w))
 }
 
@@ -286,10 +289,10 @@ func (lr *loweredReq) word(w []uint64, src [][]uint64, lo, hi int) []uint64 {
 }
 
 // countChainRange evaluates a parent request and all of its fused children
-// over words [lo, hi): the parent's word is computed once and each child
-// refines it with its extra sets, so the shared prefix costs one evaluation
-// per word for the whole chain.
-func (lr *loweredReq) countChainRange(src [][]uint64, counts []int, lo, hi int) {
+// over words [lo, hi): the parent's word is computed once, into w, and each
+// child refines it with its extra sets, so the shared prefix costs one
+// evaluation per word for the whole chain.
+func (lr *loweredReq) countChainRange(src [][]uint64, w []uint64, counts []int, lo, hi int) {
 	ri := lr.slot
 	if len(lr.not) == 0 && len(lr.kids) == 1 && len(lr.kids[0].extra) == 1 {
 		kid := &lr.kids[0]
@@ -306,11 +309,10 @@ func (lr *loweredReq) countChainRange(src [][]uint64, counts []int, lo, hi int) 
 			return
 		}
 	}
-	// Generic chain: materialize the parent's words for this tile into a
-	// stack buffer, then count the parent and each child with tight
-	// two-slice loops (per-word stores into counts would wreck the loop).
-	var wbuf [blockWords]uint64
-	w := lr.word(wbuf[:hi-lo], src, lo, hi)
+	// Generic chain: materialize the parent's words for this tile into w,
+	// then count the parent and each child with tight two-slice loops
+	// (per-word stores into counts would wreck the loop).
+	w = lr.word(w[:hi-lo], src, lo, hi)
 	counts[ri] += countRange1(w, 0, len(w))
 	var ebuf [maxChainSets][]uint64
 	for ki := range lr.kids {

@@ -10,12 +10,10 @@ import (
 // This file implements the query compiler. A Plan is an and-of-ors
 // request lowered once — OR groups already materialized into single
 // operands, positive operands ordered sparsest-first, negations split out —
-// into a flat program of kernel operands that a caller caches by the
-// request's canonical key and executes any number of times. CompileBatch
-// then performs the batch-level analysis — duplicate collapsing, chain
-// fusion onto shared prefixes, common-tail extraction across plans — once
-// per distinct batch shape, so a cached schedule's Exec runs only the tiled
-// kernels (batch.go).
+// into a flat program of kernel operands. CompileBatch then performs the
+// batch-level analysis — duplicate collapsing, chain fusion onto shared
+// prefixes, common-tail extraction across plans — once per batch, so the
+// schedule's Exec runs only the tiled kernels (batch.go).
 //
 // Every rewrite the compiler performs is an AND reassociation or
 // reordering, so executing a plan is bit-identical to evaluating the
@@ -63,7 +61,8 @@ func (o Operand) count() int {
 // PlanClause is one clause of a compiled request: an operand intersected
 // into the count, or subtracted from it when Negate is set. An OR group of
 // targeting refs reaches the compiler as one operand, its materialized
-// union (the platform keeps those in a shared cache).
+// union (the platform builds each once per call and shares it across the
+// call's plans).
 type PlanClause struct {
 	Op     Operand
 	Negate bool
@@ -71,8 +70,7 @@ type PlanClause struct {
 
 // Plan is one compiled count request: the size of the intersection of its
 // positive operands minus its negated operands. Plans are immutable after
-// compilation and safe for concurrent execution; callers cache them keyed
-// by the request's canonical form.
+// compilation and safe for concurrent execution.
 type Plan struct {
 	n    int
 	ands []Operand // positive operands, sparsest-first; ands[0] is the base
@@ -614,8 +612,7 @@ func extraOperands(sub, super []Operand) []Operand {
 }
 
 // ExecPlans compiles and executes a batch over the whole universe in one
-// shot — the uncached convenience path, and the reference the cached path
-// is tested against.
+// shot, a convenience for tests and benchmarks.
 func ExecPlans(plans []*Plan) []int {
 	counts, _ := CompileBatch(plans).Exec(nil)
 	return counts

@@ -319,10 +319,7 @@ func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.
 		}
 		out[i].Size = p.ScaleAndRound(counts[k], eligible[i], impressions[i])
 		if plog != nil {
-			key := reqs[i].CacheKey
-			if key == "" {
-				key = targeting.Canonical(reqs[i].Spec)
-			}
+			key := targeting.Canonical(reqs[i].Spec)
 			plog.Add(trace.Provenance{
 				Platform:       iface,
 				Key:            key,

@@ -28,13 +28,10 @@ type BatchMeasurer interface {
 	MeasureMany(specs []targeting.Spec) []BatchResult
 }
 
-// KeyedBatchMeasurer is the optional keyed refinement of BatchMeasurer:
-// the caller passes each spec's canonical form (targeting.Canonical)
-// alongside it. The caching provider already computes those keys to
-// partition a batch, and the platform's batched doors use the same keys for
-// their compiled-plan cache — passing them down means the measurement cache
-// and the plan cache share one canonicalization pass per spec. keys[i] must
-// be the canonical form of specs[i].
+// KeyedBatchMeasurer is a batch door that also takes each spec's canonical
+// form (targeting.Canonical). Nothing in the program implements or probes
+// it. The declaration is kept only because the benchmark's taps
+// (perfbench) name it; it goes with the next change to the benchmark.
 type KeyedBatchMeasurer interface {
 	MeasureManyKeyed(specs []targeting.Spec, keys []string) []BatchResult
 }
@@ -74,33 +71,18 @@ func batchCapable(p Provider) bool {
 // MeasureMany implements BatchMeasurer for the in-process simulators via
 // the platform's tiled batch door.
 func (pp *platformProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
-	return pp.measureMany(nil, specs, nil)
-}
-
-// MeasureManyKeyed implements KeyedBatchMeasurer: the canonical keys ride
-// down as plan-cache keys so the platform skips re-canonicalizing specs the
-// measurement cache already hashed.
-func (pp *platformProvider) MeasureManyKeyed(specs []targeting.Spec, keys []string) []BatchResult {
-	return pp.measureMany(nil, specs, keys)
+	return pp.measureMany(nil, specs)
 }
 
 // MeasureManyCtx implements ContextBatchMeasurer.
 func (pp *platformProvider) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []BatchResult {
-	return pp.measureMany(ctx, specs, nil)
+	return pp.measureMany(ctx, specs)
 }
 
-// MeasureManyKeyedCtx implements ContextKeyedBatchMeasurer.
-func (pp *platformProvider) MeasureManyKeyedCtx(ctx context.Context, specs []targeting.Spec, keys []string) []BatchResult {
-	return pp.measureMany(ctx, specs, keys)
-}
-
-func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.Spec, keys []string) []BatchResult {
+func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.Spec) []BatchResult {
 	reqs := make([]platform.EstimateRequest, len(specs))
 	for i, s := range specs {
 		reqs[i].Spec = s
-		if keys != nil {
-			reqs[i].CacheKey = keys[i]
-		}
 	}
 	var ests []platform.Estimate
 	var err error
@@ -250,22 +232,12 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 
 	if len(claims) > 0 {
 		missSpecs := make([]targeting.Spec, len(claims))
-		missKeys := make([]string, len(claims))
 		for k, cl := range claims {
 			missSpecs[k] = specs[cl.slot]
-			missKeys[k] = cl.key
 		}
 		start := time.Now()
 		var res []BatchResult
-		if km, ok := cp.Provider.(ContextKeyedBatchMeasurer); ok && span != nil {
-			// Traced + keyed: the canonical keys and the trace context ride
-			// down together.
-			res = km.MeasureManyKeyedCtx(spanContext(span), missSpecs, missKeys)
-		} else if km, ok := cp.Provider.(KeyedBatchMeasurer); ok {
-			// The canonical keys this partition pass computed double as the
-			// downstream plan-cache keys.
-			res = km.MeasureManyKeyed(missSpecs, missKeys)
-		} else if cbm, ok := cp.Provider.(ContextBatchMeasurer); ok && span != nil {
+		if cbm, ok := cp.Provider.(ContextBatchMeasurer); ok && span != nil {
 			res = cbm.MeasureManyCtx(spanContext(span), missSpecs)
 		} else if bm, ok := cp.Provider.(BatchMeasurer); ok {
 			res = bm.MeasureMany(missSpecs)

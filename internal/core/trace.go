@@ -22,12 +22,6 @@ type ContextBatchMeasurer interface {
 	MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []BatchResult
 }
 
-// ContextKeyedBatchMeasurer is the keyed+traced refinement: canonical keys
-// and the trace context ride down together.
-type ContextKeyedBatchMeasurer interface {
-	MeasureManyKeyedCtx(ctx context.Context, specs []targeting.Spec, keys []string) []BatchResult
-}
-
 // MeasureCtx measures spec through p, upgrading to the provider's traced
 // door only when ctx actually carries a span — untraced callers take
 // exactly the Provider.Measure path.

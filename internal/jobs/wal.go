@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/store"
 )
 
 // The job store reuses internal/store's durability patterns — a 16-byte
@@ -185,7 +187,10 @@ func (w *jobWAL) open() error {
 }
 
 // compact rewrites the log as one snapshot per job (newest wins), in
-// submission order, via an fsynced temp file renamed into place.
+// submission order, via an fsynced temp file renamed into place. The
+// directory is fsynced after the rename: open then appends acknowledged
+// transitions to the renamed file, and a power cut that lost the rename
+// would lose them with it.
 func (w *jobWAL) compact(jobs map[string]*Job) error {
 	ordered := make([]*Job, 0, len(jobs))
 	for _, j := range jobs {
@@ -219,6 +224,9 @@ func (w *jobWAL) compact(jobs map[string]*Job) error {
 		return err
 	}
 	if err := os.Rename(tmp, w.path()); err != nil {
+		return fmt.Errorf("jobs: installing compacted WAL: %w", err)
+	}
+	if err := store.SyncDir(w.dir); err != nil {
 		return fmt.Errorf("jobs: installing compacted WAL: %w", err)
 	}
 	w.records = len(ordered)

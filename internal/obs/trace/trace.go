@@ -300,7 +300,7 @@ func ChildOf(parent *Span, name string) *Span {
 }
 
 // Annotation is one key=value fact attached to a span (shard ID, failover
-// round, plan-cache outcome, ...). Order is preserved; keys may repeat.
+// round, kernel tiles, ...). Order is preserved; keys may repeat.
 type Annotation struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`

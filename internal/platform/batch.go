@@ -2,13 +2,20 @@ package platform
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/audience"
 	"repro/internal/obs/trace"
 	"repro/internal/targeting"
 )
+
+// This file threads the audience query compiler through the platform's
+// batch doors. Every call validates its requests, lowers each valid spec to
+// an audience.Plan, freezes the plans into one audience.PlanBatch and
+// executes it; nothing compiled outlives the call, on either catalog
+// posture. Multi-ref OR clauses resolve to unions shared within the call,
+// which is what lets CompileBatch common-subexpression tails across plans.
+// The serial doors compile a lone plan the same way (Interface.countSpec).
 
 // Estimate is one slot of a batched size query: the rounded platform-scale
 // size, or the error the equivalent serial call would have returned.
@@ -31,8 +38,8 @@ func (p *Interface) MeasureMany(reqs []EstimateRequest) ([]Estimate, error) {
 }
 
 // MeasureManyCtx is MeasureMany under a trace context: when ctx carries a
-// sampled span, the batch records a platform child span (plan-cache and
-// kernel annotations) and per-slot provenance. With tracing disabled the
+// sampled span, the batch records a platform child span (plan-compile and
+// kernel children) and per-slot provenance. With tracing disabled the
 // two doors are byte-identical in behavior and within noise in cost — the
 // only extra work is one context value lookup per batch.
 func (p *Interface) MeasureManyCtx(ctx context.Context, reqs []EstimateRequest) ([]Estimate, error) {
@@ -45,15 +52,11 @@ func (p *Interface) EstimateMany(reqs []EstimateRequest) ([]Estimate, error) {
 	return p.sizeMany(nil, DoorEstimate, reqs)
 }
 
-// sizeMany answers a batch through the query compiler: every valid spec
-// resolves to a cached compiled plan (keyed by its canonical form), the
-// batch of plans is frozen into a cached execution schedule, and only the
-// kernels run per call. Validation stays per-request and syntactic — the
-// canonical key collapses duplicate refs and clauses that the rules reject,
-// so validation outcomes must never be shared across specs with equal
-// keys — and each served count goes through ScaleAndRound, as on the
-// serial door. A compressed catalog retains no plans: it compiles every
-// batch afresh and needs no canonical keys.
+// sizeMany answers a batch through countMany, the whole batch compiled into
+// one schedule over the whole universe, and puts each served count through
+// ScaleAndRound, as on the serial door. Compiling in rawBatchSlots chunks
+// instead cut an in-process campaign's peak RSS but slowed its repeat
+// campaign by a fifth (DESIGN.md §9).
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,
@@ -72,128 +75,22 @@ func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateReque
 		return out, nil
 	}
 	p.mBatchSize.Observe(time.Duration(len(reqs)))
-
-	// Pass 1: per-request parameter validation through QueryParams, as on
-	// every door.
-	eligible := make([]float64, len(reqs))
-	impressions := make([]float64, len(reqs))
-	for i := range reqs {
-		e, f, err := p.QueryParams(door, reqs[i])
-		if err != nil {
-			out[i].Err = err
+	factors := make([]scaleFactors, len(reqs))
+	raw := p.countMany(span, door, reqs, nil, len(reqs), factors)
+	// Sampled + provenance-collecting: one record per served slot, tying
+	// the size to the canonical key, the compiled plan, and the trace.
+	plog, tid := span.ProvenanceLog(), ""
+	if plog != nil {
+		tid = span.TraceID()
+	}
+	for i, r := range raw {
+		if r.Err != nil {
+			out[i].Err = r.Err
 			continue
 		}
-		eligible[i], impressions[i] = e, f
-	}
-
-	// Pass 2: optimistic schedule lookup. The batch's schedule key is the
-	// concatenation of the param-valid slots' canonical keys in slot order;
-	// a hit means this exact spec sequence compiled before with every plan
-	// cache-stable, so the frozen schedule executes with no per-slot plan
-	// resolution at all — the steady-state audit loop's path. The key buffer
-	// and slot bookkeeping come from a pool: the loop runs per batch, and
-	// growing a fresh 2KB key by appends would cost more than the lookup.
-	bs := batchScratchPool.Get().(*batchScratch)
-	valid := bs.valid[:0]
-	keys := bs.keys[:0]
-	schedKey := bs.schedKey[:0]
-	for len(keys) < len(reqs) {
-		keys = append(keys, "")
-	}
-	for i := range reqs {
-		if out[i].Err != nil {
-			continue
-		}
-		valid = append(valid, i)
-		keys[i] = ""
-		if p.plans == nil {
-			continue
-		}
-		key := requestKey(reqs[i])
-		keys[i] = key
-		schedKey = append(schedKey, key...)
-		schedKey = append(schedKey, 0)
-	}
-
-	var counts []int
-	var slot []int
-	tiles := 0
-	if pb, ok := p.schedule(schedKey); ok && len(valid) > 0 {
-		p.mPlanHits.Add(int64(len(valid)))
-		span.Annotate("sched_cache", "hit")
-		ks := trace.ChildOf(span, "platform.kernel")
-		counts, tiles = pb.Exec(nil)
-		if ks != nil {
-			ks.AnnotateInt("blocks", int64(tiles))
-			ks.End()
-		}
-		slot = valid
-	} else {
-		// Miss: resolve each slot's plan (cached by its canonical key),
-		// compile the schedule, and freeze it under the batch key — but only
-		// when every param-valid slot resolved to a cache-stable plan. A
-		// cached schedule therefore never owns a resolution error (whose
-		// identity depends on the request's literal clause order, not its
-		// canonical form) or a transient custom-audience plan.
-		span.Annotate("sched_cache", "miss")
-		cs := trace.ChildOf(span, "platform.plan_compile")
-		plans := make([]*audience.Plan, 0, len(valid))
-		slot = make([]int, 0, len(valid))
-		schedulable := p.plans != nil
-		planMisses := int64(0)
-		var memo unionMemo
-		for _, i := range valid {
-			plan, cached, err := p.planFor(keys[i], reqs[i].Spec, &memo)
-			if err != nil {
-				out[i].Err = err
-				schedulable = false
-				continue
-			}
-			plans = append(plans, plan)
-			slot = append(slot, i)
-			if !cached {
-				schedulable = false
-				planMisses++
-			}
-		}
-		if cs != nil {
-			cs.AnnotateInt("plans", int64(len(plans)))
-			cs.AnnotateInt("plan_cache_misses", planMisses)
-			cs.End()
-		}
-		if len(plans) > 0 {
-			pb := audience.CompileBatch(plans)
-			if schedulable {
-				p.plans.scheds.add(string(schedKey), pb)
-			}
-			ks := trace.ChildOf(span, "platform.kernel")
-			counts, tiles = pb.Exec(nil)
-			if ks != nil {
-				ks.AnnotateInt("blocks", int64(tiles))
-				ks.End()
-			}
-		}
-	}
-	if len(slot) > 0 {
-		n := int64(len(slot))
-		p.queryCount.Add(n)
-		p.doorCounter(door).Add(n)
-		p.mBatchedQueries.Add(n)
-		p.mBatchBlocks.Add(int64(tiles))
-	}
-
-	for k, i := range slot {
-		out[i].Size = p.ScaleAndRound(int64(counts[k]), eligible[i], impressions[i])
-	}
-	if plog := span.ProvenanceLog(); plog != nil {
-		// Sampled + provenance-collecting: one record per served slot, tying
-		// the size to the canonical key, the compiled plan, and the trace.
-		tid := span.TraceID()
-		for _, i := range slot {
-			key := keys[i]
-			if key == "" {
-				key = requestKey(reqs[i])
-			}
+		out[i].Size = p.ScaleAndRound(r.Count, factors[i].eligible, factors[i].impressions)
+		if plog != nil {
+			key := targeting.Canonical(reqs[i].Spec)
 			plog.Add(trace.Provenance{
 				Platform: p.cfg.Name,
 				Key:      key,
@@ -204,35 +101,143 @@ func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateReque
 			})
 		}
 	}
-	bs.valid, bs.keys, bs.schedKey = valid, keys, schedKey
-	batchScratchPool.Put(bs)
 	return out, nil
 }
 
-// schedule returns the cached schedule for a batch key; interfaces with a
-// compressed catalog cache none.
-func (p *Interface) schedule(key []byte) (*audience.PlanBatch, bool) {
-	if p.plans == nil {
-		return nil, false
+// scaleFactors are one request's QueryParams factors.
+type scaleFactors struct {
+	eligible, impressions float64
+}
+
+// countMany is the compile-and-count body of both batch doors. Each
+// request is validated under the door's rules (QueryParams), its factors
+// stored in factors[i] when factors is non-nil. The valid specs compile
+// chunk slots at a time with one union memo for the whole call, and each
+// chunk's schedule executes over windows (nil counts the whole local
+// universe). Every slot gets its raw count or the error the serial door
+// would return for it. Validation stays per request and syntactic, never
+// shared across specs with equal canonical forms: canonicalization
+// collapses duplicate refs and clauses that the rules reject. With a
+// non-nil span each chunk records a platform.plan_compile span (validation
+// and plan lowering) and a platform.kernel span (CompileBatch and Exec).
+func (p *Interface) countMany(span *trace.Span, door Door, reqs []EstimateRequest, windows []IndexRange, chunk int, factors []scaleFactors) []RawCount {
+	out := make([]RawCount, len(reqs))
+	plans := make([]*audience.Plan, 0, min(len(reqs), chunk))
+	slot := make([]int, 0, cap(plans))
+	var memo unionMemo
+	for lo := 0; lo < len(reqs); lo += chunk {
+		plans, slot = plans[:0], slot[:0]
+		cs := trace.ChildOf(span, "platform.plan_compile")
+		for i := lo; i < min(lo+chunk, len(reqs)); i++ {
+			eligible, impressions, err := p.QueryParams(door, reqs[i])
+			var plan *audience.Plan
+			if err == nil {
+				plan, err = p.compileSpec(reqs[i].Spec, &memo)
+			}
+			if err != nil {
+				out[i].Err = err
+				continue
+			}
+			if factors != nil {
+				factors[i] = scaleFactors{eligible, impressions}
+			}
+			plans = append(plans, plan)
+			slot = append(slot, i)
+		}
+		if cs != nil {
+			cs.AnnotateInt("plans", int64(len(plans)))
+			cs.End()
+		}
+		if len(plans) == 0 {
+			continue
+		}
+		ks := trace.ChildOf(span, "platform.kernel")
+		counts, tiles := audience.CompileBatch(plans).Exec(windows)
+		if ks != nil {
+			ks.AnnotateInt("blocks", int64(tiles))
+			ks.End()
+		}
+		for k, i := range slot {
+			out[i].Count = int64(counts[k])
+		}
+		served := int64(len(slot))
+		p.queryCount.Add(served)
+		p.doorCounter(door).Add(served)
+		p.mPlansCompiled.Add(served)
+		p.mBatchedQueries.Add(served)
+		p.mBatchBlocks.Add(int64(tiles))
 	}
-	return p.plans.scheds.getBytes(key)
+	return out
 }
 
-// requestKey returns a request's canonical key: the one its caller
-// precomputed, else targeting.Canonical of its spec.
-func requestKey(req EstimateRequest) string {
-	if req.CacheKey != "" {
-		return req.CacheKey
+// unionMemo holds the OR-clause unions of one call, by union key; the zero
+// value is ready to use.
+type unionMemo map[string]audience.Operand
+
+// unionOperand resolves a multi-ref OR clause to a single shared operand.
+// The union is keyed by the clause's canonical form (targeting.Canonical:
+// refs sorted and deduplicated), so every plan of the call whose clause
+// unions the same options references the same materialized set, which is
+// what lets CompileBatch common-subexpression tails across plans. The union
+// is a dense set on both postures, built once per call in memo.
+func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience.Operand, error) {
+	key := targeting.Canonical(targeting.Spec{Include: []targeting.Clause{cl}})
+	if op, ok := (*memo)[key]; ok {
+		return op, nil
 	}
-	return targeting.Canonical(req.Spec)
+	// Resolve in clause order so error positions match Interface.Audience.
+	ops := make([]audience.Operand, len(cl))
+	for i, r := range cl {
+		op, err := p.operandFor(r)
+		if err != nil {
+			return audience.Operand{}, err
+		}
+		ops[i] = op
+	}
+	u := audience.Union(p.cfg.Universe.Size(), ops)
+	if *memo == nil {
+		*memo = make(unionMemo)
+	}
+	(*memo)[key] = u
+	return u, nil
 }
 
-// batchScratch is sizeMany's pooled per-batch bookkeeping: the valid-slot
-// list, the per-slot canonical keys, and the concatenated schedule key.
-type batchScratch struct {
-	valid    []int
-	keys     []string
-	schedKey []byte
+// compileSpec lowers one spec into a compiled plan, sharing the call's
+// unions through memo. Shape and resolution errors are produced in the same
+// order as Interface.Audience evaluates: clauses in include-then-exclude
+// order, refs in clause order.
+func (p *Interface) compileSpec(spec targeting.Spec, memo *unionMemo) (*audience.Plan, error) {
+	if len(spec.Include) == 0 {
+		return nil, targeting.ErrEmptySpec
+	}
+	var buf [8]audience.PlanClause // the audit's specs hold a few clauses
+	clauses := buf[:0]
+	lower := func(cl targeting.Clause, negate bool) error {
+		if len(cl) == 0 {
+			return targeting.ErrEmptyClause
+		}
+		var op audience.Operand
+		var err error
+		if len(cl) == 1 {
+			op, err = p.operandFor(cl[0])
+		} else {
+			op, err = p.unionOperand(cl, memo)
+		}
+		if err != nil {
+			return err
+		}
+		clauses = append(clauses, audience.PlanClause{Op: op, Negate: negate})
+		return nil
+	}
+	for _, cl := range spec.Include {
+		if err := lower(cl, false); err != nil {
+			return nil, err
+		}
+	}
+	for _, cl := range spec.Exclude {
+		if err := lower(cl, true); err != nil {
+			return nil, err
+		}
+	}
+	return audience.CompilePlan(p.cfg.Universe.Size(), clauses), nil
 }
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}

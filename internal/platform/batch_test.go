@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -94,8 +95,7 @@ func sameOutcome(t *testing.T, name string, i int, got Estimate, size int64, err
 // four interfaces, on a dense and on a compressed-only deployment,
 // MeasureMany over a mixed batch and N serial Measure calls must both
 // return exactly what the oracle returns — same sizes, same errors — in any
-// slot order, and again on a second pass (from the plan and schedule caches
-// on the dense deployment, compiled afresh on the compressed one).
+// slot order, and again on a second pass.
 func TestMeasureManyMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		opts      DeployOptions
@@ -110,8 +110,6 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 		}
 		for _, p := range d.Interfaces() {
 			reqs := randomBatch(p, tc.batchSeed+uint64(len(p.Name())), 80)
-			// On the dense deployment the second pass runs from the plan and
-			// schedule caches.
 			for pass := 0; pass < 2; pass++ {
 				measureManyMatchesSerial(t, p, reqs)
 			}
@@ -188,51 +186,151 @@ func TestMeasureManyEmpty(t *testing.T) {
 	}
 }
 
-// TestMeasureManyConcurrentWithSerial hammers one shared interface with
-// concurrent batches and single-spec calls — the race detector's view of
-// the batch path sharing lazyOperand caches and counters with serial traffic.
+// TestMeasureManyConcurrentWithSerial hammers one shared interface, on a
+// dense and on a compressed-only deployment, with concurrent batches and
+// single-spec calls, every answer checked against the oracle — the race
+// detector's view of the batch path sharing lazyOperand slots and counters
+// with serial traffic while each call compiles its own plans.
 func TestMeasureManyConcurrentWithSerial(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 37, UniverseSize: 1 << 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.Google // impression estimates: exercises the cap factor too
-	reqs := randomBatch(p, 777, 32)
-	want, err := p.MeasureMany(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 20; iter++ {
-				got, err := p.MeasureMany(reqs)
-				if err != nil {
-					t.Errorf("MeasureMany: %v", err)
-					return
+	for _, opts := range []DeployOptions{
+		{Seed: 37, UniverseSize: 1 << 11},
+		{Seed: 37, UniverseSize: 1 << 11, Compressed: true},
+	} {
+		d, err := NewDeployment(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := d.Google // impression estimates: exercises the cap factor too
+		reqs := randomBatch(p, 777, 32)
+		want := oracleMeasure(p, reqs)
+		name := fmt.Sprintf("compressed=%v", opts.Compressed)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for iter := 0; iter < 20; iter++ {
+					got, err := p.MeasureMany(reqs)
+					if err != nil {
+						t.Errorf("%s: MeasureMany: %v", name, err)
+						return
+					}
+					for i := range got {
+						if (got[i].Err == nil) != (want[i].Err == nil) || got[i].Size != want[i].Size {
+							t.Errorf("%s req %d: concurrent batch (%d, %v), want (%d, %v)",
+								name, i, got[i].Size, got[i].Err, want[i].Size, want[i].Err)
+							return
+						}
+					}
 				}
-				for i := range got {
-					if got[i].Size != want[i].Size {
-						t.Errorf("req %d: concurrent batch size %d, want %d", i, got[i].Size, want[i].Size)
+			}()
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for iter := 0; iter < 20; iter++ {
+					i := (g*20 + iter) % len(reqs)
+					size, serr := p.Measure(reqs[i])
+					if (serr == nil) != (want[i].Err == nil) || size != want[i].Size {
+						t.Errorf("%s req %d: concurrent serial (%d, %v), want (%d, %v)",
+							name, i, size, serr, want[i].Size, want[i].Err)
 						return
 					}
 				}
-			}
-		}()
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for iter := 0; iter < 20; iter++ {
-				i := (g*20 + iter) % len(reqs)
-				size, serr := p.Measure(reqs[i])
-				if (serr == nil) != (want[i].Err == nil) || size != want[i].Size {
-					t.Errorf("req %d: concurrent serial (%d, %v), want (%d, %v)", i, size, serr, want[i].Size, want[i].Err)
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+}
+
+// TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate across
+// deployments: on all four interfaces, compiled batches on a dense and on a
+// compressed-only deployment must equal the uncompiled oracle on a separate
+// dense deployment of the same seed — dense set algebra over the option
+// sets — slot for slot, sizes and errors both, cold and again on a second
+// pass, which compiles afresh as the first did. The reference deployment
+// also answers every request on its serial door, which must match the
+// oracle.
+func TestPlanCompilerMatchesLegacy(t *testing.T) {
+	const seed, size = 47, 1 << 12
+	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []DeployOptions{
+		{Seed: seed, UniverseSize: size},
+		{Seed: seed, UniverseSize: size, Compressed: true},
+	} {
+		compiled, err := NewDeployment(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, p := range compiled.Interfaces() {
+			lp := legacy.Interfaces()[pi]
+			reqs := randomBatch(p, 4242, 80)
+			want := oracleMeasure(lp, reqs)
+			for i, req := range reqs {
+				size, err := lp.Measure(req)
+				sameOutcome(t, lp.Name()+" serial", i, Estimate{Size: size, Err: err}, want[i].Size, want[i].Err)
+			}
+			got, err := p.MeasureMany(reqs)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			for i := range reqs {
+				sameOutcome(t, fmt.Sprintf("%s compressed=%v", p.Name(), opts.Compressed), i, got[i], want[i].Size, want[i].Err)
+			}
+			// The second pass must be identical too.
+			again, err := p.MeasureMany(reqs)
+			if err != nil {
+				t.Fatalf("%s warm: %v", p.Name(), err)
+			}
+			for i := range reqs {
+				sameOutcome(t, p.Name()+" warm", i, again[i], want[i].Size, want[i].Err)
+			}
+		}
+	}
+}
+
+// TestCustomAudienceBatchMatchesSerial checks that a spec touching a custom
+// audience (dynamic per-advertiser state) answers on the batch door what it
+// answers on the serial door, round after round, and compiles once per
+// batch.
+func TestCustomAudienceBatchMatchesSerial(t *testing.T) {
+	d, err := NewDeployment(DeployOptions{Seed: 59, UniverseSize: 1 << 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Facebook
+	info, err := p.CreatePIIAudience("crm", uploadOf(p, 150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := targeting.And(targeting.CustomAudience(info.ID), targeting.Attr(0))
+	serial, serr := p.Measure(EstimateRequest{Spec: spec})
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	c0 := p.mPlansCompiled.Value()
+	for round := 0; round < 2; round++ {
+		got, err := p.MeasureMany([]EstimateRequest{{Spec: spec}})
+		if err != nil || got[0].Err != nil {
+			t.Fatalf("round %d: %v / %v", round, err, got[0].Err)
+		}
+		if got[0].Size != serial {
+			t.Fatalf("round %d: batch %d, serial %d", round, got[0].Size, serial)
+		}
+	}
+	if c := p.mPlansCompiled.Value() - c0; c != 2 {
+		t.Fatalf("compiled %d times, want 2 (once per batch)", c)
+	}
+}
+
+// oracleMeasure answers a batch one oracle call at a time on the measure
+// door — the reference the compiled doors must match.
+func oracleMeasure(p *Interface, reqs []EstimateRequest) []Estimate {
+	out := make([]Estimate, len(reqs))
+	for i, req := range reqs {
+		out[i].Size, out[i].Err = oracle(p, DoorMeasure, req)
+	}
+	return out
 }

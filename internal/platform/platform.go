@@ -17,12 +17,12 @@
 // Estimates are reported at platform scale (simulated count × ScaleFactor)
 // so rounding floors and recall magnitudes behave like the live platforms'.
 //
-// Every door counts through the audience query compiler: a batch compiles
-// into a schedule (cached on a dense catalog), a serial query into a lone
-// plan executed once, so each counts in plans_compiled_total and
-// batch_kernel_blocks_total whatever the catalog posture. Dense set
-// algebra, Interface.Audience, is kept as the oracle the compiled doors are
-// tested against.
+// Every door counts through the audience query compiler and compiles its
+// call afresh: a batch into one schedule, a serial query into a lone plan.
+// Nothing compiled outlives the call, so each query counts in
+// plans_compiled_total and batch_kernel_blocks_total whatever the catalog
+// posture. Dense set algebra, Interface.Audience, is kept as the oracle the
+// compiled doors are tested against.
 package platform
 
 import (
@@ -70,12 +70,6 @@ type EstimateRequest struct {
 	// the most restrictive value (1) so impressions ≈ unique users. Zero
 	// selects 1.
 	FrequencyCapPerMonth int
-	// CacheKey optionally carries the spec's precomputed canonical form
-	// (targeting.Canonical). The batched doors use it as the plan-cache
-	// key so callers that already canonicalized — the core measurement
-	// cache does — avoid a second pass; when empty it is computed on
-	// demand. Must match the spec if set.
-	CacheKey string
 }
 
 // Errors returned by estimate queries.
@@ -115,11 +109,9 @@ type Config struct {
 	// CSetOnly selects the compressed catalog: each catalog option audience
 	// is held only in compressed form, materialized dense once on first
 	// use, compressed, and the dense form dropped. Compiled plans read the
-	// options as compressed-only operands, and the interface retains no
-	// plans or schedules: every batch compiles afresh, as every serial
-	// query does on any posture. Without it, and without Views, the
-	// catalog is dense. The compressed catalog is what lets a 2^24-user
-	// shard fit in memory.
+	// options as compressed-only operands. Without it, and without Views,
+	// the catalog is dense. Both postures compile every call afresh. The
+	// compressed catalog is what lets a 2^24-user shard fit in memory.
 	CSetOnly bool
 	// Views supplies every catalog option audience as a compressed set,
 	// typically aliasing an mmap'd snapshot (internal/snapshot), and
@@ -135,21 +127,16 @@ type Config struct {
 // Interface is one simulated advertiser-facing targeting interface.
 //
 // Estimate, Measure, Audience, and Warm are safe for concurrent use: the
-// catalog-option caches are per-slot atomics and the query counter is
-// atomic; the compiler caches are mutex-guarded LRUs, which a serial query
-// touches only for a multi-ref OR clause's union. Custom-audience creation
-// and lookup serialize on a narrow RWMutex.
+// catalog-option caches are per-slot atomics, the query counter is atomic,
+// and every call compiles its own plans, so the query path takes no lock
+// but the narrow RWMutex that custom-audience creation and lookup
+// serialize on.
 type Interface struct {
 	cfg Config
 
 	dims       [len(optionKinds)]optionDim // catalog option state, by kind
 	demo       []lazyOperand               // the universe's demographic sets, counted once
 	queryCount atomic.Int64
-
-	// plans holds the query compiler's caches; nil on a compressed catalog,
-	// which compiles every batch afresh and retains nothing. Serial queries
-	// compile afresh on both postures.
-	plans *planCache
 
 	// Query counters, resolved once at construction so the estimate hot
 	// path pays only atomic adds (the Measure benchmarks gate the
@@ -161,10 +148,7 @@ type Interface struct {
 	mBatchedQueries  *obs.Counter   // batched_queries_total: queries answered by a batch door
 	mBatchBlocks     *obs.Counter   // batch_kernel_blocks_total: tiles the kernel walked, serial doors included
 	mBatchSize       *obs.Histogram // batch_size_specs: log2 batch-size distribution
-	mPlanHits        *obs.Counter   // plan_cache_hits_total: specs served by a cached plan
-	mPlanMisses      *obs.Counter   // plan_cache_misses_total: cacheable specs that had to compile
-	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run (incl. uncacheable and serial)
-	mPlanRebuilds    *obs.Counter   // plan_cache_rebuilds_total: union operands rematerialized after eviction
+	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run, serial doors included
 
 	mu      sync.RWMutex // guards custom, dir, tracker
 	custom  []customAudience
@@ -253,10 +237,7 @@ func New(cfg Config) (*Interface, error) {
 		mBatchedQueries:  reg.Counter("batched_queries_total", iface),
 		mBatchBlocks:     reg.Counter("batch_kernel_blocks_total", iface),
 		mBatchSize:       reg.Histogram("batch_size_specs", iface),
-		mPlanHits:        reg.Counter("plan_cache_hits_total", iface),
-		mPlanMisses:      reg.Counter("plan_cache_misses_total", iface),
 		mPlansCompiled:   reg.Counter("plans_compiled_total", iface),
-		mPlanRebuilds:    reg.Counter("plan_cache_rebuilds_total", iface),
 	}
 	var views [len(optionKinds)][]*audience.CSet
 	if v := cfg.Views; v != nil {
@@ -272,9 +253,6 @@ func New(cfg Config) (*Interface, error) {
 			sets[j].done.Store(true)
 		}
 		p.dims[i] = optionDim{opts: opts, sets: sets}
-	}
-	if !p.compressedCatalog() {
-		p.plans = newPlanCache(planCacheEntries)
 	}
 	return p, nil
 }
@@ -548,7 +526,7 @@ func (p *Interface) size(parent *trace.Span, door Door, req EstimateRequest) (in
 	if plog := span.ProvenanceLog(); plog != nil {
 		plog.Add(trace.Provenance{
 			Platform: p.cfg.Name,
-			Key:      requestKey(req),
+			Key:      targeting.Canonical(req.Spec),
 			Source:   "platform",
 			TraceID:  span.TraceID(),
 			Value:    size,
@@ -559,10 +537,8 @@ func (p *Interface) size(parent *trace.Span, door Door, req EstimateRequest) (in
 
 // countSpec counts the users matching one spec on every catalog posture
 // the same way: it compiles the spec afresh and executes it as a lone
-// plan. It computes no canonical key and neither reads nor writes the plan
-// or schedule cache, so serial traffic never evicts what batches cached;
-// multi-ref OR clauses share the union cache on a dense catalog. Each call
-// counts in plans_compiled_total and batch_kernel_blocks_total.
+// plan, computing no canonical key but for a multi-ref OR clause's union.
+// Each call counts in plans_compiled_total and batch_kernel_blocks_total.
 func (p *Interface) countSpec(spec targeting.Spec) (int, error) {
 	var memo unionMemo
 	plan, err := p.compileSpec(spec, &memo)

@@ -85,42 +85,9 @@ const rawBatchSlots = 512
 // index ranges (nil counts the whole local universe). No scaling, no
 // rounding: those are the coordinator's job, applied once to the merged sum.
 // Per-request failures are reported in their slot, mirroring MeasureMany.
-// The batch is compiled afresh, rawBatchSlots slots per schedule — no
-// plan, schedule or canonical key outlives the call — and each schedule
-// walks only the ranges' tiles.
+// The batch compiles through countMany, the batch doors' one body,
+// rawBatchSlots slots per schedule, and each schedule walks only the
+// ranges' tiles.
 func (p *Interface) RawCountMany(door Door, reqs []EstimateRequest, ranges []IndexRange) []RawCount {
-	out := make([]RawCount, len(reqs))
-	plans := make([]*audience.Plan, 0, min(len(reqs), rawBatchSlots))
-	slot := make([]int, 0, cap(plans))
-	var memo unionMemo
-	for lo := 0; lo < len(reqs); lo += rawBatchSlots {
-		plans, slot = plans[:0], slot[:0]
-		for i := lo; i < min(lo+rawBatchSlots, len(reqs)); i++ {
-			if _, _, err := p.QueryParams(door, reqs[i]); err != nil {
-				out[i].Err = err
-				continue
-			}
-			plan, err := p.compileSpec(reqs[i].Spec, &memo)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			plans = append(plans, plan)
-			slot = append(slot, i)
-		}
-		if len(plans) == 0 {
-			continue
-		}
-		counts, tiles := audience.CompileBatch(plans).Exec(ranges)
-		for k, i := range slot {
-			out[i].Count = int64(counts[k])
-		}
-		served := int64(len(slot))
-		p.queryCount.Add(served)
-		p.doorCounter(door).Add(served)
-		p.mPlansCompiled.Add(served)
-		p.mBatchedQueries.Add(served)
-		p.mBatchBlocks.Add(int64(tiles))
-	}
-	return out
+	return p.countMany(nil, door, reqs, ranges, rawBatchSlots, nil)
 }

@@ -66,7 +66,7 @@ var postureNames = []string{"dense", "cset-only", "views"}
 // over disjoint index ranges sum to the full-universe raw count, and pushing
 // the sum through ScaleAndRound is bit-identical to the oracle and to the
 // single-node door. Compressed-catalog postures must count exactly what the
-// dense one does, and retain no plan, union or schedule doing it.
+// dense one does.
 func TestRawCountsAdditive(t *testing.T) {
 	const n = 1 << 12
 	deps := postures(t, DeployOptions{Seed: 43, UniverseSize: n})
@@ -138,9 +138,6 @@ func TestRawCountsAdditive(t *testing.T) {
 						t.Fatalf("%s %v slot %d: door=%d, oracle=%d",
 							name, door, i, served, want)
 					}
-				}
-				if plans, unions, scheds := p.PlanCacheStats(); di > 0 && plans+unions+scheds != 0 {
-					t.Fatalf("%s: compressed catalog retained %d plans, %d unions, %d schedules", name, plans, unions, scheds)
 				}
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // TestTracedBatchBitIdentical is the platform-layer tracing invariant: a
 // MeasureManyCtx batch under a sampled span must return exactly what the
 // untraced MeasureMany door returns — sizes and errors both — while
-// recording the size_many span with its plan-cache and kernel children and
+// recording the size_many span with its plan-compile and kernel children and
 // one provenance record per served slot.
 func TestTracedBatchBitIdentical(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 23, UniverseSize: 1 << 12, Metrics: obs.NewRegistry()})

@@ -15,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/platform"
 	"repro/internal/population"
+	"repro/internal/store"
 	"repro/internal/targeting"
 )
 
@@ -303,9 +304,8 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 		os.Remove(tmp)
 		return nil, err
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	if err := store.SyncDir(filepath.Dir(path)); err != nil {
+		return nil, err
 	}
 	return infoFrom(m, path, metaOff+int64(len(metaBytes))), nil
 }

@@ -110,7 +110,7 @@ func (s *Store) compactLocked() error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: installing snapshot: %w", err)
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := SyncDir(s.dir); err != nil {
 		return err
 	}
 
@@ -133,8 +133,8 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-renamed file survives power loss.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("store: opening dir for sync: %w", err)

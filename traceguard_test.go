@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/platform"
-	"repro/internal/targeting"
 )
 
 // TestCompiledBatchTracingOverhead is the PR 8 bench guard: with tracing
@@ -33,7 +32,6 @@ func TestCompiledBatchTracingOverhead(t *testing.T) {
 	reqs := make([]platform.EstimateRequest, len(specs))
 	for i, s := range specs {
 		reqs[i].Spec = s
-		reqs[i].CacheKey = targeting.Canonical(s)
 	}
 
 	// Tracing compiled in but disabled: tracer installed, nothing sampled,
@@ -52,13 +50,14 @@ func TestCompiledBatchTracingOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the plan and schedule caches on both doors before timing.
+	// Build the option slots through both doors before timing; every
+	// timed iteration compiles its batch afresh.
 	for i := 0; i < 5; i++ {
 		bare()
 		traced()
 	}
 
-	const chunkIters = 50 // ~1.3 ms per chunk at the compiled batch rate
+	const chunkIters = 50 // ~5 ms per chunk, each batch compiled afresh
 	const chunks = 120
 	chunk := func(door func()) time.Duration {
 		start := time.Now()
