@@ -89,18 +89,20 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 	sizes := make([]platform.Estimate, len(reqs))
 	if h.store != nil {
 		// Store tier: persisted slots are answered without touching the
-		// platform; only the misses form the platform batch.
+		// platform, each leaving store provenance as on /measure; only the
+		// misses form the platform batch.
+		span := trace.FromContext(r.Context())
 		missIdx := make([]int, 0, len(reqs))
 		miss := make([]platform.EstimateRequest, 0, len(reqs))
 		for k, req := range reqs {
-			if v, ok := h.store.GetMeasurement(h.p.Name(), measureStoreKey(req)); ok {
-				h.mStoreHits.Inc()
+			if v, ok := h.storeGet(span, measureStoreKey(req)); ok {
 				sizes[k] = platform.Estimate{Size: v}
 				continue
 			}
 			missIdx = append(missIdx, k)
 			miss = append(miss, req)
 		}
+		span.AnnotateInt("store_hits", int64(len(reqs)-len(miss)))
 		missSizes, err := h.p.MeasureManyCtx(r.Context(), miss)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
@@ -108,12 +110,8 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 		}
 		for j, k := range missIdx {
 			sizes[k] = missSizes[j]
-			if missSizes[j].Err != nil {
-				continue
-			}
-			if serr := h.store.PutMeasurement(h.p.Name(), measureStoreKey(miss[j]), missSizes[j].Size); serr != nil {
-				h.mStoreErrors.Inc()
-				h.opts.logf("adapi: %s: store append failed: %v", h.p.Name(), serr)
+			if missSizes[j].Err == nil {
+				h.storePut(measureStoreKey(miss[j]), missSizes[j].Size)
 			}
 		}
 	} else {
@@ -144,8 +142,8 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 	}
 }
 
-// Client implements core.BatchMeasurer: batches ship as one HTTP exchange.
-var _ core.BatchMeasurer = (*Client)(nil)
+// Client implements core.Provider: batches ship as one HTTP exchange.
+var _ core.Provider = (*Client)(nil)
 
 // MeasureMany implements core.BatchMeasurer over the wire: the specs are
 // encoded in the platform's dialect and shipped as one POST /measure-batch

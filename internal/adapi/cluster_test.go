@@ -73,7 +73,7 @@ func TestClusterDoorEndToEnd(t *testing.T) {
 		for i := range specs {
 			reqs[i] = platform.EstimateRequest{Spec: specs[i]}
 		}
-		got, err := coord.MeasureMany(p.Name(), reqs)
+		got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 		if err != nil {
 			t.Fatalf("%s: cluster over HTTP: %v", p.Name(), err)
 		}
@@ -136,7 +136,7 @@ func TestClusterDoorFailover(t *testing.T) {
 		{Spec: targeting.Attr(0)},
 		{Spec: targeting.And(targeting.Attr(1), targeting.Attr(2))},
 	}
-	got, err := coord.MeasureMany(p.Name(), reqs)
+	got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 	if err != nil {
 		t.Fatalf("failover over HTTP: %v", err)
 	}
@@ -363,11 +363,11 @@ func TestClusterDoorSplitsOversizedBatch(t *testing.T) {
 	if body, _ := json.Marshal(reqs); len(body) <= 4<<10 {
 		t.Fatalf("batch encodes to %d bytes, under the limit", len(body))
 	}
-	got, err := overHTTP.MeasureMany(name, reqs)
+	got, err := overHTTP.MeasureManyCtx(context.Background(), name, reqs)
 	if err != nil {
 		t.Fatalf("cluster over HTTP: %v", err)
 	}
-	want, err := inProcess.MeasureMany(name, reqs)
+	want, err := inProcess.MeasureManyCtx(context.Background(), name, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,39 +37,54 @@ func measureStoreKey(req platform.EstimateRequest) string {
 		"\x00cap=" + strconv.Itoa(cap)
 }
 
+// storeGet looks one auditor-door answer up in the store. A hit counts
+// toward the store-hit metric and, under a distributed trace, leaves a
+// "store"-sourced provenance record: the platform was never queried. Both
+// auditor doors, /measure and /measure-batch, read the store through it.
+func (h *ifaceHandler) storeGet(span *trace.Span, key string) (int64, bool) {
+	v, ok := h.store.GetMeasurement(h.p.Name(), key)
+	if !ok {
+		return 0, false
+	}
+	h.mStoreHits.Inc()
+	if plog := span.ProvenanceLog(); plog != nil {
+		plog.Add(trace.Provenance{
+			Platform: h.p.Name(),
+			Key:      key,
+			Source:   "store",
+			TraceID:  span.TraceID(),
+			Value:    v,
+		})
+	}
+	return v, true
+}
+
+// storePut appends a fresh answer. Append failures degrade the door to
+// uncached serving and are counted, never surfaced to the client — the
+// measurement itself is still good.
+func (h *ifaceHandler) storePut(key string, v int64) {
+	if err := h.store.PutMeasurement(h.p.Name(), key, v); err != nil {
+		h.mStoreErrors.Inc()
+		h.opts.logf("adapi: %s: store append failed: %v", h.p.Name(), err)
+	}
+}
+
 // storedMeasureCtx is the auditor door's measurement path when a store is
 // configured: persisted answers are served without touching the platform
 // (its query counters stay flat), fresh answers go through the platform's
-// context door and are appended before they are returned. Append failures
-// degrade the door to uncached serving and are counted, never surfaced to
-// the client — the measurement itself is still good. Under a distributed
-// trace, store-tier hits annotate the server span and record
-// "store"-sourced provenance (the platform was never queried); misses
-// record the platform's own span and provenance.
+// context door and are appended before they are returned. Under a
+// distributed trace, a store hit also annotates the server span store=hit;
+// misses record the platform's own span and provenance.
 func (h *ifaceHandler) storedMeasureCtx(ctx context.Context, req platform.EstimateRequest) (int64, error) {
 	key := measureStoreKey(req)
-	if v, ok := h.store.GetMeasurement(h.p.Name(), key); ok {
-		h.mStoreHits.Inc()
-		span := trace.FromContext(ctx)
+	span := trace.FromContext(ctx)
+	if v, ok := h.storeGet(span, key); ok {
 		span.Annotate("store", "hit")
-		if plog := span.ProvenanceLog(); plog != nil {
-			plog.Add(trace.Provenance{
-				Platform: h.p.Name(),
-				Key:      key,
-				Source:   "store",
-				TraceID:  span.TraceID(),
-				Value:    v,
-			})
-		}
 		return v, nil
 	}
 	v, err := h.p.MeasureCtx(ctx, req)
-	if err != nil {
-		return v, err
+	if err == nil {
+		h.storePut(key, v)
 	}
-	if serr := h.store.PutMeasurement(h.p.Name(), key, v); serr != nil {
-		h.mStoreErrors.Inc()
-		h.opts.logf("adapi: %s: store append failed: %v", h.p.Name(), serr)
-	}
-	return v, nil
+	return v, err
 }

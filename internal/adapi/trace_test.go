@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,73 +19,108 @@ import (
 )
 
 // TestStoredMeasureTraceProvenance pins the store-tier provenance story on
-// the traced auditor door: the first traced measure misses the store and
-// is answered (and recorded) by the platform, the second is served from
-// disk — "store"-sourced provenance, platform counters flat, and the
-// server span annotated store=hit.
+// both traced auditor doors, /measure and /measure-batch: the first traced
+// call misses the store and is answered (and recorded) by the platform, the
+// second is served from disk — "store"-sourced provenance under the second
+// call's trace, and the server span annotated (store=hit on /measure, the
+// store_hits count on /measure-batch).
 func TestStoredMeasureTraceProvenance(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srvTracer := newTestTracer(53)
-	ts, _ := startServer(t, ServerOptions{Store: st, Metrics: obs.NewRegistry(), Tracer: srvTracer})
-
-	cliTracer := newTestTracer(59)
-	c, err := NewClient(context.Background(), ts.URL, "facebook", ClientOptions{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	measure := func(name string) (int64, string) {
-		root := cliTracer.StartRoot(name)
-		defer root.End()
-		v, err := c.MeasureCtx(trace.NewContext(context.Background(), root), targeting.Attr(4))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return v, root.TraceID()
-	}
-	v1, tid1 := measure("audit.miss")
-	v2, tid2 := measure("audit.hit")
-	if v1 != v2 {
-		t.Fatalf("store-served measure %d differs from platform answer %d", v2, v1)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d records, want 1", st.Len())
-	}
-
-	sources := make(map[string]string) // source → trace ID
-	for _, r := range srvTracer.Provenance().Records() {
-		if r.Platform != "facebook" || r.Value != v1 {
-			t.Fatalf("malformed stored-door provenance %+v", r)
-		}
-		sources[r.Source] = r.TraceID
-	}
-	if sources["platform"] != tid1 || sources["store"] != tid2 || len(sources) != 2 {
-		t.Fatalf("provenance sources %v, want platform→%s and store→%s", sources, tid1, tid2)
-	}
-
-	// The hit's server span carries the store=hit annotation.
-	id, ok := trace.ParseTraceID(tid2)
-	if !ok {
-		t.Fatalf("trace ID %q does not parse", tid2)
-	}
-	sd, ok := srvTracer.Dump(id)
-	if !ok {
-		t.Fatal("server did not continue the hit's trace")
-	}
-	annotated := false
-	for _, s := range sd.Spans {
-		for _, a := range s.Annotations {
-			if a.Key == "store" && a.Value == "hit" {
-				annotated = true
+	specs := []targeting.Spec{targeting.Attr(4), targeting.Attr(6)}
+	doors := []struct {
+		name    string
+		specs   []targeting.Spec
+		measure func(ctx context.Context, c *Client, specs []targeting.Spec) ([]int64, error)
+		hitNote trace.Annotation
+	}{
+		{"measure", specs[:1], func(ctx context.Context, c *Client, specs []targeting.Spec) ([]int64, error) {
+			v, err := c.MeasureCtx(ctx, specs[0])
+			return []int64{v}, err
+		}, trace.Annotation{Key: "store", Value: "hit"}},
+		{"measure-batch", specs, func(ctx context.Context, c *Client, specs []targeting.Spec) ([]int64, error) {
+			var out []int64
+			for _, r := range c.MeasureManyCtx(ctx, specs) {
+				if r.Err != nil {
+					return nil, r.Err
+				}
+				out = append(out, r.Size)
 			}
-		}
+			return out, nil
+		}, trace.Annotation{Key: "store_hits", Value: "2"}},
 	}
-	if !annotated {
-		t.Fatal("store hit left no store=hit annotation on the server span")
+	for _, door := range doors {
+		t.Run(door.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			srvTracer := newTestTracer(53)
+			ts, _ := startServer(t, ServerOptions{Store: st, Metrics: obs.NewRegistry(), Tracer: srvTracer})
+
+			cliTracer := newTestTracer(59)
+			c, err := NewClient(context.Background(), ts.URL, "facebook", ClientOptions{Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			measure := func(name string) ([]int64, string) {
+				root := cliTracer.StartRoot(name)
+				defer root.End()
+				vs, err := door.measure(trace.NewContext(context.Background(), root), c, door.specs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return vs, root.TraceID()
+			}
+			v1, tid1 := measure("audit.miss")
+			v2, tid2 := measure("audit.hit")
+			want := make(map[string]int64) // canonical spec → platform answer
+			for i, spec := range door.specs {
+				if v1[i] != v2[i] {
+					t.Fatalf("slot %d: store-served measure %d differs from platform answer %d", i, v2[i], v1[i])
+				}
+				want[targeting.Canonical(spec)] = v1[i]
+			}
+			if st.Len() != len(door.specs) {
+				t.Fatalf("store holds %d records, want %d", st.Len(), len(door.specs))
+			}
+
+			// Provenance: one platform record per spec under the miss's
+			// trace, one store record per spec under the hit's.
+			tids := map[string]string{"platform": tid1, "store": tid2}
+			perSource := make(map[string]int)
+			for _, r := range srvTracer.Provenance().Records() {
+				canon, _, _ := strings.Cut(r.Key, "\x00")
+				if v, ok := want[canon]; r.Platform != "facebook" || !ok || r.Value != v {
+					t.Fatalf("malformed stored-door provenance %+v", r)
+				}
+				if r.TraceID != tids[r.Source] {
+					t.Fatalf("%s record under trace %s, want %s: %+v", r.Source, r.TraceID, tids[r.Source], r)
+				}
+				perSource[r.Source]++
+			}
+			if n := len(door.specs); perSource["platform"] != n || perSource["store"] != n || len(perSource) != 2 {
+				t.Fatalf("provenance sources %v, want %d platform and %d store records", perSource, n, n)
+			}
+
+			// The hit's server span carries the store annotation.
+			id, ok := trace.ParseTraceID(tid2)
+			if !ok {
+				t.Fatalf("trace ID %q does not parse", tid2)
+			}
+			sd := waitTrace(t, srvTracer, id)
+			annotated := false
+			for _, s := range sd.Spans {
+				for _, a := range s.Annotations {
+					if a == door.hitNote {
+						annotated = true
+					}
+				}
+			}
+			if !annotated {
+				t.Fatalf("store hit left no %s=%s annotation on the server span", door.hitNote.Key, door.hitNote.Value)
+			}
+		})
 	}
 }
 

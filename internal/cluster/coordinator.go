@@ -202,47 +202,26 @@ func (c *Coordinator) Layout() *Layout { return c.layout }
 // catalogs, rules, and rounders without its users.
 func (c *Coordinator) Metadata() *platform.Deployment { return c.meta }
 
-// MeasureMany answers a batch through the auditor door, bit-identically to
-// a single-node Interface.MeasureMany over the full universe. A non-nil
-// error is a cluster failure (ErrPartial after failover exhausted); per-
-// request failures stay in their slots, as on a single node.
-func (c *Coordinator) MeasureMany(iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
-	return c.sizeMany(context.Background(), iface, platform.DoorMeasure, reqs)
-}
-
-// MeasureManyCtx is MeasureMany under a trace context: the scatter-gather
-// records one span per shard attempt (shard ID, failover round, outcome)
-// and the trace rides the X-Adaudit-Trace header to every remote shard
-// door. Tracing never alters the counts — traced and untraced batches are
-// bit-identical.
-func (c *Coordinator) MeasureManyCtx(ctx context.Context, iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
-	return c.sizeMany(ctx, iface, platform.DoorMeasure, reqs)
-}
-
-// EstimateMany is MeasureMany through the advertiser door.
-func (c *Coordinator) EstimateMany(iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
-	return c.sizeMany(context.Background(), iface, platform.DoorEstimate, reqs)
-}
-
-// Measure answers one auditor-door query.
+// Measure answers one auditor-door query, bit-identically to a single-node
+// Interface.Measure over the full universe.
 func (c *Coordinator) Measure(iface string, req platform.EstimateRequest) (int64, error) {
-	return c.one(iface, platform.DoorMeasure, req)
-}
-
-// Estimate answers one advertiser-door query.
-func (c *Coordinator) Estimate(iface string, req platform.EstimateRequest) (int64, error) {
-	return c.one(iface, platform.DoorEstimate, req)
-}
-
-func (c *Coordinator) one(iface string, door platform.Door, req platform.EstimateRequest) (int64, error) {
-	out, err := c.sizeMany(context.Background(), iface, door, []platform.EstimateRequest{req})
+	out, err := c.sizeMany(context.Background(), iface, platform.DoorMeasure, []platform.EstimateRequest{req})
 	if err != nil {
 		return 0, err
 	}
-	if out[0].Err != nil {
-		return 0, out[0].Err
-	}
-	return out[0].Size, nil
+	return out[0].Size, out[0].Err
+}
+
+// MeasureManyCtx answers a batch through the auditor door, bit-identically
+// to a single-node Interface.MeasureMany over the full universe. A non-nil
+// error is a cluster failure (ErrPartial after failover exhausted); per-
+// request failures stay in their slots, as on a single node. Under a trace
+// context the scatter-gather records one span per shard attempt (shard ID,
+// failover round, outcome) and the trace rides the X-Adaudit-Trace header
+// to every remote shard door. Tracing never alters the counts — traced and
+// untraced batches are bit-identical.
+func (c *Coordinator) MeasureManyCtx(ctx context.Context, iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
+	return c.sizeMany(ctx, iface, platform.DoorMeasure, reqs)
 }
 
 // sizeMany is the scatter-gather core: validate and resolve scaling factors
@@ -503,6 +482,8 @@ type clusterProvider struct {
 	iface string
 	p     *platform.Interface // metadata interface: catalogs and rules
 }
+
+var _ core.Provider = (*clusterProvider)(nil)
 
 // Provider returns a core.Provider measuring through the cluster's
 // auditor door.

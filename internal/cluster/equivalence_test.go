@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/targeting"
@@ -145,8 +144,8 @@ func matchSlot(t *testing.T, ctxt string, i int, got platform.Estimate, want pla
 }
 
 // TestClusterEquivalence is the battery the tentpole hangs from: for shard
-// counts N ∈ {1, 2, 3, 7, 16}, scatter-gather MeasureMany and EstimateMany
-// over every interface must be bit-identical (post-rounding) to the
+// counts N ∈ {1, 2, 3, 7, 16}, the scatter-gather auditor and advertiser
+// doors over every interface must be bit-identical (post-rounding) to the
 // single-node deployment on the same seeded universe — sizes and error
 // messages both. The single node runs the compiled-plan path, the shards
 // run the compressed-only shard path, so agreement pins the whole stack:
@@ -180,7 +179,7 @@ func TestClusterEquivalence(t *testing.T) {
 			for _, p := range single.Interfaces() {
 				reqs := clusterBatch(p, uint64(3000+n), 48)
 
-				got, err := coord.MeasureMany(p.Name(), reqs)
+				got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 				if err != nil {
 					t.Fatalf("%s: cluster MeasureMany: %v", p.Name(), err)
 				}
@@ -192,7 +191,7 @@ func TestClusterEquivalence(t *testing.T) {
 					matchSlot(t, p.Name()+"/measure", i, got[i], want[i])
 				}
 
-				got, err = coord.EstimateMany(p.Name(), reqs)
+				got, err = coord.sizeMany(context.Background(), p.Name(), platform.DoorEstimate, reqs)
 				if err != nil {
 					t.Fatalf("%s: cluster EstimateMany: %v", p.Name(), err)
 				}
@@ -234,7 +233,7 @@ func TestClusterEquivalenceLargeUniverse(t *testing.T) {
 	coord, _ := buildCluster(t, clusterNodes(3), 1, opts, 1<<16)
 	for _, p := range single.Interfaces() {
 		reqs := clusterBatch(p, 2020, 24)
-		got, err := coord.MeasureMany(p.Name(), reqs)
+		got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 		if err != nil {
 			t.Fatalf("%s: cluster MeasureMany: %v", p.Name(), err)
 		}
@@ -248,9 +247,9 @@ func TestClusterEquivalenceLargeUniverse(t *testing.T) {
 	}
 }
 
-// TestClusterSerialDoors pins the single-request doors (Measure/Estimate)
-// against the single-node serial path on a 3-shard cluster, including the
-// error cases.
+// TestClusterSerialDoors pins the single-request auditor door (Measure)
+// and one-request advertiser-door scatters against the single-node serial
+// doors on a 3-shard cluster, including the error cases.
 func TestClusterSerialDoors(t *testing.T) {
 	opts := platform.DeployOptions{
 		Seed:         eqSeed,
@@ -283,7 +282,11 @@ func TestClusterSerialDoors(t *testing.T) {
 				t.Fatalf("%s req %d: cluster Measure %d, single %d", p.Name(), i, gotSize, wantSize)
 			}
 
-			gotSize, gotErr = coord.Estimate(p.Name(), req)
+			est, err := coord.sizeMany(context.Background(), p.Name(), platform.DoorEstimate, []platform.EstimateRequest{req})
+			if err != nil {
+				t.Fatalf("%s req %d: cluster Estimate: %v", p.Name(), i, err)
+			}
+			gotSize, gotErr = est[0].Size, est[0].Err
 			wantSize, wantErr = p.Estimate(req)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s req %d: cluster Estimate err=%v, single err=%v", p.Name(), i, gotErr, wantErr)
@@ -340,11 +343,7 @@ func TestClusterProvider(t *testing.T) {
 		targeting.And(targeting.Attr(1), targeting.Attr(2)),
 		targeting.Attr(len(p.Catalog().Attributes) + 5), // unknown
 	}
-	bm, ok := prov.(core.BatchMeasurer)
-	if !ok {
-		t.Fatal("cluster provider should implement core.BatchMeasurer")
-	}
-	res := bm.MeasureMany(specs)
+	res := prov.MeasureMany(specs)
 	for i, spec := range specs {
 		wantSize, wantErr := p.Measure(platform.EstimateRequest{Spec: spec})
 		if (res[i].Err == nil) != (wantErr == nil) {

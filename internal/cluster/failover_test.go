@@ -112,7 +112,7 @@ func TestFailoverBitIdentical(t *testing.T) {
 					// flight on every other worker.
 					kicked.Do(func() { flaky["shard-01"].down.Store(true) })
 				}
-				got, err := coord.MeasureMany(p.Name(), reqs)
+				got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d round %d: %w", w, round, err)
 					return
@@ -165,7 +165,7 @@ func TestRetrySameShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.MeasureMany(p.Name(), reqs)
+	got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 	if err != nil {
 		t.Fatalf("retry should have absorbed the transient failure: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestPartialError(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := clusterBatch(p, 777, 4)
-	_, err = coord.MeasureMany("facebook", reqs)
+	_, err = coord.MeasureManyCtx(context.Background(), "facebook", reqs)
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("dead shard with no replicas: got %v, want ErrPartial", err)
 	}
@@ -219,7 +219,7 @@ func TestPartialError(t *testing.T) {
 
 	// Recovery: bring the shard back and the same coordinator must answer.
 	flaky["shard-02"].down.Store(false)
-	if _, err := coord.MeasureMany("facebook", reqs); err != nil {
+	if _, err := coord.MeasureManyCtx(context.Background(), "facebook", reqs); err != nil {
 		t.Fatalf("recovered shard: %v", err)
 	}
 }
@@ -250,7 +250,7 @@ func TestFailoverCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.MeasureMany(p.Name(), reqs)
+	got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 	if err != nil {
 		t.Fatalf("two dead shards with two replicas should still converge: %v", err)
 	}

@@ -41,11 +41,7 @@ func TestClusterProviderContextDoors(t *testing.T) {
 	if got != want {
 		t.Fatalf("MeasureCtx = %d, Measure = %d", got, want)
 	}
-	bm, ok := prov.(core.BatchMeasurer)
-	if !ok {
-		t.Fatal("cluster provider does not implement core.BatchMeasurer")
-	}
-	batch := bm.MeasureMany([]targeting.Spec{spec})
+	batch := prov.MeasureMany([]targeting.Spec{spec})
 	if len(batch) != 1 || batch[0].Err != nil || batch[0].Size != want {
 		t.Fatalf("MeasureMany = %+v, want size %d", batch, want)
 	}

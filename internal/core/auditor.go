@@ -50,35 +50,29 @@ type Measurement struct {
 }
 
 // Auditor runs the paper's measurements against one platform Provider.
+// The measurement cache and providers are safe for concurrent use; the
+// Auditor itself must be driven from one goroutine.
 type Auditor struct {
-	p Provider
-	// raw is the uncached provider, used where the methodology must
-	// genuinely re-issue calls (the consistency study).
-	raw Provider
+	// p is the measurement cache every audit size goes through; p.Provider
+	// is the uncached provider, used where the methodology must genuinely
+	// re-issue calls (the consistency study).
+	p *cachingProvider
 	// RecallFloor is the minimum total reach for a targeting to be
 	// considered (platform-scale).
 	RecallFloor int64
-	// Concurrency is the worker count IndividualScan fans measurements out
-	// over (<=1 = serial). The measurement cache and providers are safe for
-	// concurrent use; the Auditor itself must still be driven from one
-	// goroutine.
-	Concurrency int
 	// Progress, when set, receives live audit progress during fan-out
 	// scans: the number of specs completed so far and the batch total.
-	// Deliveries are serialized and monotonic — done never decreases
-	// within a batch, and the final done == total call is always the last
-	// — but under the concurrent audit pool a callback may coalesce
-	// several completions into one delivery. The callback must be fast
-	// (it sits on the audit path) and may be invoked from worker
-	// goroutines. No callbacks are delivered after Ctx is cancelled and
-	// the in-flight fan-out has returned.
+	// Each fan-out delivers done = 1, 2, …, total in order, one call per
+	// spec, from the goroutine driving the Auditor once the fan-out's
+	// measurements are in. The callback must be fast (it sits on the
+	// audit path). No callbacks are delivered after Ctx is cancelled.
 	Progress func(done, total int)
 	// Ctx, when non-nil, cancels audit campaigns: once the context is
 	// done, Audit and the fan-out scans fail fast with the context's
 	// error instead of issuing further measurements, and progress
 	// callbacks stop. Cancellation takes effect between specs on the
-	// serial and pooled paths and between measurement phases on the
-	// batched path.
+	// serial Audit path and between the two batched measurement phases
+	// of a fan-out.
 	Ctx context.Context
 
 	attrNames  []string
@@ -114,19 +108,16 @@ func NewAuditorWith(p Provider, reg *obs.Registry) *Auditor {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	raw := p
-	if cp, ok := p.(*cachingProvider); ok {
-		raw = cp.Provider
-	} else {
-		p = NewCachingProviderWith(p, reg)
+	cp, ok := p.(*cachingProvider)
+	if !ok {
+		cp = NewCachingProviderWith(p, reg).(*cachingProvider)
 	}
-	lbl := obs.L("platform", p.Name())
+	lbl := obs.L("platform", cp.Name())
 	return &Auditor{
-		p:           p,
-		raw:         raw,
+		p:           cp,
 		RecallFloor: DefaultRecallFloor,
-		attrNames:   p.AttributeNames(),
-		topicNames:  p.TopicNames(),
+		attrNames:   cp.AttributeNames(),
+		topicNames:  cp.TopicNames(),
 		scope:       targeting.Clause{{Kind: targeting.KindLocation, ID: int(population.RegionUS)}},
 		classTotals: make(map[Class]classTotals),
 		mSpecs:      reg.Counter("audit_specs_total", lbl),
@@ -161,21 +152,13 @@ func (a *Auditor) scoped(spec targeting.Spec) targeting.Spec {
 	return withClause(spec, a.scope)
 }
 
-// measureScoped is the auditor's sole measurement path: every size the
-// methodology consumes is restricted to the scope population.
-func (a *Auditor) measureScoped(spec targeting.Spec) (int64, error) {
-	return a.measureScopedSpan(nil, spec)
-}
-
-// measureScopedSpan is measureScoped under an optional trace span: with a
-// live span the measurement flows through the provider chain's traced
-// doors (cache outcome, platform kernel, cluster fan-out spans); without
-// one it is the plain Measure call.
-func (a *Auditor) measureScopedSpan(span *trace.Span, spec targeting.Spec) (int64, error) {
-	if span == nil {
-		return a.p.Measure(a.scoped(spec))
-	}
-	return MeasureCtx(spanContext(span), a.p, a.scoped(spec))
+// measureScoped is the auditor's serial measurement path: every size the
+// methodology consumes is restricted to the scope population. With a live
+// span the measurement flows through the provider chain's traced doors
+// (cache outcome, platform kernel, cluster fan-out spans); without one it
+// is the plain cached Measure call.
+func (a *Auditor) measureScoped(span *trace.Span, spec targeting.Spec) (int64, error) {
+	return a.p.measure(span, a.scoped(spec))
 }
 
 // Provider returns the underlying (cache-wrapped) provider.
@@ -217,25 +200,21 @@ func (a *Auditor) Describe(spec targeting.Spec) string {
 	return strings.Join(parts, " ∧ ")
 }
 
-// totals measures (and caches) |RA_s| and |RA_¬s| for the class.
-func (a *Auditor) totals(c Class) (classTotals, error) {
-	return a.totalsSpan(nil, c)
-}
-
-// totalsSpan is totals with the measurements attributed to span's trace.
-func (a *Auditor) totalsSpan(span *trace.Span, c Class) (classTotals, error) {
+// totals measures (and caches) |RA_s| and |RA_¬s| for the class, with the
+// measurements attributed to span's trace (nil = untraced).
+func (a *Auditor) totals(span *trace.Span, c Class) (classTotals, error) {
 	key := c
 	key.Excluded = false
 	if t, ok := a.classTotals[key]; ok {
 		return t, nil
 	}
-	in, err := a.measureScopedSpan(span, specOf(key.baseClause()))
+	in, err := a.measureScoped(span, specOf(key.baseClause()))
 	if err != nil {
 		return classTotals{}, fmt.Errorf("measuring |RA_s| for %s: %w", key, err)
 	}
 	var out int64
 	for _, cl := range key.otherClauses() {
-		v, err := a.measureScopedSpan(span, specOf(cl))
+		v, err := a.measureScoped(span, specOf(cl))
 		if err != nil {
 			return classTotals{}, fmt.Errorf("measuring |RA_v| for %s: %w", key, err)
 		}
@@ -249,7 +228,7 @@ func (a *Auditor) totalsSpan(span *trace.Span, c Class) (classTotals, error) {
 // PopulationSize returns |RA_s| for the class — the denominator the paper's
 // Figure 5 reports as the total size of each sensitive population.
 func (a *Auditor) PopulationSize(c Class) (int64, error) {
-	t, err := a.totals(c)
+	t, err := a.totals(nil, c)
 	if err != nil {
 		return 0, err
 	}
@@ -290,7 +269,7 @@ func (a *Auditor) Audit(spec targeting.Spec, c Class) (Measurement, error) {
 		root.End()
 	}()
 
-	reach, err := a.measureScopedSpan(root, spec)
+	reach, err := a.measureScoped(root, spec)
 	if err != nil {
 		auditErr = err
 		return m, err
@@ -304,19 +283,19 @@ func (a *Auditor) Audit(spec targeting.Spec, c Class) (Measurement, error) {
 
 	base := c
 	base.Excluded = false
-	tot, err := a.totalsSpan(root, base)
+	tot, err := a.totals(root, base)
 	if err != nil {
 		auditErr = err
 		return m, err
 	}
-	tIn, err := a.measureScopedSpan(root, withClause(spec, base.baseClause()))
+	tIn, err := a.measureScoped(root, withClause(spec, base.baseClause()))
 	if err != nil {
 		auditErr = err
 		return m, err
 	}
 	var tOut int64
 	for _, cl := range base.otherClauses() {
-		v, err := a.measureScopedSpan(root, withClause(spec, cl))
+		v, err := a.measureScoped(root, withClause(spec, cl))
 		if err != nil {
 			auditErr = err
 			return m, err

@@ -17,13 +17,13 @@ type BatchResult struct {
 	Err  error
 }
 
-// BatchMeasurer is the optional batch extension of Provider: answer many
+// BatchMeasurer is the batch door every Provider carries: answer many
 // measurement queries in one call. Implementations must be slot-for-slot
 // equivalent to serial Measure — same sizes, same errors — differing only
 // in evaluation cost. The in-process platform provider lowers a batch into
 // the tiled counting kernel; the caching provider partitions it into
 // cache/store hits and unique upstream misses; the adapi client ships it
-// as one HTTP exchange.
+// as one HTTP exchange; the cluster provider scatters it over the shards.
 type BatchMeasurer interface {
 	MeasureMany(specs []targeting.Spec) []BatchResult
 }
@@ -34,38 +34,6 @@ type BatchMeasurer interface {
 // (perfbench) name it; it goes with the next change to the benchmark.
 type KeyedBatchMeasurer interface {
 	MeasureManyKeyed(specs []targeting.Spec, keys []string) []BatchResult
-}
-
-// MeasureMany measures every spec through p: one batched call when p
-// implements BatchMeasurer, otherwise serial Measure calls in spec order.
-// Either way the returned slice has one slot per spec.
-func MeasureMany(p Provider, specs []targeting.Spec) []BatchResult {
-	if bm, ok := p.(BatchMeasurer); ok {
-		return bm.MeasureMany(specs)
-	}
-	out := make([]BatchResult, len(specs))
-	for i, s := range specs {
-		out[i].Size, out[i].Err = p.Measure(s)
-	}
-	return out
-}
-
-// batchCapable reports whether p's provider chain bottoms out in a native
-// BatchMeasurer. The caching wrapper always implements the interface (it
-// can fall back to serial upstream calls), so the walk looks through it at
-// the wrapped provider: fan-outs switch to the batched path only when
-// batching actually reaches a kernel or a wire exchange, and plain serial
-// providers (including single-threaded test fakes) keep the worker-pool
-// path and its call pattern.
-func batchCapable(p Provider) bool {
-	for {
-		cp, ok := p.(*cachingProvider)
-		if !ok {
-			_, ok := p.(BatchMeasurer)
-			return ok
-		}
-		p = cp.Provider
-	}
 }
 
 // MeasureMany implements BatchMeasurer for the in-process simulators via
@@ -110,8 +78,7 @@ func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.S
 // caller's in-flight miss, duplicates of a key this batch already claimed,
 // store hits (filling the memory tier, budget-free), budget refusals, and
 // claimed misses. Only the unique misses are charged against the budget
-// and sent upstream — as one batch when the wrapped provider is itself a
-// BatchMeasurer, serially in claim order otherwise — then persisted before
+// and sent upstream as one batch, in claim order, then persisted before
 // being published, with failed slots refunded, exactly like the serial
 // path.
 func (cp *cachingProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
@@ -236,19 +203,12 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 			missSpecs[k] = specs[cl.slot]
 		}
 		start := time.Now()
+		// The traced batch door is optional and taken only under a span.
 		var res []BatchResult
 		if cbm, ok := cp.Provider.(ContextBatchMeasurer); ok && span != nil {
 			res = cbm.MeasureManyCtx(spanContext(span), missSpecs)
-		} else if bm, ok := cp.Provider.(BatchMeasurer); ok {
-			res = bm.MeasureMany(missSpecs)
 		} else {
-			// Serial fallback in claim order: providers without a batch door
-			// (remote fakes, plain wrappers) see the identical call sequence
-			// a serial fan-out would have produced.
-			res = make([]BatchResult, len(claims))
-			for k, s := range missSpecs {
-				res[k].Size, res[k].Err = measureUpstream(span, cp.Provider, s)
-			}
+			res = cp.Provider.MeasureMany(missSpecs)
 		}
 		// One observation per upstream exchange (the batch is the unit of
 		// upstream latency, as one HTTP round trip serves the whole batch).

@@ -11,9 +11,10 @@ import (
 	"repro/internal/targeting"
 )
 
-// serialOnly hides a provider's BatchMeasurer implementation, forcing every
-// fan-out above it down the serial worker-pool path. Used to compare the
-// batched and serial auditor paths over the same platform.
+// serialOnly answers every batch with its provider's serial Measure door,
+// one call per slot in slot order. An auditor over it runs the same batched
+// fan-out as one over the provider itself, but every size comes from the
+// serial door: the reference the batched kernel path is compared against.
 type serialOnly struct{ p Provider }
 
 func (s serialOnly) Name() string                               { return s.p.Name() }
@@ -22,43 +23,12 @@ func (s serialOnly) TopicNames() []string                       { return s.p.Top
 func (s serialOnly) CrossFeature() bool                         { return s.p.CrossFeature() }
 func (s serialOnly) Measure(spec targeting.Spec) (int64, error) { return s.p.Measure(spec) }
 
-func TestBatchCapable(t *testing.T) {
-	d := testDeploy(t)
-	pp := NewPlatformProvider(d.Facebook)
-	if !batchCapable(pp) {
-		t.Error("platform provider should be batch-capable")
+func (s serialOnly) MeasureMany(specs []targeting.Spec) []BatchResult {
+	out := make([]BatchResult, len(specs))
+	for i, spec := range specs {
+		out[i].Size, out[i].Err = s.p.Measure(spec)
 	}
-	if !batchCapable(NewCachingProviderWith(pp, obs.NewRegistry())) {
-		t.Error("caching provider over a kernel should be batch-capable")
-	}
-	if batchCapable(serialOnly{pp}) {
-		t.Error("serialOnly wrapper must not be batch-capable")
-	}
-	if batchCapable(NewCachingProviderWith(serialOnly{pp}, obs.NewRegistry())) {
-		t.Error("caching provider over a serial provider must not be batch-capable")
-	}
-	if batchCapable(&slowProvider{attrs: []string{"a"}}) {
-		t.Error("test fake must not be batch-capable")
-	}
-}
-
-// TestMeasureManyFallbackSerial: the package-level helper must serve plain
-// providers with serial calls in slot order.
-func TestMeasureManyFallbackSerial(t *testing.T) {
-	sp := &slowProvider{attrs: []string{"a", "b"}}
-	specs := []targeting.Spec{targeting.Attr(0), targeting.Attr(1), targeting.Attr(0)}
-	res := MeasureMany(sp, specs)
-	if len(res) != 3 {
-		t.Fatalf("got %d slots, want 3", len(res))
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("slot %d: %v", i, r.Err)
-		}
-	}
-	if got := sp.calls.Load(); got != 3 {
-		t.Errorf("upstream calls = %d, want 3 (no dedup without a cache)", got)
-	}
+	return out
 }
 
 // TestMeasureManyBudgetChargesOnlyUniqueMisses is the budget acceptance
@@ -261,17 +231,48 @@ func sameMeasurements(t *testing.T, label string, got, want []Measurement) {
 	}
 }
 
+// auditEach audits every option spec of a's individual scans one at a
+// time through Audit, keeping the measurements IndividualScan keeps:
+// ErrBelowFloor drops a spec, and any other error fails the test, since
+// the scans it is compared against succeeded.
+func auditEach(t *testing.T, label string, a *Auditor, c Class) []Measurement {
+	t.Helper()
+	kinds := []targeting.Kind{targeting.KindAttribute}
+	if a.Provider().CrossFeature() && a.TopicCount() > 0 {
+		kinds = append(kinds, targeting.KindTopic)
+	}
+	var out []Measurement
+	for _, kind := range kinds {
+		n := a.AttrCount()
+		if kind == targeting.KindTopic {
+			n = a.TopicCount()
+		}
+		for id := 0; id < n; id++ {
+			m, err := a.Audit(targeting.Spec{Include: []targeting.Clause{{{Kind: kind, ID: id}}}}, c)
+			if errors.Is(err, ErrBelowFloor) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Audit %s %d: %v", label, kind, id, err)
+			}
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // TestBatchedAuditorMatchesSerial is the end-to-end equivalence property:
 // every fan-out workload — individual scans, greedy composition, beam
 // search, overlap and union analyses — must produce identical results
-// through the batched path and the serial worker-pool path.
+// whether the platform's batch door or its serial door answers the
+// fan-out's batches, and the scans must equal auditing each option on its
+// own through Audit.
 func TestBatchedAuditorMatchesSerial(t *testing.T) {
 	d := testDeploy(t)
 	for _, iface := range []*platform.Interface{d.Facebook, d.Google} {
 		pp := NewPlatformProvider(iface)
 		batched := NewAuditorWith(pp, obs.NewRegistry())
 		serial := NewAuditorWith(serialOnly{pp}, obs.NewRegistry())
-		serial.Concurrency = 4
 		for _, c := range []Class{male(), female(), young().Not()} {
 			bi, err := batched.Individuals(c)
 			if err != nil {
@@ -281,7 +282,10 @@ func TestBatchedAuditorMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s serial Individuals: %v", iface.Name(), c, err)
 			}
-			sameMeasurements(t, iface.Name()+"/"+c.String()+"/individuals", bi, si)
+			label := iface.Name() + "/" + c.String()
+			sameMeasurements(t, label+"/individuals", bi, si)
+			each := NewAuditorWith(pp, obs.NewRegistry())
+			sameMeasurements(t, label+"/audit-each", bi, auditEach(t, label, each, c))
 
 			bg, berr := batched.GreedyCompositions(bi, c, ComposeConfig{K: 20})
 			sg, serr := serial.GreedyCompositions(si, c, ComposeConfig{K: 20})
@@ -315,7 +319,7 @@ func TestBatchedAuditorMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedBeamMatchesSerial compares beam search (the deepest fan-out)
-// between the two paths on a non-cross-feature platform.
+// between the batch and serial doors on a non-cross-feature platform.
 func TestBatchedBeamMatchesSerial(t *testing.T) {
 	d := testDeploy(t)
 	pp := NewPlatformProvider(d.Facebook)

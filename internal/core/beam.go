@@ -77,9 +77,8 @@ func (a *Auditor) BeamCompositions(individuals []Measurement, c Class, cfg BeamC
 	}
 	for level := 2; level <= cfg.Arity; level++ {
 		// Collect the level's deduplicated extension candidates first, then
-		// audit them as one batch: the whole frontier is measured in a few
-		// tiled passes (or one worker-pool fan-out) instead of one serial
-		// Audit per candidate.
+		// audit them as one batch: the whole frontier is measured in two
+		// batched calls instead of one serial Audit per candidate.
 		seen := make(map[string]bool)
 		var cands []targeting.Spec
 		for _, partial := range beam {

@@ -121,9 +121,9 @@ func combinations(n, k int, fn func(idx []int)) {
 }
 
 // auditSpecs measures the given specs, keeping those at or above the floor.
-// Specs fan out over the auditor's worker pool (see auditMany), which makes
-// the composition-audit loop — thousands of Measure calls per figure —
-// scale with cores.
+// The specs go out as one batched fan-out (see auditMany), so the
+// composition-audit loop — thousands of measurements per figure — costs two
+// batched calls.
 func (a *Auditor) auditSpecs(specs []targeting.Spec, c Class) ([]Measurement, error) {
 	results, err := a.auditMany(specs, c)
 	if err != nil {

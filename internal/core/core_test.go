@@ -819,28 +819,3 @@ func TestBeamValidation(t *testing.T) {
 		t.Fatalf("want ErrCrossFeatureArity, got %v", err)
 	}
 }
-
-func TestIndividualScanConcurrent(t *testing.T) {
-	d := testDeploy(t)
-	serial := auditorFor(t, d.FacebookRestricted)
-	parallel := auditorFor(t, d.FacebookRestricted)
-	parallel.Concurrency = 8
-
-	want, err := serial.IndividualScan(targeting.KindAttribute, male())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := parallel.IndividualScan(targeting.KindAttribute, male())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parallel scan found %d options, serial %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Desc != want[i].Desc || got[i].RepRatio != want[i].RepRatio {
-			t.Fatalf("scan order/value diverges at %d: %q %v vs %q %v",
-				i, got[i].Desc, got[i].RepRatio, want[i].Desc, want[i].RepRatio)
-		}
-	}
-}

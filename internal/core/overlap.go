@@ -24,43 +24,12 @@ func translateRuleError(err error) error {
 	return err
 }
 
-// classCount measures how many members of the class the spec reaches: the
-// spec's audience intersected with RA_s, or with RA_¬s for excluded classes.
-func (a *Auditor) classCount(spec targeting.Spec, c Class) (int64, error) {
-	base := c
-	base.Excluded = false
-	if !c.Excluded {
-		v, err := a.measureScoped(withClause(spec, base.baseClause()))
-		return v, translateRuleError(err)
-	}
-	var total int64
-	for _, cl := range base.otherClauses() {
-		v, err := a.measureScoped(withClause(spec, cl))
-		if err != nil {
-			return 0, translateRuleError(err)
-		}
-		total += v
-	}
-	return total, nil
-}
-
-// classCounts is the batched form of classCount: one slot per spec, spec
-// order preserved. When the provider chain answers batches natively the
-// class-conditioned sizes are measured in one batch (one tiled kernel pass
-// or one wire exchange); otherwise the specs are measured serially,
-// aborting on the first error exactly like repeated classCount calls.
+// classCounts measures how many members of the class each spec reaches:
+// the spec's audience intersected with RA_s, or with RA_¬s for excluded
+// classes. One slot per spec, spec order preserved; the class-conditioned
+// sizes are measured in one batch (one tiled kernel pass or one wire
+// exchange), and the first failed slot in spec order fails the call.
 func (a *Auditor) classCounts(specs []targeting.Spec, c Class) ([]int64, error) {
-	if !batchCapable(a.p) {
-		out := make([]int64, len(specs))
-		for i, s := range specs {
-			v, err := a.classCount(s, c)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	base := c
 	base.Excluded = false
 	clauses := []targeting.Clause{base.baseClause()}
@@ -74,7 +43,7 @@ func (a *Auditor) classCounts(specs []targeting.Spec, c Class) ([]int64, error) 
 			cond = append(cond, a.scoped(withClause(s, cl)))
 		}
 	}
-	res := MeasureMany(a.p, cond)
+	res := a.p.measureMany(nil, cond)
 	out := make([]int64, len(specs))
 	for i := range specs {
 		for j := 0; j < per; j++ {

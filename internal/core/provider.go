@@ -24,8 +24,11 @@ import (
 
 // Provider is the audit's only view of an ad platform: the option lists the
 // paper scraped from the targeting UI, plus the size-estimate call it
-// automated. Implementations exist for in-process simulators (this package)
-// and for remote platforms over HTTP (internal/adapi).
+// automated, as a serial door and a batch door. Every provider batches:
+// the auditor's fan-outs (scans, compositions, overlaps) go out as batches
+// only. Implementations exist for in-process simulators (this package),
+// remote platforms over HTTP (internal/adapi) and sharded clusters
+// (internal/cluster).
 type Provider interface {
 	// Name identifies the platform interface.
 	Name() string
@@ -36,6 +39,9 @@ type Provider interface {
 	// Measure returns the platform's rounded, platform-scale audience-size
 	// estimate for the spec, under the auditor's measurement rules.
 	Measure(spec targeting.Spec) (int64, error)
+	// MeasureMany answers many specs in one call, slot-for-slot equal to
+	// serial Measure calls.
+	BatchMeasurer
 	// CrossFeature reports whether AND-composition must span the attribute
 	// and topic features (Google) rather than pair attributes (the rest).
 	CrossFeature() bool
@@ -45,6 +51,8 @@ type Provider interface {
 type platformProvider struct {
 	p *platform.Interface
 }
+
+var _ Provider = (*platformProvider)(nil)
 
 // NewPlatformProvider returns a Provider backed by an in-process simulated
 // interface. Measurements use the interface's auditor-facing rules, exactly

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs/trace"
 	"repro/internal/targeting"
@@ -17,14 +15,10 @@ type auditResult struct {
 	err error
 }
 
-// auditMany audits every spec against c, preserving spec order. When the
-// provider chain answers batches natively (an in-process kernel or a wire
-// batch endpoint), the specs are measured in two batched phases; otherwise,
-// when the auditor's Concurrency is above 1, they fan out over a worker
-// pool. The class totals (the auditor's only lazily-written shared state)
-// are primed first so the fan-out touches the totals cache read-only.
-// Providers and the measurement cache are safe for concurrent use; the
-// Auditor itself must still be driven from one goroutine.
+// auditMany audits every spec against c, preserving spec order: it
+// measures (or reads the cached) class totals, then audits the specs in two
+// batched measurement phases (auditManyBatched). An empty spec list returns
+// no results.
 func (a *Auditor) auditMany(specs []targeting.Spec, c Class) ([]auditResult, error) {
 	if err := validateClass(c); err != nil {
 		return nil, err
@@ -34,78 +28,23 @@ func (a *Auditor) auditMany(specs []targeting.Spec, c Class) ([]auditResult, err
 	}
 	base := c
 	base.Excluded = false
-	tot, err := a.totals(base)
+	tot, err := a.totals(nil, base)
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) > 0 && batchCapable(a.p) {
-		return a.auditManyBatched(specs, c, tot), nil
+	if len(specs) == 0 {
+		return nil, nil
 	}
-
-	results := make([]auditResult, len(specs))
-	total := len(specs)
-	var done atomic.Int64
-	// Progress deliveries are serialized under a mutex and made monotonic:
-	// a worker that observes completion n but loses the race to a worker
-	// holding a later count skips its delivery instead of reporting done
-	// going backwards. The final done == total delivery is the largest
-	// count, so it is never skipped. After cancellation no further
-	// callbacks are delivered.
-	var progressMu sync.Mutex
-	reported := 0
-	finish := func() {
-		n := int(done.Add(1))
-		if a.Progress == nil || a.ctxErr() != nil {
-			return
-		}
-		progressMu.Lock()
-		if n > reported {
-			reported = n
-			a.Progress(n, total)
-		}
-		progressMu.Unlock()
-	}
-	workers := a.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i, spec := range specs {
-			results[i].m, results[i].err = a.Audit(spec, c)
-			finish()
-		}
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	idxs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxs {
-				results[i].m, results[i].err = a.Audit(specs[i], c)
-				finish()
-			}
-		}()
-	}
-	for i := range specs {
-		idxs <- i
-	}
-	close(idxs)
-	wg.Wait()
-	return results, nil
+	return a.auditManyBatched(specs, c, tot), nil
 }
 
-// auditManyBatched is the batched form of the fan-out: phase one measures
-// every spec's total reach in one batch, phase two measures the
-// class-conditioned sizes of the specs above the floor in a second batch.
-// Each slot reproduces Audit exactly — same measurements through the same
-// cache, same floor cutoff, same error precedence (reach, then in-class,
-// then the complement clauses in order) — so the results are bit-identical
-// to the serial loop; only the number of passes over the universe changes.
+// auditManyBatched is the fan-out: phase one measures every spec's total
+// reach in one batch, phase two measures the class-conditioned sizes of the
+// specs above the floor in a second batch. Each slot reproduces Audit
+// exactly — same measurements through the same cache, same floor cutoff,
+// same error precedence (reach, then in-class, then the complement clauses
+// in order) — so the results are bit-identical to auditing each spec on its
+// own; only the number of passes over the universe changes.
 func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTotals) []auditResult {
 	results := make([]auditResult, len(specs))
 	base := c
@@ -130,7 +69,6 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 		}
 	}
 	defer root.End()
-	ctx := spanContext(root)
 
 	// Cancellation takes effect between the two measurement phases: a
 	// cancelled batch fails every remaining slot with the context's error
@@ -145,7 +83,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 	for i, spec := range specs {
 		reachSpecs[i] = a.scoped(spec)
 	}
-	reach := MeasureManyCtx(ctx, a.p, reachSpecs)
+	reach := a.p.measureMany(root, reachSpecs)
 
 	// start[i] indexes spec i's group of 1+len(others) conditioned slots in
 	// the second batch; -1 marks specs already failed or below the floor.
@@ -180,7 +118,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 		}
 		return results
 	}
-	condRes := MeasureManyCtx(ctx, a.p, cond)
+	condRes := a.p.measureMany(root, cond)
 
 	total := len(specs)
 	for i := range specs {
@@ -214,11 +152,10 @@ func finishSlot(m *Measurement, c Class, tot classTotals, slots []BatchResult) e
 // IndividualScan audits every option of one feature kind against the class,
 // returning the measurable ones (total reach at or above the floor) in
 // option order. This is the paper's "Individual" targeting set (§4.1,
-// §4.2). When the auditor's Concurrency is above 1, options are audited by
-// a worker pool — against the in-process simulators the lock-free estimate
-// path makes this scale with cores, and against remote platforms each
-// measurement is an HTTP round trip (the client's rate limiter still bounds
-// total load, as the paper's ethics required).
+// §4.2). The options are audited as one batched fan-out: against the
+// in-process simulators each phase is one tiled kernel pass, and against
+// remote platforms one HTTP exchange (the client's rate limiter still
+// bounds total load, as the paper's ethics required).
 func (a *Auditor) IndividualScan(kind targeting.Kind, c Class) ([]Measurement, error) {
 	var n int
 	switch kind {

@@ -159,7 +159,6 @@ func TestResumeAfterKillBitIdentical(t *testing.T) {
 
 	// Reference: one uninterrupted, storeless run.
 	ref := NewAuditorWith(NewPlatformProvider(iface), obs.NewRegistry())
-	ref.Concurrency = 4
 	want, err := ref.Individuals(male())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -180,7 +179,6 @@ func TestResumeAfterKillBitIdentical(t *testing.T) {
 		ap := NewStoredProviderWith(NewPlatformProvider(iface), killed, obs.NewRegistry())
 		SetQueryBudget(ap, budget)
 		a := NewAuditorWith(ap, obs.NewRegistry())
-		a.Concurrency = 4
 		if _, err := a.Individuals(male()); !errors.Is(err, ErrQueryBudget) {
 			t.Fatalf("budget %d: err = %v, want ErrQueryBudget", budget, err)
 		}
@@ -197,7 +195,6 @@ func TestResumeAfterKillBitIdentical(t *testing.T) {
 		}
 		rp := NewStoredProviderWith(NewPlatformProvider(iface), resumed, obs.NewRegistry())
 		ra := NewAuditorWith(rp, obs.NewRegistry())
-		ra.Concurrency = 4
 		got, err := ra.Individuals(male())
 		if err != nil {
 			t.Fatalf("budget %d: resumed run: %v", budget, err)

@@ -55,12 +55,12 @@ func (a *Auditor) ConsistencyStudy(nOptions, nComps, repeats int, seed uint64) (
 	rep := ConsistencyReport{Targetings: len(specs), Repeats: repeats}
 	for _, s := range specs {
 		s = a.scoped(s)
-		first, err := a.raw.Measure(s)
+		first, err := a.p.Provider.Measure(s)
 		if err != nil {
 			return rep, err
 		}
 		for i := 1; i < repeats; i++ {
-			v, err := a.raw.Measure(s)
+			v, err := a.p.Provider.Measure(s)
 			if err != nil {
 				return rep, err
 			}
@@ -101,7 +101,7 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 	rng := xrand.New(xrand.Mix(seed, xrand.HashString(a.p.Name()), 0x9a))
 	var values []int64
 	add := func(spec targeting.Spec) error {
-		v, err := a.measureScoped(spec)
+		v, err := a.measureScoped(nil, spec)
 		if err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 func (a *Auditor) LeastSkewed(m Measurement, c Class, r estimate.Rounder) (float64, error) {
 	base := c
 	base.Excluded = false
-	tot, err := a.totals(base)
+	tot, err := a.totals(nil, base)
 	if err != nil {
 		return 0, err
 	}

@@ -12,38 +12,20 @@ import (
 // provider can record child spans and propagate the trace downstream
 // (in-process to the platform kernels, or over the wire via the
 // X-Adaudit-Trace header). Implementations must be bit-identical to
-// Measure; the context adds observability, never behavior.
+// Measure; the context adds observability, never behavior. The measurement
+// cache probes for it only where it sends a serial miss upstream under a
+// live span (measureUpstream).
 type ContextMeasurer interface {
 	MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error)
 }
 
-// ContextBatchMeasurer is the batched form of ContextMeasurer.
+// ContextBatchMeasurer is the batched form of ContextMeasurer, probed only
+// where the cache sends a batch of misses upstream under a live span. It
+// stays optional: were every Provider to carry it, every wrapper would
+// have to define a traced batch door, or embedding would promote the
+// wrapped provider's door past the wrapper (the jobs guard's budget).
 type ContextBatchMeasurer interface {
 	MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []BatchResult
-}
-
-// MeasureCtx measures spec through p, upgrading to the provider's traced
-// door only when ctx actually carries a span — untraced callers take
-// exactly the Provider.Measure path.
-func MeasureCtx(ctx context.Context, p Provider, spec targeting.Spec) (int64, error) {
-	if trace.FromContext(ctx) != nil {
-		if cm, ok := p.(ContextMeasurer); ok {
-			return cm.MeasureCtx(ctx, spec)
-		}
-	}
-	return p.Measure(spec)
-}
-
-// MeasureManyCtx is MeasureMany with a trace context: one traced batched
-// call when the provider supports it and ctx carries a span, otherwise the
-// untraced MeasureMany dispatch.
-func MeasureManyCtx(ctx context.Context, p Provider, specs []targeting.Spec) []BatchResult {
-	if trace.FromContext(ctx) != nil {
-		if cbm, ok := p.(ContextBatchMeasurer); ok {
-			return cbm.MeasureManyCtx(ctx, specs)
-		}
-	}
-	return MeasureMany(p, specs)
 }
 
 // spanContext rebuilds a context carrying span for downstream traced calls

@@ -19,14 +19,14 @@ func newCoreTestTracer(seed uint64) *trace.Tracer {
 }
 
 // TestTracedSerialMeasureChain walks one spec through the serial provider
-// chain twice under a sampled root: the first MeasureCtx is a cache miss
+// chain twice under a sampled root: the first cache MeasureCtx is a miss
 // that must continue the trace into the platform layer (cache.measure →
 // platform.measure, provenance from the platform), the second is a cache
 // hit served without touching the platform (provenance from the cache).
 // Both answers must equal the untraced twin chain's.
 func TestTracedSerialMeasureChain(t *testing.T) {
 	d := testDeploy(t)
-	traced := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry())
+	traced := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry()).(*cachingProvider)
 	plain := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry())
 	spec := targeting.Attr(3)
 
@@ -39,7 +39,7 @@ func TestTracedSerialMeasureChain(t *testing.T) {
 	root := tr.StartRoot("audit.serial")
 	ctx := trace.NewContext(context.Background(), root)
 	for i := 0; i < 2; i++ {
-		got, err := MeasureCtx(ctx, traced, spec)
+		got, err := traced.MeasureCtx(ctx, spec)
 		if err != nil {
 			t.Fatalf("traced MeasureCtx call %d: %v", i, err)
 		}
@@ -88,13 +88,12 @@ func TestTracedSerialMeasureChain(t *testing.T) {
 	}
 }
 
-// TestTracedBatchMeasureChain covers the batched door dispatch: a sampled
-// context routes MeasureManyCtx through the caching provider's traced batch
-// path, and the results match the untraced MeasureMany dispatch on a twin
-// chain.
+// TestTracedBatchMeasureChain covers the cache's traced batch door: under
+// a sampled context MeasureManyCtx records the batch, and the results match
+// the untraced MeasureMany on a twin chain.
 func TestTracedBatchMeasureChain(t *testing.T) {
 	d := testDeploy(t)
-	traced := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry())
+	traced := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry()).(*cachingProvider)
 	plain := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry())
 	specs := []targeting.Spec{
 		targeting.Attr(0),
@@ -102,11 +101,11 @@ func TestTracedBatchMeasureChain(t *testing.T) {
 		targeting.And(targeting.Attr(1), targeting.Attr(2)),
 	}
 
-	want := MeasureMany(plain, specs)
+	want := plain.MeasureMany(specs)
 
 	tr := newCoreTestTracer(43)
 	root := tr.StartRoot("audit.batch")
-	got := MeasureManyCtx(trace.NewContext(context.Background(), root), traced, specs)
+	got := traced.MeasureManyCtx(trace.NewContext(context.Background(), root), specs)
 	root.End()
 
 	if len(got) != len(want) {
@@ -122,13 +121,12 @@ func TestTracedBatchMeasureChain(t *testing.T) {
 	}
 }
 
-// TestMeasureCtxUntracedFallback pins the plain-context contract for both
-// serial and batched dispatch helpers: no span in the context means the
-// exact untraced path, even when the provider has traced doors and a live
-// default tracer is installed.
+// TestMeasureCtxUntracedFallback pins the plain-context contract for the
+// cache's serial and batched context doors: no span in the context means
+// the exact untraced path, even with a live default tracer installed.
 func TestMeasureCtxUntracedFallback(t *testing.T) {
 	d := testDeploy(t)
-	cp := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry())
+	cp := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry()).(*cachingProvider)
 	tr := newCoreTestTracer(47)
 	trace.SetDefault(tr)
 	defer trace.SetDefault(nil)
@@ -138,7 +136,7 @@ func TestMeasureCtxUntracedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureCtx(context.Background(), cp, spec)
+	got, err := cp.MeasureCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestMeasureCtxUntracedFallback(t *testing.T) {
 		t.Fatalf("untraced-ctx MeasureCtx = %d, want %d", got, want)
 	}
 
-	res := MeasureManyCtx(context.Background(), cp, []targeting.Spec{spec})
+	res := cp.MeasureManyCtx(context.Background(), []targeting.Spec{spec})
 	if len(res) != 1 || res[0].Err != nil || res[0].Size != want {
 		t.Fatalf("untraced-ctx MeasureManyCtx = %+v, want size %d", res, want)
 	}

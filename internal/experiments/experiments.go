@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -69,10 +68,9 @@ type Config struct {
 	Metrics *obs.Registry
 	// Progress, when set, receives live audit progress from every
 	// platform's fan-out scans: the platform name, specs completed, and
-	// the batch total. It may be called concurrently from audit workers.
-	// Per platform, deliveries are serialized and done is monotonic
-	// within a batch; after Context is cancelled and the in-flight
-	// fan-out returns, no further callbacks are delivered.
+	// the batch total. It is called from the goroutine running the
+	// experiment, done = 1, 2, …, total within each batch; after Context
+	// is cancelled no further callbacks are delivered.
 	Progress func(platform string, done, total int)
 	// Context, when set, cancels the run: once done, every auditor fails
 	// fast with the context's error instead of issuing further
@@ -156,10 +154,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			p = core.NewStoredProviderWith(p, cfg.Store, reg)
 		}
 		a := core.NewAuditorWith(p, reg)
-		// The simulators' estimate path is lock-free and the measurement
-		// cache collapses duplicate in-flight calls, so scans and
-		// composition audits fan out across all cores by default.
-		a.Concurrency = runtime.GOMAXPROCS(0)
 		a.Ctx = cfg.Context
 		if cfg.Progress != nil {
 			name := p.Name()

@@ -39,8 +39,8 @@ func progressRunner(t *testing.T, ctx context.Context, record func(string, int, 
 }
 
 // Config.Progress contract, first half: deliveries are serialized and done
-// is monotonic within a batch even though the fan-out pool is concurrent,
-// and every batch's final done == total delivery arrives.
+// is monotonic within a batch, and every batch's final done == total
+// delivery arrives.
 func TestProgressSerializedAndMonotonic(t *testing.T) {
 	var (
 		mu    sync.Mutex

@@ -15,14 +15,20 @@ import (
 // Cache and store hits never reach the guard, so replayed work is free —
 // exactly the accounting the measurement cache itself uses.
 //
-// The guard wraps the raw provider values unchanged, so a job's
-// measurements are bit-identical to an unguarded run of the same spec.
+// Both size doors are guarded: the embedded provider supplies the name,
+// option lists and composition rule, and embedding would promote its
+// Measure and MeasureMany too, past the tenant budget, were the guard not
+// to define its own. The guard returns the raw provider's values
+// unchanged, so a job's measurements are bit-identical to an unguarded run
+// of the same spec.
 type guardProvider struct {
 	core.Provider
 	ctx     context.Context
 	tenant  *tenantState
 	queries *atomic.Int64 // per-run upstream queries (fair-share cost)
 }
+
+var _ core.Provider = (*guardProvider)(nil)
 
 // Measure charges one upstream query and forwards; failed calls are
 // refunded (they consumed no answer).
@@ -42,16 +48,10 @@ func (g *guardProvider) Measure(spec targeting.Spec) (int64, error) {
 	return v, nil
 }
 
-// batchGuardProvider adds batch pass-through when the raw provider answers
-// batches natively, so guarded jobs keep the tiled-kernel path. The whole
-// batch is admitted or refused atomically against the budget; failed slots
-// are refunded afterwards.
-type batchGuardProvider struct {
-	*guardProvider
-}
-
-// MeasureMany implements core.BatchMeasurer over the guarded provider.
-func (g batchGuardProvider) MeasureMany(specs []targeting.Spec) []core.BatchResult {
+// MeasureMany forwards a batch, so guarded jobs keep the tiled-kernel
+// path. The whole batch is admitted or refused atomically against the
+// budget; failed slots are refunded afterwards.
+func (g *guardProvider) MeasureMany(specs []targeting.Spec) []core.BatchResult {
 	fail := func(err error) []core.BatchResult {
 		out := make([]core.BatchResult, len(specs))
 		for i := range out {
@@ -66,7 +66,7 @@ func (g batchGuardProvider) MeasureMany(specs []targeting.Spec) []core.BatchResu
 	if err := g.tenant.charge(n); err != nil {
 		return fail(err)
 	}
-	res := g.Provider.(core.BatchMeasurer).MeasureMany(specs)
+	res := g.Provider.MeasureMany(specs)
 	var failed int64
 	for _, r := range res {
 		if r.Err != nil {
@@ -78,12 +78,7 @@ func (g batchGuardProvider) MeasureMany(specs []targeting.Spec) []core.BatchResu
 	return res
 }
 
-// guard wraps a raw provider for one job run, preserving native batch
-// capability when the provider has it.
+// guard wraps a raw provider for one job run.
 func guard(ctx context.Context, t *tenantState, queries *atomic.Int64, p core.Provider) core.Provider {
-	g := &guardProvider{Provider: p, ctx: ctx, tenant: t, queries: queries}
-	if _, ok := p.(core.BatchMeasurer); ok {
-		return batchGuardProvider{g}
-	}
-	return g
+	return &guardProvider{Provider: p, ctx: ctx, tenant: t, queries: queries}
 }
