@@ -149,10 +149,11 @@ var _ core.Provider = (*Client)(nil)
 // encoded in the platform's dialect and shipped as one POST /measure-batch
 // exchange, costing one rate-limit token and one round trip for the whole
 // batch. Each slot carries the size or the typed error the equivalent
-// serial Measure call would have produced. A batch whose envelope exceeds
-// the server's body limit is split in halves until each part fits; against
-// a server predating the batch endpoint the call transparently degrades to
-// serial Measure calls.
+// serial Measure call would have produced; a spec the dialect cannot
+// encode fails its own slot and the rest still ship. A batch whose envelope
+// exceeds the server's body limit is split in halves until each part fits.
+// An exchange that fails after its retries, or whose response cannot be
+// aligned with the request, fails every shipped slot with that error.
 func (c *Client) MeasureMany(specs []targeting.Spec) []core.BatchResult {
 	return c.MeasureManyCtx(context.Background(), specs)
 }
@@ -173,39 +174,49 @@ func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []c
 		span.AnnotateInt("specs", int64(len(specs)))
 		ctx = trace.NewContext(ctx, span)
 	}
-	env := batchRequest{Requests: make([]json.RawMessage, len(specs))}
+	env := batchRequest{Requests: make([]json.RawMessage, 0, len(specs))}
+	slots := make([]int, 0, len(specs)) // the spec index of each shipped request
 	for i, spec := range specs {
 		body, err := c.codec.EncodeRequest(platform.EstimateRequest{Spec: spec})
 		if err != nil {
-			// Encoding failures are per-spec and would fail serially too;
-			// ship a placeholder the server will reject so slots stay aligned.
-			return c.measureManySerial(ctx, specs)
+			out[i].Err = err
+			continue
 		}
-		env.Requests[i] = body
+		env.Requests = append(env.Requests, body)
+		slots = append(slots, i)
+	}
+	if len(slots) == 0 {
+		return out
 	}
 	reqBody, err := json.Marshal(env)
-	if err != nil {
-		return c.measureManySerial(ctx, specs)
+	var respBody []byte
+	if err == nil {
+		respBody, err = c.do(ctx, http.MethodPost, c.base+"/"+c.name+"/measure-batch", reqBody)
 	}
-	respBody, err := c.do(ctx, http.MethodPost, c.base+"/"+c.name+"/measure-batch", reqBody)
-	if errors.Is(err, ErrBodyTooLarge) && len(specs) > 1 {
+	if errors.Is(err, ErrBodyTooLarge) && len(slots) > 1 {
 		// Oversized envelope: each half ships as its own batch (its own
 		// child span, its own provenance), splitting again as needed.
 		span.Annotate("path", "split")
 		h := len(specs) / 2
 		return append(c.MeasureManyCtx(ctx, specs[:h]), c.MeasureManyCtx(ctx, specs[h:])...)
 	}
-	if err != nil {
-		// The exchange itself failed — a server without the endpoint, a
-		// network fault, a spec too large to ship alone. Degrade to the
-		// serial door.
-		return c.measureManySerial(ctx, specs)
-	}
 	var resp batchResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil || len(resp.Results) != len(specs) {
-		return c.measureManySerial(ctx, specs)
+	if err == nil {
+		if err = json.Unmarshal(respBody, &resp); err != nil {
+			err = fmt.Errorf("adapi: malformed batch response: %w", err)
+		} else if len(resp.Results) != len(slots) {
+			err = fmt.Errorf("adapi: batch response holds %d slots for %d requests", len(resp.Results), len(slots))
+		}
 	}
-	for i, slot := range resp.Results {
+	if err != nil {
+		span.SetError(err)
+		for _, i := range slots {
+			out[i].Err = err
+		}
+		return out
+	}
+	for k, slot := range resp.Results {
+		i := slots[k]
 		if slot.Error != nil {
 			out[i].Err = errorFromCode(slot.Error.Code, slot.Error.Message)
 			continue
@@ -233,20 +244,6 @@ func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []c
 				Value:    out[i].Size,
 			})
 		}
-	}
-	return out
-}
-
-// measureManySerial is the batch call's fallback: one serial exchange per
-// spec, exactly the pre-batch behaviour. The context's span (the batch span
-// when the caller was traced) parents the per-spec client spans, so a trace
-// shows the degradation: one client_batch span fanning into serial
-// exchanges. Per-spec provenance is emitted by size().
-func (c *Client) measureManySerial(ctx context.Context, specs []targeting.Spec) []core.BatchResult {
-	trace.FromContext(ctx).Annotate("path", "serial")
-	out := make([]core.BatchResult, len(specs))
-	for i, spec := range specs {
-		out[i].Size, out[i].Err = c.MeasureCtx(ctx, spec)
 	}
 	return out
 }

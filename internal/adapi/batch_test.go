@@ -3,10 +3,13 @@ package adapi
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -16,7 +19,8 @@ import (
 )
 
 // batchSpecs builds a mixed batch against an interface: valid singles and
-// pairs, a duplicate, an unknown option, and an empty spec.
+// pairs, a duplicate, an unknown option, an empty spec, and a topic (which
+// Facebook's dialect cannot encode).
 func batchSpecs(nAttr int) []targeting.Spec {
 	return []targeting.Spec{
 		targeting.Attr(0),
@@ -25,6 +29,7 @@ func batchSpecs(nAttr int) []targeting.Spec {
 		targeting.Attr(nAttr + 5),
 		targeting.Attr(3),
 		{},
+		targeting.Topic(1),
 	}
 }
 
@@ -63,7 +68,9 @@ func TestMeasureBatchMatchesSerial(t *testing.T) {
 }
 
 // TestMeasureBatchOneExchange: the whole batch costs one request on the
-// measure-batch door and zero on the serial measure door.
+// measure-batch door and zero on the serial measure door, even with a slot
+// the dialect cannot encode: that slot alone fails, with the encoder's
+// error.
 func TestMeasureBatchOneExchange(t *testing.T) {
 	reg := obs.NewRegistry()
 	ts, _ := startServer(t, ServerOptions{Metrics: reg})
@@ -72,8 +79,12 @@ func TestMeasureBatchOneExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := batchSpecs(len(c.AttributeNames()))
-	for _, r := range c.MeasureMany(specs) {
-		_ = r
+	res := c.MeasureMany(specs)
+	if err := res[len(specs)-1].Err; !errors.Is(err, targeting.ErrKindForbidden) {
+		t.Errorf("topic slot: err %v, want targeting.ErrKindForbidden", err)
+	}
+	if res[0].Err != nil || res[1].Err != nil {
+		t.Errorf("encodable slots failed: %v, %v", res[0].Err, res[1].Err)
 	}
 	iface := obs.L("interface", catalog.PlatformFacebook)
 	if n := reg.CounterValue("adapi_server_requests_total", iface, obs.L("door", "measure-batch")); n != 1 {
@@ -129,13 +140,12 @@ func TestMeasureBatchStoreTier(t *testing.T) {
 	}
 }
 
-// TestMeasureBatchFallsBackOnOldServer: against a server without the batch
-// endpoint the client silently degrades to serial measure exchanges.
-func TestMeasureBatchFallsBackOnOldServer(t *testing.T) {
-	codec, err := CodecFor(catalog.PlatformFacebook)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMeasureBatchExchangeErrorFailsEverySlot: a batch exchange that fails
+// after its retries fails every slot with that error, and the client sends
+// no serial /measure request: against an always-503 server an 8-spec batch
+// costs the batch door's five attempts and nothing more.
+func TestMeasureBatchExchangeErrorFailsEverySlot(t *testing.T) {
+	var batchCalls, serialCalls atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("/facebook/options", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(optionsResponse{
@@ -143,19 +153,13 @@ func TestMeasureBatchFallsBackOnOldServer(t *testing.T) {
 			Attributes: []string{"a0", "a1"},
 		})
 	})
-	var serialCalls int
 	mux.HandleFunc("/facebook/measure", func(w http.ResponseWriter, r *http.Request) {
-		serialCalls++
-		body, err := codec.EncodeResponse(int64(1000 * serialCalls))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		w.Write(body)
+		serialCalls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
 	})
 	mux.HandleFunc("/facebook/measure-batch", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprint(w, `{"error":{"code":"unknown_route","message":"no such endpoint"}}`)
+		batchCalls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -164,18 +168,21 @@ func TestMeasureBatchFallsBackOnOldServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []targeting.Spec{targeting.Attr(0), targeting.Attr(1)}
-	res := c.MeasureMany(specs)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("slot %d: %v", i, r.Err)
-		}
-		if want := int64(1000 * (i + 1)); r.Size != want {
-			t.Errorf("slot %d: size %d, want %d", i, r.Size, want)
+	c.sleep = func(context.Context, time.Duration) error { return nil }
+	specs := make([]targeting.Spec, 8)
+	for i := range specs {
+		specs[i] = targeting.And(targeting.Attr(i%2), targeting.Attr((i/2)%2))
+	}
+	for i, r := range c.MeasureMany(specs) {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "giving up after 5 attempts") {
+			t.Errorf("slot %d: err %v, want the exchange's retry error", i, r.Err)
 		}
 	}
-	if serialCalls != len(specs) {
-		t.Errorf("serial fallback calls = %d, want %d", serialCalls, len(specs))
+	if n := batchCalls.Load(); n != 5 {
+		t.Errorf("measure-batch requests = %d, want 5 (one exchange, four retries)", n)
+	}
+	if n := serialCalls.Load(); n != 0 {
+		t.Errorf("serial measure requests = %d, want 0", n)
 	}
 }
 

@@ -17,6 +17,10 @@ import (
 	"repro/internal/targeting"
 )
 
+// maxResponseBytes bounds how much of a response body the client and the
+// shard connection read.
+const maxResponseBytes = 8 << 20
+
 // ClientOptions configures an API client.
 type ClientOptions struct {
 	// HTTPClient is the transport; nil selects a client with a 30 s timeout.
@@ -235,7 +239,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) ([]byt
 			c.mRequests.ObserveWithExemplar(time.Since(start), exID)
 			lastErr = err
 		} else {
-			respBody, readErr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+			respBody, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 			resp.Body.Close()
 			c.mRequests.ObserveWithExemplar(time.Since(start), exID)
 			if readErr != nil {

@@ -244,9 +244,12 @@ func (c *ShardConn) countBatch(ctx context.Context, iface string, door platform.
 		return nil, fmt.Errorf("adapi: shard %s: %w", c.id, err)
 	}
 	defer httpResp.Body.Close()
-	respBody, err := io.ReadAll(httpResp.Body)
+	respBody, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("adapi: shard %s: reading response: %w", c.id, err)
+	}
+	if len(respBody) > maxResponseBytes {
+		return nil, fmt.Errorf("adapi: shard %s: response exceeds %d bytes", c.id, maxResponseBytes)
 	}
 	if httpResp.StatusCode == http.StatusRequestEntityTooLarge {
 		return nil, fmt.Errorf("adapi: shard %s: %w: %d-byte body", c.id, ErrBodyTooLarge, len(body))

@@ -1,6 +1,7 @@
 package adapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -255,6 +256,28 @@ func TestShardConnRejectsMiswiredShard(t *testing.T) {
 		layout.PrimaryPartitions("s0")[:1], []platform.EstimateRequest{{Spec: targeting.Attr(0)}})
 	if err == nil || !strings.Contains(err.Error(), "reached shard") {
 		t.Fatalf("miswired conn: got %v, want shard mismatch error", err)
+	}
+}
+
+// TestShardConnBoundsResponse: an address that answers with more than the
+// response bound (a miswired shard address streaming data) fails the call
+// with an error naming the shard instead of growing the coordinator's
+// memory without limit.
+func TestShardConnBoundsResponse(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := bytes.Repeat([]byte{' '}, 1<<20)
+		for sent := 0; sent <= maxResponseBytes; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	conn := NewShardConn("s0", ts.URL, nil)
+	_, err := conn.CountBatch(context.Background(), catalog.PlatformFacebook, platform.DoorMeasure,
+		[]uint32{0}, []platform.EstimateRequest{{Spec: targeting.Attr(0)}})
+	if err == nil || !strings.Contains(err.Error(), "shard s0: response exceeds") {
+		t.Fatalf("oversized shard response: got %v, want a bound error naming shard s0", err)
 	}
 }
 

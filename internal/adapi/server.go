@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/platform"
@@ -55,7 +56,7 @@ type ServerOptions struct {
 	// a durable server-side cache: answers already persisted are served
 	// without querying the platform and survive restarts. The advertiser
 	// door is never cached. See internal/store for the on-disk format.
-	Store MeasurementStore
+	Store core.MeasurementStore
 	// Shard, when set, mounts the cluster door (POST /cluster/count-batch):
 	// the raw-count endpoint a coordinator scatters batches to. Set by
 	// platformd in shard mode.
@@ -112,7 +113,7 @@ type ifaceHandler struct {
 	m429    *obs.Counter // adapi_server_429_total: throttled requests
 
 	// Server-side measurement cache (nil without ServerOptions.Store).
-	store        MeasurementStore
+	store        core.MeasurementStore
 	mStoreHits   *obs.Counter // adapi_server_store_hits_total
 	mStoreErrors *obs.Counter // adapi_server_store_errors_total
 }

@@ -9,16 +9,6 @@ import (
 	"repro/internal/targeting"
 )
 
-// MeasurementStore is the durable archive the server can back its auditor
-// door with. It is structurally identical to core.MeasurementStore (and
-// satisfied by internal/store.Store) but declared here so adapi depends on
-// neither package: the server only needs Get/Put against a platform-
-// qualified canonical key.
-type MeasurementStore interface {
-	GetMeasurement(platform, canonicalKey string) (int64, bool)
-	PutMeasurement(platform, canonicalKey string, size int64) error
-}
-
 // measureStoreKey derives the store key for one auditor-door request. The
 // spec collapses to its canonical form — every spelling of the same formula
 // shares a record — and the non-spec estimate parameters are appended as

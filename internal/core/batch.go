@@ -85,13 +85,6 @@ func (cp *cachingProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
 	return cp.measureMany(nil, specs)
 }
 
-// MeasureManyCtx implements ContextBatchMeasurer: the batched partition
-// with the caller's trace span recording per-tier tallies and the trace
-// context riding the upstream batch.
-func (cp *cachingProvider) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []BatchResult {
-	return cp.measureMany(trace.FromContext(ctx), specs)
-}
-
 func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spec) []BatchResult {
 	out := make([]BatchResult, len(specs))
 	if len(specs) == 0 {

@@ -170,13 +170,6 @@ func (cp *cachingProvider) Measure(spec targeting.Spec) (int64, error) {
 	return cp.measure(nil, spec)
 }
 
-// MeasureCtx implements ContextMeasurer: serial Measure with the caller's
-// trace span recording which tier answered (cache/store/inflight/budget)
-// and the trace continuing into the upstream provider on misses.
-func (cp *cachingProvider) MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error) {
-	return cp.measure(trace.FromContext(ctx), spec)
-}
-
 // provDone ends a cache-layer span and emits its provenance record —
 // only for outcomes the cache itself served (hit/store/inflight/refused);
 // misses are recorded by the upstream layer that actually measured, so

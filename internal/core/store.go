@@ -17,8 +17,8 @@ type MeasurementStore interface {
 	// canonical spec, if present.
 	GetMeasurement(platform, canonicalSpec string) (int64, bool)
 	// PutMeasurement durably records a measurement. It should not return
-	// until the record is at least queued for the store's sync policy;
-	// errors are reported but must not invalidate the measurement itself.
+	// until the record is durable; errors are reported but must not
+	// invalidate the measurement itself.
 	PutMeasurement(platform, canonicalSpec string, size int64) error
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -19,7 +18,7 @@ func newCoreTestTracer(seed uint64) *trace.Tracer {
 }
 
 // TestTracedSerialMeasureChain walks one spec through the serial provider
-// chain twice under a sampled root: the first cache MeasureCtx is a miss
+// chain twice under a sampled root: the first cache measure is a miss
 // that must continue the trace into the platform layer (cache.measure →
 // platform.measure, provenance from the platform), the second is a cache
 // hit served without touching the platform (provenance from the cache).
@@ -37,14 +36,13 @@ func TestTracedSerialMeasureChain(t *testing.T) {
 
 	tr := newCoreTestTracer(41)
 	root := tr.StartRoot("audit.serial")
-	ctx := trace.NewContext(context.Background(), root)
 	for i := 0; i < 2; i++ {
-		got, err := traced.MeasureCtx(ctx, spec)
+		got, err := traced.measure(root, spec)
 		if err != nil {
-			t.Fatalf("traced MeasureCtx call %d: %v", i, err)
+			t.Fatalf("traced measure call %d: %v", i, err)
 		}
 		if got != want {
-			t.Fatalf("traced MeasureCtx call %d = %d, untraced = %d", i, got, want)
+			t.Fatalf("traced measure call %d = %d, untraced = %d", i, got, want)
 		}
 	}
 	root.End()
@@ -88,9 +86,9 @@ func TestTracedSerialMeasureChain(t *testing.T) {
 	}
 }
 
-// TestTracedBatchMeasureChain covers the cache's traced batch door: under
-// a sampled context MeasureManyCtx records the batch, and the results match
-// the untraced MeasureMany on a twin chain.
+// TestTracedBatchMeasureChain covers the cache's traced batch path: under
+// a sampled root measureMany records the batch, and the results match the
+// untraced MeasureMany on a twin chain.
 func TestTracedBatchMeasureChain(t *testing.T) {
 	d := testDeploy(t)
 	traced := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry()).(*cachingProvider)
@@ -105,7 +103,7 @@ func TestTracedBatchMeasureChain(t *testing.T) {
 
 	tr := newCoreTestTracer(43)
 	root := tr.StartRoot("audit.batch")
-	got := traced.MeasureManyCtx(trace.NewContext(context.Background(), root), specs)
+	got := traced.measureMany(root, specs)
 	root.End()
 
 	if len(got) != len(want) {
@@ -118,40 +116,5 @@ func TestTracedBatchMeasureChain(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Fatal("traced batch buffered no trace")
-	}
-}
-
-// TestMeasureCtxUntracedFallback pins the plain-context contract for the
-// cache's serial and batched context doors: no span in the context means
-// the exact untraced path, even with a live default tracer installed.
-func TestMeasureCtxUntracedFallback(t *testing.T) {
-	d := testDeploy(t)
-	cp := NewCachingProviderWith(NewPlatformProvider(d.Facebook), obs.NewRegistry()).(*cachingProvider)
-	tr := newCoreTestTracer(47)
-	trace.SetDefault(tr)
-	defer trace.SetDefault(nil)
-
-	spec := targeting.Attr(7)
-	want, err := cp.Measure(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cp.MeasureCtx(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("untraced-ctx MeasureCtx = %d, want %d", got, want)
-	}
-
-	res := cp.MeasureManyCtx(context.Background(), []targeting.Spec{spec})
-	if len(res) != 1 || res[0].Err != nil || res[0].Size != want {
-		t.Fatalf("untraced-ctx MeasureManyCtx = %+v, want size %d", res, want)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("plain-context calls buffered %d traces, want 0", tr.Len())
-	}
-	if tr.Provenance().Len() != 0 {
-		t.Fatalf("plain-context calls left %d provenance records, want 0", tr.Provenance().Len())
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // FuzzWALReplay writes a valid header plus arbitrary bytes as the job log
@@ -36,10 +38,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, walFileName)
-		hdr := make([]byte, walHeader)
-		copy(hdr, jobsWALMagic[:])
-		binary.LittleEndian.PutUint32(hdr[8:12], walFormatV1)
-		if err := os.WriteFile(path, append(hdr, body...), 0o644); err != nil {
+		if err := os.WriteFile(path, append(store.EncodeHeader(jobsWALMagic), body...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		open := func() ([]byte, []byte) {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 func walJob(id string, seq uint64, state State) *Job {
@@ -145,9 +147,8 @@ func TestWALWrongMagicRejected(t *testing.T) {
 
 func TestWALFutureVersionRejected(t *testing.T) {
 	dir := t.TempDir()
-	hdr := make([]byte, walHeader)
-	copy(hdr, jobsWALMagic[:])
-	hdr[8] = 99 // format version far beyond walFormatV1
+	hdr := store.EncodeHeader(jobsWALMagic)
+	hdr[8] = 99 // format version far beyond the one the log writes
 	if err := os.WriteFile(filepath.Join(dir, walFileName), hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/catalog"
@@ -159,14 +158,14 @@ func (sw *sectionWriter) write(b []byte) error {
 	return nil
 }
 
-// WriteDeployment serializes a deployment to path atomically (temp file +
-// rename): every universe's per-user arrays and every interface's catalog
-// options as compressed blobs, bound to the normalized deployment options
-// and the catalog hash so LoadDeployment can refuse anything stale. opts
-// must be the options d was built with; the writer cross-checks what it can
-// (seed, sizes, spans) and refuses on disagreement. Works on dense,
-// compressed, shard (writes only held partitions), and snapshot-backed
-// deployments alike.
+// WriteDeployment serializes a deployment to path atomically (through
+// store.WriteAtomic): every universe's per-user arrays and every
+// interface's catalog options as compressed blobs, bound to the normalized
+// deployment options and the catalog hash so LoadDeployment can refuse
+// anything stale. opts must be the options d was built with; the writer
+// cross-checks what it can (seed, sizes, spans) and refuses on
+// disagreement. Works on dense, compressed, shard (writes only held
+// partitions), and snapshot-backed deployments alike.
 func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOptions) (*Info, error) {
 	opts = opts.Normalized()
 	fbUni := d.Facebook.Universe()
@@ -194,21 +193,24 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 		m.ShardSpans = append(m.ShardSpans, [2]int{s.Lo, s.Hi})
 	}
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var end int64
+	if err := store.WriteAtomic(path, func(f *os.File) (err error) {
+		end, err = writeFile(f, d, fbUni, m)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	defer func() {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
+	return infoFrom(m, path, end), nil
+}
+
+// writeFile streams the snapshot into f: the sections, the directory tail
+// (m, completed with the sections' offsets and CRCs), then the prelude at
+// offset 0. It returns the file's size.
+func writeFile(f *os.File, d *platform.Deployment, fbUni *population.Universe, m *fileMeta) (int64, error) {
 	sw := &sectionWriter{w: bufio.NewWriterSize(f, 1<<20)}
 	var prelude [preludeSize]byte
 	if err := sw.write(prelude[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Universe sections: one per distinct universe, keyed by owner platform.
@@ -222,10 +224,10 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 	} {
 		off, err := sw.beginSection()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if err := sw.write(encodeUniverse(uni.u.Data())); err != nil {
-			return nil, err
+			return 0, err
 		}
 		m.Universes = append(m.Universes, universeSection{
 			Name: uni.name, Users: uni.u.Size(), Off: off, Len: sw.len, CRC: sw.crc,
@@ -238,7 +240,7 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 	for _, p := range d.Interfaces() {
 		off, err := sw.beginSection()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		sec := platformSection{Name: p.Name(), Off: off}
 		writeDim := func(kind targeting.Kind, count int) ([]optionLoc, error) {
@@ -257,13 +259,13 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 			return locs, nil
 		}
 		if sec.Attrs, err = writeDim(targeting.KindAttribute, len(p.Catalog().Attributes)); err != nil {
-			return nil, err
+			return 0, err
 		}
 		if sec.Topics, err = writeDim(targeting.KindTopic, len(p.Catalog().Topics)); err != nil {
-			return nil, err
+			return 0, err
 		}
 		if sec.Placements, err = writeDim(targeting.KindPlacement, len(p.Catalog().Placements)); err != nil {
-			return nil, err
+			return 0, err
 		}
 		sec.Len, sec.CRC = sw.len, sw.crc
 		m.Platforms = append(m.Platforms, sec)
@@ -273,14 +275,14 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 	m.ContentHash = contentHash(m)
 	metaBytes, err := json.Marshal(m)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	metaOff := sw.off
 	if _, err := sw.w.Write(metaBytes); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := sw.w.Flush(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	copy(prelude[0:8], magic)
 	binary.LittleEndian.PutUint32(prelude[8:12], formatVersion)
@@ -289,25 +291,9 @@ func WriteDeployment(path string, d *platform.Deployment, opts platform.DeployOp
 	binary.LittleEndian.PutUint32(prelude[32:36], crc32.Checksum(metaBytes, castagnoli))
 	binary.LittleEndian.PutUint32(prelude[36:40], crc32.Checksum(prelude[0:36], castagnoli))
 	if _, err := f.WriteAt(prelude[:], 0); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		f = nil
-		os.Remove(tmp)
-		return nil, err
-	}
-	f = nil
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := store.SyncDir(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	return infoFrom(m, path, metaOff+int64(len(metaBytes))), nil
+	return metaOff + int64(len(metaBytes)), nil
 }
 
 // sameSpans compares two span lists element-wise, distinguishing nil (full

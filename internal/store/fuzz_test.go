@@ -3,7 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
+	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // FuzzRecordDecode drives arbitrary bytes through the WAL record decoder:
@@ -45,6 +49,55 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected error class: %v", err)
+		}
+	})
+}
+
+// FuzzStoreReplay writes a valid header plus arbitrary bytes as the WAL and
+// opens the store: recovery must neither panic nor fail, and must be
+// idempotent — a second open loads the same records and leaves the file
+// byte-identical, truncating nothing more.
+func FuzzStoreReplay(f *testing.F) {
+	rec := appendRecord(nil, Record{Key: KeyOf("facebook", "(attribute:1)"), Value: 123456})
+	other := appendRecord(nil, Record{Key: KeyOf("google", "(topic:2)"), Value: -7})
+	flipped := append([]byte(nil), rec...)
+	flipped[20] ^= 0x01
+	f.Add([]byte{})
+	f.Add(rec)
+	f.Add(append(append([]byte(nil), flipped...), other...))            // skipped, then kept
+	f.Add(append(append([]byte(nil), rec...), other[:recordSize-5]...)) // torn tail
+	f.Add(bytes.Repeat([]byte{0xFF}, 2*recordSize+3))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(walPath(dir), append(EncodeHeader(walMagic), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		load := func() (map[Key]int64, []byte) {
+			s, err := Open(dir, Options{Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			mem := make(map[Key]int64, len(s.mem))
+			for k, v := range s.mem {
+				mem[k] = v
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			file, err := os.ReadFile(walPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mem, file
+		}
+		mem1, file1 := load()
+		mem2, file2 := load()
+		if !reflect.DeepEqual(mem1, mem2) {
+			t.Fatalf("second open loaded %d records, first %d", len(mem2), len(mem1))
+		}
+		if !bytes.Equal(file1, file2) {
+			t.Fatalf("second open changed the WAL: %d bytes, then %d", len(file1), len(file2))
 		}
 	})
 }

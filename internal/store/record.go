@@ -51,7 +51,8 @@ func KeyOf(platform, canonicalSpec string) Key {
 // String renders the key as hex, for logs and debugging.
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
-// File layout constants. Both the WAL and the snapshot start with a 16-byte
+// File layout constants. Every file this package frames (the WAL, the
+// snapshot, and the job log internal/jobs keeps) starts with a 16-byte
 // header: an 8-byte magic, a 4-byte little-endian format version, and 4
 // reserved bytes. WAL records are fixed-size so recovery can resynchronize
 // on record boundaries after a CRC mismatch.
@@ -94,7 +95,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	copy(b[:16], r.Key[:])
 	binary.LittleEndian.PutUint64(b[16:24], uint64(r.Value))
 	// b[24:28] reserved, zero.
-	binary.LittleEndian.PutUint32(b[28:32], crc32.Checksum(b[:recordBody], castagnoli))
+	binary.LittleEndian.PutUint32(b[28:32], Checksum(b[:recordBody]))
 	return append(buf, b[:]...)
 }
 
@@ -106,7 +107,7 @@ func decodeRecord(b []byte) (Record, error) {
 		return Record{}, ErrShortRecord
 	}
 	want := binary.LittleEndian.Uint32(b[28:32])
-	if crc32.Checksum(b[:recordBody], castagnoli) != want {
+	if Checksum(b[:recordBody]) != want {
 		return Record{}, ErrBadCRC
 	}
 	var r Record
@@ -115,8 +116,12 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// encodeHeader renders a 16-byte file header.
-func encodeHeader(magic [8]byte) []byte {
+// Checksum is the CRC-32C of b: the checksum over every record and frame
+// this package and the job log write.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// EncodeHeader renders the 16-byte header of a file with the given magic.
+func EncodeHeader(magic [8]byte) []byte {
 	b := make([]byte, headerSize)
 	copy(b[:8], magic[:])
 	binary.LittleEndian.PutUint32(b[8:12], formatV1)

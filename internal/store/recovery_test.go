@@ -16,7 +16,7 @@ func walPath(dir string) string { return filepath.Join(dir, walName) }
 // contents.
 func seedStore(t *testing.T, dir string, n int) map[Key]int64 {
 	t.Helper()
-	s := open(t, dir, Options{CompactEvery: -1})
+	s := open(t, dir, Options{})
 	want := make(map[Key]int64, n)
 	for i := 0; i < n; i++ {
 		k := KeyOf("p", string(rune('A'+i)))
@@ -163,15 +163,16 @@ func TestSnapshotPlusWALReplayEquivalence(t *testing.T) {
 		}
 	}
 
-	dirs := map[string]Options{
-		"wal-only":    {CompactEvery: -1},
-		"snapshotted": {CompactEvery: -1}, // explicit Compact after writes
-		"split-mid":   {CompactEvery: 25}, // auto-compacts mid-sequence
+	dirs := map[string]int{ // each store's compaction threshold
+		"wal-only":    compactEvery,
+		"snapshotted": compactEvery, // explicit Compact after writes
+		"split-mid":   25,           // auto-compacts mid-sequence
 	}
 	contents := make(map[string]map[Key]int64)
-	for name, opts := range dirs {
+	for name, every := range dirs {
 		dir := t.TempDir()
-		s := open(t, dir, opts)
+		s := open(t, dir, Options{})
+		s.compactEvery = every
 		writes(s)
 		if name == "snapshotted" {
 			if err := s.Compact(); err != nil {
@@ -237,7 +238,7 @@ func TestCrashBetweenSnapshotAndTruncateIsIdempotent(t *testing.T) {
 	// truncate lands, recovery replays the WAL over the snapshot; the
 	// records are identical, so the replay must be a harmless no-op.
 	dir := t.TempDir()
-	s := open(t, dir, Options{CompactEvery: -1})
+	s := open(t, dir, Options{})
 	for i := 0; i < 8; i++ {
 		if err := s.Put(KeyOf("p", string(rune(i))), int64(i)); err != nil {
 			t.Fatal(err)
@@ -247,7 +248,7 @@ func TestCrashBetweenSnapshotAndTruncateIsIdempotent(t *testing.T) {
 
 	// Build the snapshot out-of-band while leaving the WAL untouched,
 	// reproducing the crash window.
-	tmp := open(t, dir, Options{CompactEvery: -1})
+	tmp := open(t, dir, Options{})
 	wal, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,10 +11,9 @@ import (
 
 // Snapshot layout: header (16 bytes, snapMagic) + count (8 bytes LE) +
 // count entries of key (16) + value (8), sorted by key, + CRC-32C (4 bytes)
-// over everything after the header. The file is written to a temp name,
-// fsynced, and renamed into place, so a snapshot is either whole or absent
-// — compaction can crash at any instant without losing the previous
-// snapshot or the WAL it was folding in.
+// over everything after the header. WriteAtomic installs it, so a snapshot
+// is either whole or absent — compaction can crash at any instant without
+// losing the previous snapshot or the WAL it was folding in.
 const snapEntrySize = 24
 
 // loadSnapshot loads the immutable index into memory, if present.
@@ -36,7 +34,7 @@ func (s *Store) loadSnapshot() error {
 	}
 	sum := binary.LittleEndian.Uint32(body[len(body)-4:])
 	body = body[:len(body)-4]
-	if crc32.Checksum(body, castagnoli) != sum {
+	if Checksum(body) != sum {
 		// Unlike the WAL — where one bad record is skippable — the
 		// snapshot is written atomically, so a checksum failure means the
 		// medium lost data that the WAL no longer holds. Fail loudly
@@ -57,20 +55,12 @@ func (s *Store) loadSnapshot() error {
 }
 
 // compactLocked writes the current memory image as a new snapshot and
-// truncates the WAL. Callers hold s.mu.
+// truncates the WAL. Callers hold s.mu. Every record being folded in is
+// already on disk: Put fsyncs each append.
 func (s *Store) compactLocked() error {
 	if s.appendErr != nil {
 		return s.appendErr
 	}
-	// Durability first: every record being folded in must be on disk
-	// before the WAL that holds it is truncated.
-	if s.wal != nil && s.unsynced > 0 {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: pre-compaction fsync: %w", err)
-		}
-		s.unsynced = 0
-	}
-
 	keys := make([]Key, 0, len(s.mem))
 	for k := range s.mem {
 		keys = append(keys, k)
@@ -78,73 +68,31 @@ func (s *Store) compactLocked() error {
 	sort.Slice(keys, func(i, j int) bool {
 		return string(keys[i][:]) < string(keys[j][:])
 	})
-	body := make([]byte, 8, 8+len(keys)*snapEntrySize+4)
-	binary.LittleEndian.PutUint64(body[:8], uint64(len(keys)))
-	var e [snapEntrySize]byte
+	buf := make([]byte, 0, headerSize+8+len(keys)*snapEntrySize+4)
+	buf = append(buf, EncodeHeader(snapMagic)...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(keys)))
 	for _, k := range keys {
-		copy(e[:16], k[:])
-		binary.LittleEndian.PutUint64(e[16:24], uint64(s.mem[k]))
-		body = append(body, e[:]...)
+		buf = append(buf, k[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.mem[k]))
 	}
-	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
-
-	tmp := filepath.Join(s.dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot temp: %w", err)
-	}
-	if _, err := f.Write(encodeHeader(snapMagic)); err == nil {
-		_, err = f.Write(body)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	if err := SyncDir(s.dir); err != nil {
+	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[headerSize:]))
+	if err := WriteAtomic(filepath.Join(s.dir, snapName), func(f *os.File) error {
+		_, err := f.Write(buf)
 		return err
+	}); err != nil {
+		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
 
 	// The snapshot now holds everything; restart the WAL from its header.
-	if s.wal != nil {
-		if err := s.wal.Truncate(headerSize); err != nil {
-			return fmt.Errorf("store: truncating WAL after compaction: %w", err)
-		}
-		if _, err := s.wal.Seek(headerSize, 0); err != nil {
-			return err
-		}
-		if err := s.wal.Sync(); err != nil {
-			return err
-		}
+	if err := s.wal.Truncate(headerSize); err != nil {
+		return fmt.Errorf("store: truncating WAL after compaction: %w", err)
+	}
+	if err := s.wal.Sync(); err != nil {
+		return err
 	}
 	s.walRecords = 0
 	s.stats.Compactions++
 	s.mCompactions.Inc()
 	s.publishSizes()
-	return nil
-}
-
-// SyncDir fsyncs a directory so a just-renamed file survives power loss.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: opening dir for sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: dir fsync: %w", err)
-	}
 	return nil
 }

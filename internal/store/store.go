@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,37 +15,17 @@ import (
 const (
 	walName  = "wal.log"
 	snapName = "snapshot.idx"
-	tmpName  = "snapshot.tmp"
 )
+
+// compactEvery is the WAL length, in records, at which Put folds the log
+// into a fresh snapshot.
+const compactEvery = 8192
 
 // Options configures a store.
 type Options struct {
-	// SyncEvery is how many appends may accumulate before the WAL is
-	// fsynced (1 = every append is durable before Put returns, the
-	// default). Larger values trade the tail of a crash for throughput;
-	// an audit that resumes only from the last fsynced record should keep
-	// this small relative to its query budget.
-	SyncEvery int
-	// CompactEvery triggers snapshot compaction once the WAL holds this
-	// many records (0 selects 8192; negative disables automatic
-	// compaction — Compact may still be called explicitly).
-	CompactEvery int
-	// ReadOnly opens the store for lookups only; Put returns an error and
-	// recovery does not truncate a torn WAL tail.
-	ReadOnly bool
 	// Metrics receives the store's instruments; nil selects the
 	// process-wide obs.Default() registry.
 	Metrics *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
-	if o.CompactEvery == 0 {
-		o.CompactEvery = 8192
-	}
-	return o
 }
 
 // Stats is a point-in-time view of one store.
@@ -72,14 +51,13 @@ type Stats struct {
 // sizes: an in-memory index over an append-only WAL plus an immutable
 // snapshot. All methods are safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir          string
+	compactEvery int // WAL records that trigger compaction; tests lower it
 
 	mu         sync.Mutex
 	mem        map[Key]int64
 	wal        *os.File
-	walRecords int // records in the WAL file (including unflushed)
-	unsynced   int // appends since the last fsync
+	walRecords int // records in the WAL file
 	buf        []byte
 	stats      Stats
 	closed     bool
@@ -96,7 +74,6 @@ type Store struct {
 // the snapshot, replays the WAL over it, truncates a torn tail, and skips
 // CRC-mismatched records; neither crash artifact is an error.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -106,7 +83,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:          dir,
-		opts:         opts,
+		compactEvery: compactEvery,
 		mem:          make(map[Key]int64),
 		mAppends:     reg.Counter("store_appends_total"),
 		mCompactions: reg.Counter("store_compactions_total"),
@@ -117,105 +94,36 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := s.recoverWAL(); err != nil {
+	path := filepath.Join(dir, walName)
+	torn, err := ReplayLog(path, walMagic, "WAL", s.replayRecord)
+	if err != nil {
 		return nil, err
 	}
-	if !opts.ReadOnly {
-		if err := s.openWAL(); err != nil {
-			return nil, err
-		}
+	s.stats.RecoveredTruncated = torn
+	if s.wal, err = OpenLog(path, walMagic); err != nil {
+		return nil, err
 	}
 	s.publishSizes()
 	return s, nil
 }
 
-// recoverWAL replays the WAL into memory, counting and repairing crash
-// artifacts: a short final record is truncated (unless read-only) and
-// records with bad CRCs are skipped on fixed-size boundaries.
-func (s *Store) recoverWAL() error {
-	path := filepath.Join(s.dir, walName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// replayRecord applies the WAL record at the front of rest. A short record
+// is a torn tail (the process died mid-append) and stops the replay; a
+// record whose CRC does not match is latent corruption, skipped on its
+// fixed-size boundary so a single bad sector does not cost the rest of the
+// archive.
+func (s *Store) replayRecord(rest []byte) (int, error) {
+	rec, err := decodeRecord(rest)
+	switch {
+	case errors.Is(err, ErrBadCRC):
+		s.stats.RecoveredSkipped++
+	case err != nil:
+		return 0, err
+	default:
+		s.mem[rec.Key] = rec.Value
+		s.walRecords++
 	}
-	if err != nil {
-		return fmt.Errorf("store: reading WAL: %w", err)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) < headerSize {
-		// The process died while writing the very first header: nothing
-		// was acknowledged, so an empty WAL is the correct recovery.
-		s.stats.RecoveredTruncated = int64(len(data))
-		if !s.opts.ReadOnly {
-			if err := os.Truncate(path, 0); err != nil {
-				return fmt.Errorf("store: truncating torn WAL header: %w", err)
-			}
-		}
-		return nil
-	}
-	if err := checkHeader(data, walMagic, "WAL"); err != nil {
-		return err
-	}
-	body := data[headerSize:]
-	goodEnd := 0 // offset past the last decodable record
-	for off := 0; off < len(body); off += recordSize {
-		rec, err := decodeRecord(body[off:])
-		switch {
-		case errors.Is(err, ErrShortRecord):
-			// Torn tail: the process died mid-append. Everything after
-			// the last whole record is noise.
-			s.stats.RecoveredTruncated = int64(len(body) - off)
-			off = len(body)
-		case errors.Is(err, ErrBadCRC):
-			// Latent corruption: skip this record but keep replaying — a
-			// single bad sector must not cost the rest of the archive.
-			s.stats.RecoveredSkipped++
-			goodEnd = off + recordSize
-		case err == nil:
-			s.mem[rec.Key] = rec.Value
-			s.walRecords++
-			goodEnd = off + recordSize
-		default:
-			return err
-		}
-	}
-	if s.stats.RecoveredTruncated > 0 && !s.opts.ReadOnly {
-		if err := os.Truncate(path, int64(headerSize+goodEnd)); err != nil {
-			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// openWAL opens the WAL for appending, writing the header on first use.
-func (s *Store) openWAL() error {
-	path := filepath.Join(s.dir, walName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: opening WAL: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if st.Size() == 0 {
-		if _, err := f.Write(encodeHeader(walMagic)); err != nil {
-			f.Close()
-			return fmt.Errorf("store: writing WAL header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	} else if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return err
-	}
-	s.wal = f
-	return nil
+	return recordSize, nil
 }
 
 // Get returns the stored size for key.
@@ -233,18 +141,15 @@ func (s *Store) Len() int {
 	return len(s.mem)
 }
 
-// Put durably records key → size: the record is appended to the WAL and,
-// per Options.SyncEvery, fsynced before Put returns. Re-putting an existing
-// key with the same value is a no-op (measurements are immutable facts); a
-// changed value overwrites, last-writer-wins on replay.
+// Put durably records key → size: the record is appended to the WAL and
+// fsynced before Put returns. Re-putting an existing key with the same
+// value is a no-op (measurements are immutable facts); a changed value
+// overwrites, last-writer-wins on replay.
 func (s *Store) Put(key Key, size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: put on closed store")
-	}
-	if s.opts.ReadOnly {
-		return fmt.Errorf("store: put on read-only store")
 	}
 	if s.appendErr != nil {
 		return s.appendErr
@@ -261,13 +166,9 @@ func (s *Store) Put(key Key, size int64) error {
 		s.appendErr = fmt.Errorf("store: WAL append: %w", err)
 		return s.appendErr
 	}
-	s.unsynced++
-	if s.unsynced >= s.opts.SyncEvery {
-		if err := s.wal.Sync(); err != nil {
-			s.appendErr = fmt.Errorf("store: WAL fsync: %w", err)
-			return s.appendErr
-		}
-		s.unsynced = 0
+	if err := s.wal.Sync(); err != nil {
+		s.appendErr = fmt.Errorf("store: WAL fsync: %w", err)
+		return s.appendErr
 	}
 	s.mAppendLat.Observe(time.Since(start))
 	s.mem[key] = size
@@ -275,23 +176,9 @@ func (s *Store) Put(key Key, size int64) error {
 	s.stats.Appends++
 	s.mAppends.Inc()
 	s.publishSizes()
-	if s.opts.CompactEvery > 0 && s.walRecords >= s.opts.CompactEvery {
+	if s.walRecords >= s.compactEvery {
 		return s.compactLocked()
 	}
-	return nil
-}
-
-// Sync forces any buffered appends to disk.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil || s.unsynced == 0 {
-		return nil
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
-	}
-	s.unsynced = 0
 	return nil
 }
 
@@ -300,8 +187,8 @@ func (s *Store) Sync() error {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opts.ReadOnly {
-		return fmt.Errorf("store: compact on read-only store")
+	if s.closed {
+		return fmt.Errorf("store: compact on closed store")
 	}
 	return s.compactLocked()
 }
@@ -320,7 +207,7 @@ func (s *Store) Stats() Stats {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close syncs and closes the WAL. The store must not be used afterwards.
+// Close closes the WAL. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -328,16 +215,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.wal == nil {
-		return nil
-	}
-	var err error
-	if s.unsynced > 0 && s.appendErr == nil {
-		err = s.wal.Sync()
-	}
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
+	err := s.wal.Close()
 	s.wal = nil
 	return err
 }

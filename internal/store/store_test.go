@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,7 +100,8 @@ func TestRePutSameValueIsNoOp(t *testing.T) {
 
 func TestAutomaticCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{CompactEvery: 10})
+	s := open(t, dir, Options{})
+	s.compactEvery = 10
 	for i := 0; i < 25; i++ {
 		if err := s.Put(KeyOf("p", string(rune('a'+i))), int64(i)); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -130,7 +132,7 @@ func TestAutomaticCompaction(t *testing.T) {
 
 func TestExplicitCompactionShrinksWAL(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{CompactEvery: -1})
+	s := open(t, dir, Options{})
 	for i := 0; i < 100; i++ {
 		if err := s.Put(KeyOf("p", string(rune(i))), int64(i)); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -159,53 +161,14 @@ func TestExplicitCompactionShrinksWAL(t *testing.T) {
 	}
 }
 
-func TestReadOnly(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	if err := s.PutMeasurement("p", "spec", 9); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	ro := open(t, dir, Options{ReadOnly: true})
-	defer ro.Close()
-	if v, ok := ro.GetMeasurement("p", "spec"); !ok || v != 9 {
-		t.Errorf("read-only Get = (%d, %v), want (9, true)", v, ok)
-	}
-	if err := ro.Put(KeyOf("p", "other"), 1); err == nil {
-		t.Error("Put on read-only store succeeded")
-	}
-	if err := ro.Compact(); err == nil {
-		t.Error("Compact on read-only store succeeded")
-	}
-}
-
-func TestSyncEveryBatches(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SyncEvery: 100})
-	for i := 0; i < 10; i++ {
-		if err := s.Put(KeyOf("p", string(rune(i))), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := open(t, dir, Options{})
-	defer s2.Close()
-	if n := s2.Len(); n != 10 {
-		t.Errorf("after batched sync + reopen, Len = %d, want 10", n)
-	}
-}
-
 func TestClosedStoreRejectsPut(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	s.Close()
 	if err := s.Put(KeyOf("p", "x"), 1); err == nil {
 		t.Error("Put on closed store succeeded")
+	}
+	if err := s.Compact(); err == nil {
+		t.Error("Compact on closed store succeeded")
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
@@ -220,5 +183,43 @@ func TestStatsBytesOnDisk(t *testing.T) {
 	}
 	if st := s.Stats(); st.BytesOnDisk != headerSize+recordSize {
 		t.Errorf("BytesOnDisk = %d, want %d", st.BytesOnDisk, headerSize+recordSize)
+	}
+}
+
+// TestWriteAtomicFailureKeepsOldFile: when the write callback fails, the
+// installed file is untouched, the callback's error comes back as it is,
+// and no temp file is left behind; a write that succeeds replaces the file.
+func TestWriteAtomicFailureKeepsOldFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteAtomic(path, func(f *os.File) error {
+		if _, err := f.Write([]byte("partial")); err != nil {
+			t.Fatal(err)
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic = %v, want the callback's error", err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "old" {
+		t.Errorf("after a failed write the file holds %q, want %q", b, "old")
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("temp file left behind: %v", err)
+	}
+	if err := WriteAtomic(path, func(f *os.File) error {
+		_, err := f.Write([]byte("new"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "new" {
+		t.Errorf("after a good write the file holds %q, want %q", b, "new")
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("temp file left behind: %v", err)
 	}
 }
