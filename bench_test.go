@@ -594,9 +594,11 @@ func BenchmarkAblationBeamVs3WayGreedy(b *testing.B) {
 // stream for the Measure throughput benchmarks: a 40-plus battery (the
 // ADEA-style protected class spans two age buckets, so every spec carries
 // the same two-option age clause) — per attribute, a US-scoped reach query
-// and its gender-conditioned refinement, the exact pair the auditor issues
-// for every option it scans. The interface is pre-warmed so the timed loops
-// exercise only the estimate path (no lazy materialization).
+// and its gender-conditioned refinement. The auditor sends those specs in
+// two batches, reach first; the battery mixes them in one, so its reach
+// and refinement specs each read one of two shared-tail registers. The
+// interface is pre-warmed so the timed loops exercise only the estimate
+// path (no lazy materialization).
 func measureBench(b testing.TB) (*platform.Interface, []targeting.Spec) {
 	b.Helper()
 	d, err := platform.NewDeployment(platform.DeployOptions{Seed: 7, UniverseSize: benchUniverse})

@@ -186,6 +186,46 @@ func TestMeasureBatchExchangeErrorFailsEverySlot(t *testing.T) {
 	}
 }
 
+// TestMeasureBatchBoundsResponse: a batch answer over the response bound
+// fails every slot at once with an error naming the URL and the bound; it
+// is neither cut short into a decode error nor retried.
+func TestMeasureBatchBoundsResponse(t *testing.T) {
+	var batchCalls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/facebook/options", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(optionsResponse{
+			Platform:   catalog.PlatformFacebook,
+			Attributes: []string{"a0", "a1"},
+		})
+	})
+	mux.HandleFunc("/facebook/measure-batch", func(w http.ResponseWriter, r *http.Request) {
+		batchCalls.Add(1)
+		chunk := []byte(strings.Repeat(" ", 1<<20))
+		for i := 0; i < 9; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c, err := NewClient(context.Background(), ts.URL, catalog.PlatformFacebook, ClientOptions{Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sleep = func(context.Context, time.Duration) error { return nil }
+	specs := []targeting.Spec{targeting.Attr(0), targeting.Attr(1), targeting.And(targeting.Attr(0), targeting.Attr(1))}
+	for i, r := range c.MeasureMany(specs) {
+		if !errors.Is(r.Err, errResponseTooLarge) || !strings.Contains(r.Err.Error(), ts.URL+"/facebook/measure-batch") {
+			t.Errorf("slot %d: err %v, want the response bound error naming the URL", i, r.Err)
+		}
+	}
+	if n := batchCalls.Load(); n != 1 {
+		t.Errorf("measure-batch requests = %d, want 1", n)
+	}
+}
+
 // TestMeasureBatchMalformedEnvelope: a non-envelope body is rejected whole.
 func TestMeasureBatchMalformedEnvelope(t *testing.T) {
 	ts, _ := startServer(t, ServerOptions{Metrics: obs.NewRegistry()})

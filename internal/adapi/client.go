@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,6 +21,24 @@ import (
 // maxResponseBytes bounds how much of a response body the client and the
 // shard connection read.
 const maxResponseBytes = 8 << 20
+
+// errResponseTooLarge marks an answer whose body exceeds maxResponseBytes.
+// It is not retried: the same request draws the same answer.
+var errResponseTooLarge = fmt.Errorf("response exceeds %d bytes", maxResponseBytes)
+
+// readResponse reads the body of url's answer, one byte past
+// maxResponseBytes, so an answer over the bound fails naming url and the
+// bound instead of being cut short into a decode error.
+func readResponse(body io.Reader, url string) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(body, maxResponseBytes+1))
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("reading response from %s: %w", url, err)
+	case len(b) > maxResponseBytes:
+		return nil, fmt.Errorf("%w from %s", errResponseTooLarge, url)
+	}
+	return b, nil
+}
 
 // ClientOptions configures an API client.
 type ClientOptions struct {
@@ -239,9 +258,12 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) ([]byt
 			c.mRequests.ObserveWithExemplar(time.Since(start), exID)
 			lastErr = err
 		} else {
-			respBody, readErr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+			respBody, readErr := readResponse(resp.Body, url)
 			resp.Body.Close()
 			c.mRequests.ObserveWithExemplar(time.Since(start), exID)
+			if errors.Is(readErr, errResponseTooLarge) {
+				return nil, fmt.Errorf("adapi: %w", readErr)
+			}
 			if readErr != nil {
 				lastErr = readErr
 			} else {

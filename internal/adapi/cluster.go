@@ -231,7 +231,8 @@ func (c *ShardConn) countBatch(ctx context.Context, iface string, door platform.
 	if err != nil {
 		return nil, fmt.Errorf("adapi: encoding count-batch: %w", err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/cluster/count-batch", bytes.NewReader(body))
+	url := c.base + "/cluster/count-batch"
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -244,12 +245,9 @@ func (c *ShardConn) countBatch(ctx context.Context, iface string, door platform.
 		return nil, fmt.Errorf("adapi: shard %s: %w", c.id, err)
 	}
 	defer httpResp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes+1))
+	respBody, err := readResponse(httpResp.Body, url)
 	if err != nil {
-		return nil, fmt.Errorf("adapi: shard %s: reading response: %w", c.id, err)
-	}
-	if len(respBody) > maxResponseBytes {
-		return nil, fmt.Errorf("adapi: shard %s: response exceeds %d bytes", c.id, maxResponseBytes)
+		return nil, fmt.Errorf("adapi: shard %s: %w", c.id, err)
 	}
 	if httpResp.StatusCode == http.StatusRequestEntityTooLarge {
 		return nil, fmt.Errorf("adapi: shard %s: %w: %d-byte body", c.id, ErrBodyTooLarge, len(body))

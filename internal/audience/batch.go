@@ -11,8 +11,8 @@ import (
 // shared sets M times. A schedule instead walks the universe in cache-sized
 // word blocks and evaluates every pending request per block, so a block of
 // each set is loaded from memory once and reused across all requests while
-// it is hot, and requests that refine another request's operands are fused
-// onto it as chain children.
+// it is hot, and a tail several requests share is intersected once per
+// block into a register they all read.
 
 const (
 	// blockWords is the tile width of the batched kernel over dense
@@ -35,34 +35,19 @@ type Window struct {
 	Lo, Hi int
 }
 
-// loweredReq is one root's kernel view: its output slot, the source
-// indices of its operands (base ∩ and… \ not…), and the children fused
-// onto its word.
+// loweredReq is one root's kernel view: its output slot and the source
+// indices of its operands (base ∩ and… \ not…). A root whose tail is
+// shared reads the tail's register as its one AND source.
 type loweredReq struct {
 	slot int
 	base int
 	and  []int
 	not  []int
-	kids []chainKid
 }
-
-// chainKid is one request fused onto a parent: its sets are the parent's
-// plus extra, so the kernel derives its word from the parent's instead of
-// re-ANDing the shared prefix. The audit emits exactly this shape — a reach
-// query (attrs ∩ scope) and its conditioned refinements (… ∩ class) — so a
-// batch pays for the shared sets once per word, not once per request.
-type chainKid struct {
-	idx   int   // the child's slot in the batch
-	extra []int // sources ANDed onto the parent's word
-}
-
-// maxChainSets bounds the per-request operand count chain detection
-// considers; longer requests stay unfused (the scan is quadratic in it).
-const maxChainSets = 16
 
 // execScratch is one execution's mutable state, pooled across schedules:
 // the source tables, the registers, the tail registers, the masked edge
-// words, and the generic kernels' word buffer (one tile, blockWords long).
+// words, and the generic kernel's word buffer (one tile, blockWords long).
 type execScratch struct {
 	abs, rel [][]uint64
 	regs     []uint64
@@ -105,18 +90,15 @@ func (pb *PlanBatch) Exec(windows []Window) ([]int, int) {
 	if len(pb.roots) > 0 {
 		tiles = pb.execRoots(counts, windows)
 	}
-	for _, d := range pb.dups {
-		counts[d[0]] = counts[d[1]]
-	}
 	return counts, tiles
 }
 
 // execRoots walks each window tile by tile on the tile grid: shared tails
-// are intersected into registers once per tile, then every root (and its
-// fused children) counts from hot words via the batch kernels. A window's
-// unaligned edge words run as one-word tiles whose every source is masked
-// to the window. All per-execution state comes from a pool, so steady-state
-// executions allocate nothing but the result slice.
+// are intersected into registers once per tile, then every root counts
+// from hot words via the batch kernels. A window's unaligned edge words run
+// as one-word tiles whose every source is masked to the window. All
+// per-execution state comes from a pool, so steady-state executions
+// allocate nothing but the result slice.
 func (pb *PlanBatch) execRoots(counts []int, windows []Window) int {
 	s := execPool.Get().(*execScratch)
 	nops, nsrc := len(pb.ops), len(pb.ops)+len(pb.tails)
@@ -219,27 +201,12 @@ func (pb *PlanBatch) fillTails(src [][]uint64, lo, hi int) {
 	}
 }
 
-// run counts every root and fused child over words [lo, hi) of src; the
-// generic kernels build their words in w, which holds a whole tile.
+// run counts every root over words [lo, hi) of src; the generic kernel
+// builds its words in w, which holds a whole tile.
 func (pb *PlanBatch) run(src [][]uint64, w []uint64, counts []int, lo, hi int) {
-	for _, pr := range pb.pairs {
-		l0, l1 := &pb.roots[pr[0]], &pb.roots[pr[1]]
-		cp0, ck0, cp1, ck1 := countPairRange2(src[l0.base], src[l1.base], src[l0.and[0]], src[l0.kids[0].extra[0]], lo, hi)
-		counts[l0.slot] += cp0
-		counts[l0.kids[0].idx] += ck0
-		counts[l1.slot] += cp1
-		counts[l1.kids[0].idx] += ck1
-	}
 	for ri := range pb.roots {
-		if pb.paired != nil && pb.paired[ri] {
-			continue
-		}
 		lr := &pb.roots[ri]
-		if len(lr.kids) == 0 {
-			counts[lr.slot] += lr.countRange(src, w, lo, hi)
-			continue
-		}
-		lr.countChainRange(src, w, counts, lo, hi)
+		counts[lr.slot] += lr.countRange(src, w, lo, hi)
 	}
 }
 
@@ -286,153 +253,6 @@ func (lr *loweredReq) word(w []uint64, src [][]uint64, lo, hi int) []uint64 {
 		}
 	}
 	return w
-}
-
-// countChainRange evaluates a parent request and all of its fused children
-// over words [lo, hi): the parent's word is computed once, into w, and each
-// child refines it with its extra sets, so the shared prefix costs one
-// evaluation per word for the whole chain.
-func (lr *loweredReq) countChainRange(src [][]uint64, w []uint64, counts []int, lo, hi int) {
-	ri := lr.slot
-	if len(lr.not) == 0 && len(lr.kids) == 1 && len(lr.kids[0].extra) == 1 {
-		kid := &lr.kids[0]
-		switch len(lr.and) {
-		case 1:
-			cp, ck := countPairRange(src[lr.base], src[lr.and[0]], src[kid.extra[0]], lo, hi)
-			counts[ri] += cp
-			counts[kid.idx] += ck
-			return
-		case 2:
-			cp, ck := countPair3Range(src[lr.base], src[lr.and[0]], src[lr.and[1]], src[kid.extra[0]], lo, hi)
-			counts[ri] += cp
-			counts[kid.idx] += ck
-			return
-		}
-	}
-	// Generic chain: materialize the parent's words for this tile into w,
-	// then count the parent and each child with tight two-slice loops
-	// (per-word stores into counts would wreck the loop).
-	w = lr.word(w[:hi-lo], src, lo, hi)
-	counts[ri] += countRange1(w, 0, len(w))
-	var ebuf [maxChainSets][]uint64
-	for ki := range lr.kids {
-		k := &lr.kids[ki]
-		ck := 0
-		if len(k.extra) == 1 {
-			e := src[k.extra[0]][lo:hi]
-			e = e[:len(w)]
-			for i := range w {
-				ck += bits.OnesCount64(w[i] & e[i])
-			}
-		} else {
-			ex := ebuf[:len(k.extra)]
-			for j, s := range k.extra {
-				ex[j] = src[s][lo:hi]
-			}
-			for i := range w {
-				x := w[i]
-				for _, s := range ex {
-					x &= s[i]
-				}
-				ck += bits.OnesCount64(x)
-			}
-		}
-		counts[k.idx] += ck
-	}
-}
-
-// countPair3Range extends countPairRange with a second shared set — the
-// 40-plus battery's chain (attr ∩ scope ∩ ageUnion, refined by gender).
-func countPair3Range(a, b, d, e []uint64, lo, hi int) (cp, ck int) {
-	a = a[lo:hi]
-	b = b[lo:hi]
-	d = d[lo:hi]
-	e = e[lo:hi]
-	b = b[:len(a)]
-	d = d[:len(a)]
-	e = e[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		w0 := a[i] & b[i] & d[i]
-		w1 := a[i+1] & b[i+1] & d[i+1]
-		w2 := a[i+2] & b[i+2] & d[i+2]
-		w3 := a[i+3] & b[i+3] & d[i+3]
-		cp += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
-			bits.OnesCount64(w2) + bits.OnesCount64(w3)
-		ck += bits.OnesCount64(w0&e[i]) + bits.OnesCount64(w1&e[i+1]) +
-			bits.OnesCount64(w2&e[i+2]) + bits.OnesCount64(w3&e[i+3])
-	}
-	for ; i < len(a); i++ {
-		w := a[i] & b[i] & d[i]
-		cp += bits.OnesCount64(w)
-		ck += bits.OnesCount64(w & e[i])
-	}
-	return cp, ck
-}
-
-// countPairRange is the fused kernel for the audit's dominant chain — a
-// reach query a ∩ b and one conditioned child a ∩ b ∩ e — counting both in
-// a single pass: three loads and two popcounts serve two requests.
-// countPairRange2 counts two fused reach/conditioned chains that share
-// their AND operand b and their child's extra operand e: per word, b and e
-// are loaded once for both chains, halving the shared-operand traffic in
-// the load-bound inner loop.
-func countPairRange2(a0, a1, b, e []uint64, lo, hi int) (cp0, ck0, cp1, ck1 int) {
-	a0 = a0[lo:hi]
-	a1 = a1[lo:hi]
-	b = b[lo:hi]
-	e = e[lo:hi]
-	a1 = a1[:len(a0)]
-	b = b[:len(a0)]
-	e = e[:len(a0)]
-	i := 0
-	for ; i+2 <= len(a0); i += 2 {
-		t0, e0 := b[i], e[i]
-		t1, e1 := b[i+1], e[i+1]
-		w00 := a0[i] & t0
-		w01 := a0[i+1] & t1
-		w10 := a1[i] & t0
-		w11 := a1[i+1] & t1
-		cp0 += bits.OnesCount64(w00) + bits.OnesCount64(w01)
-		cp1 += bits.OnesCount64(w10) + bits.OnesCount64(w11)
-		ck0 += bits.OnesCount64(w00&e0) + bits.OnesCount64(w01&e1)
-		ck1 += bits.OnesCount64(w10&e0) + bits.OnesCount64(w11&e1)
-	}
-	for ; i < len(a0); i++ {
-		t, ee := b[i], e[i]
-		w0 := a0[i] & t
-		w1 := a1[i] & t
-		cp0 += bits.OnesCount64(w0)
-		cp1 += bits.OnesCount64(w1)
-		ck0 += bits.OnesCount64(w0 & ee)
-		ck1 += bits.OnesCount64(w1 & ee)
-	}
-	return
-}
-
-func countPairRange(a, b, e []uint64, lo, hi int) (cp, ck int) {
-	a = a[lo:hi]
-	b = b[lo:hi]
-	e = e[lo:hi]
-	b = b[:len(a)]
-	e = e[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		w0 := a[i] & b[i]
-		w1 := a[i+1] & b[i+1]
-		w2 := a[i+2] & b[i+2]
-		w3 := a[i+3] & b[i+3]
-		cp += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
-			bits.OnesCount64(w2) + bits.OnesCount64(w3)
-		ck += bits.OnesCount64(w0&e[i]) + bits.OnesCount64(w1&e[i+1]) +
-			bits.OnesCount64(w2&e[i+2]) + bits.OnesCount64(w3&e[i+3])
-	}
-	for ; i < len(a); i++ {
-		w := a[i] & b[i]
-		cp += bits.OnesCount64(w)
-		ck += bits.OnesCount64(w & e[i])
-	}
-	return cp, ck
 }
 
 // countRange1 popcounts one word slice over [lo, hi), four words per

@@ -58,9 +58,10 @@ func TestCountManyRandomBatches(t *testing.T) {
 	}
 }
 
-// TestCountManyChains pins the prefix-chain fusion: batches shaped like the
-// audit's reach/conditioned pairs — plus fan-outs, duplicates, and multiset
-// refinements — must fuse and count exactly like independent evaluation.
+// TestCountManyChains counts batches of requests that refine one another —
+// reach/conditioned pairs, fan-outs, a duplicate, a multiset refinement and
+// a negation — each of which runs as its own root and must count exactly
+// like independent evaluation.
 func TestCountManyChains(t *testing.T) {
 	for _, n := range batchSizes {
 		if n == 0 {
@@ -71,29 +72,25 @@ func TestCountManyChains(t *testing.T) {
 		c := randomSet(13, n, 0.5)
 		d := randomSet(14, n, 0.2)
 		reqs := [][]testClause{
-			one(a, b),       // pair parent …
-			one(a, b, c),    // … with its conditioned child (fused pair path)
-			one(a, b, d),    // second child: fan-out (generic chain path)
-			one(a),          // bare base: becomes the root of the a-group
+			one(a, b),       // reach request …
+			one(a, b, c),    // … with its conditioned refinement
+			one(a, b, d),    // second refinement: fan-out
+			one(a),          // bare base
 			one(a, b),       // duplicate request
 			one(a, b, b),    // multiset refinement
-			one(b, a),       // different base set: separate group
-			one(c, a, b),    // three-set parent …
-			one(c, a, b, d), // … with one child (fused pair3 path)
-			one(d, a),       // parent whose child …
-			one(d, a, b, c), // … adds two sets (multi-extra generic path)
-			{anyOf(a), {or: []*Set{b}, negate: true}}, // negation: never fused
+			one(b, a),       // different base set
+			one(c, a, b),    // three-set request …
+			one(c, a, b, d), // … refined by one set
+			one(d, a),       // request whose refinement …
+			one(d, a, b, c), // … adds two sets
+			{anyOf(a), {or: []*Set{b}, negate: true}}, // negation
 		}
 		pl := &planner{}
 		plans := make([]*Plan, len(reqs))
 		for i, req := range reqs {
 			plans[i] = pl.plan(req)
 		}
-		pb := CompileBatch(plans)
-		if len(pb.roots) >= len(plans) {
-			t.Fatalf("n=%d: %d roots for %d plans, want chains fused", n, len(pb.roots), len(plans))
-		}
-		got, _ := pb.Exec(nil)
+		got, _ := CompileBatch(plans).Exec(nil)
 		for i, req := range reqs {
 			if want := naiveCount(req); got[i] != want {
 				t.Errorf("n=%d req=%d: Exec = %d, want %d", n, i, got[i], want)
@@ -103,9 +100,9 @@ func TestCountManyChains(t *testing.T) {
 }
 
 // TestCountManyUnions pins OR clauses lowered to shared union operands, as
-// the platform's union cache hands them to the compiler: a clause repeated
-// across requests (in any member order) is one operand, which composes
-// with negation and chaining — all bit-identical to independent
+// the platform's per-call union memo hands them to the compiler: a clause
+// repeated across requests (in any member order) is one operand, which
+// composes with negation and refinement — all bit-identical to independent
 // evaluation.
 func TestCountManyUnions(t *testing.T) {
 	for _, n := range batchSizes {
@@ -119,7 +116,7 @@ func TestCountManyUnions(t *testing.T) {
 		a, b, c, d := pool[0], pool[1], pool[2], pool[3]
 		reqs := [][]testClause{
 			// The same union as base, as conjunct, in swapped member order,
-			// negated, and refined by a chain (reqs[3] extends reqs[1] by d).
+			// negated, and refined (reqs[3] extends reqs[1] by d).
 			{anyOf(b, c), anyOf(a)},
 			{anyOf(a), anyOf(b, c)},
 			{anyOf(a), anyOf(c, b)},

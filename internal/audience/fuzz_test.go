@@ -17,8 +17,8 @@ var fuzzSizes = []int{63, 1000, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunk
 // compressed-only, or both), compiles them, and checks that Count, the
 // batched Exec, and Exec over seeded windows with unaligned edges agree
 // with the naive Set-algebra evaluator. Any rewrite the compiler performs
-// — operand reordering, chain fusion, tail extraction, compressed
-// dispatch, register expansion — must be invisible here.
+// — operand reordering, tail extraction, compressed dispatch, register
+// expansion — must be invisible here.
 func FuzzPlanExecEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint64(1), []byte{0x02, 0x00, 0x13, 0x01, 0x27})
 	f.Add(uint8(3), uint64(2), []byte{0x03, 0x05, 0x81, 0x12, 0x02, 0x33, 0xa4})

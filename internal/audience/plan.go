@@ -3,17 +3,17 @@ package audience
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 )
 
 // This file implements the query compiler. A Plan is an and-of-ors
 // request lowered once — OR groups already materialized into single
 // operands, positive operands ordered sparsest-first, negations split out —
-// into a flat program of kernel operands. CompileBatch then performs the
-// batch-level analysis — duplicate collapsing, chain fusion onto shared
-// prefixes, common-tail extraction across plans — once per batch, so the
-// schedule's Exec runs only the tiled kernels (batch.go).
+// into a flat program of kernel operands. CompileBatch then numbers the
+// batch's distinct operands and extracts the tails plans share, once per
+// batch, so the schedule's Exec runs only the tiled kernels (batch.go).
+// A schedule has one shape: dense plans as roots that read their own
+// operands or one shared-tail register, plus the compressed container walk.
 //
 // Every rewrite the compiler performs is an AND reassociation or
 // reordering, so executing a plan is bit-identical to evaluating the
@@ -75,12 +75,12 @@ type Plan struct {
 	n    int
 	ands []Operand // positive operands, sparsest-first; ands[0] is the base
 	nots []Operand // negated operands (their union is subtracted)
-	sig  []uint64  // sorted ids of the positive operands
 	// tailKey identifies the ands[1:] multiset for cross-plan common-tail
 	// extraction; empty when the tail is shorter than two operands.
 	tailKey string
 	// compressed marks plans whose base operand is sparse enough that
-	// walking its containers beats streaming the dense words.
+	// walking its containers beats streaming the dense words, and whose
+	// other operands all have dense words for the walk to probe.
 	compressed bool
 }
 
@@ -132,14 +132,8 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 	if len(ops) > npos {
 		p.nots = ops[npos:]
 	}
-	ids := make([]uint64, 2*npos-1)
-	p.sig = ids[:npos]
-	for i, o := range p.ands {
-		p.sig[i] = o.id()
-	}
-	slices.Sort(p.sig)
 	if npos >= 3 {
-		tail := ids[npos:]
+		tail := make([]uint64, npos-1)
 		for i, o := range p.ands[1:] {
 			tail[i] = o.id()
 		}
@@ -149,9 +143,12 @@ func CompilePlan(n int, clauses []PlanClause) *Plan {
 	}
 	// Compressed dispatch: walk the base's containers when its membership is
 	// below one per 64 users (the word width) — past that, the dense kernels'
-	// word-at-a-time popcounts win.
+	// word-at-a-time popcounts win — and every other operand has dense words
+	// to probe. A plan with another compressed-only operand runs as a dense
+	// root instead, its compressed operands expanded into registers.
 	base := p.ands[0]
-	p.compressed = base.C != nil && base.C.Count() < (n+63)/64
+	p.compressed = base.C != nil && base.C.Count() < (n+63)/64 &&
+		!slices.ContainsFunc(ops[1:], func(o Operand) bool { return o.Set == nil })
 	return p
 }
 
@@ -173,24 +170,17 @@ type probe struct {
 	and, not [][]uint64
 }
 
-// probe returns the plan's walk view, or false when a non-base operand has
-// no dense words to probe; such a plan runs as a dense root instead, its
-// compressed operands expanded into registers.
-func (p *Plan) probe() (probe, bool) {
+// probe returns a compressed plan's walk view; CompilePlan marks a plan
+// compressed only when every non-base operand has dense words.
+func (p *Plan) probe() probe {
 	var pr probe
 	for _, o := range p.ands[1:] {
-		if o.Set == nil {
-			return probe{}, false
-		}
 		pr.and = append(pr.and, o.Set.words)
 	}
 	for _, o := range p.nots {
-		if o.Set == nil {
-			return probe{}, false
-		}
 		pr.not = append(pr.not, o.Set.words)
 	}
-	return pr, true
+	return pr
 }
 
 // walk counts the members of c with index in [lo, hi) that pass every
@@ -293,28 +283,20 @@ type compNode struct {
 }
 
 // planNode is one dense plan while CompileBatch analyzes it: its output
-// slot, its plan, an optional shared-tail register, and the children fused
-// onto its word. The schedule keeps only the kernel view lowered from it,
-// so a batch compiled per call holds no plan once it executes.
+// slot, its plan, and an optional shared-tail register. The schedule keeps
+// only the kernel view lowered from it, so a batch compiled per call holds
+// no plan once it executes.
 type planNode struct {
 	slot int
 	plan *Plan
 	tail int // index into the tail registers, or -1
-	kids []planKid
 }
 
-// planKid is one plan fused onto a parent: its positive operands are the
-// parent's plus extra.
-type planKid struct {
-	slot  int
-	extra []Operand
-}
-
-// PlanBatch is a compiled batch schedule: the duplicate-collapsing, chain
-// fusion, and common-tail analysis of CompileBatch frozen so repeated
-// executions of the same batch shape pay only the kernel work. A PlanBatch
-// is immutable after compilation and safe for concurrent Exec calls —
-// per-execution scratch comes from a pool inside Exec.
+// PlanBatch is a compiled batch schedule: the operand numbering and
+// common-tail analysis of CompileBatch frozen so repeated executions of the
+// same batch pay only the kernel work. A PlanBatch is immutable after
+// compilation and safe for concurrent Exec calls — per-execution scratch
+// comes from a pool inside Exec.
 //
 // The tiled kernels read every operand through a source table: ops[k]'s
 // words are source k, and tail register t is source len(ops)+t. When no
@@ -325,18 +307,15 @@ type planKid struct {
 // the shared zero tile for an empty chunk, or its register, into which the
 // tile's array or run members are expanded.
 type PlanBatch struct {
-	n      int
-	nslot  int
-	tile   int       // tile width in words: blockWords, or regWords with registers
-	ops    []Operand // distinct operands the roots and tails read, by identity
-	reg    []int     // ops[k]'s register index, or -1 for dense words
-	nreg   int
-	comp   []compNode   // plans executed on the compressed path
-	roots  []loweredReq // dense roots, walked tile by tile
-	tails  [][]int      // source indices of each shared tail's members
-	dups   [][2]int     // duplicate plans: [dst slot, src slot]
-	pairs  [][2]int     // root pairs sharing AND and kid-extra operands
-	paired []bool       // roots consumed by pairs, skipped by the root loop
+	n     int
+	nslot int
+	tile  int       // tile width in words: blockWords, or regWords with registers
+	ops   []Operand // distinct operands the roots and tails read, by identity
+	reg   []int     // ops[k]'s register index, or -1 for dense words
+	nreg  int
+	comp  []compNode   // plans executed on the compressed path
+	roots []loweredReq // dense roots, walked tile by tile
+	tails [][]int      // source indices of each shared tail's members
 }
 
 // CompileBatch analyzes a batch of compiled plans into an executable
@@ -347,11 +326,7 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 		return pb
 	}
 	pb.n = plans[0].n
-	var seen map[*Plan]int // a lone plan has nothing to share with
-	if len(plans) > 1 {
-		seen = make(map[*Plan]int, len(plans))
-	}
-	dense := make([]planNode, 0, len(plans))
+	nodes := make([]planNode, 0, len(plans))
 	for slot, p := range plans {
 		if p == nil {
 			panic("audience: CompileBatch nil plan")
@@ -359,22 +334,12 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 		if p.n != pb.n {
 			panic("audience: CompileBatch universe size mismatch")
 		}
-		if first, ok := seen[p]; ok {
-			pb.dups = append(pb.dups, [2]int{slot, first})
+		if p.compressed {
+			pb.comp = append(pb.comp, compNode{slot: slot, base: p.ands[0].C, probe: p.probe()})
 			continue
 		}
-		if seen != nil {
-			seen[p] = slot
-		}
-		if p.compressed {
-			if pr, ok := p.probe(); ok {
-				pb.comp = append(pb.comp, compNode{slot: slot, base: p.ands[0].C, probe: pr})
-				continue
-			}
-		}
-		dense = append(dense, planNode{slot: slot, plan: p, tail: -1})
+		nodes = append(nodes, planNode{slot: slot, plan: p, tail: -1})
 	}
-	nodes := chainPlans(dense)
 	// Common-tail extraction: roots sharing the same ands[1:] multiset (two
 	// or more operands) intersect it once per tile into a shared register,
 	// instead of once per plan per word.
@@ -444,10 +409,6 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 		if node.tail < 0 {
 			lr.and = sources(p.ands[1:])
 		}
-		lr.kids = make([]chainKid, len(node.kids))
-		for k, kid := range node.kids {
-			lr.kids[k] = chainKid{idx: kid.slot, extra: sources(kid.extra)}
-		}
 	}
 	for i := range nodes {
 		if t := nodes[i].tail; t >= 0 {
@@ -466,149 +427,7 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 	if pb.nreg > 0 {
 		pb.tile = regWords
 	}
-	pb.pairRoots()
 	return pb
-}
-
-// pairRoots finds chained roots that share their single AND operand and
-// their only child's single extra operand — the audit's reach/conditioned
-// battery compiles to dozens of them over one tail register and one
-// demographic set — and schedules them two at a time, so the fused kernel
-// loads the shared words once per pair. The inner loop is load-bound, and
-// the shared operands are half its traffic.
-func (pb *PlanBatch) pairRoots() {
-	if len(pb.roots) < 2 {
-		return
-	}
-	groups := make(map[[2]int][]int)
-	for i := range pb.roots {
-		lr := &pb.roots[i]
-		if len(lr.not) != 0 || len(lr.and) != 1 || len(lr.kids) != 1 || len(lr.kids[0].extra) != 1 {
-			continue
-		}
-		key := [2]int{lr.and[0], lr.kids[0].extra[0]}
-		groups[key] = append(groups[key], i)
-	}
-	for _, members := range groups {
-		if len(members) < 2 {
-			continue
-		}
-		if pb.paired == nil {
-			pb.paired = make([]bool, len(pb.roots))
-		}
-		for k := 0; k+2 <= len(members); k += 2 {
-			pb.pairs = append(pb.pairs, [2]int{members[k], members[k+1]})
-			pb.paired[members[k]] = true
-			pb.paired[members[k+1]] = true
-		}
-	}
-}
-
-// chainPlans fuses every dense plan whose positive operands strictly
-// contain another plan's (both negation-free) onto that plan as a child,
-// so the kernels derive the child's word from its parent's. Candidates are
-// grouped by base operand, so the quadratic scan stays within the tiny
-// groups the audits produce.
-func chainPlans(nodes []planNode) []planNode {
-	if len(nodes) < 2 {
-		return nodes
-	}
-	byBase := make(map[uint64][]int)
-	for i := range nodes {
-		p := nodes[i].plan
-		if len(p.nots) == 0 && len(p.ands) <= maxChainSets {
-			id := p.ands[0].id()
-			byBase[id] = append(byBase[id], i)
-		}
-	}
-	chained := make([]bool, len(nodes))
-	any := false
-	for _, group := range byBase {
-		if len(group) < 2 {
-			continue
-		}
-		// Fewest operands first (stable by slot), so parents are fixed before
-		// their supersets are considered.
-		sort.SliceStable(group, func(a, b int) bool {
-			la, lb := len(nodes[group[a]].plan.ands), len(nodes[group[b]].plan.ands)
-			if la != lb {
-				return la < lb
-			}
-			return nodes[group[a]].slot < nodes[group[b]].slot
-		})
-		for j := 1; j < len(group); j++ {
-			cj := nodes[group[j]].plan
-			best := -1
-			for i := 0; i < j; i++ {
-				pi := nodes[group[i]].plan
-				if chained[group[i]] || len(pi.ands) >= len(cj.ands) {
-					continue
-				}
-				if !sigSubset(pi.sig, cj.sig) {
-					continue
-				}
-				if best < 0 || len(nodes[group[best]].plan.ands) < len(pi.ands) {
-					best = i
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			parent := &nodes[group[best]]
-			parent.kids = append(parent.kids, planKid{
-				slot:  nodes[group[j]].slot,
-				extra: extraOperands(parent.plan.ands, cj.ands),
-			})
-			chained[group[j]] = true
-			any = true
-		}
-	}
-	if !any {
-		return nodes
-	}
-	roots := nodes[:0]
-	for i := range nodes {
-		if !chained[i] {
-			roots = append(roots, nodes[i])
-		}
-	}
-	return roots
-}
-
-// sigSubset reports whether sorted id multiset sub is contained in super.
-func sigSubset(sub, super []uint64) bool {
-	i := 0
-	for _, v := range sub {
-		for i < len(super) && super[i] < v {
-			i++
-		}
-		if i >= len(super) || super[i] != v {
-			return false
-		}
-		i++
-	}
-	return true
-}
-
-// extraOperands returns super minus sub by operand-id multiplicity — the
-// operands a fused child ANDs onto its parent's word.
-func extraOperands(sub, super []Operand) []Operand {
-	var used [maxChainSets]bool
-	for _, p := range sub {
-		for k, c := range super {
-			if !used[k] && c.id() == p.id() {
-				used[k] = true
-				break
-			}
-		}
-	}
-	extra := make([]Operand, 0, len(super)-len(sub))
-	for k, c := range super {
-		if !used[k] {
-			extra = append(extra, c)
-		}
-	}
-	return extra
 }
 
 // ExecPlans compiles and executes a batch over the whole universe in one

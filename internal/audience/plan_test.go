@@ -147,7 +147,9 @@ func TestPlanMatchesNaive(t *testing.T) {
 
 // TestPlanCompressedDispatch pins the dense/compressed dispatch rule: a
 // plan whose sparsest operand is under one member per word walks the
-// compressed path, a dense one does not, and both count identically.
+// compressed path when every other operand has dense words to probe; a
+// dense plan, or one with another compressed-only operand, does not; and
+// all count identically.
 func TestPlanCompressedDispatch(t *testing.T) {
 	n := 3*chunkSize + 777
 	sparse := randomSet(61, n, 0.002)
@@ -178,12 +180,25 @@ func TestPlanCompressedDispatch(t *testing.T) {
 	if got, want := dense.Count(), CountAnd(scope, excl); got != want {
 		t.Fatalf("dense Count = %d, want %d", got, want)
 	}
+	// A sparse compressed-only base ANDed with a compressed-only operand has
+	// nothing dense to probe, so it runs as a dense root over registers.
+	regs := CompilePlan(n, []PlanClause{
+		{Op: Operand{C: FromSet(sparse)}},
+		{Op: Operand{C: FromSet(scope)}},
+	})
+	if regs.Compressed() {
+		t.Fatal("plan with a compressed-only non-base operand reports the compressed path")
+	}
+	if got, want := regs.Count(), CountAnd(sparse, scope); got != want {
+		t.Fatalf("compressed-only Count = %d, want %d", got, want)
+	}
 }
 
-// TestPlanBatteryShape pins the batch analysis on the audit's dominant
-// shape: reach/conditioned pairs over a shared tail. Chains must fuse,
-// the common tail must be extracted once, duplicates must collapse, and
-// every count must equal independent evaluation.
+// TestPlanBatteryShape pins the batch analysis on reach queries and their
+// class-conditioned refinements, as the auditor's two batches send them:
+// each shape's common tail is extracted once — one register for the reach
+// plans, one for their refinements — a plan repeated in two slots counts in
+// both, and every count equals independent evaluation.
 func TestPlanBatteryShape(t *testing.T) {
 	n := blockWords*64*2 + 17
 	scope := randomSet(71, n, 0.6)
@@ -204,28 +219,8 @@ func TestPlanBatteryShape(t *testing.T) {
 	reqs = append(reqs, reqs[0])
 
 	pb := CompileBatch(plans)
-	if len(pb.dups) != 1 {
-		t.Fatalf("dups = %d, want 1", len(pb.dups))
-	}
-	if len(pb.roots) != 9 {
-		t.Fatalf("roots = %d, want 9 (each conditioned plan fused onto its reach plan)", len(pb.roots))
-	}
-	if len(pb.tails) != 1 {
-		t.Fatalf("tails = %d, want 1 (shared scope∩age tail)", len(pb.tails))
-	}
-	// Nine chains over one (tail, extra) group pair off as four pairs plus
-	// one leftover root on the unpaired path.
-	if len(pb.pairs) != 4 {
-		t.Fatalf("pairs = %d, want 4", len(pb.pairs))
-	}
-	paired := 0
-	for _, p := range pb.paired {
-		if p {
-			paired++
-		}
-	}
-	if paired != 8 {
-		t.Fatalf("paired roots = %d, want 8", paired)
+	if len(pb.tails) != 2 {
+		t.Fatalf("tails = %d, want 2 (scope∩age for reach, scope∩age∩gender for refinements)", len(pb.tails))
 	}
 	got, _ := pb.Exec(nil)
 	for i, req := range reqs {
@@ -266,7 +261,7 @@ func TestPlanRandomBatches(t *testing.T) {
 		for ri := range reqs {
 			if ri > 0 && rng.Intn(5) == 0 {
 				reqs[ri] = reqs[ri-1]
-				plans[ri] = plans[ri-1] // duplicate pointer path
+				plans[ri] = plans[ri-1] // the same plan in two slots
 				continue
 			}
 			clauses := rng.Intn(3) + 1

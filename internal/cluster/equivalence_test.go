@@ -66,10 +66,10 @@ func buildCluster(t testing.TB, nodes []string, replicas int, opts platform.Depl
 
 // clusterBatch builds a mixed batch against p: every spec shape the doors
 // accept or reject — plain attributes, ANDs, OR clauses, demographic
-// conditioning (the conditioned chain-fusion path), exclusions, topics,
-// unknown ids, empty specs — across objectives and frequency caps. It
-// mirrors the platform package's batch generator so the cluster battery
-// covers the same surface the single-node battery pins.
+// conditioning, exclusions, topics, unknown ids, empty specs — across
+// objectives and frequency caps. It mirrors the platform package's batch
+// generator so the cluster battery covers the same surface the single-node
+// battery pins.
 func clusterBatch(p *platform.Interface, seed uint64, n int) []platform.EstimateRequest {
 	rng := xrand.New(xrand.Mix(seed, 99))
 	nAttr := len(p.Catalog().Attributes)
@@ -85,7 +85,7 @@ func clusterBatch(p *platform.Interface, seed uint64, n int) []platform.Estimate
 		switch rng.Intn(9) {
 		case 0: // single attribute
 			spec = targeting.Attr(rng.Intn(nAttr))
-		case 1: // AND of two attributes (chain fusion on the compiled path)
+		case 1: // AND of two attributes
 			spec = targeting.And(targeting.Attr(rng.Intn(nAttr)), targeting.Attr(rng.Intn(nAttr)))
 		case 2: // attribute ∧ topic (the only AND Google accepts)
 			if nTopic > 0 {

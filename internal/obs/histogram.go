@@ -102,21 +102,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// Quantile returns the q-th quantile (q in [0, 1]) of the recorded
-// distribution, 0 when empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	var counts [numBuckets]int64
-	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return quantile(&counts, total, q)
-}
-
 // Count returns the number of observations so far.
 func (h *Histogram) Count() int64 {
 	var total int64

@@ -268,28 +268,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// StartSpanCtx begins a child of the span carried by ctx and returns a
-// context carrying the child. Untraced contexts pass through unchanged
-// with a nil span.
-func (t *Tracer) StartSpanCtx(ctx context.Context, name string) (context.Context, *Span) {
-	s := t.StartChild(FromContext(ctx), name)
-	return NewContext(ctx, s), s
-}
-
-// StartSpan begins a child of the span carried by ctx, using that span's
-// own tracer, and returns a context carrying the child. This is the
-// primitive instrumented layers call: no tracer handle needed — the tracer
-// rides the root span — and an untraced context returns (ctx, nil) after
-// one map-free Value lookup, which is the entire disabled-path cost.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	s := parent.tracer.StartChild(parent, name)
-	return NewContext(ctx, s), s
-}
-
 // ChildOf begins a child of parent via parent's own tracer (nil-safe), for
 // call sites that hold the span rather than a context.
 func ChildOf(parent *Span, name string) *Span {

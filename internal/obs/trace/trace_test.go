@@ -195,18 +195,14 @@ func TestContextPropagation(t *testing.T) {
 	if FromContext(ctx) != root {
 		t.Fatal("FromContext lost span")
 	}
-	ctx2, child := tr.StartSpanCtx(ctx, "child")
-	if child == nil || FromContext(ctx2) != child {
-		t.Fatal("StartSpanCtx did not thread child")
+	child := ChildOf(FromContext(ctx), "child")
+	if child == nil || child.Context().Trace != root.Context().Trace {
+		t.Fatal("ChildOf left the root's trace")
 	}
-	if child.Context().Trace != root.Context().Trace {
-		t.Fatal("child left the trace")
-	}
-	// Untraced context passes through unchanged.
+	// An untraced context passes through unchanged.
 	base := context.Background()
-	ctx3, s := tr.StartSpanCtx(base, "orphan")
-	if s != nil || ctx3 != base {
-		t.Fatal("untraced StartSpanCtx allocated")
+	if NewContext(base, nil) != base || ChildOf(FromContext(base), "orphan") != nil {
+		t.Fatal("untraced context grew a span")
 	}
 	if FromContext(nil) != nil {
 		t.Fatal("FromContext(nil) non-nil")
