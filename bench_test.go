@@ -10,7 +10,6 @@
 package repro_test
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -533,59 +532,6 @@ func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
 		recovered = float64(hits) / float64(len(trueTop))
 	}
 	b.ReportMetric(recovered*100, "topk-recovered-pct")
-}
-
-// BenchmarkAblationBeamVs3WayGreedy compares 3-way discovery strategies on
-// the restricted interface: the paper's greedy combinatorial method versus
-// beam search, reporting the discovered P90 ratio and the upstream query
-// cost of each. Beam search reaches comparable skew with a bounded query
-// budget — the escalation path the paper's appendix anticipates.
-func BenchmarkAblationBeamVs3WayGreedy(b *testing.B) {
-	male := core.GenderClass(population.Male)
-	var greedyP90, beamP90, greedyCalls, beamCalls float64
-	for i := 0; i < b.N; i++ {
-		d, err := platform.NewDeployment(platform.DeployOptions{Seed: 101, UniverseSize: benchUniverse})
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		// At the beam's skew extreme the out-of-class estimate often rounds
-		// to zero (an unbounded ratio) — report the best finite ratio plus
-		// the unbounded count, and the upstream query cost.
-		run := func(f func(a *core.Auditor, ind []core.Measurement) ([]core.Measurement, error)) (best, unbounded, calls float64) {
-			a := core.NewAuditor(core.NewPlatformProvider(d.FacebookRestricted))
-			ind, err := a.Individuals(male)
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := core.UpstreamCalls(a.Provider())
-			ms, err := f(a, ind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			best = core.MaxFinite(ms)
-			if math.IsNaN(best) {
-				best = 0 // every discovered composition was unbounded
-			}
-			unbounded = float64(len(ms) - len(core.RepRatios(ms)))
-			calls = float64(core.UpstreamCalls(a.Provider()) - base)
-			return best, unbounded, calls
-		}
-
-		var gUnbounded, bUnbounded float64
-		greedyP90, gUnbounded, greedyCalls = run(func(a *core.Auditor, ind []core.Measurement) ([]core.Measurement, error) {
-			return a.GreedyCompositions(ind, male, core.ComposeConfig{K: 300, Arity: 3, Direction: core.Top, Seed: 5})
-		})
-		beamP90, bUnbounded, beamCalls = run(func(a *core.Auditor, ind []core.Measurement) ([]core.Measurement, error) {
-			return a.BeamCompositions(ind, male, core.BeamConfig{Arity: 3, Width: 40, Seeds: 30, Direction: core.Top})
-		})
-		_ = gUnbounded
-		b.ReportMetric(bUnbounded, "beam-unbounded")
-	}
-	b.ReportMetric(greedyP90, "greedy-best-finite")
-	b.ReportMetric(beamP90, "beam-best-finite")
-	b.ReportMetric(greedyCalls, "greedy-queries")
-	b.ReportMetric(beamCalls, "beam-queries")
 }
 
 // --- parallel audience engine micro-benchmarks ---

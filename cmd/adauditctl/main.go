@@ -672,7 +672,7 @@ func printTraces(w io.Writer, tr *trace.Tracer) {
 }
 
 // printMetricsSummary renders the run's observability roll-up: per-platform
-// query-budget numbers (the paper's ethics constraint made these the
+// upstream query counts (the paper's ethics constraint made queries the
 // audit's scarcest resource) and per-phase wall-clocks.
 func printMetricsSummary(w io.Writer, r *experiments.Runner, phases []string) error {
 	reg := obs.Default()
@@ -703,9 +703,9 @@ func printMetricsSummary(w io.Writer, r *experiments.Runner, phases []string) er
 		)
 	}
 	// Batched-evaluation roll-up: how much of the load the tiled kernel
-	// absorbed. Omitted entirely when nothing batched (e.g. a remote run
-	// against a server without the batch endpoint), keeping the summary
-	// unchanged for serial runs. Batch sizes are spec counts stored in the
+	// absorbed. The platform counters live in the registry of the process
+	// that serves the deployment, so a remote run (-endpoint) finds none
+	// and omits the table. Batch sizes are spec counts stored in the
 	// histogram's duration slots.
 	hists := make(map[string]obs.HistogramSnapshot)
 	for _, s := range reg.Gather() {

@@ -1,0 +1,153 @@
+package repro_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyAllowed lists the exported declarations in internal/ that may
+// stay with no caller outside their own package's tests.
+var testOnlyAllowed = map[string]bool{
+	// The offline fsck: the only reader of the catalog section CRCs, which
+	// loads skip on purpose so they never page the catalog in.
+	"snapshot.VerifyFile": true,
+	// errors.Is and errors.As call it through the Unwrap() []error
+	// convention, so no file names it.
+	"cluster.PartialError.Unwrap": true,
+}
+
+// TestNoTestOnlyExports keeps the program free of exported code that only
+// its own package's tests reach. It parses every .go file in the module
+// tree (cmd/, examples/ and the perfbench module included; testdata and
+// dot-directories skipped, as the go tool skips them) and checks each
+// exported top-level function, method, type, var and const in internal/.
+// A declaration passes when a non-test file names its identifier outside
+// the declaration itself, when a _test.go file in another directory names
+// it (a test helper that other packages' tests share), or when it is on
+// testOnlyAllowed. Identifiers match by name, so the check can only
+// overstate use. Anything else is reference code for its tests: move it
+// into a _test.go file, or delete it with those tests.
+func TestNoTestOnlyExports(t *testing.T) {
+	type use struct {
+		pos  token.Pos
+		dir  string
+		test bool
+	}
+	type decl struct {
+		name, label string
+		pos, end    token.Pos
+		dir         string
+	}
+	fset := token.NewFileSet()
+	uses := map[string][]use{}
+	var decls []decl
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, test := filepath.Dir(path), strings.HasSuffix(path, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name] = append(uses[id.Name], use{id.Pos(), dir, test})
+			}
+			return true
+		})
+		if test || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return nil
+		}
+		add := func(id *ast.Ident, label string, node ast.Node) {
+			if id.IsExported() {
+				decls = append(decls, decl{id.Name, f.Name.Name + "." + label, node.Pos(), node.End(), dir})
+			}
+		}
+		for _, gd := range f.Decls {
+			switch gd := gd.(type) {
+			case *ast.FuncDecl:
+				label := gd.Name.Name
+				if gd.Recv != nil {
+					label = recvName(gd.Recv.List[0].Type) + "." + label
+				}
+				add(gd.Name, label, gd)
+			case *ast.GenDecl:
+				for _, spec := range gd.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name, spec.Name.Name, spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id, id.Name, spec)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var flagged []string
+	for _, d := range decls {
+		if testOnlyAllowed[d.label] {
+			continue
+		}
+		used := false
+		for _, u := range uses[d.name] {
+			if u.pos >= d.pos && u.pos < d.end {
+				continue
+			}
+			if !u.test || u.dir != d.dir {
+				used = true
+				break
+			}
+		}
+		if !used {
+			p := fset.Position(d.pos)
+			flagged = append(flagged, fmt.Sprintf("%s %s:%d", d.label, filepath.ToSlash(p.Filename), p.Line))
+		}
+	}
+	sort.Strings(flagged)
+	for _, s := range flagged {
+		t.Errorf("%s: exported, but only its own package's tests name it", s)
+	}
+}
+
+// recvName returns the type name of a method receiver, with any pointer
+// and type parameters stripped.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}

@@ -116,23 +116,27 @@ func TestMeasureBatchStoreTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []targeting.Spec{targeting.Attr(0), targeting.Attr(1), targeting.And(targeting.Attr(0), targeting.Attr(1))}
+	cold := platformQueries(p.Name())
 	first := c.MeasureMany(specs)
 	for i, r := range first {
 		if r.Err != nil {
 			t.Fatalf("first batch slot %d: %v", i, r.Err)
 		}
 	}
+	if delta := platformQueries(p.Name()) - cold; delta != int64(len(specs)) {
+		t.Fatalf("first batch placed %d queries on the platform, want %d", delta, len(specs))
+	}
 	if n := st.Len(); n != len(specs) {
 		t.Fatalf("store holds %d records, want %d", n, len(specs))
 	}
-	before := p.QueryCount()
+	before := platformQueries(p.Name())
 	second := c.MeasureMany(specs)
 	for i, r := range second {
 		if r.Err != nil || r.Size != first[i].Size {
 			t.Errorf("second batch slot %d: (%d, %v), want (%d, nil)", i, r.Size, r.Err, first[i].Size)
 		}
 	}
-	if delta := p.QueryCount() - before; delta != 0 {
+	if delta := platformQueries(p.Name()) - before; delta != 0 {
 		t.Errorf("second batch placed %d queries on the platform, want 0", delta)
 	}
 	if hits := reg.CounterValue("adapi_server_store_hits_total", obs.L("interface", catalog.PlatformFacebook)); hits != int64(len(specs)) {

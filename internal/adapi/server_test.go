@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/population"
 	"repro/internal/targeting"
@@ -33,6 +34,14 @@ func serverDeploy(t *testing.T) *platform.Deployment {
 		t.Fatal(srvErr)
 	}
 	return srvDeploy
+}
+
+// platformQueries reads platform_queries_total, summed over both doors, for
+// one interface of the shared deployment, which reports into obs.Default().
+func platformQueries(iface string) int64 {
+	reg, l := obs.Default(), obs.L("interface", iface)
+	return reg.CounterValue("platform_queries_total", l, obs.L("door", "measure")) +
+		reg.CounterValue("platform_queries_total", l, obs.L("door", "estimate"))
 }
 
 func startServer(t *testing.T, opts ServerOptions) (*httptest.Server, *platform.Deployment) {

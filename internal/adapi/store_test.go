@@ -79,7 +79,7 @@ func TestServerStoreServesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := p.QueryCount()
+	before := platformQueries(p.Name())
 	for i, spec := range specs {
 		got, err := c2.Measure(spec)
 		if err != nil {
@@ -89,7 +89,7 @@ func TestServerStoreServesAcrossRestart(t *testing.T) {
 			t.Errorf("spec %d: restarted server answered %d, want %d", i, got, want[i])
 		}
 	}
-	if delta := p.QueryCount() - before; delta != 0 {
+	if delta := platformQueries(p.Name()) - before; delta != 0 {
 		t.Errorf("restarted server placed %d queries on the platform, want 0", delta)
 	}
 	if hits := reg.CounterValue("adapi_server_store_hits_total", obs.L("interface", iface)); hits != int64(len(specs)) {

@@ -528,10 +528,6 @@ func (c *CSet) Len() int { return c.n }
 // Count returns the number of users in the set (cached; O(1)).
 func (c *CSet) Count() int { return c.card }
 
-// Containers reports how many non-empty chunks the set stores — the unit of
-// work a compressed plan execution walks.
-func (c *CSet) Containers() int { return len(c.keys) }
-
 // Bytes reports the approximate footprint of the container payloads, the
 // number the dense/compressed memory comparison in DESIGN.md §9 uses.
 func (c *CSet) Bytes() int {
@@ -585,89 +581,4 @@ func containerContains(cont *container, v uint16) bool {
 		i := sort.Search(len(cont.runs), func(j int) bool { return cont.runs[j].last >= v })
 		return i < len(cont.runs) && cont.runs[i].start <= v
 	}
-}
-
-// CountRange returns the number of members with index in [lo, hi). Bounds
-// are clamped to the universe, so callers may pass any window.
-func (c *CSet) CountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > c.n {
-		hi = c.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	total := 0
-	for ci := c.chunkFrom(lo); ci < len(c.keys); ci++ {
-		base := int(c.keys[ci]) << chunkBits
-		if base >= hi {
-			break
-		}
-		cont := &c.conts[ci]
-		if lo <= base && base+chunkSize <= hi {
-			total += cont.card
-			continue
-		}
-		clo, chi := lo-base, hi-base
-		if clo < 0 {
-			clo = 0
-		}
-		if chi > chunkSize {
-			chi = chunkSize
-		}
-		total += containerCountRange(cont, clo, chi)
-	}
-	return total
-}
-
-// containerCountRange counts members with offset in [lo, hi) within one
-// container, 0 ≤ lo < hi ≤ chunkSize.
-func containerCountRange(cont *container, lo, hi int) int {
-	switch cont.typ {
-	case ctArray:
-		i := sort.Search(len(cont.arr), func(j int) bool { return int(cont.arr[j]) >= lo })
-		k := sort.Search(len(cont.arr), func(j int) bool { return int(cont.arr[j]) >= hi })
-		return k - i
-	case ctBitmap:
-		return bitmapCountRange(cont.bits, lo, hi)
-	default:
-		total := 0
-		for _, r := range cont.runs {
-			s, l := int(r.start), int(r.last)
-			if s >= hi {
-				break
-			}
-			if l < lo {
-				continue
-			}
-			if s < lo {
-				s = lo
-			}
-			if l > hi-1 {
-				l = hi - 1
-			}
-			total += l - s + 1
-		}
-		return total
-	}
-}
-
-// bitmapCountRange popcounts bit indices [lo, hi) of a word slice.
-func bitmapCountRange(words []uint64, lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
-	if loW == hiW {
-		return bits.OnesCount64(words[loW] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(words[loW]&loMask) + bits.OnesCount64(words[hiW]&hiMask)
-	for i := loW + 1; i < hiW; i++ {
-		c += bits.OnesCount64(words[i])
-	}
-	return c
 }

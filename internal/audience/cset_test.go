@@ -77,28 +77,8 @@ func TestCSetContains(t *testing.T) {
 	}
 }
 
-func TestCSetCountRange(t *testing.T) {
-	for _, n := range csetSizes {
-		for name, s := range csetShapes(n) {
-			c := FromSet(s)
-			windows := [][2]int{
-				{0, n}, {-5, n + 5}, {0, 0}, {n, n},
-				{0, n / 2}, {n / 3, 2 * n / 3},
-				{chunkSize - 1, chunkSize + 1}, {chunkSize, 2 * chunkSize},
-				{1, n - 1}, {63, 65},
-			}
-			for _, w := range windows {
-				want := s.CountRange(w[0], w[1])
-				if got := c.CountRange(w[0], w[1]); got != want {
-					t.Fatalf("n=%d %s: CountRange(%d,%d) = %d, want %d", n, name, w[0], w[1], got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestSetCountRange checks the dense CountRange against a naive scan, since
-// the CSet test above uses it as the reference.
+// the windowed plan tests use it as the reference.
 func TestSetCountRange(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 129, 1000} {
 		s := randomSet(21, n, 0.37)
@@ -153,6 +133,16 @@ func TestCSetCountKernels(t *testing.T) {
 func regCount(a, b *CSet, negate bool, windows []Window) int {
 	p := CompilePlan(a.Len(), []PlanClause{{Op: Operand{C: a}}, {Op: Operand{C: b}, Negate: negate}})
 	counts, _ := CompileBatch([]*Plan{p}).Exec(windows)
+	return counts[0]
+}
+
+// planCountRange counts c's members in [lo, hi) the way a shard counts a
+// lone compressed-only option: a one-operand plan executed over that
+// window, walked container by container when c is sparse and expanded into
+// registers otherwise.
+func planCountRange(c *CSet, lo, hi int) int {
+	p := CompilePlan(c.Len(), []PlanClause{{Op: Operand{C: c}}})
+	counts, _ := CompileBatch([]*Plan{p}).Exec([]Window{{lo, hi}})
 	return counts[0]
 }
 
@@ -326,8 +316,7 @@ func TestCSetChecksCompat(t *testing.T) {
 
 // BenchmarkCSetKernels times every compressed kernel — a register-backed
 // plan intersecting and subtracting the set from a compressed-only
-// operand, Union into a dense operand, CountRange over partition-sized
-// windows, and a compressed-base plan walk — at 2^17 and 2^22 users on
+// operand, Union into a dense operand, and a compressed-base plan walk — at 2^17 and 2^22 users on
 // random sets of four densities and a run-clustered set. Each case runs on
 // the set FromSet builds and on a DecodeCSet view of a copy of its blob,
 // the form snapshot-booted shards serve.
@@ -375,15 +364,6 @@ func BenchmarkCSetKernels(b *testing.B) {
 						}
 					})
 				}
-				b.Run(prefix+"countrange", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						total := 0
-						for lo := 1000; lo < n; lo += 1 << 14 {
-							total += c.CountRange(lo, lo+1<<14)
-						}
-						sinkInt = total
-					}
-				})
 				pr := probe{and: [][]uint64{scope.words}, not: [][]uint64{excl.words}}
 				b.Run(prefix+"plan", func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -136,8 +136,9 @@ func FuzzCSetDecode(f *testing.F) {
 }
 
 // exerciseCSet runs every kernel over a decoded set — membership, counts,
-// expansion, Union, register-backed plan executions over the whole
-// universe and an unaligned window, and a compressed plan walk. On any blob
+// one-operand plans over four windows, expansion, Union, register-backed
+// plan executions over the whole universe and an unaligned window, and a
+// compressed plan walk. On any blob
 // DecodeCSet accepts none may panic, whatever the payloads hold.
 func exerciseCSet(c *CSet) {
 	n := c.Len()
@@ -146,7 +147,7 @@ func exerciseCSet(c *CSet) {
 		c.Contains(i)
 	}
 	for _, w := range [][2]int{{0, n}, {1, n - 1}, {n / 3, 2 * n / 3}, {chunkSize - 3, chunkSize + 3}} {
-		c.CountRange(w[0], w[1])
+		planCountRange(c, w[0], w[1])
 	}
 	dense := c.ToSet()
 	acc := NewFromFunc(n, func(i int) bool { return i%3 == 0 })

@@ -429,10 +429,3 @@ func CompileBatch(plans []*Plan) *PlanBatch {
 	}
 	return pb
 }
-
-// ExecPlans compiles and executes a batch over the whole universe in one
-// shot, a convenience for tests and benchmarks.
-func ExecPlans(plans []*Plan) []int {
-	counts, _ := CompileBatch(plans).Exec(nil)
-	return counts
-}

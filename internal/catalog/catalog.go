@@ -57,27 +57,6 @@ func (c *Catalog) FindAttr(name string) int {
 	return -1
 }
 
-// FindTopic returns the index of the topic with the given name, or -1.
-func (c *Catalog) FindTopic(name string) int {
-	for i := range c.Topics {
-		if c.Topics[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// FindPlacement returns the index of the placement with the given name, or
-// -1.
-func (c *Catalog) FindPlacement(name string) int {
-	for i := range c.Placements {
-		if c.Placements[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CategoryTemplate drives generation of one themed category of options.
 type CategoryTemplate struct {
 	// Name is the category display name.

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,13 +161,13 @@ func TestPinnedPresent(t *testing.T) {
 		}
 	}
 	g := catOf(t)(Google(1))
-	if g.FindTopic("Martial Arts — Kickboxing") < 0 {
+	if !slices.ContainsFunc(g.Topics, func(a Attribute) bool { return a.Name == "Martial Arts — Kickboxing" }) {
 		t.Fatal("pinned Google topic missing")
 	}
 	if g.FindAttr("Gamers — Shooter Game Fans") < 0 {
 		t.Fatal("pinned Google attribute missing")
 	}
-	if g.FindAttr("Nope — Not here") != -1 || g.FindTopic("Nope — Not here") != -1 {
+	if g.FindAttr("Nope — Not here") != -1 {
 		t.Fatal("Find should return -1 for unknown names")
 	}
 }
@@ -325,12 +326,6 @@ func TestGooglePlacements(t *testing.T) {
 		if p.Category != "Placements" {
 			t.Fatalf("placement category %q", p.Category)
 		}
-	}
-	if g.FindPlacement(g.Placements[3].Name) != 3 {
-		t.Fatal("FindPlacement lookup failed")
-	}
-	if g.FindPlacement("nope.example") != -1 {
-		t.Fatal("FindPlacement should return -1 for unknown")
 	}
 	fb := catOf(t)(Facebook(1))
 	if len(fb.Placements) != 0 {

@@ -33,8 +33,8 @@ func TestAuditorAccessorsAndExtractors(t *testing.T) {
 	}
 }
 
-// NewStoredProvider (the registry-defaulting wrapper) and the untraced
-// batch doors on the platform provider share one contract with their
+// NewStoredProviderWith on the default registry and the untraced batch
+// doors on the platform provider share one contract with their
 // explicit-argument siblings: identical answers.
 func TestDefaultedWrappersMatchExplicit(t *testing.T) {
 	d, err := platform.NewDeployment(platform.DeployOptions{Seed: 11, UniverseSize: 4000})
@@ -58,7 +58,7 @@ func TestDefaultedWrappersMatchExplicit(t *testing.T) {
 	}
 
 	st := openStore(t, t.TempDir())
-	sp := NewStoredProvider(pp, st)
+	sp := NewStoredProviderWith(pp, st, nil)
 	got, err := sp.Measure(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ type Auditor struct {
 
 	// scope is ANDed into every measurement: the paper's methodology
 	// targets all U.S. users as the reference audience RA (§3), expressed
-	// through the platforms' location targeting. Nil disables scoping.
+	// through the platforms' location targeting.
 	scope targeting.Clause
 
 	classTotals map[Class]classTotals
@@ -133,22 +133,8 @@ func (a *Auditor) ctxErr() error {
 	return a.Ctx.Err()
 }
 
-// SetScope replaces the location scope ANDed into every measurement
-// (nil = measure the platform's whole user base).
-func (a *Auditor) SetScope(cl targeting.Clause) {
-	a.scope = append(targeting.Clause(nil), cl...)
-	if len(a.scope) == 0 {
-		a.scope = nil
-	}
-	// Totals depend on the scope; drop the cache.
-	a.classTotals = make(map[Class]classTotals)
-}
-
 // scoped returns spec AND the auditor's location scope.
 func (a *Auditor) scoped(spec targeting.Spec) targeting.Spec {
-	if a.scope == nil {
-		return spec
-	}
 	return withClause(spec, a.scope)
 }
 
@@ -384,18 +370,6 @@ func FilterSkewedToward(ms []Measurement) []Measurement {
 	var out []Measurement
 	for _, m := range ms {
 		if m.RepRatio > FourFifthsHigh {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// FilterOutsideFourFifths returns the measurements violating the
-// four-fifths rule in either direction.
-func FilterOutsideFourFifths(ms []Measurement) []Measurement {
-	var out []Measurement
-	for _, m := range ms {
-		if OutsideFourFifths(m.RepRatio) {
 			out = append(out, m)
 		}
 	}

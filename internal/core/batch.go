@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/obs/trace"
@@ -76,11 +75,10 @@ func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.S
 // lock acquisition the batch is partitioned exactly as serial Measure
 // would treat each spec in slot order: memory hits, waits on another
 // caller's in-flight miss, duplicates of a key this batch already claimed,
-// store hits (filling the memory tier, budget-free), budget refusals, and
-// claimed misses. Only the unique misses are charged against the budget
-// and sent upstream as one batch, in claim order, then persisted before
-// being published, with failed slots refunded, exactly like the serial
-// path.
+// store hits (filling the memory tier, no upstream call), and claimed
+// misses. Only the unique misses are counted as upstream calls and sent
+// upstream as one batch, in claim order, then persisted before being
+// published, with failed slots refunded, exactly like the serial path.
 func (cp *cachingProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
 	return cp.measureMany(nil, specs)
 }
@@ -107,7 +105,7 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 	var waits []wait
 	var dups []dup
 	claimIdx := make(map[string]int)
-	var hits, collapsed, refused, storeHits int64
+	var hits, collapsed, storeHits int64
 
 	// Provenance for the slots the cache itself serves (memory/store hits);
 	// claimed misses are recorded by the upstream layer that measures them,
@@ -150,11 +148,6 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 				continue
 			}
 		}
-		if cp.budget > 0 && cp.calls >= cp.budget {
-			out[i].Err = fmt.Errorf("%w: %d calls made", ErrQueryBudget, cp.budget)
-			refused++
-			continue
-		}
 		cp.calls++
 		c := &inflightCall{done: make(chan struct{})}
 		cp.inflight[key] = c
@@ -165,7 +158,6 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 
 	cp.mHits.Add(hits)
 	cp.mCollapsed.Add(collapsed)
-	cp.mRefused.Add(refused)
 	cp.mMisses.Add(int64(len(claims)))
 	if cp.store != nil {
 		cp.mStoreHits.Add(storeHits)
@@ -177,7 +169,6 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 		span.AnnotateInt("hits", hits)
 		span.AnnotateInt("store_hits", storeHits)
 		span.AnnotateInt("collapsed", collapsed)
-		span.AnnotateInt("refused", refused)
 		span.AnnotateInt("misses", int64(len(claims)))
 		if plog != nil {
 			tid := span.TraceID()

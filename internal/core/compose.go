@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/targeting"
@@ -290,18 +289,4 @@ func TopOf(ms []Measurement, n int) []Measurement {
 		n = len(ranked)
 	}
 	return ranked[:n]
-}
-
-// MaxFinite returns the largest finite rep ratio in the set, or NaN if none.
-func MaxFinite(ms []Measurement) float64 {
-	out := math.NaN()
-	for _, m := range ms {
-		if math.IsInf(m.RepRatio, 0) {
-			continue
-		}
-		if math.IsNaN(out) || m.RepRatio > out {
-			out = m.RepRatio
-		}
-	}
-	return out
 }

@@ -60,7 +60,7 @@ func (sp *slowProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
 // same canonical key collapse into one upstream call serving every waiter.
 func TestCachingProviderSingleflight(t *testing.T) {
 	sp := &slowProvider{attrs: []string{"a", "b"}}
-	cp := NewCachingProvider(sp)
+	cp := NewCachingProviderWith(sp, nil)
 	spec := targeting.Attr(0)
 	const waiters = 32
 	var wg sync.WaitGroup
@@ -90,15 +90,12 @@ func TestCachingProviderSingleflight(t *testing.T) {
 	}
 }
 
-// TestCachingProviderBudgetCountsUniqueMisses asserts the budget charges
-// one call per unique key regardless of how many goroutines race the miss,
-// and that a genuinely new key beyond the budget is refused.
+// TestCachingProviderBudgetCountsUniqueMisses asserts the query count
+// charges one call per unique key regardless of how many goroutines race
+// the miss.
 func TestCachingProviderBudgetCountsUniqueMisses(t *testing.T) {
 	sp := &slowProvider{attrs: []string{"a", "b", "c"}}
-	cp := NewCachingProvider(sp)
-	if !SetQueryBudget(cp, 2) {
-		t.Fatal("SetQueryBudget rejected a caching provider")
-	}
+	cp := NewCachingProviderWith(sp, nil)
 	var wg sync.WaitGroup
 	var failed atomic.Int64
 	for i := 0; i < 24; i++ {
@@ -112,13 +109,13 @@ func TestCachingProviderBudgetCountsUniqueMisses(t *testing.T) {
 	}
 	wg.Wait()
 	if failed.Load() != 0 {
-		t.Fatalf("%d waiters failed under a budget of 2 with 2 unique keys", failed.Load())
+		t.Fatalf("%d waiters failed with 2 unique keys", failed.Load())
 	}
 	if got := sp.calls.Load(); got != 2 {
 		t.Fatalf("upstream calls = %d, want 2", got)
 	}
-	if _, err := cp.Measure(targeting.Attr(2)); !errors.Is(err, ErrQueryBudget) {
-		t.Fatalf("third unique key: err = %v, want ErrQueryBudget", err)
+	if got := UpstreamCalls(cp); got != 2 {
+		t.Fatalf("UpstreamCalls = %d, want 2", got)
 	}
 }
 
@@ -135,7 +132,7 @@ func TestCachingProviderErrorNotCached(t *testing.T) {
 		}
 		return nil
 	}}
-	cp := NewCachingProvider(sp)
+	cp := NewCachingProviderWith(sp, nil)
 	if _, err := cp.Measure(targeting.Attr(0)); !errors.Is(err, boom) {
 		t.Fatalf("first call: err = %v, want boom", err)
 	}

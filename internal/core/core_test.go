@@ -531,7 +531,7 @@ func TestConsistencyStudy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		if !rep.Consistent() {
+		if rep.Inconsistent != 0 {
 			t.Errorf("%s: %d inconsistent targetings", p.Name(), rep.Inconsistent)
 		}
 		if rep.Targetings != 10 || rep.Repeats != 10 {
@@ -616,17 +616,13 @@ func TestFilters(t *testing.T) {
 	if len(toward) != 2 { // 1.3 and +Inf
 		t.Fatalf("FilterSkewedToward = %d, want 2", len(toward))
 	}
-	outside := FilterOutsideFourFifths(ms)
-	if len(outside) != 3 { // 0.5, 1.3, +Inf
-		t.Fatalf("FilterOutsideFourFifths = %d, want 3", len(outside))
-	}
 	ratios := RepRatios(ms)
 	if len(ratios) != 3 { // drops only Inf
 		t.Fatalf("RepRatios = %d, want 3", len(ratios))
 	}
 }
 
-func TestTopOfAndMaxFinite(t *testing.T) {
+func TestTopOf(t *testing.T) {
 	ms := []Measurement{
 		{Desc: "a", RepRatio: 2}, {Desc: "b", RepRatio: 5}, {Desc: "c", RepRatio: 1},
 	}
@@ -636,12 +632,6 @@ func TestTopOfAndMaxFinite(t *testing.T) {
 	}
 	if got := TopOf(ms, 99); len(got) != 3 {
 		t.Fatalf("TopOf clamping failed: %d", len(got))
-	}
-	if mf := MaxFinite(ms); mf != 5 {
-		t.Fatalf("MaxFinite = %v", mf)
-	}
-	if mf := MaxFinite(nil); !math.IsNaN(mf) {
-		t.Fatalf("MaxFinite(nil) = %v, want NaN", mf)
 	}
 }
 
@@ -682,140 +672,39 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-func TestQueryBudget(t *testing.T) {
-	d := testDeploy(t)
-	a := auditorFor(t, d.LinkedIn)
-	if !SetQueryBudget(a.Provider(), 4) {
-		t.Fatal("caching provider should accept a budget")
-	}
-	// Two distinct audits exceed four upstream calls; the cache alone
-	// cannot satisfy them.
-	_, err1 := a.Audit(targeting.Attr(30), male())
-	_, err2 := a.Audit(targeting.Attr(31), male())
-	if err1 == nil && err2 == nil {
-		t.Fatal("budget of 4 calls should abort one of the audits")
-	}
-	if !errors.Is(err1, ErrQueryBudget) && !errors.Is(err2, ErrQueryBudget) {
-		t.Fatalf("want ErrQueryBudget, got %v / %v", err1, err2)
-	}
-	// Cached measurements keep working after exhaustion.
-	SetQueryBudget(a.Provider(), 0)
-	if _, err := a.Audit(targeting.Attr(30), male()); err != nil {
-		t.Fatalf("lifting the budget should recover: %v", err)
-	}
-	if SetQueryBudget(NewPlatformProvider(d.LinkedIn), 1) {
-		t.Fatal("non-caching provider should reject budgets")
-	}
-}
-
+// TestAuditorScope: the auditor ANDs the U.S. location scope into every
+// measurement, so the reference audience |RA_s| and an audited spec's
+// reach equal the platform's own counts of the same clauses ∧ U.S., and
+// the reference audience falls below the class clause alone.
 func TestAuditorScope(t *testing.T) {
 	d := testDeploy(t)
-	scoped := auditorFor(t, d.Facebook) // default: US scope
-	unscoped := auditorFor(t, d.Facebook)
-	unscoped.SetScope(nil)
+	a := auditorFor(t, d.Facebook)
+	size := func(spec targeting.Spec) int64 {
+		t.Helper()
+		v, err := d.Facebook.Measure(platform.EstimateRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	us := int(population.RegionUS)
+	men := targeting.WithGender(targeting.Spec{}, int(population.Male))
 
-	usPop, err := scoped.PopulationSize(male())
+	usPop, err := a.PopulationSize(male())
 	if err != nil {
 		t.Fatal(err)
 	}
-	globalPop, err := unscoped.PopulationSize(male())
-	if err != nil {
-		t.Fatal(err)
+	if want := size(targeting.WithLocation(men, us)); usPop != want {
+		t.Fatalf("US male population %d, want the platform's male ∧ US count %d", usPop, want)
 	}
-	if usPop >= globalPop {
+	if globalPop := size(men); usPop >= globalPop {
 		t.Fatalf("US male population %d not below global %d", usPop, globalPop)
 	}
-	// Scoping to a different region changes the reference audience.
-	scoped.SetScope(targeting.Clause{{Kind: targeting.KindLocation, ID: int(population.RegionIndia)}})
-	inPop, err := scoped.PopulationSize(male())
+	m, err := a.Audit(targeting.Attr(0), male())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inPop >= usPop {
-		t.Fatalf("India-scoped population %d not below US %d", inPop, usPop)
-	}
-}
-
-func TestBeamCompositions(t *testing.T) {
-	d := testDeploy(t)
-	a := auditorFor(t, d.FacebookRestricted)
-	ind, err := a.Individuals(male())
-	if err != nil {
-		t.Fatal(err)
-	}
-	beam2, err := a.BeamCompositions(ind, male(), BeamConfig{Arity: 2, Width: 30, Seeds: 30, Direction: Top})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(beam2) == 0 {
-		t.Fatal("empty beam")
-	}
-	for _, m := range beam2 {
-		if got := len(targeting.Refs(m.Spec)); got != 2 {
-			t.Fatalf("beam-2 member %q has %d options", m.Desc, got)
-		}
-		if m.TotalReach < a.RecallFloor {
-			t.Fatalf("beam member %q below reach floor", m.Desc)
-		}
-	}
-	// Beam results are sorted most-skewed first.
-	for i := 1; i < len(beam2); i++ {
-		if beam2[i].RepRatio > beam2[i-1].RepRatio {
-			t.Fatal("beam not sorted by skew")
-		}
-	}
-	// Beam-2's best should at least match the greedy top pair (both search
-	// the same pair space; beam is exhaustive over seeds×seeds).
-	greedy, err := a.GreedyCompositions(ind, male(), ComposeConfig{K: 200, Direction: Top, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MaxFinite(beam2) < MaxFinite(greedy)*0.8 {
-		t.Fatalf("beam best %v far below greedy best %v", MaxFinite(beam2), MaxFinite(greedy))
-	}
-}
-
-func TestBeamDeepensSkew(t *testing.T) {
-	d := testDeploy(t)
-	a := auditorFor(t, d.FacebookRestricted)
-	ind, err := a.Individuals(male())
-	if err != nil {
-		t.Fatal(err)
-	}
-	beam2, err := a.BeamCompositions(ind, male(), BeamConfig{Arity: 2, Width: 25, Seeds: 25, Direction: Top})
-	if err != nil {
-		t.Fatal(err)
-	}
-	beam3, err := a.BeamCompositions(ind, male(), BeamConfig{Arity: 3, Width: 25, Seeds: 25, Direction: Top})
-	if errors.Is(err, ErrBelowFloor) {
-		t.Skip("no 3-way compositions above floor at this universe size")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, f3 := RepRatios(beam2), RepRatios(beam3)
-	if len(f2) < 5 || len(f3) < 5 {
-		t.Skipf("too few finite ratios (%d, %d)", len(f2), len(f3))
-	}
-	p2, _ := stats.Percentile(f2, 50)
-	p3, _ := stats.Percentile(f3, 50)
-	if p3 <= p2 {
-		t.Fatalf("beam-3 median %v not above beam-2 median %v", p3, p2)
-	}
-}
-
-func TestBeamValidation(t *testing.T) {
-	d := testDeploy(t)
-	a := auditorFor(t, d.FacebookRestricted)
-	if _, err := a.BeamCompositions(nil, male(), BeamConfig{Arity: 2}); err == nil {
-		t.Fatal("empty individuals accepted")
-	}
-	if _, err := a.BeamCompositions([]Measurement{{}}, male(), BeamConfig{Arity: 1}); err == nil {
-		t.Fatal("arity 1 accepted")
-	}
-	g := auditorFor(t, d.Google)
-	ind := []Measurement{{Spec: targeting.Attr(0)}}
-	if _, err := g.BeamCompositions(ind, male(), BeamConfig{Arity: 3}); !errors.Is(err, ErrCrossFeatureArity) {
-		t.Fatalf("want ErrCrossFeatureArity, got %v", err)
+	if want := size(targeting.WithLocation(targeting.Attr(0), us)); m.TotalReach != want {
+		t.Fatalf("audited reach %d, want the platform's attr ∧ US count %d", m.TotalReach, want)
 	}
 }

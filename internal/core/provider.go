@@ -11,8 +11,6 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -96,28 +94,22 @@ func (pp *platformProvider) CrossFeature() bool {
 	return !pp.p.Rules().AndWithinFeature
 }
 
-// ErrQueryBudget marks an audit aborted for exceeding its upstream query
-// budget (the paper's ethics discussion: "we also minimized the load placed
-// on the ad platforms by limiting both the count and rate of API queries").
-var ErrQueryBudget = errors.New("core: upstream query budget exhausted")
-
-// cachingProvider memoizes Measure by canonical spec and enforces an
-// optional upstream query budget. The greedy discovery and the overlap
-// analyses re-measure many identical specs; the paper likewise limited its
-// query load by avoiding redundant calls. Concurrent misses on the same key
-// collapse into one upstream call (singleflight): the first caller claims
-// the key and measures, later callers wait on the in-flight result, and the
-// budget counts unique misses rather than racing callers.
+// cachingProvider memoizes Measure by canonical spec. The greedy discovery
+// and the overlap analyses re-measure many identical specs; the paper
+// likewise limited its query load by avoiding redundant calls. Concurrent
+// misses on the same key collapse into one upstream call (singleflight):
+// the first caller claims the key and measures, later callers wait on the
+// in-flight result, and calls counts unique misses rather than racing
+// callers.
 type cachingProvider struct {
 	Provider
 	mu       sync.Mutex
 	sizes    map[string]int64
 	inflight map[string]*inflightCall
 	calls    int64
-	budget   int64 // 0 = unlimited
 
-	// store, when set (NewStoredProvider), is the durable second cache
-	// tier: disk hits are free of budget, upstream answers are appended.
+	// store, when set (NewStoredProviderWith), is the durable second cache
+	// tier: disk hits make no upstream call, upstream answers are appended.
 	store MeasurementStore
 
 	// Cache observability, resolved once per provider (labeled by the
@@ -125,7 +117,6 @@ type cachingProvider struct {
 	mHits        *obs.Counter   // served from the size cache
 	mMisses      *obs.Counter   // claimed the key and went upstream
 	mCollapsed   *obs.Counter   // waited on another caller's in-flight miss
-	mRefused     *obs.Counter   // refused: query budget exhausted
 	mUpstream    *obs.Histogram // upstream Measure latency (misses only)
 	mStoreHits   *obs.Counter   // served from the durable store
 	mStoreMisses *obs.Counter   // absent from the store, went upstream
@@ -140,15 +131,8 @@ type inflightCall struct {
 	err  error
 }
 
-// NewCachingProvider wraps p with a measurement cache whose hit/miss/
-// budget counters land in the process-wide obs registry; use
-// NewCachingProviderWith to direct them elsewhere.
-func NewCachingProvider(p Provider) Provider {
-	return NewCachingProviderWith(p, obs.Default())
-}
-
-// NewCachingProviderWith wraps p with a measurement cache reporting into
-// reg (nil selects obs.Default()).
+// NewCachingProviderWith wraps p with a measurement cache whose hit, miss
+// and latency metrics land in reg (nil selects obs.Default()).
 func NewCachingProviderWith(p Provider, reg *obs.Registry) Provider {
 	if reg == nil {
 		reg = obs.Default()
@@ -161,7 +145,6 @@ func NewCachingProviderWith(p Provider, reg *obs.Registry) Provider {
 		mHits:      reg.Counter("audit_cache_hits_total", lbl),
 		mMisses:    reg.Counter("audit_cache_misses_total", lbl),
 		mCollapsed: reg.Counter("audit_cache_collapsed_total", lbl),
-		mRefused:   reg.Counter("audit_budget_refused_total", lbl),
 		mUpstream:  reg.Histogram("audit_upstream_seconds", lbl),
 	}
 }
@@ -171,7 +154,7 @@ func (cp *cachingProvider) Measure(spec targeting.Spec) (int64, error) {
 }
 
 // provDone ends a cache-layer span and emits its provenance record —
-// only for outcomes the cache itself served (hit/store/inflight/refused);
+// only for outcomes the cache itself served (hit/store/inflight);
 // misses are recorded by the upstream layer that actually measured, so
 // one trace shows the full provenance chain without double-counting.
 func (cp *cachingProvider) provDone(span *trace.Span, key, source string, v int64, err error) {
@@ -213,10 +196,10 @@ func (cp *cachingProvider) measure(parent *trace.Span, spec targeting.Spec) (int
 	}
 	if cp.store != nil {
 		// Disk tier: an answer a previous run already paid for. It fills
-		// the memory tier and charges no query budget — the paper's §5
-		// budget counts load placed on the platform, and a disk hit
-		// places none. The lookup is an in-memory index read, so holding
-		// the lock keeps racing callers collapsed onto one store probe.
+		// the memory tier and makes no upstream call — the paper's §5
+		// limit counts load placed on the platform, and a disk hit places
+		// none. The lookup is an in-memory index read, so holding the lock
+		// keeps racing callers collapsed onto one store probe.
 		if v, ok := cp.store.GetMeasurement(cp.Provider.Name(), key); ok {
 			cp.sizes[key] = v
 			cp.mu.Unlock()
@@ -225,15 +208,8 @@ func (cp *cachingProvider) measure(parent *trace.Span, spec targeting.Spec) (int
 			return v, nil
 		}
 	}
-	if cp.budget > 0 && cp.calls >= cp.budget {
-		cp.mu.Unlock()
-		cp.mRefused.Inc()
-		err := fmt.Errorf("%w: %d calls made", ErrQueryBudget, cp.budget)
-		cp.provDone(span, key, "refused", 0, err)
-		return 0, err
-	}
-	// Claim the key and charge the budget before releasing the lock so a
-	// burst of distinct misses cannot collectively overshoot the cap.
+	// Claim the key and count the call before releasing the lock, so
+	// racing callers of the same key collapse onto this one.
 	cp.calls++
 	c := &inflightCall{done: make(chan struct{})}
 	cp.inflight[key] = c
@@ -251,10 +227,10 @@ func (cp *cachingProvider) measure(parent *trace.Span, spec targeting.Spec) (int
 	if err == nil && cp.store != nil {
 		// Persist before publishing: once another caller can read the
 		// answer from memory, a crash must not be able to lose it — the
-		// resumed run would otherwise re-pay budget for a spec this run
-		// already reported on. Append failures (disk full, torn device)
-		// are counted but do not fail the measurement; the audit degrades
-		// to in-memory caching.
+		// resumed run would otherwise re-query a spec this run already
+		// reported on. Append failures (disk full, torn device) are
+		// counted but do not fail the measurement; the audit degrades to
+		// in-memory caching.
 		if serr := cp.store.PutMeasurement(cp.Provider.Name(), key, v); serr != nil {
 			cp.mStoreErrors.Inc()
 		}
@@ -277,20 +253,6 @@ func (cp *cachingProvider) measure(parent *trace.Span, spec targeting.Spec) (int
 	return v, err
 }
 
-// SetQueryBudget caps the number of cache-missing upstream calls a provider
-// may make (0 = unlimited); further misses return ErrQueryBudget. It
-// reports whether the provider supports budgets (caching providers do).
-func SetQueryBudget(p Provider, budget int64) bool {
-	cp, ok := p.(*cachingProvider)
-	if !ok {
-		return false
-	}
-	cp.mu.Lock()
-	cp.budget = budget
-	cp.mu.Unlock()
-	return true
-}
-
 // UpstreamCalls reports how many misses reached the underlying provider, if
 // the provider is a caching wrapper; otherwise it returns -1.
 func UpstreamCalls(p Provider) int64 {
@@ -304,7 +266,7 @@ func UpstreamCalls(p Provider) int64 {
 }
 
 // CacheStats is a point-in-time view of one caching provider's traffic —
-// the numbers an auditor steers their query budget by (the paper limited
+// the numbers an auditor steers their query load by (the paper limited
 // "both the count and rate of API queries", §5).
 type CacheStats struct {
 	// Hits counts measurements served from the size cache.
@@ -314,8 +276,6 @@ type CacheStats struct {
 	// Collapsed counts callers that waited on another caller's identical
 	// in-flight miss (singleflight).
 	Collapsed int64
-	// Refused counts measurements rejected by the query budget.
-	Refused int64
 	// StoreHits counts measurements served from the durable store — the
 	// queries a resumed audit did not re-pay (0 when no store is
 	// attached).
@@ -330,8 +290,8 @@ type CacheStats struct {
 }
 
 // HitRate returns the fraction of lookups served without an upstream call
-// (memory hits, store hits, and collapsed waits over all admitted
-// lookups); 0 when idle.
+// (memory hits, store hits, and collapsed waits over all lookups); 0 when
+// idle.
 func (s CacheStats) HitRate() float64 {
 	total := s.Hits + s.StoreHits + s.Misses + s.Collapsed
 	if total == 0 {
@@ -351,7 +311,6 @@ func StatsOf(p Provider) (CacheStats, bool) {
 		Hits:      cp.mHits.Value(),
 		Misses:    cp.mMisses.Value(),
 		Collapsed: cp.mCollapsed.Value(),
-		Refused:   cp.mRefused.Value(),
 		Upstream:  cp.mUpstream.Snapshot(),
 	}
 	if cp.store != nil {

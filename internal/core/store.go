@@ -8,10 +8,10 @@ import "repro/internal/obs"
 // storage format stays swappable and core stays dependency-free.
 //
 // The store is the audit's crash-safe memory across process restarts: the
-// paper's methodology caps upstream API calls (§5, Ethics), and a campaign
-// that dies mid-scan must not re-pay its query budget for answers it
-// already holds. A Get hit is treated exactly like an in-memory cache hit —
-// served without an upstream call and without charging the query budget.
+// paper's methodology limits upstream API calls (§5, Ethics), and a
+// campaign that dies mid-scan must not re-query answers it already holds.
+// A Get hit is treated exactly like an in-memory cache hit — served
+// without an upstream call.
 type MeasurementStore interface {
 	// GetMeasurement returns the persisted size for a platform-qualified
 	// canonical spec, if present.
@@ -22,20 +22,14 @@ type MeasurementStore interface {
 	PutMeasurement(platform, canonicalSpec string, size int64) error
 }
 
-// NewStoredProvider wraps p with the standard measurement cache backed by a
-// durable store (see NewStoredProviderWith); metrics land in the
-// process-wide registry.
-func NewStoredProvider(p Provider, st MeasurementStore) Provider {
-	return NewStoredProviderWith(p, st, nil)
-}
-
 // NewStoredProviderWith returns a Provider whose measurement path has three
-// tiers: the in-memory cache (free), the durable store (a disk hit fills
-// the memory tier and charges no query budget), and the upstream platform
-// (budget-charged; successful answers are appended to the store before the
-// next restart can need them). A nil st degrades to the plain caching
-// provider; if p is already a caching provider the store is attached in
-// place, preserving its cache contents and query budget.
+// tiers: the in-memory cache, the durable store (a disk hit fills the
+// memory tier and makes no upstream call), and the upstream platform
+// (counted in UpstreamCalls; successful answers are appended to the store
+// before the next restart can need them). A nil st degrades to the plain
+// caching provider; if p is already a caching provider the store is
+// attached in place, preserving its cache contents and call count. Metrics
+// land in reg (nil selects obs.Default()).
 func NewStoredProviderWith(p Provider, st MeasurementStore, reg *obs.Registry) Provider {
 	if reg == nil {
 		reg = obs.Default()
@@ -55,13 +49,4 @@ func NewStoredProviderWith(p Provider, st MeasurementStore, reg *obs.Registry) P
 	cp.mStoreErrors = reg.Counter("audit_store_append_errors_total", lbl)
 	cp.mu.Unlock()
 	return cp
-}
-
-// StoreOf returns the durable store behind a provider, if it has one.
-func StoreOf(p Provider) (MeasurementStore, bool) {
-	cp, ok := p.(*cachingProvider)
-	if !ok || cp.store == nil {
-		return nil, false
-	}
-	return cp.store, true
 }

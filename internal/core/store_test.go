@@ -24,8 +24,8 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // TestStoredProviderDiskHitSkipsUpstreamAndBudget: a second process (fresh
 // provider, same store directory) re-measuring persisted specs must reach
-// upstream zero times and charge zero budget — the acceptance criterion for
-// resumable audits.
+// upstream zero times and spend no upstream query — the acceptance
+// criterion for resumable audits.
 func TestStoredProviderDiskHitSkipsUpstreamAndBudget(t *testing.T) {
 	dir := t.TempDir()
 	specs := []targeting.Spec{targeting.Attr(0), targeting.Attr(1), targeting.And(targeting.Attr(0), targeting.Attr(1))}
@@ -49,13 +49,11 @@ func TestStoredProviderDiskHitSkipsUpstreamAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second run: a new provider over the same directory with a budget of
-	// one upstream call. All three disk hits must leave that budget
-	// untouched.
+	// Second run: a new provider over the same directory. All three disk
+	// hits must leave its upstream call count at zero.
 	st2 := openStore(t, dir)
 	sp2 := &slowProvider{attrs: []string{"a", "b"}}
 	cp2 := NewStoredProviderWith(sp2, st2, obs.NewRegistry())
-	SetQueryBudget(cp2, 1)
 	for i, spec := range specs {
 		v, err := cp2.Measure(spec)
 		if err != nil {
@@ -72,22 +70,19 @@ func TestStoredProviderDiskHitSkipsUpstreamAndBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("StatsOf rejected stored provider")
 	}
-	if stats.StoreHits != int64(len(specs)) || stats.Misses != 0 || stats.Refused != 0 {
-		t.Errorf("stats = %+v, want %d store hits, 0 misses, 0 refused", stats, len(specs))
+	if stats.StoreHits != int64(len(specs)) || stats.Misses != 0 {
+		t.Errorf("stats = %+v, want %d store hits, 0 misses", stats, len(specs))
 	}
 	if stats.HitRate() != 1 {
 		t.Errorf("HitRate = %v, want 1 (store hits count as hits)", stats.HitRate())
 	}
-	// The budget still has its one charge: an unpersisted spec spends it,
-	// and the next unpersisted spec is refused.
+	// An unpersisted spec still goes upstream, and is the only call.
 	if _, err := cp2.Measure(targeting.AnyAttr(0, 1)); err != nil {
-		t.Fatalf("first unpersisted spec: %v", err)
+		t.Fatalf("unpersisted spec: %v", err)
 	}
-	if sp2.calls.Load() != 1 {
-		t.Errorf("upstream calls after unpersisted spec = %d, want 1", sp2.calls.Load())
-	}
-	if _, err := cp2.Measure(targeting.Excluding(targeting.Attr(0), targeting.Attr(1))); !errors.Is(err, ErrQueryBudget) {
-		t.Errorf("second unpersisted spec: err = %v, want ErrQueryBudget", err)
+	if sp2.calls.Load() != 1 || UpstreamCalls(cp2) != 1 {
+		t.Errorf("upstream calls after unpersisted spec = %d (UpstreamCalls %d), want 1",
+			sp2.calls.Load(), UpstreamCalls(cp2))
 	}
 }
 
@@ -147,12 +142,39 @@ func TestLogicallyEqualSpecsOneUpstreamOneRecord(t *testing.T) {
 	}
 }
 
+// errKilled fails the upstream calls a killed process never got to make.
+var errKilled = errors.New("killed")
+
+// dieAfter answers the first left upstream specs it is sent and fails
+// every later one with errKilled, which aborts an audit mid-scan the way a
+// kill would, after the answers it did receive were persisted.
+type dieAfter struct {
+	Provider
+	left int
+}
+
+func (d *dieAfter) Measure(spec targeting.Spec) (int64, error) {
+	r := d.MeasureMany([]targeting.Spec{spec})[0]
+	return r.Size, r.Err
+}
+
+func (d *dieAfter) MeasureMany(specs []targeting.Spec) []BatchResult {
+	k := min(len(specs), d.left)
+	d.left -= k
+	out := append(d.Provider.MeasureMany(specs[:k]), make([]BatchResult, len(specs)-k)...)
+	for i := k; i < len(specs); i++ {
+		out[i].Err = errKilled
+	}
+	return out
+}
+
 // TestResumeAfterKillBitIdentical is the resumability property test: an
-// audit killed at an arbitrary point (simulated by a query budget that
-// aborts mid-scan, without closing the store — exactly what SIGKILL leaves
-// behind given per-append fsync) and then resumed over the same store
-// produces bit-identical measurements to an uninterrupted run, and the two
-// runs' combined upstream calls equal the uninterrupted run's alone.
+// audit killed at an arbitrary point (simulated by an upstream that fails
+// every call after its first n answers, without closing the store —
+// exactly what SIGKILL leaves behind given per-append fsync) and then
+// resumed over the same store produces bit-identical measurements to an
+// uninterrupted run, and the two runs' combined upstream calls equal the
+// uninterrupted run's alone.
 func TestResumeAfterKillBitIdentical(t *testing.T) {
 	d := testDeploy(t)
 	iface := d.Interfaces()[0]
@@ -168,19 +190,19 @@ func TestResumeAfterKillBitIdentical(t *testing.T) {
 		t.Fatalf("uninterrupted upstream calls = %d", total)
 	}
 
-	// Kill points: budgets that abort the scan at different depths.
-	for _, budget := range []int64{1, 4, total / 3, total - 1} {
+	// Kill points: the scan dies after different numbers of answers.
+	for _, answered := range []int64{1, 4, total / 3, total - 1} {
 		dir := t.TempDir()
 
 		killed, err := store.Open(dir, store.Options{Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap := NewStoredProviderWith(NewPlatformProvider(iface), killed, obs.NewRegistry())
-		SetQueryBudget(ap, budget)
+		upstream := &dieAfter{Provider: NewPlatformProvider(iface), left: int(answered)}
+		ap := NewStoredProviderWith(upstream, killed, obs.NewRegistry())
 		a := NewAuditorWith(ap, obs.NewRegistry())
-		if _, err := a.Individuals(male()); !errors.Is(err, ErrQueryBudget) {
-			t.Fatalf("budget %d: err = %v, want ErrQueryBudget", budget, err)
+		if _, err := a.Individuals(male()); !errors.Is(err, errKilled) {
+			t.Fatalf("kill after %d: err = %v, want errKilled", answered, err)
 		}
 		paid := UpstreamCalls(ap)
 		// SIGKILL: the store is abandoned, not closed. Every successful
@@ -188,50 +210,56 @@ func TestResumeAfterKillBitIdentical(t *testing.T) {
 
 		resumed, err := store.Open(dir, store.Options{Metrics: obs.NewRegistry()})
 		if err != nil {
-			t.Fatalf("budget %d: reopening store: %v", budget, err)
+			t.Fatalf("kill after %d: reopening store: %v", answered, err)
 		}
 		if got := int64(resumed.Len()); got != paid {
-			t.Errorf("budget %d: store holds %d records, want %d (every paid call persisted)", budget, got, paid)
+			t.Errorf("kill after %d: store holds %d records, want %d (every paid call persisted)", answered, got, paid)
 		}
 		rp := NewStoredProviderWith(NewPlatformProvider(iface), resumed, obs.NewRegistry())
 		ra := NewAuditorWith(rp, obs.NewRegistry())
 		got, err := ra.Individuals(male())
 		if err != nil {
-			t.Fatalf("budget %d: resumed run: %v", budget, err)
+			t.Fatalf("kill after %d: resumed run: %v", answered, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("budget %d: resumed results differ from uninterrupted run", budget)
+			t.Errorf("kill after %d: resumed results differ from uninterrupted run", answered)
 		}
 		if re := UpstreamCalls(rp); paid+re != total {
-			t.Errorf("budget %d: killed run paid %d, resume paid %d, want combined %d",
-				budget, paid, re, total)
+			t.Errorf("kill after %d: killed run paid %d, resume paid %d, want combined %d",
+				answered, paid, re, total)
 		}
 		killed.Close()
 		resumed.Close()
 	}
 }
 
-// TestStoreOf reports store attachment.
+// TestStoreOf: NewStoredProviderWith attaches its store in place to an
+// existing caching provider, which then persists what it measures, and a
+// nil store leaves a plain caching provider.
 func TestStoreOf(t *testing.T) {
 	sp := &slowProvider{attrs: []string{"a"}}
-	if _, ok := StoreOf(sp); ok {
-		t.Error("StoreOf on a raw provider")
-	}
 	cp := NewCachingProviderWith(sp, obs.NewRegistry())
-	if _, ok := StoreOf(cp); ok {
-		t.Error("StoreOf on a storeless caching provider")
+	if cp.(*cachingProvider).store != nil {
+		t.Error("storeless caching provider has a store")
 	}
 	st := openStore(t, t.TempDir())
 	spp := NewStoredProviderWith(cp, st, obs.NewRegistry())
-	if got, ok := StoreOf(spp); !ok || got != MeasurementStore(st) {
-		t.Error("StoreOf lost the attached store")
+	if spp != cp || cp.(*cachingProvider).store != MeasurementStore(st) {
+		t.Error("store not attached in place")
+	}
+	if _, err := spp.Measure(targeting.Attr(0)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 1 {
+		t.Errorf("store holds %d records after one miss, want 1", st.Len())
 	}
 	// nil store degrades to plain caching.
 	plain := NewStoredProviderWith(&slowProvider{attrs: []string{"a"}}, nil, obs.NewRegistry())
-	if _, ok := StoreOf(plain); ok {
-		t.Error("nil store reported as attached")
+	pc, ok := plain.(*cachingProvider)
+	if !ok {
+		t.Fatal("nil-store provider is not a caching provider")
 	}
-	if _, ok := plain.(*cachingProvider); !ok {
-		t.Error("nil-store provider is not a caching provider")
+	if pc.store != nil {
+		t.Error("nil store reported as attached")
 	}
 }

@@ -25,10 +25,6 @@ type ConsistencyReport struct {
 	Inconsistent int
 }
 
-// Consistent reports whether every probed targeting returned stable
-// estimates.
-func (r ConsistencyReport) Consistent() bool { return r.Inconsistent == 0 }
-
 // ConsistencyStudy re-issues repeated estimate calls against the *uncached*
 // provider, mirroring the paper's §3 study. It probes nOptions random
 // individual options plus nComps random compositions, repeats times each.

@@ -60,12 +60,6 @@ var deploymentOnly = map[string]bool{
 	"retarget":  true,
 }
 
-// ExperimentNames returns every runnable experiment name in presentation
-// order.
-func ExperimentNames() []string {
-	return append([]string(nil), phaseOrder...)
-}
-
 // ValidExperiment reports whether name is a runnable experiment ("all"
 // included).
 func ValidExperiment(name string) bool {

@@ -7,6 +7,12 @@ import (
 	"repro/internal/platform"
 )
 
+// ExperimentNames returns every runnable experiment name in presentation
+// order.
+func ExperimentNames() []string {
+	return append([]string(nil), phaseOrder...)
+}
+
 func TestExperimentNames(t *testing.T) {
 	names := ExperimentNames()
 	if len(names) != len(phaseOrder) {

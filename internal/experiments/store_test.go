@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/store"
+	"repro/internal/targeting"
 )
 
 // storeRunner builds a runner over a small deployment whose measurement
@@ -37,20 +38,40 @@ func storeRunner(t *testing.T, dir string, seed uint64) (*Runner, *store.Store) 
 	return r, st
 }
 
+// TestRunnerStoreWiring: every platform's auditor measures through
+// Config.Store, so a rerun over the reopened store is served from it with
+// no upstream call.
 func TestRunnerStoreWiring(t *testing.T) {
-	r, st := storeRunner(t, t.TempDir(), 5)
-	defer st.Close()
-	for _, name := range r.PlatformNames() {
-		a, err := r.Auditor(name)
+	dir := t.TempDir()
+	spec := targeting.Attr(0)
+	r1, st1 := storeRunner(t, dir, 5)
+	for _, name := range r1.PlatformNames() {
+		a, err := r1.Auditor(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := core.StoreOf(a.Provider())
-		if !ok {
-			t.Fatalf("%s: auditor provider has no store attached", name)
+		if _, err := a.Provider().Measure(spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got != core.MeasurementStore(st) {
-			t.Fatalf("%s: attached store is not Config.Store", name)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, st2 := storeRunner(t, dir, 5)
+	defer st2.Close()
+	for _, name := range r2.PlatformNames() {
+		a, err := r2.Auditor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Provider().Measure(spec); err != nil {
+			t.Fatalf("%s: rerun: %v", name, err)
+		}
+		stats, _ := core.StatsOf(a.Provider())
+		if calls := core.UpstreamCalls(a.Provider()); stats.StoreHits == 0 || calls != 0 {
+			t.Fatalf("%s: rerun not served from Config.Store: %d store hits, %d upstream calls",
+				name, stats.StoreHits, calls)
 		}
 	}
 }

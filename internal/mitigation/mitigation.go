@@ -142,17 +142,6 @@ func (d *Detector) Score(advertiser string) float64 {
 	return st.totalSkew / float64(st.campaigns)
 }
 
-// Campaigns returns how many outcomes an advertiser has accumulated.
-func (d *Detector) Campaigns(advertiser string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.state[advertiser]
-	if !ok {
-		return 0
-	}
-	return st.campaigns
-}
-
 // Flagged returns the advertisers whose mean excess skew exceeds the flag
 // score with at least MinCampaigns of evidence, sorted by descending score.
 func (d *Detector) Flagged() []string {

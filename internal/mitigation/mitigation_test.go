@@ -38,6 +38,17 @@ func TestCampaignSkewScoring(t *testing.T) {
 	}
 }
 
+// Campaigns returns how many outcomes an advertiser has accumulated.
+func (d *Detector) Campaigns(advertiser string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.state[advertiser]
+	if !ok {
+		return 0
+	}
+	return st.campaigns
+}
+
 func TestObserveAndScore(t *testing.T) {
 	d := NewDetector(DetectorConfig{MinCampaigns: 2, FlagScore: 0.3})
 	obs := func(adv string, r float64) {

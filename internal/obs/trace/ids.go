@@ -105,15 +105,6 @@ func ParseTraceID(s string) (TraceID, bool) {
 	return id, true
 }
 
-// ParseSpanID parses 16 hex digits into a SpanID.
-func ParseSpanID(s string) (SpanID, bool) {
-	var id SpanID
-	if !hexDecode(id[:], s) {
-		return SpanID{}, false
-	}
-	return id, true
-}
-
 // SpanContext is the part of a span that crosses process boundaries: which
 // trace it belongs to, which span is the remote parent, and whether the
 // trace was sampled at its root.

@@ -104,9 +104,6 @@ func (t *Tracker) AddSite(s Site) (int, error) {
 	return len(t.sites) - 1, nil
 }
 
-// Sites returns the registered site count.
-func (t *Tracker) Sites() int { return len(t.sites) }
-
 // Site returns site metadata by id.
 func (t *Tracker) Site(id int) (Site, error) {
 	if id < 0 || id >= len(t.sites) {

@@ -35,6 +35,9 @@ func carSite() Site {
 	}
 }
 
+// Sites returns the registered site count.
+func (t *Tracker) Sites() int { return len(t.sites) }
+
 func TestAddSite(t *testing.T) {
 	tr := NewTracker(testUniverse(t))
 	id, err := tr.AddSite(carSite())

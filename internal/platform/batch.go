@@ -46,12 +46,6 @@ func (p *Interface) MeasureManyCtx(ctx context.Context, reqs []EstimateRequest) 
 	return p.sizeMany(trace.FromContext(ctx), DoorMeasure, reqs)
 }
 
-// EstimateMany is the advertiser-door equivalent of MeasureMany: batched
-// Estimate calls under the advertiser rules.
-func (p *Interface) EstimateMany(reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(nil, DoorEstimate, reqs)
-}
-
 // sizeMany answers a batch through countMany, the whole batch compiled into
 // one schedule over the whole universe, and puts each served count through
 // ScaleAndRound, as on the serial door. Compiling in rawBatchSlots chunks
@@ -161,7 +155,6 @@ func (p *Interface) countMany(span *trace.Span, door Door, reqs []EstimateReques
 			out[i].Count = int64(counts[k])
 		}
 		served := int64(len(slot))
-		p.queryCount.Add(served)
 		p.doorCounter(door).Add(served)
 		p.mPlansCompiled.Add(served)
 		p.mBatchedQueries.Add(served)

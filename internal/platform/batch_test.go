@@ -151,9 +151,9 @@ func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest
 	}
 }
 
-// TestEstimateManyMatchesSerial checks the advertiser door the same way
-// (its rules differ: FB-restricted rejects demographics and exclusions):
-// EstimateMany and serial Estimate both against the oracle.
+// TestEstimateManyMatchesSerial checks the batch body under the advertiser
+// door the same way (its rules differ: FB-restricted rejects demographics
+// and exclusions): sizeMany and serial Estimate both against the oracle.
 func TestEstimateManyMatchesSerial(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 29, UniverseSize: 1 << 12})
 	if err != nil {
@@ -161,9 +161,9 @@ func TestEstimateManyMatchesSerial(t *testing.T) {
 	}
 	for _, p := range d.Interfaces() {
 		reqs := randomBatch(p, 2000+uint64(len(p.Name())), 60)
-		got, err := p.EstimateMany(reqs)
+		got, err := p.sizeMany(nil, DoorEstimate, reqs)
 		if err != nil {
-			t.Fatalf("%s: EstimateMany: %v", p.Name(), err)
+			t.Fatalf("%s: sizeMany: %v", p.Name(), err)
 		}
 		for i, req := range reqs {
 			want, werr := oracle(p, DoorEstimate, req)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/targeting"
 )
 
@@ -13,7 +14,7 @@ import (
 // estimate path must return identical answers for identical specs, count
 // every query, and materialize each option set exactly once.
 func TestConcurrentMeasureWarm(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 17, UniverseSize: 1 << 12})
+	d, err := NewDeployment(DeployOptions{Seed: 17, UniverseSize: 1 << 12, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +72,8 @@ func TestConcurrentMeasureWarm(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := p.QueryCount(); got != goroutines*iters {
-		t.Fatalf("QueryCount = %d, want %d", got, goroutines*iters)
+	if got := queriesServed(p); got != goroutines*iters {
+		t.Fatalf("queries served = %d, want %d", got, goroutines*iters)
 	}
 }
 

@@ -127,16 +127,15 @@ type Config struct {
 // Interface is one simulated advertiser-facing targeting interface.
 //
 // Estimate, Measure, Audience, and Warm are safe for concurrent use: the
-// catalog-option caches are per-slot atomics, the query counter is atomic,
-// and every call compiles its own plans, so the query path takes no lock
-// but the narrow RWMutex that custom-audience creation and lookup
+// catalog-option caches are per-slot atomics, the query counters are
+// atomic, and every call compiles its own plans, so the query path takes
+// no lock but the narrow RWMutex that custom-audience creation and lookup
 // serialize on.
 type Interface struct {
 	cfg Config
 
-	dims       [len(optionKinds)]optionDim // catalog option state, by kind
-	demo       []lazyOperand               // the universe's demographic sets, counted once
-	queryCount atomic.Int64
+	dims [len(optionKinds)]optionDim // catalog option state, by kind
+	demo []lazyOperand               // the universe's demographic sets, counted once
 
 	// Query counters, resolved once at construction so the estimate hot
 	// path pays only atomic adds (the Measure benchmarks gate the
@@ -286,11 +285,6 @@ func (p *Interface) Rounder() estimate.Rounder { return p.cfg.Rounder }
 
 // ScaleFactor converts simulated user counts to platform-scale counts.
 func (p *Interface) ScaleFactor() float64 { return p.cfg.Universe.ScaleFactor() }
-
-// QueryCount reports how many estimate queries the interface has served.
-func (p *Interface) QueryCount() int64 {
-	return p.queryCount.Load()
-}
 
 // refSet resolves one targeting ref to a dense audience set. On a
 // compressed catalog an option is materialized afresh and not retained, so
@@ -520,7 +514,6 @@ func (p *Interface) size(parent *trace.Span, door Door, req EstimateRequest) (in
 		span.SetError(err)
 		return 0, err
 	}
-	p.queryCount.Add(1)
 	p.doorCounter(door).Inc()
 	size := p.ScaleAndRound(int64(count), eligible, impressions)
 	if plog := span.ProvenanceLog(); plog != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/audience"
 	"repro/internal/catalog"
 	"repro/internal/estimate"
+	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/targeting"
 )
@@ -300,19 +301,26 @@ func TestUnknownOptionRejected(t *testing.T) {
 	}
 }
 
+// queriesServed reads p's platform_queries_total counters, summed over both
+// doors. Deployments that share a registry share these counters, so tests
+// that read them give their deployment a registry of its own.
+func queriesServed(p *Interface) int64 {
+	return p.mMeasureQueries.Value() + p.mEstimateQueries.Value()
+}
+
 func TestQueryCount(t *testing.T) {
-	d, err := NewDeployment(DeployOptions{Seed: 9, UniverseSize: 5000})
+	d, err := NewDeployment(DeployOptions{Seed: 9, UniverseSize: 5000, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := d.LinkedIn
-	before := p.QueryCount()
+	before := queriesServed(p)
 	for i := 0; i < 7; i++ {
 		if _, err := p.Estimate(EstimateRequest{Spec: targeting.Attr(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := p.QueryCount() - before; got != 7 {
+	if got := queriesServed(p) - before; got != 7 {
 		t.Fatalf("query count delta = %d, want 7", got)
 	}
 }

@@ -85,7 +85,7 @@ func TestNewShardedBitExact(t *testing.T) {
 					name string
 					a, b *audience.Set
 				}{
-					{"all", serial.all, sharded.all},
+					{"all", serial.All(), sharded.All()},
 					{"male", serial.byGender[Male], sharded.byGender[Male]},
 					{"female", serial.byGender[Female], sharded.byGender[Female]},
 				}

@@ -351,7 +351,6 @@ type Universe struct {
 	regions    []uint8             // per-user region
 	factorRate [][NumCells]float64 // per-(factor, cell) membership rate
 
-	all      *audience.Set
 	byGender [NumGenders]*audience.Set
 	byAge    [NumAgeRanges]*audience.Set
 	byCell   [NumCells]*audience.Set
@@ -478,8 +477,6 @@ func build(cfg Config, spans []Span, workers int) (*Universe, error) {
 		tiers:     make([]uint8, localSize),
 		regions:   make([]uint8, localSize),
 	}
-	u.all = audience.New(localSize)
-	u.all.Fill()
 	for g := 0; g < NumGenders; g++ {
 		u.byGender[g] = audience.New(localSize)
 	}
@@ -614,10 +611,6 @@ func (u *Universe) Spans() []Span { return u.spans }
 // ScaleFactor returns the simulated-to-platform count multiplier.
 func (u *Universe) ScaleFactor() float64 { return u.cfg.ScaleFactor }
 
-// All returns the set of all users. The returned set is shared; callers must
-// not modify it.
-func (u *Universe) All() *audience.Set { return u.all }
-
 // GenderSet returns the set of users with the given gender (shared; do not
 // modify).
 func (u *Universe) GenderSet(g Gender) *audience.Set { return u.byGender[g] }
@@ -625,10 +618,6 @@ func (u *Universe) GenderSet(g Gender) *audience.Set { return u.byGender[g] }
 // AgeSet returns the set of users in the given age range (shared; do not
 // modify).
 func (u *Universe) AgeSet(a AgeRange) *audience.Set { return u.byAge[a] }
-
-// CellSet returns the set of users in the given demographic cell (shared; do
-// not modify).
-func (u *Universe) CellSet(c Cell) *audience.Set { return u.byCell[c] }
 
 // CellOfUser returns the demographic cell of user i.
 func (u *Universe) CellOfUser(i int) Cell { return u.cells[i] }
@@ -639,14 +628,6 @@ func (u *Universe) NumFactors() int { return len(u.cfg.Factors) }
 // HasFactor reports whether user i holds latent factor f.
 func (u *Universe) HasFactor(i, f int) bool {
 	return f >= 0 && f < len(u.cfg.Factors) && u.factors[i]&(1<<uint(f)) != 0
-}
-
-// FactorRateIn returns the probability a user in cell c holds factor f.
-func (u *Universe) FactorRateIn(f int, c Cell) float64 {
-	if f < 0 || f >= len(u.cfg.Factors) {
-		return 0
-	}
-	return u.factorRate[f][c]
 }
 
 // Materialize builds the membership bitset of an attribute, sharding the
@@ -712,27 +693,6 @@ func (u *Universe) ActivityTier(i int) int { return int(u.tiers[i]) }
 // RegionSet returns the set of users in the given region (shared; do not
 // modify).
 func (u *Universe) RegionSet(r Region) *audience.Set { return u.byRegion[r] }
-
-// RegionOfUser returns the region of user i.
-func (u *Universe) RegionOfUser(i int) Region { return Region(u.regions[i]) }
-
-// ExpectedCount returns the analytically expected audience size of the
-// attribute under the generative model (used by tests and the ablation
-// benches to validate materialization).
-func (u *Universe) ExpectedCount(m AttrModel) float64 {
-	var total float64
-	for c := 0; c < NumCells; c++ {
-		n := float64(u.byCell[c].Count())
-		pf := u.FactorRateIn(m.Factor, Cell(c))
-		var mean float64
-		for t := 0; t < ActivityTiers; t++ {
-			off := u.cfg.ActivitySigma * activityQuantiles[t]
-			mean += pf*u.rateAt(m, Cell(c), true, off) + (1-pf)*u.rateAt(m, Cell(c), false, off)
-		}
-		total += n * mean / ActivityTiers
-	}
-	return total
-}
 
 // CellCounts returns the number of users in each demographic cell.
 func (u *Universe) CellCounts() [NumCells]int {

@@ -99,8 +99,6 @@ func FromData(cfg Config, spans []Span, data UniverseData) (*Universe, error) {
 			u.factorRate[f][c] = fm.RateIn(Cell(c))
 		}
 	}
-	u.all = audience.New(localSize)
-	u.all.Fill()
 	for g := 0; g < NumGenders; g++ {
 		u.byGender[g] = audience.New(localSize)
 	}

@@ -11,21 +11,6 @@ import (
 	"repro/internal/population"
 )
 
-// ReadInfo parses a snapshot's prelude and directory without constructing a
-// deployment: what `adauditctl snapshot-info` and service provenance use.
-func ReadInfo(path string) (*Info, error) {
-	data, closer, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer()
-	m, err := parseFile(data)
-	if err != nil {
-		return nil, err
-	}
-	return infoFrom(m, path, int64(len(data))), nil
-}
-
 // LoadDeployment reconstructs a ready-to-serve deployment from a snapshot.
 // want must describe the deployment the caller would otherwise build with
 // platform.NewDeployment; the load refuses — with a typed error, never a

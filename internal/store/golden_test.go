@@ -35,7 +35,7 @@ func TestGoldenOnDiskBytes(t *testing.T) {
 		t.Errorf("wal.log with one record:\n got %s\nwant %s", got, walHex)
 	}
 	s = open(t, dir, Options{})
-	if err := s.Compact(); err != nil {
+	if err := compact(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -3,7 +3,7 @@ package store
 // GetMeasurement looks up the persisted size for a platform-qualified
 // canonical spec. Together with PutMeasurement it satisfies
 // core.MeasurementStore, letting the audit's caching provider treat the
-// store as a second, durable cache tier: a disk hit costs no query budget.
+// store as a second, durable cache tier: a disk hit costs no upstream query.
 func (s *Store) GetMeasurement(platform, canonicalSpec string) (int64, bool) {
 	return s.Get(KeyOf(platform, canonicalSpec))
 }

@@ -165,7 +165,7 @@ func TestSnapshotPlusWALReplayEquivalence(t *testing.T) {
 
 	dirs := map[string]int{ // each store's compaction threshold
 		"wal-only":    compactEvery,
-		"snapshotted": compactEvery, // explicit Compact after writes
+		"snapshotted": compactEvery, // explicit compaction after writes
 		"split-mid":   25,           // auto-compacts mid-sequence
 	}
 	contents := make(map[string]map[Key]int64)
@@ -175,8 +175,8 @@ func TestSnapshotPlusWALReplayEquivalence(t *testing.T) {
 		s.compactEvery = every
 		writes(s)
 		if name == "snapshotted" {
-			if err := s.Compact(); err != nil {
-				t.Fatalf("%s: Compact: %v", name, err)
+			if err := compact(s); err != nil {
+				t.Fatalf("%s: compact: %v", name, err)
 			}
 		}
 		s.Close()
@@ -214,7 +214,7 @@ func TestSnapshotCRCMismatchFailsLoudly(t *testing.T) {
 	if err := s.Put(KeyOf("p", "x"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compact(s); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -253,7 +253,7 @@ func TestCrashBetweenSnapshotAndTruncateIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tmp.Compact(); err != nil {
+	if err := compact(tmp); err != nil {
 		t.Fatal(err)
 	}
 	tmp.Close()

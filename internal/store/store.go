@@ -182,17 +182,6 @@ func (s *Store) Put(key Key, size int64) error {
 	return nil
 }
 
-// Compact folds the WAL into a fresh immutable snapshot and truncates the
-// log, bounding replay work at the next open.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: compact on closed store")
-	}
-	return s.compactLocked()
-}
-
 // Stats returns a point-in-time view of the store.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -97,18 +97,17 @@ type Spec struct {
 
 // Validation errors.
 var (
-	ErrEmptySpec         = errors.New("targeting: spec has no include clauses")
-	ErrEmptyClause       = errors.New("targeting: empty clause")
-	ErrMixedClause       = errors.New("targeting: clause mixes feature kinds")
-	ErrExcludeForbidden  = errors.New("targeting: exclusion targeting not allowed on this interface")
-	ErrKindForbidden     = errors.New("targeting: feature kind not offered by this interface")
-	ErrDemoForbidden     = errors.New("targeting: demographic targeting not allowed on this interface")
-	ErrAndWithinFeature  = errors.New("targeting: interface cannot AND options within one feature")
-	ErrTooManyClauses    = errors.New("targeting: too many clauses")
-	ErrUnknownOption     = errors.New("targeting: unknown targeting option")
-	ErrDuplicateRef      = errors.New("targeting: duplicate option within clause")
-	ErrInvalidDemoValue  = errors.New("targeting: invalid demographic value")
-	ErrDemoNotAttributes = errors.New("targeting: demographics on this interface are separate dimensions, not attributes")
+	ErrEmptySpec        = errors.New("targeting: spec has no include clauses")
+	ErrEmptyClause      = errors.New("targeting: empty clause")
+	ErrMixedClause      = errors.New("targeting: clause mixes feature kinds")
+	ErrExcludeForbidden = errors.New("targeting: exclusion targeting not allowed on this interface")
+	ErrKindForbidden    = errors.New("targeting: feature kind not offered by this interface")
+	ErrDemoForbidden    = errors.New("targeting: demographic targeting not allowed on this interface")
+	ErrAndWithinFeature = errors.New("targeting: interface cannot AND options within one feature")
+	ErrTooManyClauses   = errors.New("targeting: too many clauses")
+	ErrUnknownOption    = errors.New("targeting: unknown targeting option")
+	ErrDuplicateRef     = errors.New("targeting: duplicate option within clause")
+	ErrInvalidDemoValue = errors.New("targeting: invalid demographic value")
 )
 
 // Rules is a platform interface's composition policy.
@@ -485,20 +484,6 @@ func refCompare(a, b Ref) int {
 	}
 	var ba, bb [20]byte
 	return bytes.Compare(strconv.AppendInt(ba[:0], int64(a.ID), 10), strconv.AppendInt(bb[:0], int64(b.ID), 10))
-}
-
-// AttrIDs returns the IDs of all attribute refs in the include clauses, in
-// order of appearance. Useful for describing compositions of attributes.
-func AttrIDs(s Spec) []int {
-	var out []int
-	for _, cl := range s.Include {
-		for _, r := range cl {
-			if r.Kind == KindAttribute {
-				out = append(out, r.ID)
-			}
-		}
-	}
-	return out
 }
 
 // Refs returns every ref in the include clauses in order of appearance.

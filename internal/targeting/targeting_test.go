@@ -299,14 +299,6 @@ func TestCanonicalProperty(t *testing.T) {
 	}
 }
 
-func TestAttrIDs(t *testing.T) {
-	s := And(Attr(5), WithGender(Attr(7), 0))
-	ids := AttrIDs(s)
-	if len(ids) != 2 || ids[0] != 5 || ids[1] != 7 {
-		t.Fatalf("AttrIDs = %v", ids)
-	}
-}
-
 func TestRefs(t *testing.T) {
 	s := WithGender(Attr(5), 1)
 	refs := Refs(s)
