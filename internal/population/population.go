@@ -342,14 +342,13 @@ func (s Span) Len() int { return s.Hi - s.Lo }
 // (NewShard). All per-user draws hash global IDs, so a shard's users are
 // bit-identical to the same users in the full universe.
 type Universe struct {
-	cfg        Config
-	localSize  int                 // users materialized in this process
-	spans      []Span              // nil = the full [0, cfg.Size) space
-	cells      []Cell              // per-user demographic cell
-	factors    []uint32            // per-user factor bitmask
-	tiers      []uint8             // per-user activity tier
-	regions    []uint8             // per-user region
-	factorRate [][NumCells]float64 // per-(factor, cell) membership rate
+	cfg       Config
+	localSize int      // users materialized in this process
+	spans     []Span   // nil = the full [0, cfg.Size) space
+	cells     []Cell   // per-user demographic cell
+	factors   []uint32 // per-user factor bitmask
+	tiers     []uint8  // per-user activity tier
+	regions   []uint8  // per-user region
 
 	byGender [NumGenders]*audience.Set
 	byAge    [NumAgeRanges]*audience.Set
@@ -490,36 +489,58 @@ func build(cfg Config, spans []Span, workers int) (*Universe, error) {
 		u.byRegion[r] = audience.New(localSize)
 	}
 
+	d := &buildDraws{
+		activity: xrand.MixPrefix(cfg.Seed, domainActivity),
+		region:   xrand.MixPrefix(cfg.Seed, domainRegion),
+		factors:  make([]factorDraw, len(cfg.Factors)),
+	}
+
 	// Cumulative region distribution: US first, then the fixed non-US mix.
-	var regionCum [NumRegions]float64
-	regionCum[RegionUS] = cfg.USShare
+	d.regionCum[RegionUS] = cfg.USShare
 	acc0 := cfg.USShare
 	for r := 1; r < NumRegions; r++ {
 		acc0 += (1 - cfg.USShare) * nonUSWeights[r]
-		regionCum[r] = acc0
+		d.regionCum[r] = acc0
 	}
 
 	// Cumulative age distribution for the inverse-CDF draw.
-	var ageCum [NumAgeRanges]float64
 	acc := 0.0
 	for i, s := range cfg.AgeShare {
 		acc += s
-		ageCum[i] = acc
+		d.ageCum[i] = acc
 	}
 
-	// Precompute per-(factor, cell) membership rates so the per-user loop
-	// is a table lookup.
-	u.factorRate = make([][NumCells]float64, len(cfg.Factors))
+	// Precompute each factor's hash prefix and per-cell membership rates,
+	// so the per-user loop is one hash round and a table lookup.
 	for f, fm := range cfg.Factors {
+		d.factors[f].prefix = xrand.MixPrefix(cfg.Seed, domainFactor, uint64(f))
 		for c := 0; c < NumCells; c++ {
-			u.factorRate[f][c] = fm.RateIn(Cell(c))
+			d.factors[f].rate[c] = fm.RateIn(Cell(c))
 		}
 	}
 
 	u.forEachSpan(workers, func(lo, hi, gOff int) {
-		u.buildRange(lo, hi, gOff, ageCum, regionCum)
+		u.buildRange(lo, hi, gOff, d)
 	})
 	return u, nil
+}
+
+// buildDraws is what every user's draws in a build share: the cumulative
+// age and region distributions, and each draw's hash prefix over the words
+// that do not depend on the user.
+type buildDraws struct {
+	ageCum    [NumAgeRanges]float64
+	regionCum [NumRegions]float64
+	activity  xrand.Prefix // (seed, domainActivity)
+	region    xrand.Prefix // (seed, domainRegion)
+	factors   []factorDraw
+}
+
+// factorDraw is one latent factor's hash prefix (seed, domainFactor, f) and
+// its membership rate in each demographic cell.
+type factorDraw struct {
+	prefix xrand.Prefix
+	rate   [NumCells]float64
 }
 
 // forEachSpan fans fn out over the universe's local index space, span by
@@ -547,20 +568,19 @@ func (u *Universe) forEachSpan(workers int, fn func(lo, hi, gOff int)) {
 // effect on any user's draw; per-user slices are index-disjoint across
 // shards and the shared bitsets are written through 64-aligned shard
 // boundaries (see forEachShard).
-func (u *Universe) buildRange(lo, hi, gOff int, ageCum [NumAgeRanges]float64, regionCum [NumRegions]float64) {
+func (u *Universe) buildRange(lo, hi, gOff int, d *buildDraws) {
 	cfg := u.cfg
 	for i := lo; i < hi; i++ {
 		g64 := uint64(i + gOff)
-		hg := xrand.Mix(cfg.Seed, domainDemo, g64, 0)
-		ha := xrand.Mix(cfg.Seed, domainDemo, g64, 1)
+		demo := xrand.MixPrefix(cfg.Seed, domainDemo, g64)
 		g := Female
-		if xrand.Uniform01(hg) < cfg.MaleShare {
+		if xrand.Uniform01(demo.Then(0)) < cfg.MaleShare {
 			g = Male
 		}
-		ua := xrand.Uniform01(ha)
+		ua := xrand.Uniform01(demo.Then(1))
 		age := Age55Plus
 		for r := 0; r < NumAgeRanges; r++ {
-			if ua < ageCum[r] {
+			if ua < d.ageCum[r] {
 				age = AgeRange(r)
 				break
 			}
@@ -572,18 +592,19 @@ func (u *Universe) buildRange(lo, hi, gOff int, ageCum [NumAgeRanges]float64, re
 		u.byCell[cell].Add(i)
 
 		var mask uint32
-		for f := range cfg.Factors {
-			if xrand.Bernoulli(u.factorRate[f][cell], cfg.Seed, domainFactor, uint64(f), g64) {
+		for f := range d.factors {
+			fd := &d.factors[f]
+			if fd.prefix.Bernoulli(fd.rate[cell], g64) {
 				mask |= 1 << uint(f)
 			}
 		}
 		u.factors[i] = mask
-		u.tiers[i] = uint8(xrand.Mix(cfg.Seed, domainActivity, g64) % ActivityTiers)
+		u.tiers[i] = uint8(d.activity.Then(g64) % ActivityTiers)
 
-		ur := xrand.Uniform01(xrand.Mix(cfg.Seed, domainRegion, g64))
+		ur := xrand.Uniform01(d.region.Then(g64))
 		region := RegionOther
 		for r := 0; r < NumRegions; r++ {
-			if ur < regionCum[r] {
+			if ur < d.regionCum[r] {
 				region = Region(r)
 				break
 			}
@@ -643,7 +664,7 @@ func (u *Universe) Materialize(m AttrModel) *audience.Set {
 func (u *Universe) materializeWithWorkers(m AttrModel, workers int) *audience.Set {
 	// Membership probability depends only on (cell, hasFactor, activity
 	// tier); precompute the thresholds in hash space so the per-user work
-	// is one hash and one compare.
+	// is one hash round and one compare.
 	const mantissa = 1 << 53
 	var thresh [NumCells][2][ActivityTiers]uint64
 	for c := 0; c < NumCells; c++ {
@@ -657,10 +678,13 @@ func (u *Universe) materializeWithWorkers(m AttrModel, workers int) *audience.Se
 	if m.Factor >= 0 && m.Factor < len(u.cfg.Factors) {
 		factorBit = 1 << uint(m.Factor)
 	}
+	// Every user's draw hashes (seed, domainAttr, m.ID, global id): hash
+	// the first three words once and finish each user with one round.
+	attr := xrand.MixPrefix(u.cfg.Seed, domainAttr, m.ID)
 	set := audience.New(u.localSize)
 	u.forEachSpan(workers, func(lo, hi, gOff int) {
 		for i := lo; i < hi; i++ {
-			h := xrand.Mix(u.cfg.Seed, domainAttr, m.ID, uint64(i+gOff))
+			h := attr.Then(uint64(i + gOff))
 			fi := 0
 			if u.factors[i]&factorBit != 0 {
 				fi = 1

@@ -23,7 +23,7 @@ func (u *Universe) FactorRateIn(f int, c Cell) float64 {
 	if f < 0 || f >= len(u.cfg.Factors) {
 		return 0
 	}
-	return u.factorRate[f][c]
+	return u.cfg.Factors[f].RateIn(c)
 }
 
 // ExpectedCount returns the analytically expected audience size of the

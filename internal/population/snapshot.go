@@ -30,11 +30,11 @@ func (u *Universe) Data() UniverseData {
 // FromData reconstructs the universe build(cfg, spans, …) would produce,
 // taking the per-user draws from data instead of re-hashing them. The
 // resulting universe is indistinguishable from a built one — same config
-// defaults, same derived factor-rate tables, same demographic bitsets
-// (rebuilt from the cell/region arrays in one pass) — so Materialize and
-// every accessor behave identically. data must describe exactly the users
-// the spans select, in local index order; pass nil spans for a full
-// universe. The arrays are retained, not copied.
+// defaults, same demographic bitsets (rebuilt from the cell/region arrays
+// in one pass) — so Materialize and every accessor behave identically.
+// data must describe exactly the users the spans select, in local index
+// order; pass nil spans for a full universe. The arrays are retained, not
+// copied.
 func FromData(cfg Config, spans []Span, data UniverseData) (*Universe, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -92,12 +92,6 @@ func FromData(cfg Config, spans []Span, data UniverseData) (*Universe, error) {
 		factors:   data.Factors,
 		tiers:     data.Tiers,
 		regions:   data.Regions,
-	}
-	u.factorRate = make([][NumCells]float64, len(cfg.Factors))
-	for f, fm := range cfg.Factors {
-		for c := 0; c < NumCells; c++ {
-			u.factorRate[f][c] = fm.RateIn(Cell(c))
-		}
 	}
 	for g := 0; g < NumGenders; g++ {
 		u.byGender[g] = audience.New(localSize)

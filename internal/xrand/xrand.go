@@ -31,6 +31,30 @@ func Mix(words ...uint64) uint64 {
 	return h
 }
 
+// Prefix is Mix's state after a fixed list of leading words. Mix chains one
+// mix64 round per word, so draws that share their leading words (a seed, a
+// domain, an entity id) can hash those once and pay one round per draw:
+// MixPrefix(a, b).Then(c) == Mix(a, b, c) for any words a, b and c.
+type Prefix struct{ h uint64 }
+
+// MixPrefix returns the prefix over words; MixPrefix() is the empty prefix.
+func MixPrefix(words ...uint64) Prefix { return Prefix{Mix(words...)} }
+
+// Then returns Mix over the prefix's words followed by w.
+func (p Prefix) Then(w uint64) uint64 { return mix64(p.h ^ w) }
+
+// Bernoulli is Bernoulli(q, words..., w) for the prefix's words: the same
+// coin flip, with the same outcome for q <= 0 and q >= 1.
+func (p Prefix) Bernoulli(q float64, w uint64) bool {
+	if q <= 0 {
+		return false
+	}
+	if q >= 1 {
+		return true
+	}
+	return Uniform01(p.Then(w)) < q
+}
+
 // Uniform01 maps a hash value to a float64 uniformly distributed in [0, 1).
 func Uniform01(h uint64) float64 {
 	// Use the top 53 bits for a uniformly distributed mantissa.

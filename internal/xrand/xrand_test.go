@@ -17,6 +17,80 @@ func TestMixDeterministic(t *testing.T) {
 	}
 }
 
+// TestMixGolden pins Mix to literal values. Every stateless draw in the
+// repository is a Mix, so these values change only if every artifact does.
+func TestMixGolden(t *testing.T) {
+	for _, c := range []struct {
+		words []uint64
+		want  uint64
+	}{
+		{nil, 0x517cc1b727220a95},
+		{[]uint64{0}, 0x35f576a4e31cf92b},
+		{[]uint64{1, 2, 3}, 0x9d2d29d540550453},
+		{[]uint64{42, 0x33, 17, 40_006}, 0x9430a7da46bf6fdc},
+		{[]uint64{42, 0x22, 3, 0, 1}, 0xa8039cb6b07a92fb},
+		{[]uint64{^uint64(0), 0x9e3779b97f4a7c15}, 0x92eb61a1da2004b0},
+	} {
+		if got := Mix(c.words...); got != c.want {
+			t.Errorf("Mix(%#x) = %#x, want %#x", c.words, got, c.want)
+		}
+	}
+}
+
+// TestPrefixContinuesMix pins the prefix contract: for every split of a
+// word list, the empty prefix included, the prefix over the head continued
+// with the tail equals Mix over the whole list. Then finishes one word, so
+// a longer tail is carried word by word through the state each round
+// leaves; the split before the last word is the program's case.
+func TestPrefixContinuesMix(t *testing.T) {
+	r := New(2024)
+	edge := []uint64{0, 1, ^uint64(0), 0x9e3779b97f4a7c15}
+	for trial := 0; trial < 5000; trial++ {
+		words := make([]uint64, 1+r.Intn(6))
+		for i := range words {
+			if r.Intn(4) == 0 {
+				words[i] = edge[r.Intn(len(edge))]
+			} else {
+				words[i] = r.Uint64()
+			}
+		}
+		want := Mix(words...)
+		last := len(words) - 1
+		for k := 0; k <= last; k++ {
+			p := MixPrefix(words[:k]...)
+			for _, w := range words[k:last] {
+				p = Prefix{p.Then(w)}
+			}
+			if got := p.Then(words[last]); got != want {
+				t.Fatalf("MixPrefix(%#x) continued with %#x = %#x, want Mix = %#x", words[:k], words[k:], got, want)
+			}
+		}
+	}
+}
+
+// TestPrefixBernoulli checks the prefix coin flip against Bernoulli over
+// the full word list, the p <= 0 and p >= 1 edges included.
+func TestPrefixBernoulli(t *testing.T) {
+	r := New(5)
+	ps := []float64{math.Inf(-1), -0.5, 0, 1e-9, 0.3, 0.5, 0.999, 1, 1.5, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 2000; trial++ {
+		a, b, w := r.Uint64(), r.Uint64()%8, r.Uint64()
+		p := MixPrefix(a, b)
+		for _, q := range append(ps, r.Float64()) {
+			if got, want := p.Bernoulli(q, w), Bernoulli(q, a, b, w); got != want {
+				t.Fatalf("MixPrefix(%#x, %#x).Bernoulli(%v, %#x) = %v, Bernoulli = %v", a, b, q, w, got, want)
+			}
+		}
+	}
+	p := MixPrefix(1, 2)
+	if p.Bernoulli(0, 3) || p.Bernoulli(-0.5, 3) {
+		t.Error("prefix Bernoulli(p <= 0) must be false")
+	}
+	if !p.Bernoulli(1, 3) || !p.Bernoulli(1.5, 3) {
+		t.Error("prefix Bernoulli(p >= 1) must be true")
+	}
+}
+
 func TestMixDistinctInputs(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 10000; i++ {
