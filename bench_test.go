@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mitigation"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/population"
 	"repro/internal/stats"
@@ -582,6 +583,56 @@ func BenchmarkMeasureSerial(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
+// BenchmarkCacheMeasure times one Measure call through the audit's
+// measurement cache over measureBench's interface: "hit" re-measures the
+// battery from a warm cache, "miss" measures distinct two-attribute US
+// specs, each new to its cache, so every call goes upstream to the
+// platform. The miss loop swaps in an empty cache, off the clock, once it
+// has used every spec.
+func BenchmarkCacheMeasure(b *testing.B) {
+	p, specs := measureBench(b)
+	b.Run("hit", func(b *testing.B) {
+		cp := core.NewCachingProviderWith(core.NewPlatformProvider(p), obs.NewRegistry())
+		for _, s := range specs {
+			if _, err := cp.Measure(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cp.Measure(specs[i%len(specs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		us := targeting.Clause{{Kind: targeting.KindLocation, ID: int(population.RegionUS)}}
+		n := len(p.Catalog().Attributes)
+		var misses []targeting.Spec
+		for i := 0; i < n && len(misses) < 4096; i++ {
+			for j := i + 1; j < n && len(misses) < 4096; j++ {
+				misses = append(misses, targeting.Spec{Include: []targeting.Clause{
+					{{Kind: targeting.KindAttribute, ID: i}}, {{Kind: targeting.KindAttribute, ID: j}}, us,
+				}})
+			}
+		}
+		var cp core.Provider
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(misses) == 0 {
+				b.StopTimer()
+				cp = core.NewCachingProviderWith(core.NewPlatformProvider(p), obs.NewRegistry())
+				b.StartTimer()
+			}
+			if _, err := cp.Measure(misses[i%len(misses)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkMeasureParallel measures estimate throughput with GOMAXPROCS
 // goroutines hammering one shared interface: the lock-free estimate path
 // should scale near-linearly with cores (target ≥4× serial at
@@ -627,10 +678,7 @@ func BenchmarkMeasureBatch(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ests, err := p.MeasureMany(reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ests := p.MeasureMany(reqs)
 		for _, e := range ests {
 			if e.Err != nil {
 				b.Fatal(e.Err)
@@ -660,10 +708,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 
 	// Build the option slots, and cross-check: compiled answers must match
 	// serial Measure slot for slot before timing anything.
-	warm, err := p.MeasureMany(reqs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	warm := p.MeasureMany(reqs)
 	for i, req := range reqs {
 		want, err := p.Measure(req)
 		if err != nil || warm[i].Err != nil || warm[i].Size != want {
@@ -673,10 +718,7 @@ func BenchmarkCompiledBatch(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ests, err := p.MeasureMany(reqs)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ests := p.MeasureMany(reqs)
 		for _, e := range ests {
 			if e.Err != nil {
 				b.Fatal(e.Err)

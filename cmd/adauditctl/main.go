@@ -702,11 +702,12 @@ func printMetricsSummary(w io.Writer, r *experiments.Runner, phases []string) er
 			st.Upstream.P95.Round(time.Microsecond),
 		)
 	}
-	// Batched-evaluation roll-up: how much of the load the tiled kernel
-	// absorbed. The platform counters live in the registry of the process
-	// that serves the deployment, so a remote run (-endpoint) finds none
-	// and omits the table. Batch sizes are spec counts stored in the
-	// histogram's duration slots.
+	// Batched-evaluation roll-up: the queries the tiled kernel answered
+	// (plans_compiled_total; a serial query is a one-slot batch), in how
+	// many batches and tiles. The platform counters live in the registry of
+	// the process that serves the deployment, so a remote run (-endpoint)
+	// finds none and omits the table. Batch sizes are spec counts stored in
+	// the histogram's duration slots.
 	hists := make(map[string]obs.HistogramSnapshot)
 	for _, s := range reg.Gather() {
 		if s.Name == "batch_size_specs" {
@@ -716,7 +717,7 @@ func printMetricsSummary(w io.Writer, r *experiments.Runner, phases []string) er
 	var batchRows [][6]any
 	for _, name := range r.PlatformNames() {
 		lbl := obs.L("interface", name)
-		q := reg.CounterValue("batched_queries_total", lbl)
+		q := reg.CounterValue("plans_compiled_total", lbl)
 		if q == 0 {
 			continue
 		}

@@ -107,7 +107,7 @@ func TestRunWithMetricsSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"audit_cache_hits_total", "platform_queries_total", "batched_queries_total", "experiment_phase_seconds{phase=\"fig1\"}"} {
+	for _, want := range []string{"audit_cache_hits_total", "platform_queries_total", "plans_compiled_total", "experiment_phase_seconds{phase=\"fig1\"}"} {
 		if !strings.Contains(string(snapData), want) {
 			t.Errorf("metrics snapshot missing %q", want)
 		}

@@ -51,9 +51,10 @@ func slotError(code, message string) batchSlot {
 }
 
 // handleMeasureBatch serves the auditor door's batch endpoint. Each slot is
-// decoded, measured, and encoded exactly as POST /measure would treat it —
-// store tier included — but the decodable slots reach the platform as one
-// MeasureManyCtx call under the request's context, so the in-process
+// decoded, measured, and encoded exactly as POST /measure would treat it:
+// the decodable slots go through measure, the path /measure runs with one
+// slot, so they reach the store tier and then the platform as one
+// MeasureManyCtx call under the request's context. The in-process
 // simulators answer them with single tiled passes over the universe, and a
 // continued trace records the kernel and plan-compile spans.
 func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request) {
@@ -86,43 +87,7 @@ func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request
 		slots = append(slots, i)
 	}
 
-	sizes := make([]platform.Estimate, len(reqs))
-	if h.store != nil {
-		// Store tier: persisted slots are answered without touching the
-		// platform, each leaving store provenance as on /measure; only the
-		// misses form the platform batch.
-		span := trace.FromContext(r.Context())
-		missIdx := make([]int, 0, len(reqs))
-		miss := make([]platform.EstimateRequest, 0, len(reqs))
-		for k, req := range reqs {
-			if v, ok := h.storeGet(span, measureStoreKey(req)); ok {
-				sizes[k] = platform.Estimate{Size: v}
-				continue
-			}
-			missIdx = append(missIdx, k)
-			miss = append(miss, req)
-		}
-		span.AnnotateInt("store_hits", int64(len(reqs)-len(miss)))
-		missSizes, err := h.p.MeasureManyCtx(r.Context(), miss)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-			return
-		}
-		for j, k := range missIdx {
-			sizes[k] = missSizes[j]
-			if missSizes[j].Err == nil {
-				h.storePut(measureStoreKey(miss[j]), missSizes[j].Size)
-			}
-		}
-	} else {
-		ests, err := h.p.MeasureManyCtx(r.Context(), reqs)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-			return
-		}
-		copy(sizes, ests)
-	}
-
+	sizes := h.measure(r.Context(), reqs)
 	for k, i := range slots {
 		if serr := sizes[k].Err; serr != nil {
 			results[i] = slotError(errorCode(serr), serr.Error())

@@ -167,8 +167,8 @@ func (c *Client) Measure(spec targeting.Spec) (int64, error) {
 	return c.MeasureCtx(context.Background(), spec)
 }
 
-// MeasureCtx implements core.ContextMeasurer: Measure with caller-controlled
-// cancellation. When the context carries a trace span the exchange is
+// MeasureCtx is Measure with caller-controlled cancellation: one serial
+// /measure exchange. When the context carries a trace span the exchange is
 // recorded as a child span and the trace rides the X-Adaudit-Trace header
 // to the server, which continues it — one trace spans both processes.
 func (c *Client) MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error) {

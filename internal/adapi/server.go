@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -407,14 +406,13 @@ func (h *ifaceHandler) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	h.serveSize(w, r, h.p.EstimateCtx)
 }
 
-// handleMeasure serves the auditor door through the platform's context
-// door, from the durable cache when one is configured.
+// handleMeasure serves the auditor door as a one-slot measure call: the
+// store tier when one is configured, then the platform's batch door.
 func (h *ifaceHandler) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	if h.store != nil {
-		h.serveSize(w, r, h.storedMeasureCtx)
-		return
-	}
-	h.serveSize(w, r, h.p.MeasureCtx)
+	h.serveSize(w, r, func(ctx context.Context, req platform.EstimateRequest) (int64, error) {
+		e := h.measure(ctx, []platform.EstimateRequest{req})[0]
+		return e.Size, e.Err
+	})
 }
 
 // serveSize decodes the dialect request, queries the platform under the
@@ -455,9 +453,6 @@ func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query f
 func errorCodeOrMalformed(err error) string {
 	if code := errorCode(err); code != codeInternal {
 		return code
-	}
-	if strings.Contains(err.Error(), "malformed") {
-		return codeMalformedRequest
 	}
 	return codeMalformedRequest
 }

@@ -29,8 +29,7 @@ func measureStoreKey(req platform.EstimateRequest) string {
 
 // storeGet looks one auditor-door answer up in the store. A hit counts
 // toward the store-hit metric and, under a distributed trace, leaves a
-// "store"-sourced provenance record: the platform was never queried. Both
-// auditor doors, /measure and /measure-batch, read the store through it.
+// "store"-sourced provenance record: the platform was never queried.
 func (h *ifaceHandler) storeGet(span *trace.Span, key string) (int64, bool) {
 	v, ok := h.store.GetMeasurement(h.p.Name(), key)
 	if !ok {
@@ -59,22 +58,37 @@ func (h *ifaceHandler) storePut(key string, v int64) {
 	}
 }
 
-// storedMeasureCtx is the auditor door's measurement path when a store is
-// configured: persisted answers are served without touching the platform
-// (its query counters stay flat), fresh answers go through the platform's
-// context door and are appended before they are returned. Under a
-// distributed trace, a store hit also annotates the server span store=hit;
-// misses record the platform's own span and provenance.
-func (h *ifaceHandler) storedMeasureCtx(ctx context.Context, req platform.EstimateRequest) (int64, error) {
-	key := measureStoreKey(req)
+// measure is the auditor door's one path, behind /measure (a one-slot
+// call) and /measure-batch. With a store configured, persisted answers are
+// served without touching the platform (its query counters stay flat), and
+// the server span under a distributed trace carries their store_hits
+// count; the misses reach the platform as one MeasureManyCtx call under
+// ctx, and their fresh answers are appended before they are returned.
+func (h *ifaceHandler) measure(ctx context.Context, reqs []platform.EstimateRequest) []platform.Estimate {
+	if h.store == nil {
+		return h.p.MeasureManyCtx(ctx, reqs)
+	}
 	span := trace.FromContext(ctx)
-	if v, ok := h.storeGet(span, key); ok {
-		span.Annotate("store", "hit")
-		return v, nil
+	out := make([]platform.Estimate, len(reqs))
+	missIdx := make([]int, 0, len(reqs))
+	miss := make([]platform.EstimateRequest, 0, len(reqs))
+	for k, req := range reqs {
+		if v, ok := h.storeGet(span, measureStoreKey(req)); ok {
+			out[k].Size = v
+			continue
+		}
+		missIdx = append(missIdx, k)
+		miss = append(miss, req)
 	}
-	v, err := h.p.MeasureCtx(ctx, req)
-	if err == nil {
-		h.storePut(key, v)
+	span.AnnotateInt("store_hits", int64(len(reqs)-len(miss)))
+	if len(miss) == 0 {
+		return out
 	}
-	return v, err
+	for j, e := range h.p.MeasureManyCtx(ctx, miss) {
+		out[missIdx[j]] = e
+		if e.Err == nil {
+			h.storePut(measureStoreKey(miss[j]), e.Size)
+		}
+	}
+	return out
 }

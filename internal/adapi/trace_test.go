@@ -22,8 +22,8 @@ import (
 // both traced auditor doors, /measure and /measure-batch: the first traced
 // call misses the store and is answered (and recorded) by the platform, the
 // second is served from disk — "store"-sourced provenance under the second
-// call's trace, and the server span annotated (store=hit on /measure, the
-// store_hits count on /measure-batch).
+// call's trace, and the server span annotated with the store_hits count
+// (1 on /measure, a one-slot call of the same path, 2 on /measure-batch).
 func TestStoredMeasureTraceProvenance(t *testing.T) {
 	specs := []targeting.Spec{targeting.Attr(4), targeting.Attr(6)}
 	doors := []struct {
@@ -35,7 +35,7 @@ func TestStoredMeasureTraceProvenance(t *testing.T) {
 		{"measure", specs[:1], func(ctx context.Context, c *Client, specs []targeting.Spec) ([]int64, error) {
 			v, err := c.MeasureCtx(ctx, specs[0])
 			return []int64{v}, err
-		}, trace.Annotation{Key: "store", Value: "hit"}},
+		}, trace.Annotation{Key: "store_hits", Value: "1"}},
 		{"measure-batch", specs, func(ctx context.Context, c *Client, specs []targeting.Spec) ([]int64, error) {
 			var out []int64
 			for _, r := range c.MeasureManyCtx(ctx, specs) {

@@ -205,7 +205,7 @@ func (c *Coordinator) Metadata() *platform.Deployment { return c.meta }
 // Measure answers one auditor-door query, bit-identically to a single-node
 // Interface.Measure over the full universe.
 func (c *Coordinator) Measure(iface string, req platform.EstimateRequest) (int64, error) {
-	out, err := c.sizeMany(context.Background(), iface, platform.DoorMeasure, []platform.EstimateRequest{req})
+	out, err := c.sizeMany(context.Background(), iface, []platform.EstimateRequest{req})
 	if err != nil {
 		return 0, err
 	}
@@ -221,15 +221,15 @@ func (c *Coordinator) Measure(iface string, req platform.EstimateRequest) (int64
 // to every remote shard door. Tracing never alters the counts — traced and
 // untraced batches are bit-identical.
 func (c *Coordinator) MeasureManyCtx(ctx context.Context, iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
-	return c.sizeMany(ctx, iface, platform.DoorMeasure, reqs)
+	return c.sizeMany(ctx, iface, reqs)
 }
 
-// sizeMany is the scatter-gather core: validate and resolve scaling factors
-// once on the metadata interface (the same checks, in the same order, as
-// the single-node batch path), fan the param-valid slots out to the
-// shards, sum raw counts per slot, and scale-and-round each sum exactly
-// once.
-func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.Door, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
+// sizeMany is the scatter-gather core behind the auditor door: validate
+// and resolve scaling factors once on the metadata interface (the same
+// checks, in the same order, as the single-node batch path), fan the
+// param-valid slots out to the shards, sum raw counts per slot, and
+// scale-and-round each sum exactly once.
+func (c *Coordinator) sizeMany(ctx context.Context, iface string, reqs []platform.EstimateRequest) ([]platform.Estimate, error) {
 	p, err := c.meta.ByName(iface)
 	if err != nil {
 		return nil, err
@@ -242,7 +242,7 @@ func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.
 	if span != nil {
 		defer span.End()
 		span.Annotate("interface", iface)
-		span.Annotate("door", door.String())
+		span.Annotate("door", platform.DoorMeasure.String())
 		span.AnnotateInt("specs", int64(len(reqs)))
 	}
 	c.mBatches.Inc()
@@ -252,7 +252,7 @@ func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.
 	impressions := make([]float64, len(reqs))
 	valid := make([]int, 0, len(reqs))
 	for i := range reqs {
-		e, f, err := p.QueryParams(door, reqs[i])
+		e, f, err := p.QueryParams(platform.DoorMeasure, reqs[i])
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -268,7 +268,7 @@ func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.
 		sub[k] = reqs[i]
 	}
 
-	counts, slotErrs, stats, err := c.scatterGather(span, iface, door, sub)
+	counts, slotErrs, stats, err := c.scatterGather(span, iface, sub)
 	if span != nil {
 		span.AnnotateInt("failover_rounds", int64(stats.rounds))
 		span.AnnotateInt("shards", int64(len(stats.shards)))
@@ -303,7 +303,7 @@ func (c *Coordinator) sizeMany(ctx context.Context, iface string, door platform.
 				Platform:       iface,
 				Key:            key,
 				Source:         "cluster",
-				PlanHash:       trace.PlanHash(iface, door.String(), key),
+				PlanHash:       trace.PlanHash(iface, platform.DoorMeasure.String(), key),
 				Shards:         stats.shards,
 				FailoverRounds: stats.rounds,
 				TraceID:        span.TraceID(),
@@ -328,7 +328,7 @@ type scatterStats struct {
 // so the first one reported wins and the slot's counts are discarded. A
 // non-nil span records one child span per shard attempt; tracing observes
 // the scatter but never steers it.
-func (c *Coordinator) scatterGather(span *trace.Span, iface string, door platform.Door, reqs []platform.EstimateRequest) ([]int64, []error, scatterStats, error) {
+func (c *Coordinator) scatterGather(span *trace.Span, iface string, reqs []platform.EstimateRequest) ([]int64, []error, scatterStats, error) {
 	counts := make([]int64, len(reqs))
 	slotErrs := make([]error, len(reqs))
 	var stats scatterStats
@@ -356,7 +356,7 @@ func (c *Coordinator) scatterGather(span *trace.Span, iface string, door platfor
 		results := make(chan shardResult, len(pending))
 		for id, parts := range pending {
 			go func(id string, parts []uint32) {
-				res, err := c.callShard(span, round, c.conns[id], iface, door, parts, reqs)
+				res, err := c.callShard(span, round, c.conns[id], iface, parts, reqs)
 				results <- shardResult{id: id, parts: parts, res: res, err: err}
 			}(id, parts)
 		}
@@ -422,7 +422,7 @@ func (c *Coordinator) scatterGather(span *trace.Span, iface string, door platfor
 // records its own child span — shard ID, failover round, attempt number,
 // and outcome (ok, retry, or failover) — and carries the trace context into
 // the conn, so a remote shard door continues the same trace.
-func (c *Coordinator) callShard(parent *trace.Span, round int, conn Conn, iface string, door platform.Door, parts []uint32, reqs []platform.EstimateRequest) ([]platform.RawCount, error) {
+func (c *Coordinator) callShard(parent *trace.Span, round int, conn Conn, iface string, parts []uint32, reqs []platform.EstimateRequest) ([]platform.RawCount, error) {
 	m := c.perShard[conn.ID()]
 	var err error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -446,7 +446,7 @@ func (c *Coordinator) callShard(parent *trace.Span, round int, conn Conn, iface 
 			ctx = trace.NewContext(ctx, sp)
 		}
 		var res []platform.RawCount
-		res, err = conn.CountBatch(ctx, iface, door, parts, reqs)
+		res, err = conn.CountBatch(ctx, iface, platform.DoorMeasure, parts, reqs)
 		cancel()
 		m.latency.ObserveWithExemplar(time.Since(start), exID)
 		if err == nil {
@@ -521,13 +521,6 @@ func (cp *clusterProvider) CrossFeature() bool {
 
 func (cp *clusterProvider) Measure(spec targeting.Spec) (int64, error) {
 	return cp.c.Measure(cp.iface, platform.EstimateRequest{Spec: spec})
-}
-
-// MeasureCtx implements core.ContextMeasurer: one traced single-spec
-// scatter-gather.
-func (cp *clusterProvider) MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error) {
-	out := cp.MeasureManyCtx(ctx, []targeting.Spec{spec})
-	return out[0].Size, out[0].Err
 }
 
 // MeasureMany implements core.BatchMeasurer: one scatter-gather per batch.

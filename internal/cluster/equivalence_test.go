@@ -143,21 +143,10 @@ func matchSlot(t *testing.T, ctxt string, i int, got platform.Estimate, want pla
 	}
 }
 
-// serialEstimates answers reqs through p's serial advertiser door, one
-// Estimate call per slot: the reference for a batch under that door.
-func serialEstimates(p *platform.Interface, reqs []platform.EstimateRequest) []platform.Estimate {
-	out := make([]platform.Estimate, len(reqs))
-	for i, r := range reqs {
-		out[i].Size, out[i].Err = p.Estimate(r)
-	}
-	return out
-}
-
 // TestClusterEquivalence is the battery the tentpole hangs from: for shard
-// counts N ∈ {1, 2, 3, 7, 16}, the scatter-gather auditor and advertiser
-// doors over every interface must be bit-identical (post-rounding) to the
-// single-node deployment on the same seeded universe — sizes and error
-// messages both. The single node runs the compiled-plan path, the shards
+// counts N ∈ {1, 2, 3, 7, 16}, the scatter-gather auditor door over every
+// interface must be bit-identical (post-rounding) to the single-node
+// deployment on the same seeded universe — sizes and error messages both. The single node runs the compiled-plan path, the shards
 // run the compressed-only shard path, so agreement pins the whole stack:
 // span-restricted population build, CSet evaluation kernels, raw-count
 // additivity, and the coordinator's merge-then-round order.
@@ -193,21 +182,9 @@ func TestClusterEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: cluster MeasureMany: %v", p.Name(), err)
 				}
-				want, err := p.MeasureMany(reqs)
-				if err != nil {
-					t.Fatalf("%s: single MeasureMany: %v", p.Name(), err)
-				}
+				want := p.MeasureMany(reqs)
 				for i := range reqs {
 					matchSlot(t, p.Name()+"/measure", i, got[i], want[i])
-				}
-
-				got, err = coord.sizeMany(context.Background(), p.Name(), platform.DoorEstimate, reqs)
-				if err != nil {
-					t.Fatalf("%s: cluster estimate batch: %v", p.Name(), err)
-				}
-				want = serialEstimates(p, reqs)
-				for i := range reqs {
-					matchSlot(t, p.Name()+"/estimate", i, got[i], want[i])
 				}
 			}
 		})
@@ -244,10 +221,7 @@ func TestClusterEquivalenceLargeUniverse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cluster MeasureMany: %v", p.Name(), err)
 		}
-		want, err := p.MeasureMany(reqs)
-		if err != nil {
-			t.Fatalf("%s: single MeasureMany: %v", p.Name(), err)
-		}
+		want := p.MeasureMany(reqs)
 		for i := range reqs {
 			matchSlot(t, p.Name()+"/measure", i, got[i], want[i])
 		}
@@ -255,8 +229,8 @@ func TestClusterEquivalenceLargeUniverse(t *testing.T) {
 }
 
 // TestClusterSerialDoors pins the single-request auditor door (Measure)
-// and one-request advertiser-door scatters against the single-node serial
-// doors on a 3-shard cluster, including the error cases.
+// against the single-node serial door on a 3-shard cluster, including the
+// error cases.
 func TestClusterSerialDoors(t *testing.T) {
 	opts := platform.DeployOptions{
 		Seed:         eqSeed,
@@ -287,19 +261,6 @@ func TestClusterSerialDoors(t *testing.T) {
 			}
 			if gotSize != wantSize {
 				t.Fatalf("%s req %d: cluster Measure %d, single %d", p.Name(), i, gotSize, wantSize)
-			}
-
-			est, err := coord.sizeMany(context.Background(), p.Name(), platform.DoorEstimate, []platform.EstimateRequest{req})
-			if err != nil {
-				t.Fatalf("%s req %d: cluster Estimate: %v", p.Name(), i, err)
-			}
-			gotSize, gotErr = est[0].Size, est[0].Err
-			wantSize, wantErr = p.Estimate(req)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s req %d: cluster Estimate err=%v, single err=%v", p.Name(), i, gotErr, wantErr)
-			}
-			if wantErr == nil && gotSize != wantSize {
-				t.Fatalf("%s req %d: cluster Estimate %d, single %d", p.Name(), i, gotSize, wantSize)
 			}
 		}
 	}

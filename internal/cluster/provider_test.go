@@ -1,18 +1,16 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/targeting"
 )
 
-// The coordinator's core.Provider adapter must answer the traced and
-// untraced single/batch doors identically, and every shard must echo the
-// layout fingerprint the coordinator was built from.
+// The coordinator's core.Provider adapter must answer the serial and batch
+// doors identically, and every shard must echo the layout fingerprint the
+// coordinator was built from.
 func TestClusterProviderContextDoors(t *testing.T) {
 	opts := platform.DeployOptions{
 		Seed:         eqSeed,
@@ -29,17 +27,6 @@ func TestClusterProviderContextDoors(t *testing.T) {
 	want, err := prov.Measure(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cm, ok := prov.(core.ContextMeasurer)
-	if !ok {
-		t.Fatal("cluster provider does not implement core.ContextMeasurer")
-	}
-	got, err := cm.MeasureCtx(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("MeasureCtx = %d, Measure = %d", got, want)
 	}
 	batch := prov.MeasureMany([]targeting.Spec{spec})
 	if len(batch) != 1 || batch[0].Err != nil || batch[0].Size != want {

@@ -90,10 +90,7 @@ func TestTracedFailoverBitIdentical(t *testing.T) {
 
 	p := single.Facebook
 	reqs := clusterBatch(p, 4242, 24)
-	want, err := p.MeasureMany(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := p.MeasureMany(reqs)
 
 	tr := newTestTracer(11)
 	root := tr.StartRoot("test.traced_failover")
@@ -177,10 +174,7 @@ func TestTracedRetryRecorded(t *testing.T) {
 
 	p := single.LinkedIn
 	reqs := clusterBatch(p, 909, 8)
-	want, err := p.MeasureMany(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := p.MeasureMany(reqs)
 
 	tr := newTestTracer(13)
 	root := tr.StartRoot("test.traced_retry")

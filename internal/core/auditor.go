@@ -138,13 +138,15 @@ func (a *Auditor) scoped(spec targeting.Spec) targeting.Spec {
 	return withClause(spec, a.scope)
 }
 
-// measureScoped is the auditor's serial measurement path: every size the
-// methodology consumes is restricted to the scope population. With a live
-// span the measurement flows through the provider chain's traced doors
-// (cache outcome, platform kernel, cluster fan-out spans); without one it
-// is the plain cached Measure call.
+// measureScoped is the auditor's serial measurement path, a one-slot
+// batch through the cache: every size the methodology consumes is
+// restricted to the scope population. With a live span the measurement
+// flows through the provider chain's traced doors (cache partition,
+// platform kernel, cluster fan-out spans).
 func (a *Auditor) measureScoped(span *trace.Span, spec targeting.Spec) (int64, error) {
-	return a.p.measure(span, a.scoped(spec))
+	var buf [1]BatchResult
+	r := a.p.measureMany(span, []targeting.Spec{a.scoped(spec)}, buf[:0])[0]
+	return r.Size, r.Err
 }
 
 // Provider returns the underlying (cache-wrapped) provider.

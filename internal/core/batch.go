@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/obs/trace"
@@ -47,44 +48,51 @@ func (pp *platformProvider) MeasureManyCtx(ctx context.Context, specs []targetin
 }
 
 func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.Spec) []BatchResult {
-	reqs := make([]platform.EstimateRequest, len(specs))
+	var reqBuf [1]platform.EstimateRequest
+	reqs := append(reqBuf[:0], make([]platform.EstimateRequest, len(specs))...)
 	for i, s := range specs {
 		reqs[i].Spec = s
 	}
 	var ests []platform.Estimate
-	var err error
 	if ctx != nil {
-		ests, err = pp.p.MeasureManyCtx(ctx, reqs)
+		ests = pp.p.MeasureManyCtx(ctx, reqs)
 	} else {
-		ests, err = pp.p.MeasureMany(reqs)
+		ests = pp.p.MeasureMany(reqs)
 	}
 	out := make([]BatchResult, len(specs))
-	if err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
 	for i, e := range ests {
 		out[i] = BatchResult{Size: e.Size, Err: e.Err}
 	}
 	return out
 }
 
-// MeasureMany implements BatchMeasurer for the caching provider. Under one
-// lock acquisition the batch is partitioned exactly as serial Measure
-// would treat each spec in slot order: memory hits, waits on another
-// caller's in-flight miss, duplicates of a key this batch already claimed,
-// store hits (filling the memory tier, no upstream call), and claimed
-// misses. Only the unique misses are counted as upstream calls and sent
-// upstream as one batch, in claim order, then persisted before being
-// published, with failed slots refunded, exactly like the serial path.
+// MeasureMany implements BatchMeasurer for the caching provider.
 func (cp *cachingProvider) MeasureMany(specs []targeting.Spec) []BatchResult {
-	return cp.measureMany(nil, specs)
+	return cp.measureMany(nil, specs, nil)
 }
 
-func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spec) []BatchResult {
-	out := make([]BatchResult, len(specs))
+// measureMany is the cache's one body: MeasureMany, Measure (one slot) and
+// the auditor's measurements all run it. Under one lock acquisition the
+// batch is partitioned in slot order into memory hits, waits on an
+// in-flight miss of the same key (another caller's, or an earlier slot of
+// this batch: either way the slot collapses onto one upstream call), store
+// hits (filling the memory tier, no upstream call), and claimed misses.
+// Only the claimed misses are counted as upstream calls and sent upstream
+// as one batch, in claim order, with one latency observation; their
+// answers are persisted before being published, and failed slots are
+// refunded. The canonical keys are computed before the lock is taken, so
+// the lock covers only the table reads. The results go into buf when it
+// has room: a one-slot caller passes a stack array, and the partition's
+// own lists start on the stack, so a one-slot hit allocates only its
+// canonical key.
+//
+// Under a live span the call records a cache.measure_many span with the
+// partition's counts, and provenance for the slots the cache itself serves
+// (memory hits, store hits, and waits); claimed misses are recorded by the
+// upstream layer that measures them. A traced call whose every slot failed
+// carries the first slot's error.
+func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spec, buf []BatchResult) []BatchResult {
+	out := append(buf[:0], make([]BatchResult, len(specs))...)
 	if len(specs) == 0 {
 		return out
 	}
@@ -94,28 +102,22 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 		key  string
 		call *inflightCall
 	}
-	type wait struct {
-		slot int
-		call *inflightCall
-	}
-	type dup struct {
-		slot, of int // slot copies the result of claim index `of`
-	}
-	var claims []claim
-	var waits []wait
-	var dups []dup
-	claimIdx := make(map[string]int)
+	var keyBuf [1]string
+	var claimBuf [1]claim
+	var waitBuf [1]claim // the in-flight call this slot waits on
+	keys := append(keyBuf[:0], make([]string, len(specs))...)
+	claims, waits := claimBuf[:0], waitBuf[:0]
 	var hits, collapsed, storeHits int64
+	var done chan struct{} // closed once this call's claims are answered
 
-	// Provenance for the slots the cache itself serves (memory/store hits);
-	// claimed misses are recorded by the upstream layer that measures them,
-	// and collapsed slots by the trace that owns the in-flight call.
 	plog := span.ProvenanceLog()
 	var prov []trace.Provenance
 
-	cp.mu.Lock()
 	for i, spec := range specs {
-		key := targeting.Canonical(spec)
+		keys[i] = targeting.Canonical(spec)
+	}
+	cp.mu.Lock()
+	for i, key := range keys {
 		if v, ok := cp.sizes[key]; ok {
 			out[i].Size = v
 			hits++
@@ -124,20 +126,18 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 			}
 			continue
 		}
-		if ci, ok := claimIdx[key]; ok {
-			// A duplicate within this batch: the claim's upstream answer
-			// serves this slot too, like a second caller collapsing onto an
-			// in-flight miss.
-			dups = append(dups, dup{slot: i, of: ci})
-			collapsed++
-			continue
-		}
 		if c, ok := cp.inflight[key]; ok {
-			waits = append(waits, wait{slot: i, call: c})
+			waits = append(waits, claim{slot: i, key: key, call: c})
 			collapsed++
 			continue
 		}
 		if cp.store != nil {
+			// Disk tier: an answer a previous run already paid for. It
+			// fills the memory tier and makes no upstream call — the
+			// paper's §5 limit counts load placed on the platform, and a
+			// disk hit places none. The lookup is an in-memory index read,
+			// so holding the lock keeps racing callers collapsed onto one
+			// store probe.
 			if v, ok := cp.store.GetMeasurement(cp.Provider.Name(), key); ok {
 				cp.sizes[key] = v
 				out[i].Size = v
@@ -148,10 +148,14 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 				continue
 			}
 		}
+		// Claim the key and count the call before releasing the lock, so
+		// racing callers of the same key collapse onto this one.
 		cp.calls++
-		c := &inflightCall{done: make(chan struct{})}
+		if done == nil {
+			done = make(chan struct{})
+		}
+		c := &inflightCall{done: done}
 		cp.inflight[key] = c
-		claimIdx[key] = len(claims)
 		claims = append(claims, claim{slot: i, key: key, call: c})
 	}
 	cp.mu.Unlock()
@@ -170,15 +174,6 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 		span.AnnotateInt("store_hits", storeHits)
 		span.AnnotateInt("collapsed", collapsed)
 		span.AnnotateInt("misses", int64(len(claims)))
-		if plog != nil {
-			tid := span.TraceID()
-			name := cp.Provider.Name()
-			for i := range prov {
-				prov[i].Platform = name
-				prov[i].TraceID = tid
-				plog.Add(prov[i])
-			}
-		}
 	}
 
 	if len(claims) > 0 {
@@ -199,8 +194,12 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 		cp.mUpstream.ObserveWithExemplar(time.Since(start), span.TraceID())
 
 		if cp.store != nil {
-			// Persist before publishing, as in the serial path: once a
-			// result is readable from memory a crash must not lose it.
+			// Persist before publishing: once another caller can read the
+			// answer from memory, a crash must not be able to lose it — the
+			// resumed run would otherwise re-query a spec this run already
+			// reported on. Append failures (disk full, torn device) are
+			// counted but do not fail the measurement; the audit degrades
+			// to in-memory caching.
 			for k, cl := range claims {
 				if res[k].Err != nil {
 					continue
@@ -216,7 +215,7 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 			if res[k].Err == nil {
 				cp.sizes[cl.key] = res[k].Size
 			} else {
-				// Refund failed calls, matching serial accounting.
+				// Refund failed calls: they consumed no upstream answer.
 				cp.calls--
 				res[k].Size = 0
 			}
@@ -225,17 +224,29 @@ func (cp *cachingProvider) measureMany(parent *trace.Span, specs []targeting.Spe
 		cp.mu.Unlock()
 		for k, cl := range claims {
 			cl.call.v, cl.call.err = res[k].Size, res[k].Err
-			close(cl.call.done)
-			out[cl.slot] = BatchResult{Size: res[k].Size, Err: res[k].Err}
+			out[cl.slot] = res[k]
 		}
+		close(done)
 	}
 
-	for _, d := range dups {
-		out[d.slot] = out[claims[d.of].slot]
-	}
+	// This batch's own claims are answered by now, so only another
+	// caller's miss can still block a wait.
 	for _, w := range waits {
 		<-w.call.done
 		out[w.slot] = BatchResult{Size: w.call.v, Err: w.call.err}
+		if plog != nil && w.call.err == nil {
+			prov = append(prov, trace.Provenance{Key: w.key, Source: "inflight", Value: w.call.v})
+		}
+	}
+	if span != nil {
+		tid, name := span.TraceID(), cp.Provider.Name()
+		for i := range prov {
+			prov[i].Platform, prov[i].TraceID = name, tid
+			plog.Add(prov[i])
+		}
+		if slices.IndexFunc(out, func(r BatchResult) bool { return r.Err == nil }) < 0 {
+			span.SetError(out[0].Err)
+		}
 	}
 	return out
 }

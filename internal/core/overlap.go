@@ -43,7 +43,7 @@ func (a *Auditor) classCounts(specs []targeting.Spec, c Class) ([]int64, error) 
 			cond = append(cond, a.scoped(withClause(s, cl)))
 		}
 	}
-	res := a.p.measureMany(nil, cond)
+	res := a.p.measureMany(nil, cond, nil)
 	out := make([]int64, len(specs))
 	for i := range specs {
 		for j := 0; j < per; j++ {

@@ -10,12 +10,9 @@
 package core
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/platform"
 	"repro/internal/targeting"
 )
@@ -84,23 +81,17 @@ func (pp *platformProvider) Measure(spec targeting.Spec) (int64, error) {
 	return pp.p.Measure(platform.EstimateRequest{Spec: spec})
 }
 
-// MeasureCtx implements ContextMeasurer through the platform's traced
-// serial door.
-func (pp *platformProvider) MeasureCtx(ctx context.Context, spec targeting.Spec) (int64, error) {
-	return pp.p.MeasureCtx(ctx, platform.EstimateRequest{Spec: spec})
-}
-
 func (pp *platformProvider) CrossFeature() bool {
 	return !pp.p.Rules().AndWithinFeature
 }
 
-// cachingProvider memoizes Measure by canonical spec. The greedy discovery
-// and the overlap analyses re-measure many identical specs; the paper
-// likewise limited its query load by avoiding redundant calls. Concurrent
-// misses on the same key collapse into one upstream call (singleflight):
-// the first caller claims the key and measures, later callers wait on the
-// in-flight result, and calls counts unique misses rather than racing
-// callers.
+// cachingProvider memoizes measurements by canonical spec. The greedy
+// discovery and the overlap analyses re-measure many identical specs; the
+// paper likewise limited its query load by avoiding redundant calls.
+// Concurrent misses on the same key collapse into one upstream call
+// (singleflight): the first caller claims the key and measures, later
+// callers wait on the in-flight result, and calls counts unique misses
+// rather than racing callers. Both doors run one body, measureMany.
 type cachingProvider struct {
 	Provider
 	mu       sync.Mutex
@@ -117,14 +108,15 @@ type cachingProvider struct {
 	mHits        *obs.Counter   // served from the size cache
 	mMisses      *obs.Counter   // claimed the key and went upstream
 	mCollapsed   *obs.Counter   // waited on another caller's in-flight miss
-	mUpstream    *obs.Histogram // upstream Measure latency (misses only)
+	mUpstream    *obs.Histogram // upstream latency, one observation per upstream call
 	mStoreHits   *obs.Counter   // served from the durable store
 	mStoreMisses *obs.Counter   // absent from the store, went upstream
 	mStoreErrors *obs.Counter   // store appends that failed (measurement kept)
 }
 
 // inflightCall is one upstream measurement in progress; done closes once v
-// and err are set.
+// and err are set. The claims of one cache call share its done channel,
+// since one upstream call answers them all.
 type inflightCall struct {
 	done chan struct{}
 	v    int64
@@ -149,108 +141,12 @@ func NewCachingProviderWith(p Provider, reg *obs.Registry) Provider {
 	}
 }
 
+// Measure is a one-slot measureMany call: one hit or one miss, and a miss
+// is one upstream latency observation, as for every batch.
 func (cp *cachingProvider) Measure(spec targeting.Spec) (int64, error) {
-	return cp.measure(nil, spec)
-}
-
-// provDone ends a cache-layer span and emits its provenance record —
-// only for outcomes the cache itself served (hit/store/inflight);
-// misses are recorded by the upstream layer that actually measured, so
-// one trace shows the full provenance chain without double-counting.
-func (cp *cachingProvider) provDone(span *trace.Span, key, source string, v int64, err error) {
-	if span == nil {
-		return
-	}
-	span.Annotate("outcome", source)
-	span.SetError(err)
-	if err == nil && source != "miss" {
-		if plog := span.ProvenanceLog(); plog != nil {
-			plog.Add(trace.Provenance{
-				Platform: cp.Provider.Name(),
-				Key:      key,
-				Source:   source,
-				TraceID:  span.TraceID(),
-				Value:    v,
-			})
-		}
-	}
-	span.End()
-}
-
-func (cp *cachingProvider) measure(parent *trace.Span, spec targeting.Spec) (int64, error) {
-	span := trace.ChildOf(parent, "cache.measure")
-	key := targeting.Canonical(spec)
-	cp.mu.Lock()
-	if v, ok := cp.sizes[key]; ok {
-		cp.mu.Unlock()
-		cp.mHits.Inc()
-		cp.provDone(span, key, "cache", v, nil)
-		return v, nil
-	}
-	if c, ok := cp.inflight[key]; ok {
-		cp.mu.Unlock()
-		cp.mCollapsed.Inc()
-		<-c.done
-		cp.provDone(span, key, "inflight", c.v, c.err)
-		return c.v, c.err
-	}
-	if cp.store != nil {
-		// Disk tier: an answer a previous run already paid for. It fills
-		// the memory tier and makes no upstream call — the paper's §5
-		// limit counts load placed on the platform, and a disk hit places
-		// none. The lookup is an in-memory index read, so holding the lock
-		// keeps racing callers collapsed onto one store probe.
-		if v, ok := cp.store.GetMeasurement(cp.Provider.Name(), key); ok {
-			cp.sizes[key] = v
-			cp.mu.Unlock()
-			cp.mStoreHits.Inc()
-			cp.provDone(span, key, "store", v, nil)
-			return v, nil
-		}
-	}
-	// Claim the key and count the call before releasing the lock, so
-	// racing callers of the same key collapse onto this one.
-	cp.calls++
-	c := &inflightCall{done: make(chan struct{})}
-	cp.inflight[key] = c
-	cp.mu.Unlock()
-	cp.mMisses.Inc()
-	if cp.store != nil {
-		cp.mStoreMisses.Inc()
-	}
-
-	start := time.Now()
-	v, err := measureUpstream(span, cp.Provider, spec)
-	d := time.Since(start)
-	cp.mUpstream.ObserveWithExemplar(d, span.TraceID())
-
-	if err == nil && cp.store != nil {
-		// Persist before publishing: once another caller can read the
-		// answer from memory, a crash must not be able to lose it — the
-		// resumed run would otherwise re-query a spec this run already
-		// reported on. Append failures (disk full, torn device) are
-		// counted but do not fail the measurement; the audit degrades to
-		// in-memory caching.
-		if serr := cp.store.PutMeasurement(cp.Provider.Name(), key, v); serr != nil {
-			cp.mStoreErrors.Inc()
-		}
-	}
-
-	cp.mu.Lock()
-	if err == nil {
-		cp.sizes[key] = v
-	} else {
-		// Refund failed calls: they consumed no upstream answer, and the
-		// pre-singleflight behaviour likewise counted successes only.
-		cp.calls--
-		v = 0
-	}
-	delete(cp.inflight, key)
-	cp.mu.Unlock()
-	c.v, c.err = v, err
-	close(c.done)
-	cp.provDone(span, key, "miss", v, err)
-	return v, err
+	var buf [1]BatchResult
+	r := cp.measureMany(nil, []targeting.Spec{spec}, buf[:0])[0]
+	return r.Size, r.Err
 }
 
 // UpstreamCalls reports how many misses reached the underlying provider, if
@@ -285,7 +181,8 @@ type CacheStats struct {
 	// StoreErrors counts store appends that failed; the measurements were
 	// kept but will not survive a restart.
 	StoreErrors int64
-	// Upstream summarizes upstream Measure latency over the misses.
+	// Upstream summarizes upstream latency, one observation per call that
+	// sent misses upstream.
 	Upstream obs.HistogramSnapshot
 }
 

@@ -83,7 +83,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 	for i, spec := range specs {
 		reachSpecs[i] = a.scoped(spec)
 	}
-	reach := a.p.measureMany(root, reachSpecs)
+	reach := a.p.measureMany(root, reachSpecs, nil)
 
 	// start[i] indexes spec i's group of 1+len(others) conditioned slots in
 	// the second batch; -1 marks specs already failed or below the floor.
@@ -118,7 +118,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 		}
 		return results
 	}
-	condRes := a.p.measureMany(root, cond)
+	condRes := a.p.measureMany(root, cond, nil)
 
 	total := len(specs)
 	for i := range specs {

@@ -20,8 +20,13 @@ type Provenance struct {
 	Platform string `json:"platform"`
 	// Key is the canonical targeting-spec key (the store/cache/plan key).
 	Key string `json:"key"`
-	// Source names the layer that produced the value: "cache", "store",
-	// "inflight", "platform", "cluster", or "remote".
+	// Source names the layer that produced the value: "cache" or "store"
+	// (the measurement cache's memory or durable tier served it),
+	// "inflight" (the slot waited on another caller's in-flight miss of
+	// the same key), "platform" (a platform's compiled kernel counted it),
+	// "cluster" (a coordinator merged shard counts), or "remote" (the
+	// client side of an HTTP exchange). adapi's server-side store tier
+	// also records "store".
 	Source string `json:"source"`
 	// PlanHash fingerprints the compiled query plan (empty on uncompiled
 	// or remote paths).

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/audience"
@@ -10,12 +11,12 @@ import (
 )
 
 // This file threads the audience query compiler through the platform's
-// batch doors. Every call validates its requests, lowers each valid spec to
-// an audience.Plan, freezes the plans into one audience.PlanBatch and
-// executes it; nothing compiled outlives the call, on either catalog
-// posture. Multi-ref OR clauses resolve to unions shared within the call,
-// which is what lets CompileBatch common-subexpression tails across plans.
-// The serial doors compile a lone plan the same way (Interface.countSpec).
+// doors. Every call validates its requests, lowers each valid spec to an
+// audience.Plan, freezes the plans into one audience.PlanBatch and executes
+// it; nothing compiled outlives the call, on either catalog posture.
+// Multi-ref OR clauses resolve to unions shared within the call, which is
+// what lets CompileBatch common-subexpression tails across plans. The
+// serial doors (Measure, Estimate, EstimateCtx) are one-slot batches.
 
 // Estimate is one slot of a batched size query: the rounded platform-scale
 // size, or the error the equivalent serial call would have returned.
@@ -32,9 +33,10 @@ type Estimate struct {
 // validation, counting formula, scaling, and rounding run per request; no
 // grouping by objective or frequency cap is needed because the user count
 // is independent of both (they only scale the counted statistic).
-// Per-request failures are reported in their slot, never as a batch error.
-func (p *Interface) MeasureMany(reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(nil, DoorMeasure, reqs)
+// Per-request failures are reported in their slot; a batch never fails as
+// a whole.
+func (p *Interface) MeasureMany(reqs []EstimateRequest) []Estimate {
+	return p.sizeMany(nil, DoorMeasure, reqs, nil)
 }
 
 // MeasureManyCtx is MeasureMany under a trace context: when ctx carries a
@@ -42,21 +44,24 @@ func (p *Interface) MeasureMany(reqs []EstimateRequest) ([]Estimate, error) {
 // kernel children) and per-slot provenance. With tracing disabled the
 // two doors are byte-identical in behavior and within noise in cost — the
 // only extra work is one context value lookup per batch.
-func (p *Interface) MeasureManyCtx(ctx context.Context, reqs []EstimateRequest) ([]Estimate, error) {
-	return p.sizeMany(trace.FromContext(ctx), DoorMeasure, reqs)
+func (p *Interface) MeasureManyCtx(ctx context.Context, reqs []EstimateRequest) []Estimate {
+	return p.sizeMany(trace.FromContext(ctx), DoorMeasure, reqs, nil)
 }
 
-// sizeMany answers a batch through countMany, the whole batch compiled into
-// one schedule over the whole universe, and puts each served count through
-// ScaleAndRound, as on the serial door. Compiling in rawBatchSlots chunks
-// instead cut an in-process campaign's peak RSS but slowed its repeat
-// campaign by a fifth (DESIGN.md §9).
+// sizeMany is every size door's body: it answers a batch through
+// countMany, the whole batch compiled into one schedule over the whole
+// universe, and puts each served count through ScaleAndRound. Compiling in
+// rawBatchSlots chunks instead cut an in-process campaign's peak RSS but
+// slowed its repeat campaign by a fifth (DESIGN.md §9). The results go into
+// buf when it has room, so a serial door's one-slot call passes a stack
+// array, and a one-slot call keeps its counts on the stack too.
 //
 // parent is the caller's trace span (nil on untraced calls — the hot-path
 // default, costing only the nil checks). All tracing work is per batch,
 // never per spec, except provenance emission, which is gated on the parent
-// being a sampled span of a provenance-collecting tracer.
-func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateRequest) ([]Estimate, error) {
+// being a sampled span of a provenance-collecting tracer. A traced batch
+// whose every slot failed carries the first slot's error on its span.
+func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateRequest, buf []Estimate) []Estimate {
 	span := trace.ChildOf(parent, "platform.size_many")
 	if span != nil {
 		defer span.End()
@@ -64,24 +69,28 @@ func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateReque
 		span.Annotate("door", door.String())
 		span.AnnotateInt("specs", int64(len(reqs)))
 	}
-	out := make([]Estimate, len(reqs))
+	out := append(buf[:0], make([]Estimate, len(reqs))...)
 	if len(reqs) == 0 {
-		return out, nil
+		return out
 	}
 	p.mBatchSize.Observe(time.Duration(len(reqs)))
-	factors := make([]scaleFactors, len(reqs))
-	raw := p.countMany(span, door, reqs, nil, len(reqs), factors)
+	var rawBuf [1]RawCount
+	var facBuf [1]scaleFactors
+	factors := append(facBuf[:0], make([]scaleFactors, len(reqs))...)
+	raw := p.countMany(span, door, reqs, nil, len(reqs), rawBuf[:0], factors)
 	// Sampled + provenance-collecting: one record per served slot, tying
 	// the size to the canonical key, the compiled plan, and the trace.
 	plog, tid := span.ProvenanceLog(), ""
 	if plog != nil {
 		tid = span.TraceID()
 	}
+	served := 0
 	for i, r := range raw {
 		if r.Err != nil {
 			out[i].Err = r.Err
 			continue
 		}
+		served++
 		out[i].Size = p.ScaleAndRound(r.Count, factors[i].eligible, factors[i].impressions)
 		if plog != nil {
 			key := targeting.Canonical(reqs[i].Spec)
@@ -95,7 +104,10 @@ func (p *Interface) sizeMany(parent *trace.Span, door Door, reqs []EstimateReque
 			})
 		}
 	}
-	return out, nil
+	if served == 0 {
+		span.SetError(out[0].Err)
+	}
+	return out
 }
 
 // scaleFactors are one request's QueryParams factors.
@@ -103,21 +115,24 @@ type scaleFactors struct {
 	eligible, impressions float64
 }
 
-// countMany is the compile-and-count body of both batch doors. Each
-// request is validated under the door's rules (QueryParams), its factors
-// stored in factors[i] when factors is non-nil. The valid specs compile
-// chunk slots at a time with one union memo for the whole call, and each
-// chunk's schedule executes over windows (nil counts the whole local
-// universe). Every slot gets its raw count or the error the serial door
-// would return for it. Validation stays per request and syntactic, never
-// shared across specs with equal canonical forms: canonicalization
-// collapses duplicate refs and clauses that the rules reject. With a
-// non-nil span each chunk records a platform.plan_compile span (validation
-// and plan lowering) and a platform.kernel span (CompileBatch and Exec).
-func (p *Interface) countMany(span *trace.Span, door Door, reqs []EstimateRequest, windows []IndexRange, chunk int, factors []scaleFactors) []RawCount {
-	out := make([]RawCount, len(reqs))
-	plans := make([]*audience.Plan, 0, min(len(reqs), chunk))
-	slot := make([]int, 0, cap(plans))
+// countMany is the compile-and-count body of every door. Each request is
+// validated under the door's rules (QueryParams), its factors stored in
+// factors[i] when factors is non-nil. The valid specs compile chunk slots
+// at a time with one union memo for the whole call, and each chunk's
+// schedule executes over windows (nil counts the whole local universe).
+// Every slot gets its raw count or the error the serial door would return
+// for it, in a slice built on buf as sizeMany builds on its own. Validation
+// stays per request and syntactic, never shared across specs with equal
+// canonical forms: canonicalization collapses duplicate refs and clauses
+// that the rules reject. With a non-nil span each chunk records a
+// platform.plan_compile span (validation and plan lowering) and a
+// platform.kernel span (CompileBatch and Exec).
+func (p *Interface) countMany(span *trace.Span, door Door, reqs []EstimateRequest, windows []IndexRange, chunk int, buf []RawCount, factors []scaleFactors) []RawCount {
+	out := append(buf[:0], make([]RawCount, len(reqs))...)
+	var planBuf [1]*audience.Plan
+	var slotBuf [1]int
+	plans := slices.Grow(planBuf[:0], min(len(reqs), chunk))
+	slot := slices.Grow(slotBuf[:0], cap(plans))
 	var memo unionMemo
 	for lo := 0; lo < len(reqs); lo += chunk {
 		plans, slot = plans[:0], slot[:0]
@@ -157,7 +172,6 @@ func (p *Interface) countMany(span *trace.Span, door Door, reqs []EstimateReques
 		served := int64(len(slot))
 		p.doorCounter(door).Add(served)
 		p.mPlansCompiled.Add(served)
-		p.mBatchedQueries.Add(served)
 		p.mBatchBlocks.Add(int64(tiles))
 	}
 	return out

@@ -121,10 +121,7 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 // the serial door, against the oracle, in both slot orders.
 func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest) {
 	t.Helper()
-	got, err := p.MeasureMany(reqs)
-	if err != nil {
-		t.Fatalf("%s: MeasureMany: %v", p.Name(), err)
-	}
+	got := p.MeasureMany(reqs)
 	if len(got) != len(reqs) {
 		t.Fatalf("%s: MeasureMany returned %d results for %d requests", p.Name(), len(got), len(reqs))
 	}
@@ -139,10 +136,7 @@ func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest
 	for i := range reqs {
 		rev[len(reqs)-1-i] = reqs[i]
 	}
-	gotRev, err := p.MeasureMany(rev)
-	if err != nil {
-		t.Fatalf("%s: MeasureMany(reversed): %v", p.Name(), err)
-	}
+	gotRev := p.MeasureMany(rev)
 	for i := range reqs {
 		j := len(reqs) - 1 - i
 		if (got[i].Err == nil) != (gotRev[j].Err == nil) || got[i].Size != gotRev[j].Size {
@@ -161,10 +155,7 @@ func TestEstimateManyMatchesSerial(t *testing.T) {
 	}
 	for _, p := range d.Interfaces() {
 		reqs := randomBatch(p, 2000+uint64(len(p.Name())), 60)
-		got, err := p.sizeMany(nil, DoorEstimate, reqs)
-		if err != nil {
-			t.Fatalf("%s: sizeMany: %v", p.Name(), err)
-		}
+		got := p.sizeMany(nil, DoorEstimate, reqs, nil)
 		for i, req := range reqs {
 			want, werr := oracle(p, DoorEstimate, req)
 			sameOutcome(t, p.Name()+" batch", i, got[i], want, werr)
@@ -180,9 +171,8 @@ func TestMeasureManyEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.FacebookRestricted.MeasureMany(nil)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("MeasureMany(nil) = %v, %v; want empty, nil", got, err)
+	if got := d.FacebookRestricted.MeasureMany(nil); len(got) != 0 {
+		t.Fatalf("MeasureMany(nil) = %v, want empty", got)
 	}
 }
 
@@ -210,11 +200,7 @@ func TestMeasureManyConcurrentWithSerial(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for iter := 0; iter < 20; iter++ {
-					got, err := p.MeasureMany(reqs)
-					if err != nil {
-						t.Errorf("%s: MeasureMany: %v", name, err)
-						return
-					}
+					got := p.MeasureMany(reqs)
 					for i := range got {
 						if (got[i].Err == nil) != (want[i].Err == nil) || got[i].Size != want[i].Size {
 							t.Errorf("%s req %d: concurrent batch (%d, %v), want (%d, %v)",
@@ -272,18 +258,12 @@ func TestPlanCompilerMatchesLegacy(t *testing.T) {
 				size, err := lp.Measure(req)
 				sameOutcome(t, lp.Name()+" serial", i, Estimate{Size: size, Err: err}, want[i].Size, want[i].Err)
 			}
-			got, err := p.MeasureMany(reqs)
-			if err != nil {
-				t.Fatalf("%s: %v", p.Name(), err)
-			}
+			got := p.MeasureMany(reqs)
 			for i := range reqs {
 				sameOutcome(t, fmt.Sprintf("%s compressed=%v", p.Name(), opts.Compressed), i, got[i], want[i].Size, want[i].Err)
 			}
 			// The second pass must be identical too.
-			again, err := p.MeasureMany(reqs)
-			if err != nil {
-				t.Fatalf("%s warm: %v", p.Name(), err)
-			}
+			again := p.MeasureMany(reqs)
 			for i := range reqs {
 				sameOutcome(t, p.Name()+" warm", i, again[i], want[i].Size, want[i].Err)
 			}
@@ -312,9 +292,9 @@ func TestCustomAudienceBatchMatchesSerial(t *testing.T) {
 	}
 	c0 := p.mPlansCompiled.Value()
 	for round := 0; round < 2; round++ {
-		got, err := p.MeasureMany([]EstimateRequest{{Spec: spec}})
-		if err != nil || got[0].Err != nil {
-			t.Fatalf("round %d: %v / %v", round, err, got[0].Err)
+		got := p.MeasureMany([]EstimateRequest{{Spec: spec}})
+		if got[0].Err != nil {
+			t.Fatalf("round %d: %v", round, got[0].Err)
 		}
 		if got[0].Size != serial {
 			t.Fatalf("round %d: batch %d, serial %d", round, got[0].Size, serial)

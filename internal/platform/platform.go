@@ -18,7 +18,7 @@
 // so rounding floors and recall magnitudes behave like the live platforms'.
 //
 // Every door counts through the audience query compiler and compiles its
-// call afresh: a batch into one schedule, a serial query into a lone plan.
+// call afresh into one schedule; a serial query is a one-slot batch.
 // Nothing compiled outlives the call, so each query counts in
 // plans_compiled_total and batch_kernel_blocks_total whatever the catalog
 // posture. Dense set algebra, Interface.Audience, is kept as the oracle the
@@ -144,10 +144,9 @@ type Interface struct {
 	mMeasureQueries  *obs.Counter   // platform_queries_total{door="measure"}
 	mRoundingHits    *obs.Counter   // estimates the rounder changed
 	mFloorRejections *obs.Counter   // nonzero exact sizes floored to 0
-	mBatchedQueries  *obs.Counter   // batched_queries_total: queries answered by a batch door
-	mBatchBlocks     *obs.Counter   // batch_kernel_blocks_total: tiles the kernel walked, serial doors included
+	mBatchBlocks     *obs.Counter   // batch_kernel_blocks_total: tiles the kernel walked
 	mBatchSize       *obs.Histogram // batch_size_specs: log2 batch-size distribution
-	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run, serial doors included
+	mPlansCompiled   *obs.Counter   // plans_compiled_total: every CompilePlan run
 
 	mu      sync.RWMutex // guards custom, dir, tracker
 	custom  []customAudience
@@ -181,11 +180,11 @@ func (p *Interface) dim(k targeting.Kind) *optionDim {
 
 // lazyOperand caches one audience as a plan operand with its membership
 // count. The steady-state path is one atomic load and reads the operand
-// from the slot itself, not through a pointer: the serial door resolves
-// several refs per query, and a chase to a separate object costs each one
-// a cache miss. The first miss builds under a sync.Once so racing callers
-// never duplicate the build and all observe the same operand; done is set
-// only after op is written.
+// from the slot itself, not through a pointer: a query resolves several
+// refs, and a chase to a separate object costs each one a cache miss. The
+// first miss builds under a sync.Once so racing callers never duplicate
+// the build and all observe the same operand; done is set only after op is
+// written.
 type lazyOperand struct {
 	done atomic.Bool
 	op   audience.Operand
@@ -233,7 +232,6 @@ func New(cfg Config) (*Interface, error) {
 		mMeasureQueries:  reg.Counter("platform_queries_total", iface, obs.L("door", "measure")),
 		mRoundingHits:    reg.Counter("platform_rounding_hits_total", iface),
 		mFloorRejections: reg.Counter("platform_floor_rejections_total", iface),
-		mBatchedQueries:  reg.Counter("batched_queries_total", iface),
 		mBatchBlocks:     reg.Counter("batch_kernel_blocks_total", iface),
 		mBatchSize:       reg.Histogram("batch_size_specs", iface),
 		mPlansCompiled:   reg.Counter("plans_compiled_total", iface),
@@ -449,10 +447,9 @@ func impressionFactor(cap int) float64 {
 // then the interface's rounder — and tallies whether rounding changed the
 // value (rounding hit) or floored a nonzero audience to 0 (the paper's
 // minimum-reporting floors: Facebook 1,000, LinkedIn 300, Google 40). It
-// is the one scale-and-round expression: the serial and batched doors
-// apply it to their counts, and a cluster coordinator to the sum of its
-// shards' counts, which is therefore bit-identical to a single node
-// counting the full universe.
+// is the one scale-and-round expression: every door applies it to its
+// counts, and a cluster coordinator to the sum of its shards' counts, which
+// is therefore bit-identical to a single node counting the full universe.
 func (p *Interface) ScaleAndRound(count int64, eligible, impressions float64) int64 {
 	v := float64(count) * p.ScaleFactor() * eligible
 	if p.cfg.ImpressionEstimates {
@@ -471,77 +468,27 @@ func (p *Interface) ScaleAndRound(count int64, eligible, impressions float64) in
 
 // Estimate returns the advertiser-visible rounded size estimate.
 func (p *Interface) Estimate(req EstimateRequest) (int64, error) {
-	return p.size(nil, DoorEstimate, req)
+	var buf [1]Estimate
+	e := p.sizeMany(nil, DoorEstimate, []EstimateRequest{req}, buf[:0])[0]
+	return e.Size, e.Err
 }
 
 // Measure returns the rounded size estimate under measurement rules — the
 // auditor's view, which may condition on demographics even when the
 // advertiser interface forbids them.
 func (p *Interface) Measure(req EstimateRequest) (int64, error) {
-	return p.size(nil, DoorMeasure, req)
+	var buf [1]Estimate
+	e := p.sizeMany(nil, DoorMeasure, []EstimateRequest{req}, buf[:0])[0]
+	return e.Size, e.Err
 }
 
-// EstimateCtx is Estimate under a trace context.
-func (p *Interface) EstimateCtx(ctx context.Context, req EstimateRequest) (int64, error) {
-	return p.size(trace.FromContext(ctx), DoorEstimate, req)
-}
-
-// MeasureCtx is Measure under a trace context: when ctx carries a sampled
-// span the measurement records a platform child span and a provenance
+// EstimateCtx is Estimate under a trace context: when ctx carries a sampled
+// span the query records a platform.size_many child span and a provenance
 // record; an untraced context costs one context lookup.
-func (p *Interface) MeasureCtx(ctx context.Context, req EstimateRequest) (int64, error) {
-	return p.size(trace.FromContext(ctx), DoorMeasure, req)
-}
-
-// size answers one serial size query through the door: QueryParams,
-// countSpec, then ScaleAndRound. parent is the caller's trace span, nil on
-// untraced calls; traced and untraced calls run the same code and return
-// the same answers.
-func (p *Interface) size(parent *trace.Span, door Door, req EstimateRequest) (int64, error) {
-	var span *trace.Span
-	if parent != nil {
-		span = trace.ChildOf(parent, "platform."+door.String())
-		span.Annotate("interface", p.cfg.Name)
-		defer span.End()
-	}
-	eligible, impressions, err := p.QueryParams(door, req)
-	if err != nil {
-		span.SetError(err)
-		return 0, err
-	}
-	count, err := p.countSpec(req.Spec)
-	if err != nil {
-		span.SetError(err)
-		return 0, err
-	}
-	p.doorCounter(door).Inc()
-	size := p.ScaleAndRound(int64(count), eligible, impressions)
-	if plog := span.ProvenanceLog(); plog != nil {
-		plog.Add(trace.Provenance{
-			Platform: p.cfg.Name,
-			Key:      targeting.Canonical(req.Spec),
-			Source:   "platform",
-			TraceID:  span.TraceID(),
-			Value:    size,
-		})
-	}
-	return size, nil
-}
-
-// countSpec counts the users matching one spec on every catalog posture
-// the same way: it compiles the spec afresh and executes it as a lone
-// plan, computing no canonical key but for a multi-ref OR clause's union.
-// Each call counts in plans_compiled_total and batch_kernel_blocks_total.
-func (p *Interface) countSpec(spec targeting.Spec) (int, error) {
-	var memo unionMemo
-	plan, err := p.compileSpec(spec, &memo)
-	if err != nil {
-		return 0, err
-	}
-	counts, tiles := audience.CompileBatch([]*audience.Plan{plan}).Exec(nil)
-	p.mPlansCompiled.Inc()
-	p.mBatchBlocks.Add(int64(tiles))
-	return counts[0], nil
+func (p *Interface) EstimateCtx(ctx context.Context, req EstimateRequest) (int64, error) {
+	var buf [1]Estimate
+	e := p.sizeMany(trace.FromContext(ctx), DoorEstimate, []EstimateRequest{req}, buf[:0])[0]
+	return e.Size, e.Err
 }
 
 // Warm builds every attribute, topic, and placement audience slot, fanning

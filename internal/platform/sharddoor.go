@@ -85,9 +85,9 @@ const rawBatchSlots = 512
 // index ranges (nil counts the whole local universe). No scaling, no
 // rounding: those are the coordinator's job, applied once to the merged sum.
 // Per-request failures are reported in their slot, mirroring MeasureMany.
-// The batch compiles through countMany, the batch doors' one body,
+// The batch compiles through countMany, every door's one body,
 // rawBatchSlots slots per schedule, and each schedule walks only the
 // ranges' tiles.
 func (p *Interface) RawCountMany(door Door, reqs []EstimateRequest, ranges []IndexRange) []RawCount {
-	return p.countMany(nil, door, reqs, ranges, rawBatchSlots, nil)
+	return p.countMany(nil, door, reqs, ranges, rawBatchSlots, nil, nil)
 }

@@ -27,16 +27,10 @@ func TestTracedBatchBitIdentical(t *testing.T) {
 	})
 	for _, p := range d.Interfaces() {
 		reqs := randomBatch(p, 2000+uint64(len(p.Name())), 48)
-		want, err := p.MeasureMany(reqs)
-		if err != nil {
-			t.Fatalf("%s: untraced MeasureMany: %v", p.Name(), err)
-		}
+		want := p.MeasureMany(reqs)
 		root := tr.StartRoot("test." + p.Name())
-		got, err := p.MeasureManyCtx(trace.NewContext(context.Background(), root), reqs)
+		got := p.MeasureManyCtx(trace.NewContext(context.Background(), root), reqs)
 		root.End()
-		if err != nil {
-			t.Fatalf("%s: traced MeasureManyCtx: %v", p.Name(), err)
-		}
 		served := 0
 		for i := range reqs {
 			if (got[i].Err == nil) != (want[i].Err == nil) {
@@ -93,12 +87,13 @@ func TestTracedBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTracedSerialDoorsBitIdentical covers the serial ctx doors: MeasureCtx
-// and EstimateCtx under a sampled span must return exactly what Measure and
-// Estimate return, record one platform span per query (with the error
-// pinned on the span when the spec is rejected), and emit one provenance
-// record per successful answer. A span-free context takes the bare path and
-// records nothing.
+// TestTracedSerialDoorsBitIdentical covers the serial doors under a trace:
+// a one-slot MeasureManyCtx and EstimateCtx under a sampled span must
+// return exactly what Measure and Estimate return, record one
+// platform.size_many span per query annotated with its door (with the
+// error pinned on the span when the spec is rejected), and emit one
+// provenance record per successful answer. A span-free context takes the
+// bare path and records nothing.
 func TestTracedSerialDoorsBitIdentical(t *testing.T) {
 	d, err := NewDeployment(DeployOptions{Seed: 23, UniverseSize: 1 << 12, Metrics: obs.NewRegistry()})
 	if err != nil {
@@ -124,21 +119,21 @@ func TestTracedSerialDoorsBitIdentical(t *testing.T) {
 
 	root := tr.StartRoot("test.serial")
 	ctx := trace.NewContext(context.Background(), root)
-	gotM, err := p.MeasureCtx(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	gotM := p.MeasureManyCtx(ctx, []EstimateRequest{req})[0]
+	if gotM.Err != nil {
+		t.Fatal(gotM.Err)
 	}
 	gotE, err := p.EstimateCtx(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	badReq := EstimateRequest{Spec: targeting.Attr(99999)}
-	if _, err := p.MeasureCtx(ctx, badReq); err == nil {
-		t.Fatal("traced MeasureCtx accepted an unknown option")
+	if bad := p.MeasureManyCtx(ctx, []EstimateRequest{badReq})[0]; bad.Err == nil {
+		t.Fatal("traced measure accepted an unknown option")
 	}
 	root.End()
-	if gotM != wantM || gotE != wantE {
-		t.Fatalf("traced doors = (%d, %d), untraced = (%d, %d)", gotM, gotE, wantM, wantE)
+	if gotM.Size != wantM || gotE != wantE {
+		t.Fatalf("traced doors = (%d, %d), untraced = (%d, %d)", gotM.Size, gotE, wantM, wantE)
 	}
 
 	id, ok := trace.ParseTraceID(root.TraceID())
@@ -151,18 +146,24 @@ func TestTracedSerialDoorsBitIdentical(t *testing.T) {
 	}
 	var measured, estimated, errored int
 	for _, s := range dump.Spans {
-		switch s.Name {
-		case "platform.measure":
-			measured++
-			if s.Err != "" {
-				errored++
+		if s.Name != "platform.size_many" {
+			continue
+		}
+		for _, a := range s.Annotations {
+			switch {
+			case a.Key != "door":
+			case a.Value == "measure":
+				measured++
+				if s.Err != "" {
+					errored++
+				}
+			case a.Value == "estimate":
+				estimated++
 			}
-		case "platform.estimate":
-			estimated++
 		}
 	}
 	if measured != 2 || estimated != 1 || errored != 1 {
-		t.Fatalf("spans: measure=%d (errored=%d), estimate=%d; want 2 (1 errored) and 1", measured, errored, estimated)
+		t.Fatalf("size_many spans: measure=%d (errored=%d), estimate=%d; want 2 (1 errored) and 1", measured, errored, estimated)
 	}
 	recs := tr.Provenance().Records()
 	if len(recs) != 2 {
@@ -176,9 +177,9 @@ func TestTracedSerialDoorsBitIdentical(t *testing.T) {
 
 	// Span-free context: bare path, nothing recorded.
 	before := tr.Len()
-	gotPlain, err := p.MeasureCtx(context.Background(), req)
-	if err != nil || gotPlain != wantM {
-		t.Fatalf("plain-ctx MeasureCtx = (%d, %v), want (%d, nil)", gotPlain, err, wantM)
+	gotPlain := p.MeasureManyCtx(context.Background(), []EstimateRequest{req})[0]
+	if gotPlain.Err != nil || gotPlain.Size != wantM {
+		t.Fatalf("plain-ctx measure = %+v, want (%d, nil)", gotPlain, wantM)
 	}
 	if tr.Len() != before {
 		t.Fatal("plain-ctx serial call buffered a trace")
@@ -205,9 +206,7 @@ func TestUntracedBatchTouchesNoTracer(t *testing.T) {
 
 	p := d.Facebook
 	reqs := randomBatch(p, 3000, 16)
-	if _, err := p.MeasureManyCtx(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
+	p.MeasureManyCtx(context.Background(), reqs)
 	if n := tr.Len(); n != 0 {
 		t.Fatalf("untraced batch buffered %d traces", n)
 	}
