@@ -226,13 +226,8 @@ func newRunner(ctx context.Context, o runOptions, st *store.Store) (*experiments
 		layout := coord.Layout()
 		log.Printf("auditing sharded cluster (%d partitions of %d users, %d replicas)",
 			layout.NumPartitions(), layout.PartitionSize(), o.replicas)
-		for _, name := range []string{
-			catalog.PlatformFacebookRestricted,
-			catalog.PlatformFacebook,
-			catalog.PlatformGoogle,
-			catalog.PlatformLinkedIn,
-		} {
-			p, err := coord.Provider(name)
+		for _, iface := range coord.Metadata().Interfaces() {
+			p, err := coord.Provider(iface.Name())
 			if err != nil {
 				return nil, err
 			}

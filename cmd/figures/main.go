@@ -1,25 +1,25 @@
 // Command figures regenerates every table and figure of the paper into a
-// results directory, one text file per artifact, plus a summary index.
+// results directory: each phase of the experiments package's phase table
+// into the results file the table names, then the REPORT.md claims
+// checklist.
 //
 // Usage:
 //
-//	figures [-dir results] [-universe 131072] [-seed 0] [-k 1000] [-store DIR] [-snapshot FILE]
+//	figures [-dir results] [-universe 131072] [-seed 0] [-k 1000] [-granularity-calls 80000] [-store DIR] [-snapshot FILE]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mitigation"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/population"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
@@ -91,141 +91,6 @@ func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snap
 		return err
 	}
 
-	write := func(name string, fn func(f *os.File) error) error {
-		start := time.Now()
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		log.Printf("wrote %s in %v", path, time.Since(start))
-		return nil
-	}
-
-	steps := []struct {
-		file string
-		fn   func(f *os.File) error
-	}{
-		{"methodology.txt", func(f *os.File) error {
-			rows, err := r.Methodology(experiments.MethodologyConfig{GranularityCalls: granCalls})
-			if err != nil {
-				return err
-			}
-			return experiments.RenderMethodology(f, rows)
-		}},
-		{"rounding_bounds.txt", func(f *os.File) error {
-			rows, err := r.RoundingBounds(core.GenderClass(population.Male))
-			if err != nil {
-				return err
-			}
-			return experiments.RenderRoundingBounds(f, rows)
-		}},
-		{"figure1.txt", func(f *os.File) error {
-			rows, err := r.Figure1()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderBoxRows(f, "Figure 1: rep ratios on Facebook's restricted interface", rows)
-		}},
-		{"figure2.txt", func(f *os.File) error {
-			rows, err := r.Figure2()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderBoxRows(f, "Figure 2: rep ratios on Facebook, Google, LinkedIn", rows)
-		}},
-		{"figure3.txt", func(f *os.File) error {
-			series, err := r.Figure3()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderRemovalSeries(f, "Figure 3: removal sweep (gender)", series)
-		}},
-		{"figure4.txt", func(f *os.File) error {
-			rows, err := r.Figure4()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderBoxRows(f, "Figure 4: rep ratios across age ranges", rows)
-		}},
-		{"figure5.txt", func(f *os.File) error {
-			rows, err := r.Figure5()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderRecallRows(f, "Figure 5: recalls of skewed targetings", rows)
-		}},
-		{"figure6.txt", func(f *os.File) error {
-			series, err := r.Figure6()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderRemovalSeries(f, "Figure 6: removal sweeps across age ranges", series)
-		}},
-		{"table1.txt", func(f *os.File) error {
-			rows, err := r.Table1()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderTable1(f, rows)
-		}},
-		{"table2.txt", func(f *os.File) error {
-			rows, err := r.Table2(5)
-			if err != nil {
-				return err
-			}
-			return experiments.RenderExamples(f, "Table 2: illustrative gender-skewed compositions", rows)
-		}},
-		{"table3.txt", func(f *os.File) error {
-			rows, err := r.Table3(5)
-			if err != nil {
-				return err
-			}
-			return experiments.RenderExamples(f, "Table 3: illustrative age-skewed compositions", rows)
-		}},
-		{"ext_lookalike.txt", func(f *os.File) error {
-			rows, err := r.LookalikeStudy(core.GenderClass(population.Male), 0, 0)
-			if err != nil {
-				return err
-			}
-			return experiments.RenderLookalikeRows(f, rows)
-		}},
-		{"ext_mitigation.txt", func(f *os.File) error {
-			rows, err := r.MitigationStudy(core.GenderClass(population.Male), mitigation.EvalConfig{})
-			if err != nil {
-				return err
-			}
-			return experiments.RenderMitigationRows(f, rows)
-		}},
-		{"ext_delivery.txt", func(f *os.File) error {
-			rows, err := r.DeliveryStudy()
-			if err != nil {
-				return err
-			}
-			return experiments.RenderDeliveryRows(f, rows)
-		}},
-		{"ext_retargeting.txt", func(f *os.File) error {
-			rows, err := r.RetargetingStudy(core.GenderClass(population.Male))
-			if err != nil {
-				return err
-			}
-			return experiments.RenderRetargetingRows(f, rows)
-		}},
-		{"REPORT.md", func(f *os.File) error {
-			rep, err := r.BuildReport()
-			if err != nil {
-				return err
-			}
-			return experiments.WriteReportMarkdown(f, rep)
-		}},
-	}
 	// metrics.txt accumulates one snapshot section per artifact: the obs
 	// registry's state right after that experiment, so the query cost and
 	// phase timing of each figure is attributable from the results
@@ -236,19 +101,53 @@ func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snap
 		return err
 	}
 	defer mf.Close()
-	for _, s := range steps {
-		if err := write(s.file, s.fn); err != nil {
+	// write renders one artifact into dir and appends its metrics section;
+	// the logged time runs from start, which precedes the artifact's run.
+	write := func(file string, start time.Time, render func(io.Writer) error) error {
+		path := filepath.Join(dir, file)
+		f, err := os.Create(path)
+		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(mf, "== metrics after %s ==\n", s.file); err != nil {
+		if err := render(f); err != nil {
+			f.Close()
+			return fmt.Errorf("%s: %w", file, err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		log.Printf("wrote %s in %v", path, time.Since(start))
+		if _, err := fmt.Fprintf(mf, "== metrics after %s ==\n", file); err != nil {
 			return err
 		}
 		if err := obs.Default().WriteText(mf); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintln(mf); err != nil {
+		_, err = fmt.Fprintln(mf)
+		return err
+	}
+
+	names, err := experiments.ExpandExperiments([]string{"all"}, false)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		start := time.Now()
+		res, err := r.RunExperiment(name, experiments.PhaseOptions{GranularityCalls: granCalls})
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if err := write(res.File, start, res.Render); err != nil {
 			return err
 		}
+	}
+	start := time.Now()
+	rep, err := r.BuildReport()
+	if err != nil {
+		return fmt.Errorf("REPORT.md: %w", err)
+	}
+	if err := write("REPORT.md", start, func(w io.Writer) error { return experiments.WriteReportMarkdown(w, rep) }); err != nil {
+		return err
 	}
 	log.Printf("all artifacts written to %s (metrics snapshots in %s)", dir, metricsPath)
 	return nil

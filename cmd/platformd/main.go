@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"repro/internal/adapi"
-	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -167,12 +166,6 @@ func buildShardLayout(cfg config) (*cluster.Layout, error) {
 // sizing matches the host deployment shares it (and its warmed audiences);
 // anything else gets a dedicated deployment.
 func newJobsFactory(cfg config, host *platform.Deployment) jobs.ProviderFactory {
-	platforms := []string{
-		catalog.PlatformFacebookRestricted,
-		catalog.PlatformFacebook,
-		catalog.PlatformGoogle,
-		catalog.PlatformLinkedIn,
-	}
 	return func(ctx context.Context, spec jobs.Spec) ([]core.Provider, error) {
 		if spec.Cluster != "" {
 			universe := spec.Universe
@@ -189,9 +182,9 @@ func newJobsFactory(cfg config, host *platform.Deployment) jobs.ProviderFactory 
 			if err != nil {
 				return nil, err
 			}
-			providers := make([]core.Provider, 0, len(platforms))
-			for _, name := range platforms {
-				p, err := coord.Provider(name)
+			var providers []core.Provider
+			for _, iface := range coord.Metadata().Interfaces() {
+				p, err := coord.Provider(iface.Name())
 				if err != nil {
 					return nil, err
 				}

@@ -541,16 +541,12 @@ func (cp *clusterProvider) measureMany(ctx context.Context, specs []targeting.Sp
 	for i := range specs {
 		reqs[i] = platform.EstimateRequest{Spec: specs[i]}
 	}
-	out := make([]core.BatchResult, len(specs))
 	est, err := cp.c.MeasureManyCtx(ctx, cp.iface, reqs)
 	if err != nil {
-		for i := range out {
-			out[i].Err = err
+		est = make([]platform.Estimate, len(specs))
+		for i := range est {
+			est[i].Err = err
 		}
-		return out
 	}
-	for i := range est {
-		out[i] = core.BatchResult{Size: est[i].Size, Err: est[i].Err}
-	}
-	return out
+	return est
 }

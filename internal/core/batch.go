@@ -11,11 +11,10 @@ import (
 )
 
 // BatchResult is one slot of a batched measurement: the size or the error
-// the equivalent serial Measure call would have returned.
-type BatchResult struct {
-	Size int64
-	Err  error
-}
+// the equivalent serial Measure call would have returned. It is the
+// platform's own slot type, so the in-process and cluster providers hand
+// their platform's results up without a copy.
+type BatchResult = platform.Estimate
 
 // BatchMeasurer is the batch door every Provider carries: answer many
 // measurement queries in one call. Implementations must be slot-for-slot
@@ -53,17 +52,10 @@ func (pp *platformProvider) measureMany(ctx context.Context, specs []targeting.S
 	for i, s := range specs {
 		reqs[i].Spec = s
 	}
-	var ests []platform.Estimate
 	if ctx != nil {
-		ests = pp.p.MeasureManyCtx(ctx, reqs)
-	} else {
-		ests = pp.p.MeasureMany(reqs)
+		return pp.p.MeasureManyCtx(ctx, reqs)
 	}
-	out := make([]BatchResult, len(specs))
-	for i, e := range ests {
-		out[i] = BatchResult{Size: e.Size, Err: e.Err}
-	}
-	return out
+	return pp.p.MeasureMany(reqs)
 }
 
 // MeasureMany implements BatchMeasurer for the caching provider.

@@ -345,7 +345,7 @@ func boxRow(platformName, set string, c core.Class, ms []core.Measurement) (BoxR
 	return row, nil
 }
 
-// classesGenderMale returns the male class (Figures 1–3 headline panels).
+// classMale returns the male class (Figures 1–3 headline panels).
 func classMale() core.Class { return core.GenderClass(population.Male) }
 
 // classYoung returns the 18-24 class.

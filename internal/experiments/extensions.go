@@ -11,7 +11,6 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/pii"
 	"repro/internal/platform"
-	"repro/internal/population"
 	"repro/internal/targeting"
 	"repro/internal/xrand"
 )
@@ -212,6 +211,3 @@ func RenderMitigationRows(w io.Writer, rows []MitigationRow) error {
 	}
 	return tw.Flush()
 }
-
-// genderSeedClass is the default lookalike-study class.
-func genderSeedClass() core.Class { return core.GenderClass(population.Male) }

@@ -15,7 +15,7 @@ import (
 
 func TestLookalikeStudy(t *testing.T) {
 	r := testRunner(t)
-	rows, err := r.LookalikeStudy(genderSeedClass(), 300, 0.05)
+	rows, err := r.LookalikeStudy(classMale(), 300, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestLookalikeStudyNeedsDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.LookalikeStudy(genderSeedClass(), 100, 0.05); !errors.Is(err, ErrNeedsDeployment) {
+	if _, err := r.LookalikeStudy(classMale(), 100, 0.05); !errors.Is(err, ErrNeedsDeployment) {
 		t.Fatalf("want ErrNeedsDeployment, got %v", err)
 	}
 }
 
 func TestMitigationStudy(t *testing.T) {
 	r := testRunner(t)
-	rows, err := r.MitigationStudy(genderSeedClass(), mitigation.EvalConfig{
+	rows, err := r.MitigationStudy(classMale(), mitigation.EvalConfig{
 		HonestAdvertisers:         8,
 		DiscriminatoryAdvertisers: 6,
 		CampaignsPerAdvertiser:    4,
@@ -94,7 +94,7 @@ func TestMitigationStudy(t *testing.T) {
 func TestRenderExtensions(t *testing.T) {
 	r := testRunner(t)
 	var buf bytes.Buffer
-	lrows, err := r.LookalikeStudy(genderSeedClass(), 300, 0.05)
+	lrows, err := r.LookalikeStudy(classMale(), 300, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRenderExtensions(t *testing.T) {
 		t.Error("lookalike render missing special-ad row")
 	}
 	buf.Reset()
-	mrows, err := r.MitigationStudy(genderSeedClass(), mitigation.EvalConfig{
+	mrows, err := r.MitigationStudy(classMale(), mitigation.EvalConfig{
 		HonestAdvertisers: 4, DiscriminatoryAdvertisers: 3, CampaignsPerAdvertiser: 3, PoolK: 40,
 	})
 	if err != nil {
@@ -185,7 +185,7 @@ func TestDeliveryStudy(t *testing.T) {
 
 func TestRetargetingStudy(t *testing.T) {
 	r := testRunner(t)
-	rows, err := r.RetargetingStudy(genderSeedClass())
+	rows, err := r.RetargetingStudy(classMale())
 	if err != nil {
 		t.Fatal(err)
 	}

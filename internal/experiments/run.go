@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/mitigation"
-	"repro/internal/population"
 )
 
 // PhaseOptions parameterizes one named experiment run. Zero values select
@@ -27,11 +26,13 @@ func (o PhaseOptions) withDefaults() PhaseOptions {
 	return o
 }
 
-// PhaseResult is one completed experiment phase: its name, the rows the
-// paper reports (JSON-encodable, the same values adauditctl -format json
-// emits), and a text renderer over them.
+// PhaseResult is one completed experiment phase: its name, the results/
+// file cmd/figures writes it to, the rows the paper reports
+// (JSON-encodable, the same values adauditctl -format json emits), and a
+// text renderer over them.
 type PhaseResult struct {
 	Name string
+	File string
 	Rows any
 
 	render func(w io.Writer) error
@@ -41,37 +42,98 @@ type PhaseResult struct {
 // adauditctl prints.
 func (p PhaseResult) Render(w io.Writer) error { return p.render(w) }
 
-// phaseOrder is every named experiment in presentation order. "spec" (the
-// ad-hoc composition audit) is a CLI-only verb and is deliberately absent:
-// it needs selector resolution against one platform's option names.
-var phaseOrder = []string{
-	"methodology", "rounding",
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-	"tab1", "tab2", "tab3",
-	"mitigation", "lookalike", "delivery", "retarget",
+// phase is one named experiment, declared once in phases.
+type phase struct {
+	name string
+	// file is the results/ file the phase's rendering is committed as.
+	file string
+	// deploymentOnly marks a phase that reaches into Deployment internals
+	// (custom-audience seeding, the delivery simulator) and therefore
+	// cannot run over remote providers.
+	deploymentOnly bool
+	run            func(r *Runner, opt PhaseOptions) (PhaseResult, error)
 }
 
-// deploymentOnly marks the phases that reach into Deployment internals
-// (custom-audience seeding, the delivery simulator) and therefore cannot run
-// over remote providers.
-var deploymentOnly = map[string]bool{
-	"lookalike": true,
-	"delivery":  true,
-	"retarget":  true,
+// newPhase declares a phase whose body returns rows of type T, presented
+// by render.
+func newPhase[T any](name, file string, deploymentOnly bool,
+	body func(*Runner, PhaseOptions) (T, error), render func(io.Writer, T) error) phase {
+	return phase{name, file, deploymentOnly, func(r *Runner, opt PhaseOptions) (PhaseResult, error) {
+		rows, err := body(r, opt)
+		if err != nil {
+			return PhaseResult{}, err
+		}
+		return PhaseResult{Name: name, File: file, Rows: rows,
+			render: func(w io.Writer) error { return render(w, rows) }}, nil
+	}}
+}
+
+// titled binds a titled renderer to its title.
+func titled[T any](render func(io.Writer, string, T) error, title string) func(io.Writer, T) error {
+	return func(w io.Writer, rows T) error { return render(w, title, rows) }
+}
+
+// phases is every named experiment in presentation order, each entry its
+// name, results/ file, deployment-only flag, body and renderer. "spec" (the
+// ad-hoc composition audit) is a CLI-only verb and is deliberately absent:
+// it needs selector resolution against one platform's option names.
+var phases = []phase{
+	newPhase("methodology", "methodology.txt", false, func(r *Runner, o PhaseOptions) ([]MethodologyRow, error) {
+		return r.Methodology(MethodologyConfig{GranularityCalls: o.GranularityCalls})
+	}, RenderMethodology),
+	newPhase("rounding", "rounding_bounds.txt", false, func(r *Runner, _ PhaseOptions) ([]RoundingBoundsRow, error) {
+		return r.RoundingBounds(classMale())
+	}, RenderRoundingBounds),
+	newPhase("fig1", "figure1.txt", false, func(r *Runner, _ PhaseOptions) ([]BoxRow, error) {
+		return r.Figure1()
+	}, titled(RenderBoxRows, "Figure 1: rep ratios on Facebook's restricted interface")),
+	newPhase("fig2", "figure2.txt", false, func(r *Runner, _ PhaseOptions) ([]BoxRow, error) {
+		return r.Figure2()
+	}, titled(RenderBoxRows, "Figure 2: rep ratios on Facebook, Google, LinkedIn")),
+	newPhase("fig3", "figure3.txt", false, func(r *Runner, _ PhaseOptions) ([]RemovalSeries, error) {
+		return r.Figure3()
+	}, titled(RenderRemovalSeries, "Figure 3: removal sweep (gender)")),
+	newPhase("fig4", "figure4.txt", false, func(r *Runner, _ PhaseOptions) ([]BoxRow, error) {
+		return r.Figure4()
+	}, titled(RenderBoxRows, "Figure 4: rep ratios across age ranges")),
+	newPhase("fig5", "figure5.txt", false, func(r *Runner, _ PhaseOptions) ([]RecallRow, error) {
+		return r.Figure5()
+	}, titled(RenderRecallRows, "Figure 5: recalls of skewed targetings")),
+	newPhase("fig6", "figure6.txt", false, func(r *Runner, _ PhaseOptions) ([]RemovalSeries, error) {
+		return r.Figure6()
+	}, titled(RenderRemovalSeries, "Figure 6: removal sweeps across age ranges")),
+	newPhase("tab1", "table1.txt", false, func(r *Runner, _ PhaseOptions) ([]Table1Row, error) {
+		return r.Table1()
+	}, RenderTable1),
+	newPhase("tab2", "table2.txt", false, func(r *Runner, o PhaseOptions) ([]ExampleRow, error) {
+		return r.Table2(o.Examples)
+	}, titled(RenderExamples, "Table 2: illustrative gender-skewed compositions")),
+	newPhase("tab3", "table3.txt", false, func(r *Runner, o PhaseOptions) ([]ExampleRow, error) {
+		return r.Table3(o.Examples)
+	}, titled(RenderExamples, "Table 3: illustrative age-skewed compositions")),
+	newPhase("mitigation", "ext_mitigation.txt", false, func(r *Runner, _ PhaseOptions) ([]MitigationRow, error) {
+		return r.MitigationStudy(classMale(), mitigation.EvalConfig{})
+	}, RenderMitigationRows),
+	newPhase("lookalike", "ext_lookalike.txt", true, func(r *Runner, _ PhaseOptions) ([]LookalikeRow, error) {
+		return r.LookalikeStudy(classMale(), 0, 0)
+	}, RenderLookalikeRows),
+	newPhase("delivery", "ext_delivery.txt", true, func(r *Runner, _ PhaseOptions) ([]DeliveryRow, error) {
+		return r.DeliveryStudy()
+	}, RenderDeliveryRows),
+	newPhase("retarget", "ext_retargeting.txt", true, func(r *Runner, _ PhaseOptions) ([]RetargetingRow, error) {
+		return r.RetargetingStudy(classMale())
+	}, RenderRetargetingRows),
+}
+
+// phaseIndex returns name's position in phases, or -1.
+func phaseIndex(name string) int {
+	return slices.IndexFunc(phases, func(p phase) bool { return p.name == name })
 }
 
 // ValidExperiment reports whether name is a runnable experiment ("all"
 // included).
 func ValidExperiment(name string) bool {
-	if name == "all" {
-		return true
-	}
-	for _, n := range phaseOrder {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return name == "all" || phaseIndex(name) >= 0
 }
 
 // ExpandExperiments resolves a requested experiment list, expanding "all"
@@ -80,20 +142,17 @@ func ValidExperiment(name string) bool {
 // the deployment-only studies). Unknown names are an error.
 func ExpandExperiments(names []string, remoteOnly bool) ([]string, error) {
 	var out []string
-	seen := make(map[string]bool)
 	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
+		if !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}
 	for _, name := range names {
 		if name == "all" {
-			for _, n := range phaseOrder {
-				if remoteOnly && deploymentOnly[n] {
-					continue
+			for _, p := range phases {
+				if !remoteOnly || !p.deploymentOnly {
+					add(p.name)
 				}
-				add(n)
 			}
 			continue
 		}
@@ -109,136 +168,13 @@ func ExpandExperiments(names []string, remoteOnly bool) ([]string, error) {
 }
 
 // RunExperiment runs one named experiment phase — the library entrypoint
-// both adauditctl and the async job service (internal/jobs) drive. The
-// returned result carries the rows for JSON encoding and a text renderer.
+// cmd/figures, adauditctl and the async job service (internal/jobs) drive.
+// The returned result carries the rows for JSON encoding, the phase's
+// results/ file and a text renderer.
 func (r *Runner) RunExperiment(name string, opt PhaseOptions) (PhaseResult, error) {
-	opt = opt.withDefaults()
-	res := PhaseResult{Name: name}
-	fail := func(err error) (PhaseResult, error) { return PhaseResult{}, err }
-	switch name {
-	case "fig1":
-		rows, err := r.Figure1()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderBoxRows(w, "Figure 1: rep ratios on Facebook's restricted interface", rows)
-		}
-	case "fig2":
-		rows, err := r.Figure2()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderBoxRows(w, "Figure 2: rep ratios on Facebook, Google, LinkedIn", rows)
-		}
-	case "fig3":
-		series, err := r.Figure3()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = series
-		res.render = func(w io.Writer) error {
-			return RenderRemovalSeries(w, "Figure 3: removal of skewed individual targetings (gender)", series)
-		}
-	case "fig4":
-		rows, err := r.Figure4()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderBoxRows(w, "Figure 4: rep ratios across age ranges", rows)
-		}
-	case "fig5":
-		rows, err := r.Figure5()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderRecallRows(w, "Figure 5: recalls of skewed targetings", rows)
-		}
-	case "fig6":
-		series, err := r.Figure6()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = series
-		res.render = func(w io.Writer) error {
-			return RenderRemovalSeries(w, "Figure 6: removal sweeps across age ranges", series)
-		}
-	case "tab1":
-		rows, err := r.Table1()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderTable1(w, rows) }
-	case "tab2":
-		rows, err := r.Table2(opt.Examples)
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderExamples(w, "Table 2: illustrative gender-skewed compositions", rows)
-		}
-	case "tab3":
-		rows, err := r.Table3(opt.Examples)
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error {
-			return RenderExamples(w, "Table 3: illustrative age-skewed compositions", rows)
-		}
-	case "methodology":
-		rows, err := r.Methodology(MethodologyConfig{GranularityCalls: opt.GranularityCalls})
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderMethodology(w, rows) }
-	case "rounding":
-		rows, err := r.RoundingBounds(core.GenderClass(population.Male))
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderRoundingBounds(w, rows) }
-	case "lookalike":
-		rows, err := r.LookalikeStudy(core.GenderClass(population.Male), 0, 0)
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderLookalikeRows(w, rows) }
-	case "mitigation":
-		rows, err := r.MitigationStudy(core.GenderClass(population.Male), mitigation.EvalConfig{})
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderMitigationRows(w, rows) }
-	case "delivery":
-		rows, err := r.DeliveryStudy()
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderDeliveryRows(w, rows) }
-	case "retarget":
-		rows, err := r.RetargetingStudy(core.GenderClass(population.Male))
-		if err != nil {
-			return fail(err)
-		}
-		res.Rows = rows
-		res.render = func(w io.Writer) error { return RenderRetargetingRows(w, rows) }
-	default:
-		return fail(fmt.Errorf("experiments: unknown experiment %q", name))
+	i := phaseIndex(name)
+	if i < 0 {
+		return PhaseResult{}, fmt.Errorf("experiments: unknown experiment %q", name)
 	}
-	return res, nil
+	return phases[i].run(r, opt.withDefaults())
 }

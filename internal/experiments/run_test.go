@@ -10,13 +10,17 @@ import (
 // ExperimentNames returns every runnable experiment name in presentation
 // order.
 func ExperimentNames() []string {
-	return append([]string(nil), phaseOrder...)
+	names := make([]string, len(phases))
+	for i, p := range phases {
+		names[i] = p.name
+	}
+	return names
 }
 
 func TestExperimentNames(t *testing.T) {
 	names := ExperimentNames()
-	if len(names) != len(phaseOrder) {
-		t.Fatalf("got %d names, want %d", len(names), len(phaseOrder))
+	if len(names) != len(phases) {
+		t.Fatalf("got %d names, want %d", len(names), len(phases))
 	}
 	// The returned slice is a copy — mutating it must not corrupt the
 	// package's ordering.
@@ -35,6 +39,17 @@ func TestExperimentNames(t *testing.T) {
 	if ValidExperiment("nosuch") {
 		t.Error("unknown name accepted")
 	}
+	// Each phase is committed as its own results/ file.
+	files := map[string]string{}
+	for _, p := range phases {
+		if !strings.HasSuffix(p.file, ".txt") {
+			t.Errorf("%s: results file %q is not a .txt file", p.name, p.file)
+		}
+		if prev, ok := files[p.file]; ok {
+			t.Errorf("%s and %s both write %s", prev, p.name, p.file)
+		}
+		files[p.file] = p.name
+	}
 }
 
 func TestExpandExperiments(t *testing.T) {
@@ -42,19 +57,19 @@ func TestExpandExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != len(phaseOrder) {
-		t.Fatalf("all expanded to %d phases, want %d", len(full), len(phaseOrder))
+	if len(full) != len(phases) {
+		t.Fatalf("all expanded to %d phases, want %d", len(full), len(phases))
 	}
 
 	portable, err := ExpandExperiments([]string{"all"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(portable) != len(phaseOrder)-len(deploymentOnly) {
-		t.Fatalf("remote-only expansion kept %d phases", len(portable))
+	if len(portable) != 12 {
+		t.Fatalf("remote-only expansion kept %d phases, want 12", len(portable))
 	}
 	for _, n := range portable {
-		if deploymentOnly[n] {
+		if phases[phaseIndex(n)].deploymentOnly {
 			t.Errorf("deployment-only phase %q survived remote expansion", n)
 		}
 	}
@@ -109,8 +124,8 @@ func TestRunExperimentAllPhases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Name != name {
-			t.Fatalf("%s: result named %q", name, res.Name)
+		if res.Name != name || res.File != phases[phaseIndex(name)].file {
+			t.Fatalf("%s: result named %q, file %q", name, res.Name, res.File)
 		}
 		if res.Rows == nil {
 			t.Fatalf("%s: no rows", name)

@@ -67,15 +67,6 @@ type Prebuilt struct {
 	Views map[string]*OptionViews
 }
 
-// universeOwner maps an interface name to the platform name that owns its
-// universe: Facebook's full and restricted interfaces share one universe.
-func universeOwner(name string) string {
-	if name == catalog.PlatformFacebookRestricted {
-		return catalog.PlatformFacebook
-	}
-	return name
-}
-
 // Normalized returns the options with defaults applied — the canonical form
 // the snapshot layer hashes into its config binding and compares at load
 // time, so `-universe 0` and `-universe 131072` bind identically.
