@@ -2,10 +2,8 @@ package adapi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 
@@ -15,39 +13,70 @@ import (
 	"repro/internal/targeting"
 )
 
-// batchRequest is the envelope of POST /{platform}/measure-batch: an ordered
-// list of auditor-door request bodies, each in the platform's own dialect —
-// the same bytes POST /measure accepts, shipped together so one HTTP
-// exchange (and one rate-limit token) answers the whole batch.
-type batchRequest struct {
-	Requests []json.RawMessage `json:"requests"`
+// The envelope of POST /{platform}/measure-batch is {"requests":[…]}: an
+// ordered list of auditor-door request bodies, each in the platform's own
+// dialect — the same bytes POST /measure accepts, shipped together so one
+// HTTP exchange (and one rate-limit token) answers the whole batch. The
+// response, {"results":[…]}, is slot-for-slot parallel to it: each slot is
+// {"body":<dialect response>} for a slot that succeeded, or
+// {"error":{"code":…,"message":…}}, the endpoint's usual error envelope
+// content, for one that failed.
+var (
+	batchRequestKeys  = []string{"requests"}
+	batchResponseKeys = []string{"results"}
+	batchSlotKeys     = []string{"body", "error"}
+	batchErrorKeys    = []string{"code", "message"}
+)
+
+// decodeBatch walks a measure-batch envelope once, decoding each slot in
+// place with the dialect's decoder: reqs holds the slots that decoded, in
+// order, and errs holds every slot's decode error, nil for those. A slot
+// that does not decode fails alone; a syntax error anywhere, or an envelope
+// that is not {"requests":[…]}, fails the whole envelope.
+func decodeBatch(codec Codec, body []byte) (reqs []platform.EstimateRequest, errs []error, err error) {
+	cur := cursor{buf: body}
+	cur.members(batchRequestKeys, func(int) {
+		cur.elements(func() {
+			req, err := codec.decodeRequest(&cur)
+			if err == nil {
+				reqs = append(reqs, req)
+			}
+			errs = append(errs, err)
+		})
+	})
+	if err := cur.settle(nil); err != nil {
+		return nil, nil, err
+	}
+	return reqs, errs, nil
 }
 
-// batchSlot is one slot of the batch response: the dialect response body for
-// a slot that succeeded, or the endpoint's usual error envelope content for
-// one that failed. Exactly one of the two fields is set.
-type batchSlot struct {
-	Body  json.RawMessage `json:"body,omitempty"`
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error,omitempty"`
+// appendSlotError appends a response slot that carries a wire-coded error.
+func appendSlotError(dst []byte, code, message string) []byte {
+	dst = appendString(append(dst, `{"error":{"code":`...), code)
+	dst = appendString(append(dst, `,"message":`...), message)
+	return append(dst, "}}"...)
 }
 
-// batchResponse is the envelope of a measure-batch response, slot-for-slot
-// parallel to the request list.
-type batchResponse struct {
-	Results []batchSlot `json:"results"`
-}
-
-// slotError fills a response slot with a wire-coded error.
-func slotError(code, message string) batchSlot {
-	var s batchSlot
-	s.Error = &struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}{Code: code, Message: message}
-	return s
+// appendResults appends a measure-batch response envelope, ending in a
+// newline: slot i carries errs[i] when it did not decode, and otherwise the
+// next of the estimates measured for the slots that did.
+func appendResults(dst []byte, codec Codec, errs []error, sizes []platform.Estimate) []byte {
+	dst = append(dst, `{"results":[`...)
+	for _, err := range errs {
+		dst = sep(dst)
+		if err != nil {
+			dst = appendSlotError(dst, errorCodeOrMalformed(err), err.Error())
+			continue
+		}
+		e := sizes[0]
+		sizes = sizes[1:]
+		if e.Err != nil {
+			dst = appendSlotError(dst, errorCode(e.Err), e.Err.Error())
+			continue
+		}
+		dst = append(codec.AppendResponse(append(dst, `{"body":`...), e.Size), '}')
+	}
+	return append(dst, "]}\n"...)
 }
 
 // handleMeasureBatch serves the auditor door's batch endpoint. Each slot is
@@ -58,51 +87,19 @@ func slotError(code, message string) batchSlot {
 // simulators answer them with single tiled passes over the universe, and a
 // continued trace records the kernel and plan-compile spans.
 func (h *ifaceHandler) handleMeasureBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, h.opts.MaxBodyBytes+1))
+	body, ok := h.readBody(w, r)
+	if !ok {
+		return
+	}
+	reqs, errs, err := decodeBatch(h.codec, body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeMalformedRequest, "reading body: "+err.Error())
-		return
-	}
-	if int64(len(body)) > h.opts.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, codeMalformedRequest, "body too large")
-		return
-	}
-	var env batchRequest
-	if err := json.Unmarshal(body, &env); err != nil {
 		writeError(w, http.StatusBadRequest, codeMalformedRequest, "malformed batch envelope: "+err.Error())
 		return
 	}
-
-	results := make([]batchSlot, len(env.Requests))
-	// Decode every slot first; only the well-formed ones go to the platform.
-	reqs := make([]platform.EstimateRequest, 0, len(env.Requests))
-	slots := make([]int, 0, len(env.Requests))
-	for i, raw := range env.Requests {
-		req, err := h.codec.DecodeRequest(raw)
-		if err != nil {
-			results[i] = slotError(errorCodeOrMalformed(err), err.Error())
-			continue
-		}
-		reqs = append(reqs, req)
-		slots = append(slots, i)
-	}
-
-	sizes := h.measure(r.Context(), reqs)
-	for k, i := range slots {
-		if serr := sizes[k].Err; serr != nil {
-			results[i] = slotError(errorCode(serr), serr.Error())
-			continue
-		}
-		respBody, err := h.codec.EncodeResponse(sizes[k].Size)
-		if err != nil {
-			results[i] = slotError(codeInternal, err.Error())
-			continue
-		}
-		results[i] = batchSlot{Body: respBody}
-	}
-
+	// Only the well-formed slots go to the platform.
+	out := appendResults(make([]byte, 0, 64+48*len(errs)), h.codec, errs, h.measure(r.Context(), reqs))
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(batchResponse{Results: results}); err != nil {
+	if _, err := w.Write(out); err != nil {
 		log.Printf("adapi: writing batch response: %v", err)
 	}
 }
@@ -139,25 +136,11 @@ func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []c
 		span.AnnotateInt("specs", int64(len(specs)))
 		ctx = trace.NewContext(ctx, span)
 	}
-	env := batchRequest{Requests: make([]json.RawMessage, 0, len(specs))}
-	slots := make([]int, 0, len(specs)) // the spec index of each shipped request
-	for i, spec := range specs {
-		body, err := c.codec.EncodeRequest(platform.EstimateRequest{Spec: spec})
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		env.Requests = append(env.Requests, body)
-		slots = append(slots, i)
-	}
+	reqBody, slots := encodeBatch(c.codec, specs, out)
 	if len(slots) == 0 {
 		return out
 	}
-	reqBody, err := json.Marshal(env)
-	var respBody []byte
-	if err == nil {
-		respBody, err = c.do(ctx, http.MethodPost, c.base+"/"+c.name+"/measure-batch", reqBody)
-	}
+	respBody, err := c.do(ctx, http.MethodPost, c.base+"/"+c.name+"/measure-batch", reqBody)
 	if errors.Is(err, ErrBodyTooLarge) && len(slots) > 1 {
 		// Oversized envelope: each half ships as its own batch (its own
 		// child span, its own provenance), splitting again as needed.
@@ -165,34 +148,15 @@ func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []c
 		h := len(specs) / 2
 		return append(c.MeasureManyCtx(ctx, specs[:h]), c.MeasureManyCtx(ctx, specs[h:])...)
 	}
-	var resp batchResponse
 	if err == nil {
-		if err = json.Unmarshal(respBody, &resp); err != nil {
-			err = fmt.Errorf("adapi: malformed batch response: %w", err)
-		} else if len(resp.Results) != len(slots) {
-			err = fmt.Errorf("adapi: batch response holds %d slots for %d requests", len(resp.Results), len(slots))
-		}
+		err = c.decodeResults(respBody, specs, slots, out)
 	}
 	if err != nil {
 		span.SetError(err)
 		for _, i := range slots {
-			out[i].Err = err
+			out[i] = core.BatchResult{Err: err}
 		}
 		return out
-	}
-	for k, slot := range resp.Results {
-		i := slots[k]
-		if slot.Error != nil {
-			out[i].Err = errorFromCode(slot.Error.Code, slot.Error.Message)
-			continue
-		}
-		out[i].Size, out[i].Err = c.codec.DecodeResponse(slot.Body)
-		if out[i].Err != nil {
-			// Identify the slot by its spec's canonical key: batch indices
-			// mean nothing to a caller that deduplicated or reordered specs,
-			// while the canonical key names the exact query that failed.
-			out[i].Err = fmt.Errorf("adapi: malformed batch slot %s: %w", targeting.Canonical(specs[i]), out[i].Err)
-		}
 	}
 	if plog := span.ProvenanceLog(); plog != nil {
 		tid := span.TraceID()
@@ -211,4 +175,94 @@ func (c *Client) MeasureManyCtx(ctx context.Context, specs []targeting.Spec) []c
 		}
 	}
 	return out
+}
+
+// encodeBatch renders specs as a measure-batch request envelope. slots
+// holds the spec index of each shipped request: a spec the dialect cannot
+// encode ships nothing, and its encoder error lands in out.
+func encodeBatch(codec Codec, specs []targeting.Spec, out []core.BatchResult) (body []byte, slots []int) {
+	body = append(make([]byte, 0, 16+128*len(specs)), `{"requests":[`...)
+	slots = make([]int, 0, len(specs))
+	for i, spec := range specs {
+		mark := len(body)
+		var err error
+		if body, err = codec.AppendRequest(sep(body), platform.EstimateRequest{Spec: spec}); err != nil {
+			body = body[:mark]
+			out[i].Err = err
+			continue
+		}
+		slots = append(slots, i)
+	}
+	return append(body, "]}"...), slots
+}
+
+// decodeResults walks a measure-batch response envelope once into out: the
+// k-th slot answers specs[slots[k]], and its dialect body is decoded where
+// it lies. A slot whose body does not decode fails alone, with an error
+// naming its spec's canonical key; a syntax error anywhere, an envelope
+// that is not {"results":[…]} of slot objects, or a slot count other than
+// len(slots) fails the whole exchange.
+func (c *Client) decodeResults(body []byte, specs []targeting.Spec, slots []int, out []core.BatchResult) error {
+	cur := cursor{buf: body}
+	n := 0
+	cur.members(batchResponseKeys, func(int) {
+		cur.elements(func() {
+			r, malformed := c.decodeSlot(&cur)
+			if n < len(slots) {
+				i := slots[n]
+				if malformed {
+					// Identify the slot by its spec's canonical key: batch
+					// indices mean nothing to a caller that deduplicated or
+					// reordered specs, while the canonical key names the
+					// exact query that failed.
+					r.Err = fmt.Errorf("adapi: malformed batch slot %s: %w", targeting.Canonical(specs[i]), r.Err)
+				}
+				out[i] = r
+			}
+			n++
+		})
+	})
+	if err := cur.settle(nil); err != nil {
+		return fmt.Errorf("adapi: malformed batch response: %w", err)
+	}
+	if n != len(slots) {
+		return fmt.Errorf("adapi: batch response holds %d slots for %d requests", n, len(slots))
+	}
+	return nil
+}
+
+// errNoSlotBody marks a response slot with neither a body nor an error.
+var errNoSlotBody = errors.New("adapi: batch slot has no body")
+
+// decodeSlot reads one response slot: the size its body holds, or the error
+// it carries, which wins over a body as it did when the slot was built.
+// malformed reports an Err that says why the body did not decode.
+func (c *Client) decodeSlot(cur *cursor) (r core.BatchResult, malformed bool) {
+	var (
+		hasBody, hasError bool
+		code, message     []byte
+	)
+	cur.members(batchSlotKeys, func(i int) {
+		switch {
+		case i == 0: // body
+			hasBody = true
+			r.Size, r.Err = c.codec.decodeResponse(cur)
+		case !cur.null(): // error
+			hasError = true
+			cur.members(batchErrorKeys, func(i int) {
+				if i == 0 {
+					code = cur.str()
+				} else {
+					message = cur.str()
+				}
+			})
+		}
+	})
+	switch {
+	case hasError:
+		return core.BatchResult{Err: errorFromCode(string(code), string(message))}, false
+	case !hasBody:
+		return core.BatchResult{Err: errNoSlotBody}, true
+	}
+	return r, r.Err != nil
 }

@@ -190,7 +190,7 @@ func (c *Client) size(ctx context.Context, door string, req platform.EstimateReq
 		span.Annotate("door", door)
 		ctx = trace.NewContext(ctx, span)
 	}
-	body, err := c.codec.EncodeRequest(req)
+	body, err := c.codec.AppendRequest(nil, req)
 	if err != nil {
 		span.SetError(err)
 		return 0, err

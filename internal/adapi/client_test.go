@@ -77,11 +77,7 @@ func (s *throttleScript) handler(t *testing.T) http.Handler {
 			fmt.Fprint(w, `{"error":{"code":"throttled","message":"slow down"}}`)
 			return
 		}
-		body, err := codec.EncodeResponse(1000)
-		if err != nil {
-			t.Errorf("encoding response: %v", err)
-		}
-		w.Write(body)
+		w.Write(codec.AppendResponse(nil, 1000))
 	})
 	return mux
 }

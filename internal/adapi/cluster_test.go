@@ -291,11 +291,7 @@ func TestBatchSlotErrorNamesCanonicalKey(t *testing.T) {
 		})
 	})
 	mux.HandleFunc("/facebook/measure-batch", func(w http.ResponseWriter, r *http.Request) {
-		good, err := codec.EncodeResponse(4200)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		good := codec.AppendResponse(nil, 4200)
 		// Slot 0 decodes; slot 1's body is valid JSON but not a valid
 		// dialect response, so DecodeResponse fails client-side.
 		resp := batchResponse{Results: []batchSlot{

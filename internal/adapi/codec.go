@@ -2,6 +2,7 @@ package adapi
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/platform"
@@ -10,18 +11,26 @@ import (
 
 // Codec translates between targeting specs and one platform's wire dialect.
 // The servers and clients share codecs, so a spec surviving an encode/decode
-// round trip is a tested invariant.
+// round trip is a tested invariant. The wire bytes are those encoding/json
+// produces for the dialect's documented structures (codec_ref_test.go keeps
+// them as the reference), written and read without reflection.
 type Codec interface {
 	// Platform returns the interface name the codec speaks for.
 	Platform() string
-	// EncodeRequest renders an estimate request in the platform dialect.
-	EncodeRequest(req platform.EstimateRequest) ([]byte, error)
+	// AppendRequest appends an estimate request in the platform dialect to
+	// dst. On error it returns dst unchanged.
+	AppendRequest(dst []byte, req platform.EstimateRequest) ([]byte, error)
 	// DecodeRequest parses a request body.
 	DecodeRequest(body []byte) (platform.EstimateRequest, error)
-	// EncodeResponse renders a size estimate.
-	EncodeResponse(size int64) ([]byte, error)
+	// AppendResponse appends a size estimate's response body to dst.
+	AppendResponse(dst []byte, size int64) []byte
 	// DecodeResponse parses a size estimate from a response body.
 	DecodeResponse(body []byte) (int64, error)
+
+	// decodeRequest and decodeResponse decode the next value of a cursor in
+	// place, so a batch envelope's slots are read where they lie.
+	decodeRequest(c *cursor) (platform.EstimateRequest, error)
+	decodeResponse(c *cursor) (int64, error)
 }
 
 // CodecFor returns the codec for a platform interface name.
@@ -57,34 +66,49 @@ func ageRangeFromBounds(min, max int) (int, error) {
 	return 0, fmt.Errorf("adapi: unknown age bounds [%d, %d]", min, max)
 }
 
-// splitClauses groups a spec side's clauses by feature kind, preserving
-// clause structure. The wire dialects physically cannot express empty or
-// kind-mixed clauses (true of the real platforms' formats), so those are
-// encoder errors.
-func splitClauses(clauses []targeting.Clause) (map[targeting.Kind][]targeting.Clause, error) {
-	out := make(map[targeting.Kind][]targeting.Clause)
-	for _, cl := range clauses {
-		if len(cl) == 0 {
-			return nil, targeting.ErrEmptyClause
+// checkAges rejects an age-range id the dialects cannot render.
+func checkAges(cl targeting.Clause) error {
+	for _, r := range cl {
+		if r.ID < 0 || r.ID >= len(ageBounds) {
+			return fmt.Errorf("%w: age range %d", targeting.ErrInvalidDemoValue, r.ID)
 		}
-		k := cl[0].Kind
-		for _, r := range cl {
-			if r.Kind != k {
-				return nil, targeting.ErrMixedClause
-			}
-		}
-		out[k] = append(out[k], cl)
 	}
-	return out, nil
+	return nil
 }
 
-// clauseIDs extracts the option IDs of a single-kind clause.
-func clauseIDs(cl targeting.Clause) []int {
-	ids := make([]int, len(cl))
-	for i, r := range cl {
-		ids[i] = r.ID
+// clauseKind returns the one feature kind of a clause. The wire dialects
+// physically cannot express empty or kind-mixed clauses (true of the real
+// platforms' formats), so those are encoder errors.
+func clauseKind(cl targeting.Clause) (targeting.Kind, error) {
+	if len(cl) == 0 {
+		return 0, targeting.ErrEmptyClause
 	}
-	return ids
+	for _, r := range cl[1:] {
+		if r.Kind != cl[0].Kind {
+			return 0, targeting.ErrMixedClause
+		}
+	}
+	return cl[0].Kind, nil
+}
+
+// checkClauses runs clauseKind over every clause, in order.
+func checkClauses(clauses []targeting.Clause) error {
+	for _, cl := range clauses {
+		if _, err := clauseKind(cl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hasKind reports whether any (single-kind) clause is of kind k.
+func hasKind(clauses []targeting.Clause, k targeting.Kind) bool {
+	for _, cl := range clauses {
+		if cl[0].Kind == k {
+			return true
+		}
+	}
+	return false
 }
 
 // regionCodes maps population.Region ids to country codes on the wire.
@@ -99,20 +123,20 @@ func regionCode(id int) (string, error) {
 }
 
 // regionFromCode parses a wire country code.
-func regionFromCode(code string) (int, error) {
+func regionFromCode(code []byte) (int, error) {
 	for i, c := range regionCodes {
-		if c == code {
+		if c == string(code) {
 			return i, nil
 		}
 	}
 	return 0, fmt.Errorf("adapi: unknown country code %q", code)
 }
 
-// clauseOf builds a clause of one kind from option IDs.
-func clauseOf(kind targeting.Kind, ids []int) targeting.Clause {
-	cl := make(targeting.Clause, len(ids))
-	for i, id := range ids {
-		cl[i] = targeting.Ref{Kind: kind, ID: id}
+// appendIDs appends a clause's option ids, each plus delta, as elements of
+// a JSON array of numbers.
+func appendIDs(dst []byte, cl targeting.Clause, delta int) []byte {
+	for _, r := range cl {
+		dst = strconv.AppendInt(sep(dst), int64(r.ID+delta), 10)
 	}
-	return cl
+	return dst
 }

@@ -1,14 +1,19 @@
 package adapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/targeting"
 	"repro/internal/xrand"
@@ -50,7 +55,7 @@ func TestCodecPlatformNames(t *testing.T) {
 // canonical equality.
 func canonicalRoundTrip(t *testing.T, c Codec, req platform.EstimateRequest) {
 	t.Helper()
-	body, err := c.EncodeRequest(req)
+	body, err := c.AppendRequest(nil, req)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", c.Platform(), err)
 	}
@@ -100,7 +105,7 @@ func TestRoundTripGoogleTopics(t *testing.T) {
 
 func TestGoogleFrequencyCapRoundTrip(t *testing.T) {
 	c, _ := CodecFor(catalog.PlatformGoogle)
-	body, err := c.EncodeRequest(platform.EstimateRequest{
+	body, err := c.AppendRequest(nil, platform.EstimateRequest{
 		Spec:                 targeting.Attr(1),
 		FrequencyCapPerMonth: 7,
 	})
@@ -128,7 +133,7 @@ func TestObjectiveRoundTrip(t *testing.T) {
 			canonicalRoundTrip(t, c, platform.EstimateRequest{Spec: targeting.Attr(1), Objective: o})
 		}
 		// Unsupported objective is an encoder error.
-		if _, err := c.EncodeRequest(platform.EstimateRequest{Spec: targeting.Attr(1), Objective: "dance"}); !errors.Is(err, platform.ErrUnknownObjective) {
+		if _, err := c.AppendRequest(nil, platform.EstimateRequest{Spec: targeting.Attr(1), Objective: "dance"}); !errors.Is(err, platform.ErrUnknownObjective) {
 			t.Errorf("%s: want ErrUnknownObjective, got %v", name, err)
 		}
 	}
@@ -140,7 +145,7 @@ func TestEncodeRejectsMixedClause(t *testing.T) {
 		{Kind: targeting.KindGender, ID: 0},
 	}}}
 	for _, c := range allCodecs(t) {
-		if _, err := c.EncodeRequest(platform.EstimateRequest{Spec: mixed}); !errors.Is(err, targeting.ErrMixedClause) {
+		if _, err := c.AppendRequest(nil, platform.EstimateRequest{Spec: mixed}); !errors.Is(err, targeting.ErrMixedClause) {
 			t.Errorf("%s: want ErrMixedClause, got %v", c.Platform(), err)
 		}
 	}
@@ -149,7 +154,7 @@ func TestEncodeRejectsMixedClause(t *testing.T) {
 func TestEncodeRejectsEmptyClause(t *testing.T) {
 	empty := targeting.Spec{Include: []targeting.Clause{{}}}
 	for _, c := range allCodecs(t) {
-		if _, err := c.EncodeRequest(platform.EstimateRequest{Spec: empty}); !errors.Is(err, targeting.ErrEmptyClause) {
+		if _, err := c.AppendRequest(nil, platform.EstimateRequest{Spec: empty}); !errors.Is(err, targeting.ErrEmptyClause) {
 			t.Errorf("%s: want ErrEmptyClause, got %v", c.Platform(), err)
 		}
 	}
@@ -157,7 +162,7 @@ func TestEncodeRejectsEmptyClause(t *testing.T) {
 
 func TestFacebookRejectsTopics(t *testing.T) {
 	c, _ := CodecFor(catalog.PlatformFacebook)
-	if _, err := c.EncodeRequest(platform.EstimateRequest{Spec: targeting.Topic(1)}); !errors.Is(err, targeting.ErrKindForbidden) {
+	if _, err := c.AppendRequest(nil, platform.EstimateRequest{Spec: targeting.Topic(1)}); !errors.Is(err, targeting.ErrKindForbidden) {
 		t.Fatalf("want ErrKindForbidden, got %v", err)
 	}
 }
@@ -165,10 +170,7 @@ func TestFacebookRejectsTopics(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	for _, c := range allCodecs(t) {
 		for _, v := range []int64{0, 40, 300, 1000, 46_000, 5_200_000, 2_400_000_000} {
-			body, err := c.EncodeResponse(v)
-			if err != nil {
-				t.Fatal(err)
-			}
+			body := c.AppendResponse(nil, v)
 			got, err := c.DecodeResponse(body)
 			if err != nil {
 				t.Fatalf("%s: decode response: %v", c.Platform(), err)
@@ -184,7 +186,7 @@ func TestGoogleWireIsObfuscated(t *testing.T) {
 	// The Google dialect must not leak readable field names: all object
 	// keys are numeric strings, and the estimate travels as a string.
 	c, _ := CodecFor(catalog.PlatformGoogle)
-	body, err := c.EncodeRequest(platform.EstimateRequest{
+	body, err := c.AppendRequest(nil, platform.EstimateRequest{
 		Spec:                 targeting.WithGender(targeting.And(targeting.Attr(5), targeting.Topic(9)), 1),
 		FrequencyCapPerMonth: 1,
 		Objective:            platform.ObjectiveBrandAwarenessReach,
@@ -202,7 +204,7 @@ func TestGoogleWireIsObfuscated(t *testing.T) {
 			t.Fatalf("google wire leaks %q: %s", word, body)
 		}
 	}
-	resp, _ := c.EncodeResponse(123_000)
+	resp := c.AppendResponse(nil, 123_000)
 	var rGeneric map[string]any
 	if err := json.Unmarshal(resp, &rGeneric); err != nil {
 		t.Fatal(err)
@@ -237,7 +239,7 @@ func assertNumericKeys(t *testing.T, v any) {
 func TestFacebookWireShape(t *testing.T) {
 	// Spot-check the Facebook dialect against its documented field names.
 	c, _ := CodecFor(catalog.PlatformFacebook)
-	body, err := c.EncodeRequest(platform.EstimateRequest{
+	body, err := c.AppendRequest(nil, platform.EstimateRequest{
 		Spec:      targeting.WithGender(targeting.And(targeting.Attr(3), targeting.AnyAttr(4, 5)), 0),
 		Objective: platform.ObjectiveReach,
 	})
@@ -268,7 +270,7 @@ func TestFacebookWireShape(t *testing.T) {
 func TestLinkedInWireShape(t *testing.T) {
 	// LinkedIn demographics ride as ordinary facets in the and-of-ors tree.
 	c, _ := CodecFor(catalog.PlatformLinkedIn)
-	body, err := c.EncodeRequest(platform.EstimateRequest{
+	body, err := c.AppendRequest(nil, platform.EstimateRequest{
 		Spec: targeting.WithAge(targeting.Attr(7), 3),
 	})
 	if err != nil {
@@ -302,7 +304,7 @@ func TestRandomSpecRoundTripProperty(t *testing.T) {
 		}
 		req := platform.EstimateRequest{Spec: spec}
 		for _, c := range []Codec{fb, li} {
-			body, err := c.EncodeRequest(req)
+			body, err := c.AppendRequest(nil, req)
 			if err != nil {
 				return false
 			}
@@ -312,7 +314,7 @@ func TestRandomSpecRoundTripProperty(t *testing.T) {
 			}
 		}
 		// Google expresses the same shape (validation happens server-side).
-		body, err := g.EncodeRequest(req)
+		body, err := g.AppendRequest(nil, req)
 		if err != nil {
 			return false
 		}
@@ -386,7 +388,7 @@ func TestLocationRoundTrip(t *testing.T) {
 		if c.Platform() == catalog.PlatformGoogle {
 			continue
 		}
-		if _, err := c.EncodeRequest(platform.EstimateRequest{Spec: bad}); err == nil {
+		if _, err := c.AppendRequest(nil, platform.EstimateRequest{Spec: bad}); err == nil {
 			t.Errorf("%s: unknown region accepted", c.Platform())
 		}
 	}
@@ -398,12 +400,12 @@ func TestRegionCodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := regionFromCode(code)
+		back, err := regionFromCode([]byte(code))
 		if err != nil || back != id {
 			t.Fatalf("region %d -> %q -> %d (%v)", id, code, back, err)
 		}
 	}
-	if _, err := regionFromCode("ZZ"); err == nil {
+	if _, err := regionFromCode([]byte("ZZ")); err == nil {
 		t.Fatal("unknown code accepted")
 	}
 }
@@ -433,7 +435,7 @@ func TestWireGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := c.EncodeRequest(req)
+		body, err := c.AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -441,4 +443,81 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("%s wire body changed:\n got: %s\nwant: %s", name, got, want)
 		}
 	}
+
+	responses := map[string]string{
+		catalog.PlatformFacebook: `{"data":[{"estimate_mau":46000}]}`,
+		catalog.PlatformGoogle:   `{"1":{"2":"46000"}}`,
+		catalog.PlatformLinkedIn: `{"elements":[{"total":46000}]}`,
+	}
+	for name, want := range responses {
+		c, _ := CodecFor(name)
+		if got := string(c.AppendResponse(nil, 46000)); got != want {
+			t.Errorf("%s response body changed:\n got: %s\nwant: %s", name, got, want)
+		}
+	}
+
+	// The measure-batch envelopes: two request slots, and a size slot plus
+	// an error slot whose message encoding/json escapes.
+	fb, _ := CodecFor(catalog.PlatformFacebook)
+	specs := []targeting.Spec{targeting.Attr(1), targeting.WithGender(targeting.AnyAttr(2, 3), 1)}
+	reqEnv, _ := encodeBatch(fb, specs, make([]core.BatchResult, len(specs)))
+	const wantReq = `{"requests":[{"targeting_spec":{"flexible_spec":[{"interests":[{"id":1}]}]}},{"targeting_spec":{"flexible_spec":[{"interests":[{"id":2},{"id":3}]}],"genders":[2]}}]}`
+	if string(reqEnv) != wantReq {
+		t.Errorf("request envelope changed:\n got: %s\nwant: %s", reqEnv, wantReq)
+	}
+	slotErr := fmt.Errorf("%w: bad \"quote\" \\ <tag> é", targeting.ErrUnknownOption)
+	respEnv := appendResults(nil, fb, []error{nil, nil}, []platform.Estimate{{Size: 1000}, {Err: slotErr}})
+	const wantResp = `{"results":[{"body":{"data":[{"estimate_mau":1000}]}},{"error":{"code":"unknown_option","message":"targeting: unknown targeting option: bad \"quote\" \\ \u003ctag\u003e é"}}]}` + "\n"
+	if string(respEnv) != wantResp {
+		t.Errorf("results envelope changed:\n got: %s\nwant: %s", respEnv, wantResp)
+	}
+}
+
+// TestLinkedInFacetOrder is the regression test for or-terms that name two
+// facets: their refs are read in document order, so validation meets the
+// same first error every time, decoded directly and over POST
+// /linkedin/measure alike.
+func TestLinkedInFacetOrder(t *testing.T) {
+	const body = `{"include":{"and":[{"or":{"urn:li:adTargetingFacet:attributes":["urn:li:attribute:999999"],"urn:li:adTargetingFacet:genders":["urn:li:gender:MALE"]}},{"or":{"urn:li:adTargetingFacet:locations":["urn:li:geo:US"]}}]}}`
+	ts, d := startServer(t, ServerOptions{Metrics: obs.NewRegistry()})
+	p, err := d.ByName(catalog.PlatformLinkedIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := CodecFor(catalog.PlatformLinkedIn)
+	codes := map[string]int{}
+	for i := 0; i < 200; i++ {
+		req, err := c.DecodeRequest([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes[errorCode(p.MeasureManyCtx(context.Background(), []platform.EstimateRequest{req})[0].Err)]++
+	}
+	if len(codes) != 1 {
+		t.Fatalf("direct decode and measure gave codes %v, want one", codes)
+	}
+	wire := map[string]int{}
+	for i := 0; i < 200; i++ {
+		resp, err := http.Post(ts.URL+"/linkedin/measure", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, decode %v", resp.StatusCode, err)
+		}
+		wire[env.Error.Code]++
+	}
+	if len(wire) != 1 || wire[firstKey(codes)] != 200 {
+		t.Fatalf("POST /linkedin/measure gave codes %v, direct %v", wire, codes)
+	}
+}
+
+func firstKey(m map[string]int) string {
+	for k := range m {
+		return k
+	}
+	return ""
 }

@@ -1,8 +1,8 @@
 package adapi
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/platform"
 	"repro/internal/targeting"
@@ -11,58 +11,21 @@ import (
 // facebookCodec speaks the Marketing-API-style delivery_estimate dialect
 // used by both Facebook interfaces: OR-groups of interests under
 // flexible_spec, a merged exclusions group, genders as 1 (male) / 2
-// (female), and age ranges as min/max bounds.
+// (female), and age ranges as min/max bounds. A request body is
+//
+//	{"targeting_spec": {
+//	    "flexible_spec": [{"interests": [{"id": 1}, …]}, …],
+//	    "exclusions": {"interests": [{"id": 5}, …]},
+//	    "genders": [1, 2],
+//	    "age_ranges": [{"min": 18, "max": 24}, {"min": 55}],
+//	    "custom_audiences": [[{"id": 2}, …], …],
+//	    "geo_locations": {"countries": ["US", …]}},
+//	 "optimization_goal": "REACH"}
+//
+// in that key order, with empty blocks, a max of 0 (no upper bound) and an
+// empty goal left out. A response body is {"data":[{"estimate_mau":1000}]}.
 type facebookCodec struct {
 	platform string
-}
-
-// fbInterest is one option inside a flexible_spec group.
-type fbInterest struct {
-	ID int `json:"id"`
-}
-
-// fbFlexGroup is one OR-group.
-type fbFlexGroup struct {
-	Interests []fbInterest `json:"interests,omitempty"`
-}
-
-// fbAgeRange is a min/max age bound; Max 0 encodes "no upper bound".
-type fbAgeRange struct {
-	Min int `json:"min"`
-	Max int `json:"max,omitempty"`
-}
-
-// fbCustomAudience references a previously created custom audience.
-type fbCustomAudience struct {
-	ID int `json:"id"`
-}
-
-// fbGeoLocations is the location-targeting block.
-type fbGeoLocations struct {
-	Countries []string `json:"countries"`
-}
-
-// fbTargetingSpec is the targeting_spec body.
-type fbTargetingSpec struct {
-	FlexibleSpec    []fbFlexGroup        `json:"flexible_spec,omitempty"`
-	Exclusions      *fbFlexGroup         `json:"exclusions,omitempty"`
-	Genders         []int                `json:"genders,omitempty"`
-	AgeRanges       []fbAgeRange         `json:"age_ranges,omitempty"`
-	CustomAudiences [][]fbCustomAudience `json:"custom_audiences,omitempty"`
-	GeoLocations    *fbGeoLocations      `json:"geo_locations,omitempty"`
-}
-
-// fbRequest is the estimate request envelope.
-type fbRequest struct {
-	TargetingSpec    fbTargetingSpec `json:"targeting_spec"`
-	OptimizationGoal string          `json:"optimization_goal,omitempty"`
-}
-
-// fbResponse is the estimate response envelope.
-type fbResponse struct {
-	Data []struct {
-		EstimateMAU int64 `json:"estimate_mau"`
-	} `json:"data"`
 }
 
 func (c facebookCodec) Platform() string { return c.platform }
@@ -73,175 +36,284 @@ var goalNames = map[platform.Objective]string{
 	platform.ObjectiveTraffic: "LINK_CLICKS",
 }
 
-// EncodeRequest implements Codec.
-func (c facebookCodec) EncodeRequest(req platform.EstimateRequest) ([]byte, error) {
-	byKind, err := splitClauses(req.Spec.Include)
-	if err != nil {
-		return nil, err
+// The keys of each Facebook object, in the order the encoder writes them.
+var (
+	fbRequestKeys   = []string{"targeting_spec", "optimization_goal"}
+	fbTargetingKeys = []string{"flexible_spec", "exclusions", "genders", "age_ranges", "custom_audiences", "geo_locations"}
+	fbGroupKeys     = []string{"interests"}
+	fbIDKeys        = []string{"id"}
+	fbAgeKeys       = []string{"min", "max"}
+	fbGeoKeys       = []string{"countries"}
+	fbResponseKeys  = []string{"data"}
+	fbEstimateKeys  = []string{"estimate_mau"}
+)
+
+// AppendRequest implements Codec. It checks the whole request before
+// writing a byte, so the first error is the one the checks meet first:
+// clause shapes, topics, age ranges, locations, exclusions, objective.
+func (c facebookCodec) AppendRequest(dst []byte, req platform.EstimateRequest) ([]byte, error) {
+	inc, exc := req.Spec.Include, req.Spec.Exclude
+	if err := checkClauses(inc); err != nil {
+		return dst, err
 	}
-	if len(byKind[targeting.KindTopic]) > 0 {
-		return nil, fmt.Errorf("%w: facebook has no topic feature", targeting.ErrKindForbidden)
+	if hasKind(inc, targeting.KindTopic) {
+		return dst, fmt.Errorf("%w: facebook has no topic feature", targeting.ErrKindForbidden)
 	}
-	var ts fbTargetingSpec
-	for _, cl := range byKind[targeting.KindCustomAudience] {
-		group := make([]fbCustomAudience, 0, len(cl))
-		for _, id := range clauseIDs(cl) {
-			group = append(group, fbCustomAudience{ID: id})
-		}
-		ts.CustomAudiences = append(ts.CustomAudiences, group)
-	}
-	for _, cl := range byKind[targeting.KindAttribute] {
-		group := fbFlexGroup{}
-		for _, id := range clauseIDs(cl) {
-			group.Interests = append(group.Interests, fbInterest{ID: id})
-		}
-		ts.FlexibleSpec = append(ts.FlexibleSpec, group)
-	}
-	// Facebook genders are 1-based (1=male, 2=female).
-	for _, cl := range byKind[targeting.KindGender] {
-		for _, id := range clauseIDs(cl) {
-			ts.Genders = append(ts.Genders, id+1)
-		}
-	}
-	for _, cl := range byKind[targeting.KindAge] {
-		for _, id := range clauseIDs(cl) {
-			if id < 0 || id >= len(ageBounds) {
-				return nil, fmt.Errorf("%w: age range %d", targeting.ErrInvalidDemoValue, id)
+	for _, cl := range inc {
+		if cl[0].Kind == targeting.KindAge {
+			if err := checkAges(cl); err != nil {
+				return dst, err
 			}
-			b := ageBounds[id]
-			ts.AgeRanges = append(ts.AgeRanges, fbAgeRange{Min: b[0], Max: b[1]})
 		}
 	}
-	for _, cl := range byKind[targeting.KindLocation] {
-		geo := &fbGeoLocations{}
-		for _, id := range clauseIDs(cl) {
-			code, err := regionCode(id)
-			if err != nil {
-				return nil, err
+	var geo targeting.Clause
+	for _, cl := range inc {
+		if cl[0].Kind != targeting.KindLocation {
+			continue
+		}
+		for _, r := range cl {
+			if _, err := regionCode(r.ID); err != nil {
+				return dst, err
 			}
-			geo.Countries = append(geo.Countries, code)
 		}
-		if ts.GeoLocations != nil {
-			return nil, fmt.Errorf("%w: facebook supports one location block", targeting.ErrTooManyClauses)
+		if geo != nil {
+			return dst, fmt.Errorf("%w: facebook supports one location block", targeting.ErrTooManyClauses)
 		}
-		ts.GeoLocations = geo
+		geo = cl
 	}
 	// All exclusion clauses merge into one OR-group: ¬(A∨B) ∧ ¬(C) ≡
 	// ¬(A∨B∨C). Only attribute exclusions are expressible.
-	if len(req.Spec.Exclude) > 0 {
-		exByKind, err := splitClauses(req.Spec.Exclude)
-		if err != nil {
-			return nil, err
+	if err := checkClauses(exc); err != nil {
+		return dst, err
+	}
+	for _, cl := range exc {
+		if cl[0].Kind != targeting.KindAttribute {
+			return dst, fmt.Errorf("%w: facebook exclusions accept attributes only", targeting.ErrKindForbidden)
 		}
-		for k := range exByKind {
-			if k != targeting.KindAttribute {
-				return nil, fmt.Errorf("%w: facebook exclusions accept attributes only", targeting.ErrKindForbidden)
+	}
+	goal, ok := goalNames[req.Objective]
+	if req.Objective != "" && !ok {
+		return dst, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, req.Objective)
+	}
+
+	dst = append(dst, `{"targeting_spec":{`...)
+	if hasKind(inc, targeting.KindAttribute) {
+		dst = append(appendKey(dst, "flexible_spec"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind == targeting.KindAttribute {
+				dst = append(sep(dst), `{"interests":[`...)
+				dst = append(appendFBIDs(dst, cl), "]}"...)
 			}
 		}
-		ex := &fbFlexGroup{}
-		for _, cl := range exByKind[targeting.KindAttribute] {
-			for _, id := range clauseIDs(cl) {
-				ex.Interests = append(ex.Interests, fbInterest{ID: id})
+		dst = append(dst, ']')
+	}
+	if len(exc) > 0 {
+		dst = append(appendKey(dst, "exclusions"), `{"interests":[`...)
+		for _, cl := range exc {
+			dst = appendFBIDs(dst, cl)
+		}
+		dst = append(dst, "]}"...)
+	}
+	if hasKind(inc, targeting.KindGender) {
+		dst = append(appendKey(dst, "genders"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind == targeting.KindGender {
+				dst = appendIDs(dst, cl, 1) // Facebook genders are 1-based (1=male, 2=female).
 			}
 		}
-		ts.Exclusions = ex
+		dst = append(dst, ']')
 	}
-	goal := goalNames[req.Objective]
-	if req.Objective == "" {
-		goal = ""
-	} else if goal == "" {
-		return nil, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, req.Objective)
+	if hasKind(inc, targeting.KindAge) {
+		dst = append(appendKey(dst, "age_ranges"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind != targeting.KindAge {
+				continue
+			}
+			for _, r := range cl {
+				b := ageBounds[r.ID]
+				dst = strconv.AppendInt(append(sep(dst), `{"min":`...), int64(b[0]), 10)
+				if b[1] != 0 {
+					dst = strconv.AppendInt(append(dst, `,"max":`...), int64(b[1]), 10)
+				}
+				dst = append(dst, '}')
+			}
+		}
+		dst = append(dst, ']')
 	}
-	return json.Marshal(fbRequest{TargetingSpec: ts, OptimizationGoal: goal})
+	if hasKind(inc, targeting.KindCustomAudience) {
+		dst = append(appendKey(dst, "custom_audiences"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind == targeting.KindCustomAudience {
+				dst = append(appendFBIDs(append(sep(dst), '['), cl), ']')
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if geo != nil {
+		dst = append(appendKey(dst, "geo_locations"), `{"countries":[`...)
+		for _, r := range geo {
+			dst = appendString(sep(dst), regionCodes[r.ID])
+		}
+		dst = append(dst, "]}"...)
+	}
+	dst = append(dst, '}')
+	if goal != "" {
+		dst = appendString(appendKey(dst, "optimization_goal"), goal)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendFBIDs appends a clause's refs as {"id":…} list elements.
+func appendFBIDs(dst []byte, cl targeting.Clause) []byte {
+	for _, r := range cl {
+		dst = strconv.AppendInt(append(sep(dst), `{"id":`...), int64(r.ID), 10)
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // DecodeRequest implements Codec.
 func (c facebookCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
-	var req fbRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	return c.decodeRequest(&cursor{buf: body})
+}
+
+func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) {
+	outer := cur.begin()
+	var (
+		flex, audiences    []targeting.Clause
+		genders, ages, geo targeting.Clause
+		excl               targeting.Clause
+		hasGeo, hasExcl    bool
+		goal               []byte
+		ageErr, geoErr     error
+	)
+	cur.members(fbRequestKeys, func(i int) {
+		if i == 1 {
+			goal = cur.str()
+			return
+		}
+		cur.members(fbTargetingKeys, func(i int) {
+			switch i {
+			case 0: // flexible_spec
+				cur.elements(func() { flex = append(flex, fbGroup(cur)) })
+			case 1: // exclusions
+				if !cur.null() {
+					hasExcl, excl = true, fbGroup(cur)
+				}
+			case 2: // genders
+				cur.elements(func() {
+					genders = append(genders, targeting.Ref{Kind: targeting.KindGender, ID: cur.int() - 1})
+				})
+			case 3: // age_ranges
+				cur.elements(func() {
+					var b [2]int // min, max
+					cur.members(fbAgeKeys, func(i int) { b[i] = cur.int() })
+					id, err := ageRangeFromBounds(b[0], b[1])
+					if ageErr == nil {
+						ageErr = err
+					}
+					ages = append(ages, targeting.Ref{Kind: targeting.KindAge, ID: id})
+				})
+			case 4: // custom_audiences
+				cur.elements(func() { audiences = append(audiences, fbIDs(cur, targeting.KindCustomAudience)) })
+			case 5: // geo_locations
+				if cur.null() {
+					return
+				}
+				hasGeo = true
+				cur.members(fbGeoKeys, func(int) {
+					cur.elements(func() {
+						id, err := regionFromCode(cur.str())
+						if geoErr == nil {
+							geoErr = err
+						}
+						geo = append(geo, targeting.Ref{Kind: targeting.KindLocation, ID: id})
+					})
+				})
+			}
+		})
+	})
+	if err := cur.settle(outer); err != nil {
 		return platform.EstimateRequest{}, fmt.Errorf("adapi: malformed facebook request: %w", err)
 	}
-	var spec targeting.Spec
-	for _, g := range req.TargetingSpec.FlexibleSpec {
-		var cl targeting.Clause
-		for _, it := range g.Interests {
-			cl = append(cl, targeting.Ref{Kind: targeting.KindAttribute, ID: it.ID})
-		}
-		spec.Include = append(spec.Include, cl)
+	if ageErr != nil {
+		return platform.EstimateRequest{}, ageErr
 	}
-	if gs := req.TargetingSpec.Genders; len(gs) > 0 {
-		var cl targeting.Clause
-		for _, g := range gs {
-			cl = append(cl, targeting.Ref{Kind: targeting.KindGender, ID: g - 1})
-		}
-		spec.Include = append(spec.Include, cl)
+	if geoErr != nil {
+		return platform.EstimateRequest{}, geoErr
 	}
-	if ars := req.TargetingSpec.AgeRanges; len(ars) > 0 {
-		var cl targeting.Clause
-		for _, ar := range ars {
-			id, err := ageRangeFromBounds(ar.Min, ar.Max)
-			if err != nil {
-				return platform.EstimateRequest{}, err
-			}
-			cl = append(cl, targeting.Ref{Kind: targeting.KindAge, ID: id})
-		}
-		spec.Include = append(spec.Include, cl)
+	spec := targeting.Spec{Include: flex}
+	if len(genders) > 0 {
+		spec.Include = append(spec.Include, genders)
 	}
-	if geo := req.TargetingSpec.GeoLocations; geo != nil {
-		var cl targeting.Clause
-		for _, code := range geo.Countries {
-			id, err := regionFromCode(code)
-			if err != nil {
-				return platform.EstimateRequest{}, err
-			}
-			cl = append(cl, targeting.Ref{Kind: targeting.KindLocation, ID: id})
-		}
-		spec.Include = append(spec.Include, cl)
+	if len(ages) > 0 {
+		spec.Include = append(spec.Include, ages)
 	}
-	for _, group := range req.TargetingSpec.CustomAudiences {
-		var cl targeting.Clause
-		for _, ca := range group {
-			cl = append(cl, targeting.Ref{Kind: targeting.KindCustomAudience, ID: ca.ID})
-		}
-		spec.Include = append(spec.Include, cl)
+	if hasGeo {
+		spec.Include = append(spec.Include, geo)
 	}
-	if ex := req.TargetingSpec.Exclusions; ex != nil {
-		var cl targeting.Clause
-		for _, it := range ex.Interests {
-			cl = append(cl, targeting.Ref{Kind: targeting.KindAttribute, ID: it.ID})
-		}
-		spec.Exclude = append(spec.Exclude, cl)
+	spec.Include = append(spec.Include, audiences...)
+	if hasExcl {
+		spec.Exclude = []targeting.Clause{excl}
 	}
 	out := platform.EstimateRequest{Spec: spec}
-	switch req.OptimizationGoal {
+	switch string(goal) {
 	case "":
 	case "REACH":
 		out.Objective = platform.ObjectiveReach
 	case "LINK_CLICKS":
 		out.Objective = platform.ObjectiveTraffic
 	default:
-		return platform.EstimateRequest{}, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, req.OptimizationGoal)
+		return platform.EstimateRequest{}, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, goal)
 	}
 	return out, nil
 }
 
-// EncodeResponse implements Codec.
-func (c facebookCodec) EncodeResponse(size int64) ([]byte, error) {
-	var resp fbResponse
-	resp.Data = append(resp.Data, struct {
-		EstimateMAU int64 `json:"estimate_mau"`
-	}{EstimateMAU: size})
-	return json.Marshal(resp)
+// fbGroup reads an OR-group, {"interests":[{"id":…},…]}, as a clause of
+// attributes.
+func fbGroup(cur *cursor) (cl targeting.Clause) {
+	cur.members(fbGroupKeys, func(int) { cl = fbIDs(cur, targeting.KindAttribute) })
+	return cl
+}
+
+// fbIDs reads a list of {"id":…} objects as a clause of kind.
+func fbIDs(cur *cursor, kind targeting.Kind) (cl targeting.Clause) {
+	cur.elements(func() {
+		id := 0
+		cur.members(fbIDKeys, func(int) { id = cur.int() })
+		cl = append(cl, targeting.Ref{Kind: kind, ID: id})
+	})
+	return cl
+}
+
+// AppendResponse implements Codec.
+func (facebookCodec) AppendResponse(dst []byte, size int64) []byte {
+	dst = strconv.AppendInt(append(dst, `{"data":[{"estimate_mau":`...), size, 10)
+	return append(dst, "}]}"...)
 }
 
 // DecodeResponse implements Codec.
 func (c facebookCodec) DecodeResponse(body []byte) (int64, error) {
-	var resp fbResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	return c.decodeResponse(&cursor{buf: body})
+}
+
+func (facebookCodec) decodeResponse(cur *cursor) (int64, error) {
+	outer := cur.begin()
+	var (
+		entries int
+		mau     int64
+	)
+	cur.members(fbResponseKeys, func(int) {
+		cur.elements(func() {
+			entries++
+			cur.members(fbEstimateKeys, func(int) { mau = cur.int64() })
+		})
+	})
+	if err := cur.settle(outer); err != nil {
 		return 0, fmt.Errorf("adapi: malformed facebook response: %w", err)
 	}
-	if len(resp.Data) != 1 {
-		return 0, fmt.Errorf("adapi: facebook response has %d data entries", len(resp.Data))
+	if entries != 1 {
+		return 0, fmt.Errorf("adapi: facebook response has %d data entries", entries)
 	}
-	return resp.Data[0].EstimateMAU, nil
+	return mau, nil
 }

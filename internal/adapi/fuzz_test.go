@@ -39,7 +39,7 @@ func seedBodies(t interface{ Helper() }, name string) [][]byte {
 		{Spec: targeting.WithGender(targeting.Excluding(targeting.Attr(0), targeting.AnyAttr(1, 2, 3, 4, 5)), 0)},
 		{Spec: targeting.WithAge(targeting.And(targeting.Attr(7), targeting.Attr(8)), 3)},
 	} {
-		if body, err := c.EncodeRequest(req); err == nil {
+		if body, err := c.AppendRequest(nil, req); err == nil {
 			seeds = append(seeds, body)
 		}
 	}
@@ -71,7 +71,7 @@ func fuzzDecode(f *testing.F, name string) {
 		// Round-trip stability: re-encode and re-decode must preserve the
 		// canonical spec. Encoding may legitimately reject specs the wire
 		// cannot express (e.g. decoded demographic values out of range).
-		body2, err := codec.EncodeRequest(req)
+		body2, err := codec.AppendRequest(nil, req)
 		if err != nil {
 			return
 		}
@@ -105,9 +105,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			if body, err := c.EncodeResponse(v); err == nil {
-				f.Add(body)
-			}
+			f.Add(c.AppendResponse(nil, v))
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -119,11 +117,7 @@ func FuzzDecodeResponse(f *testing.F) {
 			// Must not panic; error or value both fine.
 			if v, err := c.DecodeResponse(body); err == nil {
 				// A decoded estimate must re-encode and decode to itself.
-				body2, err := c.EncodeResponse(v)
-				if err != nil {
-					t.Fatalf("%s: re-encode failed: %v", name, err)
-				}
-				v2, err := c.DecodeResponse(body2)
+				v2, err := c.DecodeResponse(c.AppendResponse(nil, v))
 				if err != nil || v2 != v {
 					t.Fatalf("%s: response round trip %d -> %d (%v)", name, v, v2, err)
 				}
@@ -192,7 +186,7 @@ func FuzzServerRequestBodies(f *testing.F) {
 		for _, spec := range specs {
 			req := platform.EstimateRequest{Spec: spec}
 			reqs = append(reqs, req)
-			if body, err := codec.EncodeRequest(req); err == nil {
+			if body, err := codec.AppendRequest(nil, req); err == nil {
 				add(body)
 				batch.Requests = append(batch.Requests, body)
 			}

@@ -1,7 +1,6 @@
 package adapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -31,42 +30,10 @@ import (
 //	"1"."5"    per-user monthly frequency cap
 //	"1"."10"   campaign objective enum (1 = display reach, 2 = traffic)
 //
+// The encoder writes the targeting keys in the order 3, 4, 6, 7, 9, 11, 8,
+// 12 and leaves out empty ones, a zero cap and a zero objective.
 // Response: {"1": {"2": "<estimate as decimal string>"}}.
 type googleCodec struct{}
-
-type gExclude struct {
-	Attrs  [][]int `json:"3,omitempty"`
-	Topics [][]int `json:"4,omitempty"`
-}
-
-type gTargeting struct {
-	Attrs      [][]int   `json:"3,omitempty"`
-	Topics     [][]int   `json:"4,omitempty"`
-	Genders    []int     `json:"6,omitempty"`
-	Ages       [][2]int  `json:"7,omitempty"`
-	Exclude    *gExclude `json:"9,omitempty"`
-	Audiences  [][]int   `json:"11,omitempty"` // customer-match lists
-	Locations  [][]int   `json:"8,omitempty"`  // geo criterion groups
-	Placements [][]int   `json:"12,omitempty"` // managed placements
-}
-
-type gCampaign struct {
-	Targeting gTargeting `json:"2"`
-	FreqCap   int        `json:"5,omitempty"`
-	Objective int        `json:"10,omitempty"`
-}
-
-type gRequest struct {
-	Campaign gCampaign `json:"1"`
-}
-
-type gResult struct {
-	Estimate string `json:"2"`
-}
-
-type gResponse struct {
-	Result gResult `json:"1"`
-}
 
 func (googleCodec) Platform() string { return catalog.PlatformGoogle }
 
@@ -76,152 +43,242 @@ const (
 	gObjectiveTraffic      = 2
 )
 
-// EncodeRequest implements Codec.
-func (googleCodec) EncodeRequest(req platform.EstimateRequest) ([]byte, error) {
-	byKind, err := splitClauses(req.Spec.Include)
-	if err != nil {
-		return nil, err
+// The keys of each Google object, in the order the encoder writes them.
+var (
+	gRequestKeys   = []string{"1"}
+	gCampaignKeys  = []string{"2", "5", "10"}
+	gTargetingKeys = []string{"3", "4", "6", "7", "9", "11", "8", "12"}
+	gExcludeKeys   = []string{"3", "4"}
+	gResponseKeys  = []string{"1"}
+	gResultKeys    = []string{"2"}
+)
+
+// AppendRequest implements Codec. It checks the whole request before
+// writing a byte: clause shapes, age ranges, exclusions, objective.
+func (googleCodec) AppendRequest(dst []byte, req platform.EstimateRequest) ([]byte, error) {
+	inc, exc := req.Spec.Include, req.Spec.Exclude
+	if err := checkClauses(inc); err != nil {
+		return dst, err
 	}
-	var t gTargeting
-	for _, cl := range byKind[targeting.KindAttribute] {
-		t.Attrs = append(t.Attrs, clauseIDs(cl))
-	}
-	for _, cl := range byKind[targeting.KindTopic] {
-		t.Topics = append(t.Topics, clauseIDs(cl))
-	}
-	for _, cl := range byKind[targeting.KindCustomAudience] {
-		t.Audiences = append(t.Audiences, clauseIDs(cl))
-	}
-	for _, cl := range byKind[targeting.KindLocation] {
-		t.Locations = append(t.Locations, clauseIDs(cl))
-	}
-	for _, cl := range byKind[targeting.KindPlacement] {
-		t.Placements = append(t.Placements, clauseIDs(cl))
-	}
-	for _, cl := range byKind[targeting.KindGender] {
-		for _, id := range clauseIDs(cl) {
-			t.Genders = append(t.Genders, id+1)
-		}
-	}
-	for _, cl := range byKind[targeting.KindAge] {
-		for _, id := range clauseIDs(cl) {
-			if id < 0 || id >= len(ageBounds) {
-				return nil, fmt.Errorf("%w: age range %d", targeting.ErrInvalidDemoValue, id)
-			}
-			t.Ages = append(t.Ages, [2]int{ageBounds[id][0], ageBounds[id][1]})
-		}
-	}
-	if len(req.Spec.Exclude) > 0 {
-		exByKind, err := splitClauses(req.Spec.Exclude)
-		if err != nil {
-			return nil, err
-		}
-		ex := &gExclude{}
-		for k, cls := range exByKind {
-			switch k {
-			case targeting.KindAttribute:
-				for _, cl := range cls {
-					ex.Attrs = append(ex.Attrs, clauseIDs(cl))
-				}
-			case targeting.KindTopic:
-				for _, cl := range cls {
-					ex.Topics = append(ex.Topics, clauseIDs(cl))
-				}
-			default:
-				return nil, fmt.Errorf("%w: google exclusions accept attributes and topics only", targeting.ErrKindForbidden)
+	for _, cl := range inc {
+		if cl[0].Kind == targeting.KindAge {
+			if err := checkAges(cl); err != nil {
+				return dst, err
 			}
 		}
-		t.Exclude = ex
 	}
-	c := gCampaign{Targeting: t, FreqCap: req.FrequencyCapPerMonth}
+	if err := checkClauses(exc); err != nil {
+		return dst, err
+	}
+	for _, cl := range exc {
+		if k := cl[0].Kind; k != targeting.KindAttribute && k != targeting.KindTopic {
+			return dst, fmt.Errorf("%w: google exclusions accept attributes and topics only", targeting.ErrKindForbidden)
+		}
+	}
+	objective := 0
 	switch req.Objective {
 	case "":
 	case platform.ObjectiveBrandAwarenessReach:
-		c.Objective = gObjectiveDisplayReach
+		objective = gObjectiveDisplayReach
 	case platform.ObjectiveTraffic:
-		c.Objective = gObjectiveTraffic
+		objective = gObjectiveTraffic
 	default:
-		return nil, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, req.Objective)
+		return dst, fmt.Errorf("%w: %q", platform.ErrUnknownObjective, req.Objective)
 	}
-	return json.Marshal(gRequest{Campaign: c})
+
+	dst = append(dst, `{"1":{"2":{`...)
+	dst = appendGroups(dst, "3", inc, targeting.KindAttribute)
+	dst = appendGroups(dst, "4", inc, targeting.KindTopic)
+	if hasKind(inc, targeting.KindGender) {
+		dst = append(appendKey(dst, "6"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind == targeting.KindGender {
+				dst = appendIDs(dst, cl, 1)
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if hasKind(inc, targeting.KindAge) {
+		dst = append(appendKey(dst, "7"), '[')
+		for _, cl := range inc {
+			if cl[0].Kind != targeting.KindAge {
+				continue
+			}
+			for _, r := range cl {
+				b := ageBounds[r.ID]
+				dst = strconv.AppendInt(append(sep(dst), '['), int64(b[0]), 10)
+				dst = strconv.AppendInt(append(dst, ','), int64(b[1]), 10)
+				dst = append(dst, ']')
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(exc) > 0 {
+		dst = append(appendKey(dst, "9"), '{')
+		dst = appendGroups(dst, "3", exc, targeting.KindAttribute)
+		dst = append(appendGroups(dst, "4", exc, targeting.KindTopic), '}')
+	}
+	dst = appendGroups(dst, "11", inc, targeting.KindCustomAudience)
+	dst = appendGroups(dst, "8", inc, targeting.KindLocation)
+	dst = append(appendGroups(dst, "12", inc, targeting.KindPlacement), '}')
+	if req.FrequencyCapPerMonth != 0 {
+		dst = strconv.AppendInt(appendKey(dst, "5"), int64(req.FrequencyCapPerMonth), 10)
+	}
+	if objective != 0 {
+		dst = strconv.AppendInt(appendKey(dst, "10"), int64(objective), 10)
+	}
+	return append(dst, "}}"...), nil
+}
+
+// appendGroups appends key's member, the clauses of kind as arrays of
+// option ids, when there are any.
+func appendGroups(dst []byte, key string, clauses []targeting.Clause, kind targeting.Kind) []byte {
+	if !hasKind(clauses, kind) {
+		return dst
+	}
+	dst = append(appendKey(dst, key), '[')
+	for _, cl := range clauses {
+		if cl[0].Kind == kind {
+			dst = append(appendIDs(append(sep(dst), '['), cl, 0), ']')
+		}
+	}
+	return append(dst, ']')
 }
 
 // DecodeRequest implements Codec.
-func (googleCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
-	var req gRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+func (g googleCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
+	return g.decodeRequest(&cursor{buf: body})
+}
+
+func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) {
+	outer := cur.begin()
+	var (
+		attrs, topics, audiences, locations, placements []targeting.Clause
+		exAttrs, exTopics                               []targeting.Clause
+		genders, ages                                   targeting.Clause
+		freqCap, objective                              int
+		ageErr                                          error
+	)
+	cur.members(gRequestKeys, func(int) {
+		cur.members(gCampaignKeys, func(i int) {
+			switch i {
+			case 1: // "5"
+				freqCap = cur.int()
+				return
+			case 2: // "10"
+				objective = cur.int()
+				return
+			}
+			cur.members(gTargetingKeys, func(i int) {
+				switch i {
+				case 0: // "3"
+					attrs = gGroups(cur, targeting.KindAttribute)
+				case 1: // "4"
+					topics = gGroups(cur, targeting.KindTopic)
+				case 2: // "6"
+					cur.elements(func() {
+						genders = append(genders, targeting.Ref{Kind: targeting.KindGender, ID: cur.int() - 1})
+					})
+				case 3: // "7": [min, max] pairs, read as a Go [2]int reads them
+					cur.elements(func() {
+						var b [2]int
+						n := 0
+						cur.elements(func() {
+							if n < len(b) {
+								b[n] = cur.int()
+							} else {
+								cur.skip()
+							}
+							n++
+						})
+						id, err := ageRangeFromBounds(b[0], b[1])
+						if ageErr == nil {
+							ageErr = err
+						}
+						ages = append(ages, targeting.Ref{Kind: targeting.KindAge, ID: id})
+					})
+				case 4: // "9": exclusions
+					cur.members(gExcludeKeys, func(i int) {
+						if i == 0 {
+							exAttrs = gGroups(cur, targeting.KindAttribute)
+						} else {
+							exTopics = gGroups(cur, targeting.KindTopic)
+						}
+					})
+				case 5: // "11"
+					audiences = gGroups(cur, targeting.KindCustomAudience)
+				case 6: // "8"
+					locations = gGroups(cur, targeting.KindLocation)
+				case 7: // "12"
+					placements = gGroups(cur, targeting.KindPlacement)
+				}
+			})
+		})
+	})
+	if err := cur.settle(outer); err != nil {
 		return platform.EstimateRequest{}, fmt.Errorf("adapi: malformed google request: %w", err)
 	}
-	t := req.Campaign.Targeting
+	if ageErr != nil {
+		return platform.EstimateRequest{}, ageErr
+	}
 	var spec targeting.Spec
-	for _, ids := range t.Attrs {
-		spec.Include = append(spec.Include, clauseOf(targeting.KindAttribute, ids))
+	for _, group := range [][]targeting.Clause{attrs, topics, audiences, locations, placements} {
+		spec.Include = append(spec.Include, group...)
 	}
-	for _, ids := range t.Topics {
-		spec.Include = append(spec.Include, clauseOf(targeting.KindTopic, ids))
+	if len(genders) > 0 {
+		spec.Include = append(spec.Include, genders)
 	}
-	for _, ids := range t.Audiences {
-		spec.Include = append(spec.Include, clauseOf(targeting.KindCustomAudience, ids))
+	if len(ages) > 0 {
+		spec.Include = append(spec.Include, ages)
 	}
-	for _, ids := range t.Locations {
-		spec.Include = append(spec.Include, clauseOf(targeting.KindLocation, ids))
-	}
-	for _, ids := range t.Placements {
-		spec.Include = append(spec.Include, clauseOf(targeting.KindPlacement, ids))
-	}
-	if len(t.Genders) > 0 {
-		var cl targeting.Clause
-		for _, g := range t.Genders {
-			cl = append(cl, targeting.Ref{Kind: targeting.KindGender, ID: g - 1})
-		}
-		spec.Include = append(spec.Include, cl)
-	}
-	if len(t.Ages) > 0 {
-		var cl targeting.Clause
-		for _, a := range t.Ages {
-			id, err := ageRangeFromBounds(a[0], a[1])
-			if err != nil {
-				return platform.EstimateRequest{}, err
-			}
-			cl = append(cl, targeting.Ref{Kind: targeting.KindAge, ID: id})
-		}
-		spec.Include = append(spec.Include, cl)
-	}
-	if ex := t.Exclude; ex != nil {
-		for _, ids := range ex.Attrs {
-			spec.Exclude = append(spec.Exclude, clauseOf(targeting.KindAttribute, ids))
-		}
-		for _, ids := range ex.Topics {
-			spec.Exclude = append(spec.Exclude, clauseOf(targeting.KindTopic, ids))
-		}
-	}
-	out := platform.EstimateRequest{Spec: spec, FrequencyCapPerMonth: req.Campaign.FreqCap}
-	switch req.Campaign.Objective {
+	spec.Exclude = append(exAttrs, exTopics...)
+	out := platform.EstimateRequest{Spec: spec, FrequencyCapPerMonth: freqCap}
+	switch objective {
 	case 0:
 	case gObjectiveDisplayReach:
 		out.Objective = platform.ObjectiveBrandAwarenessReach
 	case gObjectiveTraffic:
 		out.Objective = platform.ObjectiveTraffic
 	default:
-		return platform.EstimateRequest{}, fmt.Errorf("%w: enum %d", platform.ErrUnknownObjective, req.Campaign.Objective)
+		return platform.EstimateRequest{}, fmt.Errorf("%w: enum %d", platform.ErrUnknownObjective, objective)
 	}
 	return out, nil
 }
 
-// EncodeResponse implements Codec.
-func (googleCodec) EncodeResponse(size int64) ([]byte, error) {
-	return json.Marshal(gResponse{Result: gResult{Estimate: strconv.FormatInt(size, 10)}})
+// gGroups reads a list of OR-groups, each an array of option ids, as
+// clauses of kind.
+func gGroups(cur *cursor, kind targeting.Kind) (out []targeting.Clause) {
+	cur.elements(func() {
+		var cl targeting.Clause
+		cur.elements(func() { cl = append(cl, targeting.Ref{Kind: kind, ID: cur.int()}) })
+		out = append(out, cl)
+	})
+	return out
+}
+
+// AppendResponse implements Codec.
+func (googleCodec) AppendResponse(dst []byte, size int64) []byte {
+	dst = strconv.AppendInt(append(dst, `{"1":{"2":"`...), size, 10)
+	return append(dst, `"}}`...)
 }
 
 // DecodeResponse implements Codec.
-func (googleCodec) DecodeResponse(body []byte) (int64, error) {
-	var resp gResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+func (g googleCodec) DecodeResponse(body []byte) (int64, error) {
+	return g.decodeResponse(&cursor{buf: body})
+}
+
+func (googleCodec) decodeResponse(cur *cursor) (int64, error) {
+	outer := cur.begin()
+	var estimate []byte
+	cur.members(gResponseKeys, func(int) {
+		cur.members(gResultKeys, func(int) { estimate = cur.str() })
+	})
+	if err := cur.settle(outer); err != nil {
 		return 0, fmt.Errorf("adapi: malformed google response: %w", err)
 	}
-	v, err := strconv.ParseInt(resp.Result.Estimate, 10, 64)
+	v, err := strconv.ParseInt(string(estimate), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("adapi: google estimate %q is not a number: %w", resp.Result.Estimate, err)
+		return 0, fmt.Errorf("adapi: google estimate %q is not a number: %w", estimate, err)
 	}
 	return v, nil
 }

@@ -415,16 +415,26 @@ func (h *ifaceHandler) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveSize decodes the dialect request, queries the platform under the
-// request's context, and encodes the dialect response.
-func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query func(context.Context, platform.EstimateRequest) (int64, error)) {
+// readBody reads a request body up to MaxBodyBytes. It answers the request
+// itself, and reports false, when the body cannot be read or is too large.
+func (h *ifaceHandler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, h.opts.MaxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeMalformedRequest, "reading body: "+err.Error())
-		return
+		return nil, false
 	}
 	if int64(len(body)) > h.opts.MaxBodyBytes {
 		writeError(w, http.StatusRequestEntityTooLarge, codeMalformedRequest, "body too large")
+		return nil, false
+	}
+	return body, true
+}
+
+// serveSize decodes the dialect request, queries the platform under the
+// request's context, and encodes the dialect response.
+func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query func(context.Context, platform.EstimateRequest) (int64, error)) {
+	body, ok := h.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := h.codec.DecodeRequest(body)
@@ -437,13 +447,8 @@ func (h *ifaceHandler) serveSize(w http.ResponseWriter, r *http.Request, query f
 		writeError(w, http.StatusBadRequest, errorCode(err), err.Error())
 		return
 	}
-	resp, err := h.codec.EncodeResponse(size)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(resp); err != nil {
+	if _, err := w.Write(h.codec.AppendResponse(nil, size)); err != nil {
 		log.Printf("adapi: writing response: %v", err)
 	}
 }

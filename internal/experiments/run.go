@@ -139,7 +139,9 @@ func ValidExperiment(name string) bool {
 // ExpandExperiments resolves a requested experiment list, expanding "all"
 // into the full battery — restricted to the portable phases when
 // remoteOnly is set (providers without an in-process Deployment cannot run
-// the deployment-only studies). Unknown names are an error.
+// the deployment-only studies). Unknown names are an error, and so, when
+// remoteOnly is set, is a deployment-only phase named explicitly: the error
+// wraps ErrNeedsDeployment, so the list is refused before any phase runs.
 func ExpandExperiments(names []string, remoteOnly bool) ([]string, error) {
 	var out []string
 	add := func(n string) {
@@ -158,6 +160,9 @@ func ExpandExperiments(names []string, remoteOnly bool) ([]string, error) {
 		}
 		if !ValidExperiment(name) {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", name)
+		}
+		if remoteOnly && phases[phaseIndex(name)].deploymentOnly {
+			return nil, fmt.Errorf("%w: %q", ErrNeedsDeployment, name)
 		}
 		add(name)
 	}

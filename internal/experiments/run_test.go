@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -88,6 +89,23 @@ func TestExpandExperiments(t *testing.T) {
 	}
 	if _, err := ExpandExperiments(nil, false); err == nil {
 		t.Fatal("empty list accepted")
+	}
+
+	// A deployment-only phase named explicitly is refused for a remote
+	// run, and kept for an in-process one; "all" drops it silently.
+	for _, p := range phases {
+		if !p.deploymentOnly {
+			continue
+		}
+		if _, err := ExpandExperiments([]string{"fig1", p.name}, true); !errors.Is(err, ErrNeedsDeployment) {
+			t.Errorf("remote expansion of %q: err %v, want ErrNeedsDeployment", p.name, err)
+		}
+		if got, err := ExpandExperiments([]string{p.name}, false); err != nil || len(got) != 1 {
+			t.Errorf("in-process expansion of %q = %v, %v", p.name, got, err)
+		}
+	}
+	if _, err := ExpandExperiments([]string{"all", "fig1"}, true); err != nil {
+		t.Errorf("remote all: %v", err)
 	}
 }
 

@@ -81,6 +81,34 @@ func TestHTTPSubmitGetCancel(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitRefusesDeploymentOnlyPhase: a job runs on providers alone,
+// so a spec naming a deployment-only phase is refused at submission with
+// 400, before anything is queued, rather than failing after the phases
+// before it have run.
+func TestHTTPSubmitRefusesDeploymentOnlyPhase(t *testing.T) {
+	m, srv := httpManager(t)
+	body := `{"experiments":["fig1","lookalike"],"k":5,"universe":2000}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env httpError
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != "bad_request" {
+		t.Fatalf("POST /jobs = %d %+v (%v), want 400 bad_request", resp.StatusCode, env, err)
+	}
+	if !strings.Contains(env.Error.Message, "lookalike") {
+		t.Errorf("error %q does not name the phase", env.Error.Message)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("%d jobs queued, want none", len(jobs))
+	}
+	if queued, running := m.Stats(); queued != 0 || running != 0 {
+		t.Fatalf("stats: %d queued, %d running", queued, running)
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	_, srv := httpManager(t)
 

@@ -173,6 +173,11 @@ func (r *Rand) Perm(n int) []int {
 
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
 // order. If k >= n it returns a full permutation. It panics if k < 0.
+//
+// The draw is a partial Fisher–Yates shuffle of the identity over [0, n),
+// kept in O(k) time and memory: the result holds positions [0, k), and
+// moved records the values swapped out to positions k and above, which are
+// otherwise their own index.
 func (r *Rand) Sample(n, k int) []int {
 	if k < 0 {
 		panic("xrand: Sample called with k < 0")
@@ -180,16 +185,28 @@ func (r *Rand) Sample(n, k int) []int {
 	if k >= n {
 		return r.Perm(n)
 	}
-	// Partial Fisher-Yates.
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+	out := make([]int, k)
+	for i := range out {
+		out[i] = i
 	}
+	var moved map[int]int
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
-		p[i], p[j] = p[j], p[i]
+		if j < k {
+			out[i], out[j] = out[j], out[i]
+			continue
+		}
+		v, ok := moved[j]
+		if !ok {
+			v = j
+		}
+		if moved == nil {
+			moved = make(map[int]int, k)
+		}
+		moved[j] = out[i]
+		out[i] = v
 	}
-	return p[:k]
+	return out
 }
 
 // Shuffle pseudo-randomly permutes the order of n elements using swap.

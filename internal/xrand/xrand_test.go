@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -377,4 +378,49 @@ func BenchmarkBernoulli(b *testing.B) {
 		}
 	}
 	_ = n
+}
+
+// sampleFisherYates is the partial Fisher–Yates Sample used to run over a
+// full n-element index slice; Sample must draw and return exactly what it
+// did.
+func sampleFisherYates(r *Rand, n, k int) []int {
+	if k >= n {
+		return r.Perm(n)
+	}
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p[:k]
+}
+
+// TestSampleMatchesFisherYates: for n up to 700 and k in {0, 1, 2, 3, n−1,
+// n, n+1}, Sample returns the ids the full-slice shuffle returns and leaves
+// the generator in the same state, over many seeds.
+func TestSampleMatchesFisherYates(t *testing.T) {
+	meta := New(1)
+	for trial := 0; trial < 400; trial++ {
+		seed := meta.Uint64()
+		n := meta.Intn(701)
+		if trial < 8 {
+			n = trial // the smallest universes, 0 included
+		}
+		for _, k := range []int{0, 1, 2, 3, n - 1, n, n + 1} {
+			if k < 0 {
+				continue
+			}
+			a, b := New(seed), New(seed)
+			got, want := a.Sample(n, k), sampleFisherYates(b, n, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: Sample(%d, %d) = %v, want %v", seed, n, k, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d: Sample(%d, %d) left the generator in another state", seed, n, k)
+			}
+		}
+	}
 }
