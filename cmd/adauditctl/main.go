@@ -77,7 +77,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/platform"
-	"repro/internal/snapshot"
+	"repro/internal/shapes"
 	"repro/internal/store"
 	"repro/internal/targeting"
 )
@@ -226,32 +226,19 @@ func newRunner(ctx context.Context, o runOptions, st *store.Store) (*experiments
 		layout := coord.Layout()
 		log.Printf("auditing sharded cluster (%d partitions of %d users, %d replicas)",
 			layout.NumPartitions(), layout.PartitionSize(), o.replicas)
-		for _, iface := range coord.Metadata().Interfaces() {
-			p, err := coord.Provider(iface.Name())
-			if err != nil {
-				return nil, err
-			}
-			cfg.Providers = append(cfg.Providers, p)
-		}
+		cfg.Providers = coord.Providers()
 		return experiments.NewRunner(cfg)
 	}
 	if endpoint == "" {
-		var d *platform.Deployment
-		if o.snapshot != "" {
-			d2, info, err := snapshot.LoadDeployment(o.snapshot, platform.DeployOptions{Seed: seed, UniverseSize: universe})
-			if err != nil {
-				return nil, fmt.Errorf("loading snapshot: %w", err)
-			}
+		d, info, err := shapes.Open(o.snapshot, platform.DeployOptions{Seed: seed, UniverseSize: universe})
+		if err != nil {
+			return nil, err
+		}
+		if info != nil {
 			log.Printf("loaded snapshot %s (content %.12s, built %s)",
 				o.snapshot, info.ContentHash, info.CreatedAt.Format(time.RFC3339))
-			d = d2
 		} else {
-			log.Printf("building in-process deployment (universe=%d, seed=%d)", universe, seed)
-			d2, err := platform.NewDeployment(platform.DeployOptions{Seed: seed, UniverseSize: universe})
-			if err != nil {
-				return nil, err
-			}
-			d = d2
+			log.Printf("built in-process deployment (universe=%d, seed=%d)", universe, seed)
 		}
 		cfg.Deployment = d
 		return experiments.NewRunner(cfg)

@@ -20,7 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/snapshot"
+	"repro/internal/shapes"
 	"repro/internal/store"
 )
 
@@ -47,26 +47,27 @@ func main() {
 	}
 }
 
+// run opens the deployment, built or loaded from snapPath, and writes every
+// artifact from it into dir.
 func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snapPath string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, info, err := shapes.Open(snapPath, platform.DeployOptions{Seed: seed, UniverseSize: universe})
+	if err != nil {
 		return err
 	}
-	var d *platform.Deployment
-	if snapPath != "" {
-		dep, info, err := snapshot.LoadDeployment(snapPath, platform.DeployOptions{Seed: seed, UniverseSize: universe})
-		if err != nil {
-			return fmt.Errorf("loading snapshot: %w", err)
-		}
+	if info != nil {
 		log.Printf("loaded snapshot %s (content %.12s, built %s)",
 			snapPath, info.ContentHash, info.CreatedAt.Format(time.RFC3339))
-		d = dep
 	} else {
-		log.Printf("building deployment (universe=%d, seed=%d)", universe, seed)
-		dep, err := platform.NewDeployment(platform.DeployOptions{Seed: seed, UniverseSize: universe})
-		if err != nil {
-			return err
-		}
-		d = dep
+		log.Printf("built deployment (universe=%d, seed=%d)", universe, seed)
+	}
+	return write(dir, d, seed, k, granCalls, storeDir)
+}
+
+// write runs every phase of the experiments package's phase table on d,
+// then the claims report, into dir.
+func write(dir string, d *platform.Deployment, seed uint64, k, granCalls int, storeDir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	cfg := experiments.Config{Deployment: d, K: k, Seed: seed + 1}
 	if storeDir != "" {
@@ -101,9 +102,9 @@ func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snap
 		return err
 	}
 	defer mf.Close()
-	// write renders one artifact into dir and appends its metrics section;
-	// the logged time runs from start, which precedes the artifact's run.
-	write := func(file string, start time.Time, render func(io.Writer) error) error {
+	// artifact renders one artifact into dir and appends its metrics
+	// section; the logged time runs from start, which precedes its run.
+	artifact := func(file string, start time.Time, render func(io.Writer) error) error {
 		path := filepath.Join(dir, file)
 		f, err := os.Create(path)
 		if err != nil {
@@ -137,7 +138,7 @@ func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snap
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if err := write(res.File, start, res.Render); err != nil {
+		if err := artifact(res.File, start, res.Render); err != nil {
 			return err
 		}
 	}
@@ -146,7 +147,7 @@ func run(dir string, universe int, seed uint64, k, granCalls int, storeDir, snap
 	if err != nil {
 		return fmt.Errorf("REPORT.md: %w", err)
 	}
-	if err := write("REPORT.md", start, func(w io.Writer) error { return experiments.WriteReportMarkdown(w, rep) }); err != nil {
+	if err := artifact("REPORT.md", start, func(w io.Writer) error { return experiments.WriteReportMarkdown(w, rep) }); err != nil {
 		return err
 	}
 	log.Printf("all artifacts written to %s (metrics snapshots in %s)", dir, metricsPath)

@@ -72,6 +72,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs/trace"
 	"repro/internal/platform"
+	"repro/internal/shapes"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
@@ -182,15 +183,7 @@ func newJobsFactory(cfg config, host *platform.Deployment) jobs.ProviderFactory 
 			if err != nil {
 				return nil, err
 			}
-			var providers []core.Provider
-			for _, iface := range coord.Metadata().Interfaces() {
-				p, err := coord.Provider(iface.Name())
-				if err != nil {
-					return nil, err
-				}
-				providers = append(providers, p)
-			}
-			return providers, nil
+			return coord.Providers(), nil
 		}
 		d := host
 		if (spec.Universe != 0 && spec.Universe != cfg.universe) ||
@@ -202,11 +195,7 @@ func newJobsFactory(cfg config, host *platform.Deployment) jobs.ProviderFactory 
 				return nil, err
 			}
 		}
-		providers := make([]core.Provider, 0, len(d.Interfaces()))
-		for _, p := range d.Interfaces() {
-			providers = append(providers, core.NewPlatformProvider(p))
-		}
-		return providers, nil
+		return core.PlatformProviders(d), nil
 	}
 }
 
@@ -214,46 +203,33 @@ func newJobsFactory(cfg config, host *platform.Deployment) jobs.ProviderFactory 
 // job service, and the HTTP handler.
 func buildHandler(cfg config, st *store.Store) (http.Handler, *platform.Deployment, *jobs.Manager, error) {
 	dopts := platform.DeployOptions{Seed: cfg.seed, UniverseSize: cfg.universe, Compressed: cfg.comp}
-	var d *platform.Deployment
-	var shard *cluster.Shard
-	var snapInfo *snapshot.Info
-	start := time.Now()
+	var layout *cluster.Layout
 	if cfg.shardID != "" {
-		layout, err := buildShardLayout(cfg)
-		if err != nil {
+		var err error
+		if layout, err = buildShardLayout(cfg); err != nil {
 			return nil, nil, nil, err
 		}
-		// The shard's snapshot covers exactly the spans the layout assigns
-		// this node; a snapshot written for another node or ring fails the
-		// span check, never serves a single count.
-		sopts := dopts
-		sopts.UniverseSize = layout.UniverseSize()
-		sopts.ShardSpans = layout.ShardSpans(cfg.shardID)
-		if cfg.snapPath != "" {
-			d, snapInfo, err = snapshot.LoadDeployment(cfg.snapPath, sopts)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("loading shard snapshot: %w", err)
-			}
-			shard, err = cluster.NewShardFromDeployment(cfg.shardID, layout, d)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			log.Printf("platformd: shard %s loaded snapshot %s (content %.12s, built %s)",
-				cfg.shardID, cfg.snapPath, snapInfo.ContentHash, snapInfo.CreatedAt.Format(time.RFC3339))
-		} else {
-			log.Printf("platformd: building shard %s (universe=%d global, %d partitions of %d, replicas=%d, seed=%d)",
-				cfg.shardID, cfg.universe, layout.NumPartitions(), layout.PartitionSize(), layout.Ring().Replicas(), cfg.seed)
-			shard, err = cluster.NewShard(cfg.shardID, layout, dopts)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			d = shard.Deployment()
-		}
-		if cfg.snapWrite != "" {
-			if _, err := snapshot.WriteDeployment(cfg.snapWrite, d, sopts); err != nil {
-				return nil, nil, nil, fmt.Errorf("writing shard snapshot: %w", err)
-			}
-			log.Printf("platformd: shard snapshot written to %s", cfg.snapWrite)
+		// A shard's deployment, built or loaded, covers exactly the spans
+		// the layout assigns this node; a snapshot written for another node
+		// or ring fails the span check, never serves a single count.
+		dopts.UniverseSize = layout.UniverseSize()
+		dopts.ShardSpans = layout.ShardSpans(cfg.shardID)
+	}
+	start := time.Now()
+	d, snapInfo, err := shapes.Open(cfg.snapPath, dopts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if snapInfo != nil {
+		log.Printf("platformd: loaded snapshot %s (content %.12s, built %s) in %v",
+			cfg.snapPath, snapInfo.ContentHash, snapInfo.CreatedAt.Format(time.RFC3339), time.Since(start))
+	} else {
+		log.Printf("platformd: built deployment (universe=%d users/platform, seed=%d) in %v", cfg.universe, cfg.seed, time.Since(start))
+	}
+	var shard *cluster.Shard
+	if layout != nil {
+		if shard, err = cluster.NewShardFromDeployment(cfg.shardID, layout, d); err != nil {
+			return nil, nil, nil, err
 		}
 		local := 0
 		for _, p := range shard.Held() {
@@ -261,29 +237,12 @@ func buildHandler(cfg config, st *store.Store) (http.Handler, *platform.Deployme
 		}
 		log.Printf("platformd: shard %s holds %d/%d partitions (%d users/platform) — ready in %v",
 			cfg.shardID, len(shard.Held()), layout.NumPartitions(), local, time.Since(start))
-	} else {
-		var err error
-		if cfg.snapPath != "" {
-			d, snapInfo, err = snapshot.LoadDeployment(cfg.snapPath, dopts)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("loading snapshot: %w", err)
-			}
-			log.Printf("platformd: loaded snapshot %s (content %.12s, built %s) in %v",
-				cfg.snapPath, snapInfo.ContentHash, snapInfo.CreatedAt.Format(time.RFC3339), time.Since(start))
-		} else {
-			log.Printf("platformd: building deployment (universe=%d users/platform, seed=%d)", cfg.universe, cfg.seed)
-			d, err = platform.NewDeployment(dopts)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			log.Printf("platformd: deployment ready in %v", time.Since(start))
+	}
+	if cfg.snapWrite != "" {
+		if _, err := snapshot.WriteDeployment(cfg.snapWrite, d, dopts); err != nil {
+			return nil, nil, nil, fmt.Errorf("writing snapshot: %w", err)
 		}
-		if cfg.snapWrite != "" {
-			if _, err := snapshot.WriteDeployment(cfg.snapWrite, d, dopts); err != nil {
-				return nil, nil, nil, fmt.Errorf("writing snapshot: %w", err)
-			}
-			log.Printf("platformd: snapshot written to %s", cfg.snapWrite)
-		}
+		log.Printf("platformd: snapshot written to %s", cfg.snapWrite)
 	}
 	if cfg.warm {
 		start = time.Now()

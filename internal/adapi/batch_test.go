@@ -11,26 +11,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/battery"
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/population"
 	"repro/internal/store"
 	"repro/internal/targeting"
 )
 
-// batchSpecs builds a mixed batch against an interface: valid singles and
-// pairs, a duplicate, an unknown option, an empty spec, and a topic (which
-// Facebook's dialect cannot encode).
-func batchSpecs(nAttr int) []targeting.Spec {
-	return []targeting.Spec{
-		targeting.Attr(0),
-		targeting.And(targeting.Attr(1), targeting.Attr(2)),
-		targeting.Attr(0), // duplicate of slot 0
-		targeting.Attr(nAttr + 5),
-		targeting.Attr(3),
-		{},
-		targeting.Topic(1),
-	}
+// batteryCases draws one battery case of each shape for c's interface.
+func batteryCases(c *Client, seed uint64) []battery.Case {
+	return battery.Draw(seed, battery.Shapes, battery.Catalog{Attributes: len(c.AttributeNames()), Topics: len(c.TopicNames())})
 }
 
 // TestMeasureBatchMatchesSerial: for every dialect, one measure-batch
@@ -44,7 +36,7 @@ func TestMeasureBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := batchSpecs(len(c.AttributeNames()))
+		specs := battery.Specs(batteryCases(c, 5))
 		got := c.MeasureMany(specs)
 		if len(got) != len(specs) {
 			t.Fatalf("%s: %d slots for %d specs", name, len(got), len(specs))
@@ -68,8 +60,8 @@ func TestMeasureBatchMatchesSerial(t *testing.T) {
 }
 
 // TestMeasureBatchOneExchange: the whole batch costs one request on the
-// measure-batch door and zero on the serial measure door, even with a slot
-// the dialect cannot encode: that slot alone fails, with the encoder's
+// measure-batch door and zero on the serial measure door, even with slots
+// the dialect cannot encode: those slots alone fail, with the encoder's
 // error.
 func TestMeasureBatchOneExchange(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -78,13 +70,19 @@ func TestMeasureBatchOneExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := batchSpecs(len(c.AttributeNames()))
-	res := c.MeasureMany(specs)
-	if err := res[len(specs)-1].Err; !errors.Is(err, targeting.ErrKindForbidden) {
-		t.Errorf("topic slot: err %v, want targeting.ErrKindForbidden", err)
-	}
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Errorf("encodable slots failed: %v, %v", res[0].Err, res[1].Err)
+	cases := batteryCases(c, 5)
+	res := c.MeasureMany(battery.Specs(cases))
+	for i, cs := range cases {
+		switch cs.Shape {
+		case "topic": // Facebook's dialect has no topic feature.
+			if !errors.Is(res[i].Err, targeting.ErrKindForbidden) {
+				t.Errorf("topic slot %d: err %v, want targeting.ErrKindForbidden", i, res[i].Err)
+			}
+		case "attr", "and", "gender", "chain":
+			if res[i].Err != nil {
+				t.Errorf("encodable %s slot %d failed: %v", cs.Shape, i, res[i].Err)
+			}
+		}
 	}
 	iface := obs.L("interface", catalog.PlatformFacebook)
 	if n := reg.CounterValue("adapi_server_requests_total", iface, obs.L("door", "measure-batch")); n != 1 {
@@ -92,6 +90,41 @@ func TestMeasureBatchOneExchange(t *testing.T) {
 	}
 	if n := reg.CounterValue("adapi_server_requests_total", iface, obs.L("door", "measure")); n != 0 {
 		t.Errorf("measure requests = %d, want 0 (no serial fallback)", n)
+	}
+}
+
+// TestRepeatedDemographicsOverHTTP: an AND of two gender clauses, or of two
+// age clauses, never travels as their OR. The Facebook and Google dialects
+// carry each kind as one list, so their encoders refuse a second clause
+// with ErrTooManyClauses before anything is sent; LinkedIn's and-of-ors
+// carries it and answers exactly what the interface answers in process.
+func TestRepeatedDemographicsOverHTTP(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts, d := startServer(t, ServerOptions{Metrics: reg})
+	specs := []targeting.Spec{
+		targeting.WithGender(targeting.WithGender(targeting.Attr(3), int(population.Male)), int(population.Female)),
+		targeting.WithAge(targeting.WithAge(targeting.Attr(3), 0), 3),
+	}
+	for _, p := range d.Interfaces() {
+		c, err := NewClient(context.Background(), ts.URL, p.Name(), ClientOptions{Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range specs {
+			got, err := c.Measure(spec)
+			want, werr := p.Measure(platform.EstimateRequest{Spec: spec})
+			if p.Name() == catalog.PlatformLinkedIn {
+				if err != nil || werr != nil || got != want {
+					t.Errorf("%s %s: over HTTP (%d, %v), in process (%d, %v)", p.Name(), targeting.Canonical(spec), got, err, want, werr)
+				}
+			} else if !errors.Is(err, targeting.ErrTooManyClauses) {
+				t.Errorf("%s %s: over HTTP (%d, %v), want targeting.ErrTooManyClauses", p.Name(), targeting.Canonical(spec), got, err)
+			}
+		}
+		sent := reg.CounterValue("adapi_server_requests_total", obs.L("interface", p.Name()), obs.L("door", "measure"))
+		if want := map[bool]int64{true: 2, false: 0}[p.Name() == catalog.PlatformLinkedIn]; sent != want {
+			t.Errorf("%s: %d measure requests reached the server, want %d", p.Name(), sent, want)
+		}
 	}
 }
 

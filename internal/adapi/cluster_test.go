@@ -31,102 +31,61 @@ func startShardServer(t *testing.T, s *cluster.Shard) *httptest.Server {
 	return ts
 }
 
-// TestClusterDoorEndToEnd runs a 3-shard cluster over real HTTP — each
-// shard behind its own adapi server, the coordinator wired through
-// ShardConn — and checks scatter-gather MeasureMany is bit-identical to
-// the single-node deployment.
-func TestClusterDoorEndToEnd(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
-	single := serverDeploy(t)
+// testLayout is the cluster tests' partition map: the shared deployment's
+// 15,000 users in 1,024-user partitions over nodes, 8 virtual nodes each.
+func testLayout(t *testing.T, nodes []string, replicas int) *cluster.Layout {
+	t.Helper()
+	ring, err := cluster.NewRing(nodes, 8, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := cluster.NewLayout(ring, 15000, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layout
+}
 
-	nodes := []string{"s0", "s1", "s2"}
-	ring, err := cluster.NewRing(nodes, 8, 1)
+// testShard builds node's shard of layout from the shared deployment's
+// seed.
+func testShard(t *testing.T, layout *cluster.Layout, node string) *cluster.Shard {
+	t.Helper()
+	s, err := cluster.NewShard(node, layout, platform.DeployOptions{Seed: 21, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns := make([]cluster.Conn, 0, len(nodes))
-	for _, n := range nodes {
-		s, err := cluster.NewShard(n, layout, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := startShardServer(t, s)
-		conns = append(conns, NewShardConn(n, ts.URL, nil))
-	}
+	return s
+}
+
+// testCoordinator scatters over conns for layout.
+func testCoordinator(t *testing.T, layout *cluster.Layout, conns []cluster.Conn) *cluster.Coordinator {
+	t.Helper()
 	coord, err := cluster.NewCoordinator(cluster.Options{
 		Layout:  layout,
 		Conns:   conns,
-		Deploy:  opts,
+		Deploy:  platform.DeployOptions{Seed: 21, Metrics: obs.NewRegistry()},
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, p := range single.Interfaces() {
-		specs := batchSpecs(len(p.Catalog().Attributes))
-		reqs := make([]platform.EstimateRequest, len(specs))
-		for i := range specs {
-			reqs[i] = platform.EstimateRequest{Spec: specs[i]}
-		}
-		got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
-		if err != nil {
-			t.Fatalf("%s: cluster over HTTP: %v", p.Name(), err)
-		}
-		want := p.MeasureMany(reqs)
-		for i := range reqs {
-			if (got[i].Err == nil) != (want[i].Err == nil) {
-				t.Fatalf("%s slot %d: cluster err=%v, single err=%v", p.Name(), i, got[i].Err, want[i].Err)
-			}
-			if want[i].Err == nil && got[i].Size != want[i].Size {
-				t.Fatalf("%s slot %d: cluster size %d, single %d", p.Name(), i, got[i].Size, want[i].Size)
-			}
-		}
-	}
+	return coord
 }
 
 // TestClusterDoorFailover kills one shard's HTTP server mid-cluster: the
 // coordinator must fail its partitions over to the replica servers and
 // still match the single node.
 func TestClusterDoorFailover(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
 	single := serverDeploy(t)
-
 	nodes := []string{"s0", "s1", "s2"}
-	ring, err := cluster.NewRing(nodes, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := testLayout(t, nodes, 1)
 	servers := make(map[string]*httptest.Server, len(nodes))
 	conns := make([]cluster.Conn, 0, len(nodes))
 	for _, n := range nodes {
-		s, err := cluster.NewShard(n, layout, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := startShardServer(t, s)
-		servers[n] = ts
-		conns = append(conns, NewShardConn(n, ts.URL, nil))
+		servers[n] = startShardServer(t, testShard(t, layout, n))
+		conns = append(conns, NewShardConn(n, servers[n].URL, nil))
 	}
-	coord, err := cluster.NewCoordinator(cluster.Options{
-		Layout:  layout,
-		Conns:   conns,
-		Deploy:  opts,
-		Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := testCoordinator(t, layout, conns)
 	servers["s1"].Close() // connection refused from here on
 
 	p := single.Facebook
@@ -152,21 +111,7 @@ func TestClusterDoorFailover(t *testing.T) {
 // TestClusterDoorPartitionNotHeld checks the typed error survives the HTTP
 // round trip: the coordinator's failover logic matches it with errors.Is.
 func TestClusterDoorPartitionNotHeld(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
-	nodes := []string{"s0", "s1", "s2"}
-	ring, err := cluster.NewRing(nodes, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := cluster.NewShard("s0", layout, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := testLayout(t, []string{"s0", "s1", "s2"}, 0)
 	var foreign uint32
 	found := false
 	for p := 0; p < layout.NumPartitions(); p++ {
@@ -178,9 +123,8 @@ func TestClusterDoorPartitionNotHeld(t *testing.T) {
 	if !found {
 		t.Skip("s0 owns everything")
 	}
-	ts := startShardServer(t, s)
-	conn := NewShardConn("s0", ts.URL, nil)
-	_, err = conn.CountBatch(context.Background(), catalog.PlatformFacebook, platform.DoorMeasure,
+	conn := NewShardConn("s0", startShardServer(t, testShard(t, layout, "s0")).URL, nil)
+	_, err := conn.CountBatch(context.Background(), catalog.PlatformFacebook, platform.DoorMeasure,
 		[]uint32{foreign}, []platform.EstimateRequest{{Spec: targeting.Attr(0)}})
 	if !errors.Is(err, cluster.ErrPartitionNotHeld) {
 		t.Fatalf("foreign partition over HTTP: got %v, want ErrPartitionNotHeld", err)
@@ -192,20 +136,7 @@ func TestClusterDoorPartitionNotHeld(t *testing.T) {
 // unknown_platform code and the platform's message — and the typed error
 // survives the round trip through ShardConn.
 func TestClusterDoorUnknownInterface(t *testing.T) {
-	const size = 1 << 12
-	ring, err := cluster.NewRing([]string{"s0"}, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := cluster.NewShard("s0", layout, platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := startShardServer(t, s)
+	ts := startShardServer(t, testShard(t, testLayout(t, []string{"s0"}, 0), "s0"))
 	body := `{"interface":"nope","door":"measure","partitions":[0],"requests":[]}`
 	resp, err := http.Post(ts.URL+"/cluster/count-batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -230,23 +161,10 @@ func TestClusterDoorUnknownInterface(t *testing.T) {
 // TestShardConnRejectsMiswiredShard: a conn that reaches the wrong shard
 // must fail loudly instead of merging the wrong partial counts.
 func TestShardConnRejectsMiswiredShard(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
-	ring, err := cluster.NewRing([]string{"s0", "s1"}, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, err := cluster.NewShard("s0", layout, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := startShardServer(t, s0)
+	layout := testLayout(t, []string{"s0", "s1"}, 1)
+	ts := startShardServer(t, testShard(t, layout, "s0"))
 	conn := NewShardConn("s1", ts.URL, nil) // claims s1, reaches s0
-	_, err = conn.CountBatch(context.Background(), catalog.PlatformFacebook, platform.DoorMeasure,
+	_, err := conn.CountBatch(context.Background(), catalog.PlatformFacebook, platform.DoorMeasure,
 		layout.PrimaryPartitions("s0")[:1], []platform.EstimateRequest{{Spec: targeting.Attr(0)}})
 	if err == nil || !strings.Contains(err.Error(), "reached shard") {
 		t.Fatalf("miswired conn: got %v, want shard mismatch error", err)
@@ -332,23 +250,11 @@ func TestBatchSlotErrorNamesCanonicalKey(t *testing.T) {
 // each part fits, so the HTTP cluster answers without a PartialError and
 // slot for slot like the same shards wired in process.
 func TestClusterDoorSplitsOversizedBatch(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
 	nodes := []string{"s0", "s1", "s2"}
-	ring, err := cluster.NewRing(nodes, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := testLayout(t, nodes, 1)
 	var httpConns, localConns []cluster.Conn
 	for _, n := range nodes {
-		s, err := cluster.NewShard(n, layout, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := testShard(t, layout, n)
 		srv, err := NewServer(s.Deployment(), ServerOptions{Metrics: obs.NewRegistry(), Shard: s, MaxBodyBytes: 4 << 10})
 		if err != nil {
 			t.Fatal(err)
@@ -358,14 +264,7 @@ func TestClusterDoorSplitsOversizedBatch(t *testing.T) {
 		httpConns = append(httpConns, NewShardConn(n, ts.URL, nil))
 		localConns = append(localConns, s)
 	}
-	coordOver := func(conns []cluster.Conn) *cluster.Coordinator {
-		coord, err := cluster.NewCoordinator(cluster.Options{Layout: layout, Conns: conns, Deploy: opts, Metrics: obs.NewRegistry()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return coord
-	}
-	overHTTP, inProcess := coordOver(httpConns), coordOver(localConns)
+	overHTTP, inProcess := testCoordinator(t, layout, httpConns), testCoordinator(t, layout, localConns)
 	name := catalog.PlatformFacebook
 	nAttr := len(overHTTP.Metadata().Facebook.Catalog().Attributes)
 	specs := oversizedBatch(nAttr)

@@ -101,6 +101,24 @@ func checkClauses(clauses []targeting.Clause) error {
 	return nil
 }
 
+// checkDemoLists refuses a second gender clause and a second age clause:
+// the Facebook and Google dialects carry each kind as one list, and a list
+// is an OR, so two clauses would reach the server as their union.
+func checkDemoLists(clauses []targeting.Clause, dialect string) error {
+	for _, k := range []targeting.Kind{targeting.KindGender, targeting.KindAge} {
+		n := 0
+		for _, cl := range clauses {
+			if cl[0].Kind == k {
+				n++
+			}
+		}
+		if n > 1 {
+			return fmt.Errorf("%w: %s supports one %s clause", targeting.ErrTooManyClauses, dialect, k)
+		}
+	}
+	return nil
+}
+
 // hasKind reports whether any (single-kind) clause is of kind k.
 func hasKind(clauses []targeting.Clause, k targeting.Kind) bool {
 	for _, cl := range clauses {

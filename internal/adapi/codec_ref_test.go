@@ -38,6 +38,19 @@ func refCodecFor(name string) refCodec {
 	panic("no reference codec for " + name)
 }
 
+// refDemoLists refuses a second gender or age clause: the Facebook and
+// Google bodies hold one list of each, and a list is an OR. (The reference
+// once merged every such clause into the one list, so an AND of two
+// genders went out as their OR.)
+func refDemoLists(byKind map[targeting.Kind][]targeting.Clause, dialect string) error {
+	for _, k := range []targeting.Kind{targeting.KindGender, targeting.KindAge} {
+		if len(byKind[k]) > 1 {
+			return fmt.Errorf("%w: %s supports one %s clause", targeting.ErrTooManyClauses, dialect, k)
+		}
+	}
+	return nil
+}
+
 // splitClauses groups a spec side's clauses by feature kind, preserving
 // clause structure. The wire dialects physically cannot express empty or
 // kind-mixed clauses (true of the real platforms' formats), so those are
@@ -137,6 +150,9 @@ func (refFacebook) EncodeRequest(req platform.EstimateRequest) ([]byte, error) {
 	}
 	if len(byKind[targeting.KindTopic]) > 0 {
 		return nil, fmt.Errorf("%w: facebook has no topic feature", targeting.ErrKindForbidden)
+	}
+	if err := refDemoLists(byKind, "facebook"); err != nil {
+		return nil, err
 	}
 	var ts fbTargetingSpec
 	for _, cl := range byKind[targeting.KindCustomAudience] {
@@ -343,6 +359,9 @@ type gResponse struct {
 func (refGoogle) EncodeRequest(req platform.EstimateRequest) ([]byte, error) {
 	byKind, err := splitClauses(req.Spec.Include)
 	if err != nil {
+		return nil, err
+	}
+	if err := refDemoLists(byKind, "google"); err != nil {
 		return nil, err
 	}
 	var t gTargeting

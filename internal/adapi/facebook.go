@@ -50,7 +50,8 @@ var (
 
 // AppendRequest implements Codec. It checks the whole request before
 // writing a byte, so the first error is the one the checks meet first:
-// clause shapes, topics, age ranges, locations, exclusions, objective.
+// clause shapes, topics, one gender and one age clause, age ranges,
+// locations, exclusions, objective.
 func (c facebookCodec) AppendRequest(dst []byte, req platform.EstimateRequest) ([]byte, error) {
 	inc, exc := req.Spec.Include, req.Spec.Exclude
 	if err := checkClauses(inc); err != nil {
@@ -58,6 +59,9 @@ func (c facebookCodec) AppendRequest(dst []byte, req platform.EstimateRequest) (
 	}
 	if hasKind(inc, targeting.KindTopic) {
 		return dst, fmt.Errorf("%w: facebook has no topic feature", targeting.ErrKindForbidden)
+	}
+	if err := checkDemoLists(inc, "facebook"); err != nil {
+		return dst, err
 	}
 	for _, cl := range inc {
 		if cl[0].Kind == targeting.KindAge {

@@ -54,10 +54,14 @@ var (
 )
 
 // AppendRequest implements Codec. It checks the whole request before
-// writing a byte: clause shapes, age ranges, exclusions, objective.
+// writing a byte: clause shapes, one gender and one age clause, age
+// ranges, exclusions, objective.
 func (googleCodec) AppendRequest(dst []byte, req platform.EstimateRequest) ([]byte, error) {
 	inc, exc := req.Spec.Include, req.Spec.Exclude
 	if err := checkClauses(inc); err != nil {
+		return dst, err
+	}
+	if err := checkDemoLists(inc, "google"); err != nil {
 		return dst, err
 	}
 	for _, cl := range inc {

@@ -116,20 +116,7 @@ func TestProvenanceCarriesSnapshotIdentity(t *testing.T) {
 // fetches the shard's catalog hash over /healthz, and unreachable or
 // hashless servers fail the fetch rather than returning an empty hash.
 func TestShardConnCatalogHash(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
-	ring, err := cluster.NewRing([]string{"s0"}, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, err := cluster.NewShard("s0", layout, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s0 := testShard(t, testLayout(t, []string{"s0"}, 0), "s0")
 	ts := startShardServer(t, s0)
 	conn := NewShardConn("s0", ts.URL, nil)
 	got, err := conn.CatalogHash()
@@ -160,31 +147,20 @@ func TestShardConnCatalogHash(t *testing.T) {
 // catalogs, and NewCoordinator must refuse the ring with ErrCatalogSkew
 // before any count is scattered.
 func TestRemoteClusterRefusesCatalogSkew(t *testing.T) {
-	const size = 15000
-	nodes := []string{"s0", "s1"}
-	ring, err := cluster.NewRing(nodes, 8, 0)
+	layout := testLayout(t, []string{"s0", "s1"}, 0)
+	s0 := testShard(t, layout, "s0")
+	// s1 is built from another seed, so it serves the wrong catalog.
+	s1, err := cluster.NewShard("s1", layout, platform.DeployOptions{Seed: 9999, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := map[string]uint64{"s0": 21, "s1": 9999} // s1 serves the wrong catalog
-	conns := make([]cluster.Conn, 0, len(nodes))
-	for _, n := range nodes {
-		s, err := cluster.NewShard(n, layout, platform.DeployOptions{
-			Seed: seeds[n], UniverseSize: size, Metrics: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, NewShardConn(n, startShardServer(t, s).URL, nil))
 	}
 	_, err = cluster.NewCoordinator(cluster.Options{
-		Layout:  layout,
-		Conns:   conns,
-		Deploy:  platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()},
+		Layout: layout,
+		Conns: []cluster.Conn{
+			NewShardConn("s0", startShardServer(t, s0).URL, nil),
+			NewShardConn("s1", startShardServer(t, s1).URL, nil),
+		},
+		Deploy:  platform.DeployOptions{Seed: 21, Metrics: obs.NewRegistry()},
 		Metrics: obs.NewRegistry(),
 	})
 	if !errors.Is(err, cluster.ErrCatalogSkew) {

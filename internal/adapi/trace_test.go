@@ -418,20 +418,8 @@ func TestDebugTraceEndpoints(t *testing.T) {
 // agree on, and its held-partition count — and a plain server must omit all
 // three.
 func TestHealthzShardEcho(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
-	ring, err := cluster.NewRing([]string{"s0", "s1", "s2"}, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := cluster.NewShard("s1", layout, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := testLayout(t, []string{"s0", "s1", "s2"}, 1)
+	shard := testShard(t, layout, "s1")
 	ts := startShardServer(t, shard)
 
 	var h healthResponse
@@ -483,24 +471,12 @@ func TestHealthzShardEcho(t *testing.T) {
 // HTTP shards, each with its own tracer, and checks every shard's server
 // continued the coordinator's trace — the full fig1 path in miniature.
 func TestClusterDoorTracePropagation(t *testing.T) {
-	const size = 15000
-	opts := platform.DeployOptions{Seed: 21, UniverseSize: size, Metrics: obs.NewRegistry()}
 	nodes := []string{"s0", "s1", "s2"}
-	ring, err := cluster.NewRing(nodes, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	layout := testLayout(t, nodes, 1)
 	shardTracers := make(map[string]*trace.Tracer, len(nodes))
 	conns := make([]cluster.Conn, 0, len(nodes))
 	for i, n := range nodes {
-		s, err := cluster.NewShard(n, layout, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := testShard(t, layout, n)
 		tr := newTestTracer(uint64(61 + i))
 		shardTracers[n] = tr
 		srv, err := NewServer(s.Deployment(), ServerOptions{Metrics: obs.NewRegistry(), Shard: s, Tracer: tr})
@@ -510,15 +486,7 @@ func TestClusterDoorTracePropagation(t *testing.T) {
 		hts := newTestHTTPServer(t, srv)
 		conns = append(conns, NewShardConn(n, hts.URL, nil))
 	}
-	coord, err := cluster.NewCoordinator(cluster.Options{
-		Layout:  layout,
-		Conns:   conns,
-		Deploy:  opts,
-		Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := testCoordinator(t, layout, conns)
 
 	coordTracer := newTestTracer(67)
 	root := coordTracer.StartRoot("audit.cluster")

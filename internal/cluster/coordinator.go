@@ -476,11 +476,13 @@ func (c *Coordinator) callShard(parent *trace.Span, round int, conn Conn, iface 
 
 // clusterProvider adapts one interface of the cluster to core.Provider (and
 // its batch extension), so the audit runners drive a sharded deployment
-// exactly as they drive a single process.
+// exactly as they drive a single process. The metadata interface's
+// provider it embeds answers the name, the option lists and the
+// composition rule; every size door is the coordinator's, defined below so
+// that none is promoted from the zero-user metadata deployment.
 type clusterProvider struct {
-	c     *Coordinator
-	iface string
-	p     *platform.Interface // metadata interface: catalogs and rules
+	core.Provider
+	c *Coordinator
 }
 
 var _ core.Provider = (*clusterProvider)(nil)
@@ -492,35 +494,21 @@ func (c *Coordinator) Provider(iface string) (core.Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clusterProvider{c: c, iface: iface, p: p}, nil
+	return &clusterProvider{Provider: core.NewPlatformProvider(p), c: c}, nil
 }
 
-func (cp *clusterProvider) Name() string { return cp.iface }
-
-func (cp *clusterProvider) AttributeNames() []string {
-	attrs := cp.p.Catalog().Attributes
-	out := make([]string, len(attrs))
-	for i := range attrs {
-		out[i] = attrs[i].Name
+// Providers returns a core.Provider for each of the cluster's interfaces,
+// in presentation order.
+func (c *Coordinator) Providers() []core.Provider {
+	out := core.PlatformProviders(c.meta)
+	for i, p := range out {
+		out[i] = &clusterProvider{Provider: p, c: c}
 	}
 	return out
-}
-
-func (cp *clusterProvider) TopicNames() []string {
-	topics := cp.p.Catalog().Topics
-	out := make([]string, len(topics))
-	for i := range topics {
-		out[i] = topics[i].Name
-	}
-	return out
-}
-
-func (cp *clusterProvider) CrossFeature() bool {
-	return !cp.p.Rules().AndWithinFeature
 }
 
 func (cp *clusterProvider) Measure(spec targeting.Spec) (int64, error) {
-	return cp.c.Measure(cp.iface, platform.EstimateRequest{Spec: spec})
+	return cp.c.Measure(cp.Name(), platform.EstimateRequest{Spec: spec})
 }
 
 // MeasureMany implements core.BatchMeasurer: one scatter-gather per batch.
@@ -541,7 +529,7 @@ func (cp *clusterProvider) measureMany(ctx context.Context, specs []targeting.Sp
 	for i := range specs {
 		reqs[i] = platform.EstimateRequest{Spec: specs[i]}
 	}
-	est, err := cp.c.MeasureManyCtx(ctx, cp.iface, reqs)
+	est, err := cp.c.MeasureManyCtx(ctx, cp.Name(), reqs)
 	if err != nil {
 		est = make([]platform.Estimate, len(specs))
 		for i := range est {

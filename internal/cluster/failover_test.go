@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/targeting"
 )
 
 // flakyConn wraps a shard and fails on demand: while `down` is set every
@@ -91,7 +92,7 @@ func TestFailoverBitIdentical(t *testing.T) {
 	coord, flaky := buildFlakyCluster(t, 3, 1, opts, 0)
 
 	p := single.Facebook
-	reqs := clusterBatch(p, 9001, 32)
+	reqs := batteryRequests(p, 9001, 32)
 	want := p.MeasureMany(reqs)
 
 	const workers = 8
@@ -157,7 +158,7 @@ func TestRetrySameShard(t *testing.T) {
 	flaky["shard-00"].failFirst.Store(1)
 
 	p := single.LinkedIn
-	reqs := clusterBatch(p, 555, 8)
+	reqs := batteryRequests(p, 555, 8)
 	want := p.MeasureMany(reqs)
 	got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 	if err != nil {
@@ -186,7 +187,8 @@ func TestPartialError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := clusterBatch(p, 777, 4)
+	// Slot 0 is always answerable, so the batch reaches the shards.
+	reqs := append([]platform.EstimateRequest{{Spec: targeting.Attr(0)}}, batteryRequests(p, 777, 3)...)
 	_, err = coord.MeasureManyCtx(context.Background(), "facebook", reqs)
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("dead shard with no replicas: got %v, want ErrPartial", err)
@@ -239,7 +241,7 @@ func TestFailoverCascade(t *testing.T) {
 	flaky["shard-03"].down.Store(true)
 
 	p := single.Google
-	reqs := clusterBatch(p, 31337, 16)
+	reqs := batteryRequests(p, 31337, 16)
 	want := p.MeasureMany(reqs)
 	got, err := coord.MeasureManyCtx(context.Background(), p.Name(), reqs)
 	if err != nil {

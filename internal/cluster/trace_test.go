@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/platform"
+	"repro/internal/targeting"
 )
 
 // newTestTracer builds a deterministic always-sample tracer with its own
@@ -89,7 +90,7 @@ func TestTracedFailoverBitIdentical(t *testing.T) {
 	flaky["shard-01"].down.Store(true)
 
 	p := single.Facebook
-	reqs := clusterBatch(p, 4242, 24)
+	reqs := batteryRequests(p, 4242, 24)
 	want := p.MeasureMany(reqs)
 
 	tr := newTestTracer(11)
@@ -173,7 +174,7 @@ func TestTracedRetryRecorded(t *testing.T) {
 	flaky["shard-00"].failFirst.Store(1)
 
 	p := single.LinkedIn
-	reqs := clusterBatch(p, 909, 8)
+	reqs := batteryRequests(p, 909, 8)
 	want := p.MeasureMany(reqs)
 
 	tr := newTestTracer(13)
@@ -218,7 +219,8 @@ func TestTracedPartialProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := clusterBatch(p, 777, 4)
+	// Slot 0 is always answerable, so the batch reaches the shards.
+	reqs := append([]platform.EstimateRequest{{Spec: targeting.Attr(0)}}, batteryRequests(p, 777, 3)...)
 
 	tr := newTestTracer(17)
 	root := tr.StartRoot("test.traced_partial")
@@ -278,7 +280,7 @@ func TestUntracedScatterRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := clusterBatch(p, 313, 8)
+	reqs := batteryRequests(p, 313, 8)
 	if _, err := coord.MeasureManyCtx(context.Background(), "google", reqs); err != nil {
 		t.Fatal(err)
 	}

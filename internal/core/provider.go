@@ -57,6 +57,16 @@ func NewPlatformProvider(p *platform.Interface) Provider {
 	return &platformProvider{p: p}
 }
 
+// PlatformProviders returns a Provider for each of d's interfaces, in
+// presentation order.
+func PlatformProviders(d *platform.Deployment) []Provider {
+	out := make([]Provider, 0, 4)
+	for _, p := range d.Interfaces() {
+		out = append(out, NewPlatformProvider(p))
+	}
+	return out
+}
+
 func (pp *platformProvider) Name() string { return pp.p.Name() }
 
 func (pp *platformProvider) AttributeNames() []string {

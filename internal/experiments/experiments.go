@@ -125,9 +125,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	case cfg.Deployment != nil && cfg.Providers != nil:
 		return nil, fmt.Errorf("experiments: set exactly one of Deployment and Providers")
 	case cfg.Deployment != nil:
-		for _, p := range cfg.Deployment.Interfaces() {
-			providers = append(providers, core.NewPlatformProvider(p))
-		}
+		providers = core.PlatformProviders(cfg.Deployment)
 	case len(cfg.Providers) > 0:
 		providers = cfg.Providers
 	default:

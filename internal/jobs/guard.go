@@ -30,22 +30,11 @@ type guardProvider struct {
 
 var _ core.Provider = (*guardProvider)(nil)
 
-// Measure charges one upstream query and forwards; failed calls are
-// refunded (they consumed no answer).
+// Measure is a one-slot MeasureMany call: the same cancellation check,
+// charge, refund and query count as a batch.
 func (g *guardProvider) Measure(spec targeting.Spec) (int64, error) {
-	if err := g.ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := g.tenant.charge(1); err != nil {
-		return 0, err
-	}
-	v, err := g.Provider.Measure(spec)
-	if err != nil {
-		g.tenant.refund(1)
-		return 0, err
-	}
-	g.queries.Add(1)
-	return v, nil
+	r := g.MeasureMany([]targeting.Spec{spec})[0]
+	return r.Size, r.Err
 }
 
 // MeasureMany forwards a batch, so guarded jobs keep the tiled-kernel

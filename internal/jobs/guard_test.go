@@ -94,4 +94,25 @@ func TestGuardBatchChargesTenant(t *testing.T) {
 	if raw.batches.Load() != 1 || ts.used.Load() != 2 {
 		t.Errorf("cancelled batch reached the provider or charged the tenant")
 	}
+
+	// The serial door is a one-slot batch: over budget it fails without
+	// reaching the raw provider, and a failed slot is refunded.
+	ts.budget.Store(2)
+	if _, err := g.Measure(specs[0]); !errors.Is(err, ErrTenantBudget) {
+		t.Errorf("one slot over budget: err = %v, want ErrTenantBudget", err)
+	}
+	if raw.batches.Load() != 1 || ts.used.Load() != 2 {
+		t.Errorf("one slot over budget reached the provider or charged the tenant")
+	}
+	ts.budget.Store(10)
+	if _, err := g.Measure(specs[1]); !errors.Is(err, errOddOption) {
+		t.Errorf("one failed slot: err = %v, want the raw provider's error", err)
+	}
+	if size, err := g.Measure(specs[2]); err != nil || size != 1000 {
+		t.Errorf("one answered slot = (%d, %v), want (1000, nil)", size, err)
+	}
+	if raw.batches.Load() != 3 || ts.used.Load() != 3 || queries.Load() != 3 {
+		t.Errorf("one-slot calls: %d batches, charged %d, counted %d; want 3, 3 and 3",
+			raw.batches.Load(), ts.used.Load(), queries.Load())
+	}
 }

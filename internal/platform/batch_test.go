@@ -5,54 +5,27 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/battery"
 	"repro/internal/targeting"
-	"repro/internal/xrand"
 )
 
-// randomBatch builds a mixed batch of requests against p: valid and invalid
-// specs, OR clauses, demographics, exclusions, mixed objectives and
-// frequency caps — every shape the serial door accepts or rejects.
-func randomBatch(p *Interface, seed uint64, n int) []EstimateRequest {
-	rng := xrand.New(xrand.Mix(seed, 99))
-	nAttr := len(p.Catalog().Attributes)
-	nTopic := len(p.Catalog().Topics)
-	objectives := []Objective{"", ObjectiveReach, ObjectiveBrandAwarenessReach, ObjectiveBrandAwareness, ObjectiveTraffic, "bogus"}
-	caps := []int{0, 0, 0, 1, 3, 30, 31, -2}
+// batteryRequests draws n battery cases for p as requests, with their
+// objectives and frequency caps.
+func batteryRequests(p *Interface, seed uint64, n int) []EstimateRequest {
+	cat := battery.Catalog{Attributes: len(p.Catalog().Attributes), Topics: len(p.Catalog().Topics)}
 	reqs := make([]EstimateRequest, n)
+	for i, c := range battery.Draw(seed, n, cat) {
+		reqs[i] = EstimateRequest{Spec: c.Spec, Objective: Objective(c.Objective), FrequencyCapPerMonth: c.Cap}
+	}
+	return reqs
+}
+
+// batterySpecs draws one battery case of each shape for p as requests
+// that carry the spec alone.
+func batterySpecs(p *Interface, seed uint64) []EstimateRequest {
+	reqs := batteryRequests(p, seed, battery.Shapes)
 	for i := range reqs {
-		var spec targeting.Spec
-		switch rng.Intn(8) {
-		case 0: // single attribute
-			spec = targeting.Attr(rng.Intn(nAttr))
-		case 1: // AND of two attributes
-			spec = targeting.And(targeting.Attr(rng.Intn(nAttr)), targeting.Attr(rng.Intn(nAttr)))
-		case 2: // attribute ∧ topic (the only AND Google accepts)
-			if nTopic > 0 {
-				spec = targeting.And(targeting.Attr(rng.Intn(nAttr)), targeting.Topic(rng.Intn(nTopic)))
-			} else {
-				spec = targeting.Attr(rng.Intn(nAttr))
-			}
-		case 3: // OR clause of two attributes
-			spec = targeting.Spec{Include: []targeting.Clause{{
-				{Kind: targeting.KindAttribute, ID: rng.Intn(nAttr)},
-				{Kind: targeting.KindAttribute, ID: rng.Intn(nAttr)},
-			}}}
-		case 4: // attribute conditioned on a demographic
-			spec = targeting.And(targeting.Attr(rng.Intn(nAttr)))
-			spec.Include = append(spec.Include, targeting.Clause{{Kind: targeting.KindGender, ID: rng.Intn(2)}})
-		case 5: // attribute minus an attribute (exclusions are rule-gated)
-			spec = targeting.Attr(rng.Intn(nAttr))
-			spec.Exclude = []targeting.Clause{{{Kind: targeting.KindAttribute, ID: rng.Intn(nAttr)}}}
-		case 6: // unknown option id
-			spec = targeting.Attr(nAttr + rng.Intn(10))
-		default: // empty spec
-			spec = targeting.Spec{}
-		}
-		reqs[i] = EstimateRequest{
-			Spec:                 spec,
-			Objective:            objectives[rng.Intn(len(objectives))],
-			FrequencyCapPerMonth: caps[rng.Intn(len(caps))],
-		}
+		reqs[i] = EstimateRequest{Spec: reqs[i].Spec}
 	}
 	return reqs
 }
@@ -109,7 +82,7 @@ func TestMeasureManyMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range d.Interfaces() {
-			reqs := randomBatch(p, tc.batchSeed+uint64(len(p.Name())), 80)
+			reqs := batteryRequests(p, tc.batchSeed+uint64(len(p.Name())), 80)
 			for pass := 0; pass < 2; pass++ {
 				measureManyMatchesSerial(t, p, reqs)
 			}
@@ -154,7 +127,7 @@ func TestEstimateManyMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range d.Interfaces() {
-		reqs := randomBatch(p, 2000+uint64(len(p.Name())), 60)
+		reqs := batteryRequests(p, 2000+uint64(len(p.Name())), 60)
 		got := p.sizeMany(nil, DoorEstimate, reqs, nil)
 		for i, req := range reqs {
 			want, werr := oracle(p, DoorEstimate, req)
@@ -191,7 +164,7 @@ func TestMeasureManyConcurrentWithSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := d.Google // impression estimates: exercises the cap factor too
-		reqs := randomBatch(p, 777, 32)
+		reqs := batteryRequests(p, 777, 32)
 		want := oracleMeasure(p, reqs)
 		name := fmt.Sprintf("compressed=%v", opts.Compressed)
 		var wg sync.WaitGroup
@@ -225,49 +198,6 @@ func TestMeasureManyConcurrentWithSerial(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-	}
-}
-
-// TestPlanCompilerMatchesLegacy is the compiler's bit-identity gate across
-// deployments: on all four interfaces, compiled batches on a dense and on a
-// compressed-only deployment must equal the uncompiled oracle on a separate
-// dense deployment of the same seed — dense set algebra over the option
-// sets — slot for slot, sizes and errors both, cold and again on a second
-// pass, which compiles afresh as the first did. The reference deployment
-// also answers every request on its serial door, which must match the
-// oracle.
-func TestPlanCompilerMatchesLegacy(t *testing.T) {
-	const seed, size = 47, 1 << 12
-	legacy, err := NewDeployment(DeployOptions{Seed: seed, UniverseSize: size})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []DeployOptions{
-		{Seed: seed, UniverseSize: size},
-		{Seed: seed, UniverseSize: size, Compressed: true},
-	} {
-		compiled, err := NewDeployment(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pi, p := range compiled.Interfaces() {
-			lp := legacy.Interfaces()[pi]
-			reqs := randomBatch(p, 4242, 80)
-			want := oracleMeasure(lp, reqs)
-			for i, req := range reqs {
-				size, err := lp.Measure(req)
-				sameOutcome(t, lp.Name()+" serial", i, Estimate{Size: size, Err: err}, want[i].Size, want[i].Err)
-			}
-			got := p.MeasureMany(reqs)
-			for i := range reqs {
-				sameOutcome(t, fmt.Sprintf("%s compressed=%v", p.Name(), opts.Compressed), i, got[i], want[i].Size, want[i].Err)
-			}
-			// The second pass must be identical too.
-			again := p.MeasureMany(reqs)
-			for i := range reqs {
-				sameOutcome(t, p.Name()+" warm", i, again[i], want[i].Size, want[i].Err)
-			}
-		}
 	}
 }
 

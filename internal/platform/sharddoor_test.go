@@ -8,21 +8,6 @@ import (
 	"repro/internal/targeting"
 )
 
-// shardSpecs is the battery the shard-door tests count: conjunctions,
-// exclusions, multi-ref clauses, topics, and demographic chains, so the
-// compiled doors meet every clause shape.
-func shardSpecs() []targeting.Spec {
-	return []targeting.Spec{
-		targeting.Attr(0),
-		targeting.And(targeting.Attr(1), targeting.Attr(2)),
-		targeting.AnyAttr(3, 4, 5),
-		targeting.Excluding(targeting.Attr(0), targeting.Attr(6)),
-		targeting.Excluding(targeting.And(targeting.Attr(1), targeting.Topic(0)), targeting.AnyAttr(7, 8)),
-		targeting.WithGender(targeting.WithAge(targeting.Attr(2), 1, 2), 1),
-		targeting.WithLocation(targeting.Topic(1), 0, 3),
-	}
-}
-
 func TestDoorStringParse(t *testing.T) {
 	for _, d := range []Door{DoorMeasure, DoorEstimate} {
 		got, err := ParseDoor(d.String())
@@ -70,11 +55,6 @@ var postureNames = []string{"dense", "cset-only", "views"}
 func TestRawCountsAdditive(t *testing.T) {
 	const n = 1 << 12
 	deps := postures(t, DeployOptions{Seed: 43, UniverseSize: n})
-	specs := shardSpecs()
-	reqs := make([]EstimateRequest, len(specs))
-	for i := range specs {
-		reqs[i] = EstimateRequest{Spec: specs[i]}
-	}
 	// Three uneven windows covering [0, n) without gaps.
 	windows := [][]IndexRange{
 		{{Lo: 0, Hi: 1000}},
@@ -82,6 +62,7 @@ func TestRawCountsAdditive(t *testing.T) {
 		{{Lo: 3000, Hi: n}},
 	}
 	for pi, p := range deps[0].Interfaces() {
+		reqs := batterySpecs(p, 43)
 		for _, door := range []Door{DoorMeasure, DoorEstimate} {
 			ref := p.RawCountMany(door, reqs, nil)
 			for di, d := range deps {
@@ -191,12 +172,8 @@ func TestShardSliceMatchesFullUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := shardSpecs()
-	reqs := make([]EstimateRequest, len(specs))
-	for i := range specs {
-		reqs[i] = EstimateRequest{Spec: specs[i]}
-	}
 	for _, fp := range full.Interfaces() {
+		reqs := batterySpecs(fp, 53)
 		sp, err := shard.ByName(fp.Name())
 		if err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ func TestTracedBatchBitIdentical(t *testing.T) {
 		Provenance: trace.NewProvenanceLog(0, nil),
 	})
 	for _, p := range d.Interfaces() {
-		reqs := randomBatch(p, 2000+uint64(len(p.Name())), 48)
+		reqs := batteryRequests(p, 2000+uint64(len(p.Name())), 48)
 		want := p.MeasureMany(reqs)
 		root := tr.StartRoot("test." + p.Name())
 		got := p.MeasureManyCtx(trace.NewContext(context.Background(), root), reqs)
@@ -205,7 +205,7 @@ func TestUntracedBatchTouchesNoTracer(t *testing.T) {
 	defer trace.SetDefault(nil)
 
 	p := d.Facebook
-	reqs := randomBatch(p, 3000, 16)
+	reqs := batteryRequests(p, 3000, 16)
 	p.MeasureManyCtx(context.Background(), reqs)
 	if n := tr.Len(); n != 0 {
 		t.Fatalf("untraced batch buffered %d traces", n)

@@ -68,7 +68,7 @@ func TestViewBackedDeploymentEquivalence(t *testing.T) {
 	}
 	for pi, p := range viewed.Interfaces() {
 		bp := built.Interfaces()[pi]
-		reqs := randomBatch(bp, 777, 80)
+		reqs := batteryRequests(bp, 777, 80)
 		want := bp.MeasureMany(reqs)
 		got := p.MeasureMany(reqs)
 		for i := range reqs {

@@ -11,14 +11,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/catalog"
+	"repro/internal/battery"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/population"
-	"repro/internal/targeting"
 )
 
 // snapOpts is a small deployment every test here can afford to build.
@@ -57,37 +55,14 @@ func loadFresh(t testing.TB, path string, opts platform.DeployOptions) (*platfor
 	return d, info
 }
 
-// snapBatch is a mixed spec battery over one interface: attributes, ANDs,
-// ORs, demographic conditioning, exclusions, unknown ids, and empty specs,
-// so built-vs-loaded comparison covers accepted and rejected shapes alike.
+// snapBatch draws one battery case of each shape for p, with its
+// objective and frequency cap, so built-vs-loaded comparison covers
+// accepted and rejected shapes alike.
 func snapBatch(p *platform.Interface) []platform.EstimateRequest {
-	nAttr := len(p.Catalog().Attributes)
-	reqs := []platform.EstimateRequest{
-		{Spec: targeting.Attr(0)},
-		{Spec: targeting.Attr(nAttr - 1)},
-		{Spec: targeting.And(targeting.Attr(1), targeting.Attr(2))},
-		{Spec: targeting.Spec{Include: []targeting.Clause{{
-			{Kind: targeting.KindAttribute, ID: 3},
-			{Kind: targeting.KindAttribute, ID: 4},
-			{Kind: targeting.KindAttribute, ID: 5},
-		}}}},
-		{Spec: targeting.Attr(nAttr + 7)}, // unknown id
-		{Spec: targeting.Spec{}},          // empty
-	}
-	cond := targeting.And(targeting.Attr(6))
-	cond.Include = append(cond.Include,
-		targeting.Clause{{Kind: targeting.KindGender, ID: 1}},
-		targeting.Clause{{Kind: targeting.KindAge, ID: 2}},
-		targeting.Clause{{Kind: targeting.KindLocation, ID: 0}},
-	)
-	reqs = append(reqs, platform.EstimateRequest{Spec: cond})
-	excl := targeting.Attr(7)
-	excl.Exclude = []targeting.Clause{{{Kind: targeting.KindAttribute, ID: 8}}}
-	reqs = append(reqs, platform.EstimateRequest{Spec: excl, FrequencyCapPerMonth: 3})
-	if len(p.Catalog().Topics) > 0 {
-		reqs = append(reqs, platform.EstimateRequest{
-			Spec: targeting.And(targeting.Attr(9), targeting.Topic(1)),
-		})
+	cat := battery.Catalog{Attributes: len(p.Catalog().Attributes), Topics: len(p.Catalog().Topics)}
+	var reqs []platform.EstimateRequest
+	for _, c := range battery.Draw(11, battery.Shapes, cat) {
+		reqs = append(reqs, platform.EstimateRequest{Spec: c.Spec, Objective: platform.Objective(c.Objective), FrequencyCapPerMonth: c.Cap})
 	}
 	return reqs
 }
@@ -232,88 +207,6 @@ func TestSnapshotFigureBitIdentity(t *testing.T) {
 	got := renderFigs(t, experiments.Config{Deployment: loaded, Metrics: obs.NewRegistry()})
 	if !bytes.Equal(want, got) {
 		t.Fatalf("fig1/fig2 renders diverge:\nbuilt:\n%s\nloaded:\n%s", want, got)
-	}
-}
-
-// TestSnapshotShardFigureBitIdentity is the battery's sharded half: a
-// 4-shard cluster whose shards were each reconstructed from per-node
-// snapshots must render fig1/fig2 byte-identically to a cluster of freshly
-// built shards.
-func TestSnapshotShardFigureBitIdentity(t *testing.T) {
-	const size = 1 << 13
-	opts := snapOpts(33, size)
-	nodes := []string{"n0", "n1", "n2", "n3"}
-	ring, err := cluster.NewRing(nodes, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, 1<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	var builtConns, snapConns []cluster.Conn
-	for _, n := range nodes {
-		sOpts := opts
-		sOpts.Metrics = obs.NewRegistry()
-		built, err := cluster.NewShard(n, layout, sOpts)
-		if err != nil {
-			t.Fatalf("NewShard(%s): %v", n, err)
-		}
-		builtConns = append(builtConns, built)
-
-		// Write this node's slice and reconstruct the shard from the file.
-		shardOpts := sOpts
-		shardOpts.UniverseSize = layout.UniverseSize()
-		shardOpts.ShardSpans = layout.ShardSpans(n)
-		path := filepath.Join(dir, n+".adusnap")
-		if _, err := WriteDeployment(path, built.Deployment(), shardOpts); err != nil {
-			t.Fatalf("WriteDeployment(%s): %v", n, err)
-		}
-		shardOpts.Metrics = obs.NewRegistry()
-		dep, info, err := LoadDeployment(path, shardOpts)
-		if err != nil {
-			t.Fatalf("LoadDeployment(%s): %v", n, err)
-		}
-		if !info.Sharded || info.LocalUsers >= size {
-			t.Fatalf("shard snapshot %s should hold a strict slice, got %+v", n, info)
-		}
-		s, err := cluster.NewShardFromDeployment(n, layout, dep)
-		if err != nil {
-			t.Fatalf("NewShardFromDeployment(%s): %v", n, err)
-		}
-		snapConns = append(snapConns, s)
-	}
-
-	figs := func(conns []cluster.Conn) []byte {
-		coord, err := cluster.NewCoordinator(cluster.Options{
-			Layout:  layout,
-			Conns:   conns,
-			Deploy:  snapOpts(33, size),
-			Metrics: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatalf("NewCoordinator: %v", err)
-		}
-		var providers []core.Provider
-		for _, name := range []string{
-			catalog.PlatformFacebookRestricted, catalog.PlatformFacebook,
-			catalog.PlatformGoogle, catalog.PlatformLinkedIn,
-		} {
-			p, err := coord.Provider(name)
-			if err != nil {
-				t.Fatalf("Provider(%s): %v", name, err)
-			}
-			providers = append(providers, p)
-		}
-		return renderFigs(t, experiments.Config{Providers: providers, Metrics: obs.NewRegistry()})
-	}
-
-	want := figs(builtConns)
-	got := figs(snapConns)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("sharded fig1/fig2 renders diverge:\nbuilt:\n%s\nsnapshot:\n%s", want, got)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // run within 2% of the bare MeasureMany door on the BenchmarkCompiledBatch
 // workload. The disabled path's entire budget is one context lookup and
 // nil-span checks per batch; this guard keeps future instrumentation
-// honest about that.
+// honest about that, and after its timed rounds it requires that the
+// disabled tracer recorded no span and buffered no trace.
 //
 // Methodology: both doors run the same sizeMany, so wall-time noise
 // (scheduler, frequency, garbage collection) dwarfs the difference being
@@ -44,7 +45,9 @@ func TestCompiledBatchTracingOverhead(t *testing.T) {
 
 	// Tracing compiled in but disabled: tracer installed, nothing sampled,
 	// and no root span ever started — the production default posture.
-	trace.SetDefault(trace.New(trace.Options{SampleRate: 0, Metrics: obs.NewRegistry()}))
+	reg := obs.NewRegistry()
+	tracer := trace.New(trace.Options{SampleRate: 0, Metrics: reg})
+	trace.SetDefault(tracer)
 	defer trace.SetDefault(nil)
 
 	ctx := context.Background()
@@ -91,5 +94,9 @@ func TestCompiledBatchTracingOverhead(t *testing.T) {
 		chunkIters, rounds, allocs, median, ratios[rounds/4], ratios[3*rounds/4])
 	if median > 1.02 {
 		t.Fatalf("disabled-tracing overhead: median ratio %.4f exceeds 1.02", median)
+	}
+	// Disabled means nothing recorded, whatever the timings say.
+	if n := reg.CounterValue("trace_spans_recorded_total"); n != 0 || tracer.Len() != 0 {
+		t.Fatalf("disabled tracing recorded %d spans and buffered %d traces", n, tracer.Len())
 	}
 }
