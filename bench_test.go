@@ -542,8 +542,8 @@ func BenchmarkAblationGreedyVsExhaustive(b *testing.B) {
 // ADEA-style protected class spans two age buckets, so every spec carries
 // the same two-option age clause) — per attribute, a US-scoped reach query
 // and its gender-conditioned refinement. The auditor sends those specs in
-// two batches, reach first; the battery mixes them in one, so its reach
-// and refinement specs each read one of two shared-tail registers. The
+// two batches, reach first; the battery mixes them in one, in which every
+// spec is a root over its own operands and each shared set one source. The
 // interface is pre-warmed so the timed loops exercise only the estimate
 // path (no lazy materialization).
 func measureBench(b testing.TB) (*platform.Interface, []targeting.Spec) {

@@ -96,10 +96,7 @@ func (h *ifaceHandler) methodSwitch(door string, routes map[string]func(http.Res
 			return
 		}
 		m.total.Inc()
-		if !h.limiter.Allow() {
-			h.m429.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, codeRateLimited, "slow down")
+		if h.throttled(w) {
 			return
 		}
 		h.opts.logf("adapi: %s %s", r.Method, r.URL.Path)

@@ -25,40 +25,6 @@ func batteryCases(c *Client, seed uint64) []battery.Case {
 	return battery.Draw(seed, battery.Shapes, battery.Catalog{Attributes: len(c.AttributeNames()), Topics: len(c.TopicNames())})
 }
 
-// TestMeasureBatchMatchesSerial: for every dialect, one measure-batch
-// exchange must return slot for slot what serial /measure calls return —
-// sizes and typed errors both.
-func TestMeasureBatchMatchesSerial(t *testing.T) {
-	ts, _ := startServer(t, ServerOptions{Metrics: obs.NewRegistry()})
-	ctx := context.Background()
-	for _, name := range []string{catalog.PlatformFacebook, catalog.PlatformFacebookRestricted, catalog.PlatformGoogle, catalog.PlatformLinkedIn} {
-		c, err := NewClient(ctx, ts.URL, name, ClientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs := battery.Specs(batteryCases(c, 5))
-		got := c.MeasureMany(specs)
-		if len(got) != len(specs) {
-			t.Fatalf("%s: %d slots for %d specs", name, len(got), len(specs))
-		}
-		for i, spec := range specs {
-			size, serr := c.Measure(spec)
-			if (got[i].Err == nil) != (serr == nil) {
-				t.Fatalf("%s slot %d: batch err=%v, serial err=%v", name, i, got[i].Err, serr)
-			}
-			if serr != nil {
-				if got[i].Err.Error() != serr.Error() {
-					t.Fatalf("%s slot %d: batch err %q, serial err %q", name, i, got[i].Err, serr)
-				}
-				continue
-			}
-			if got[i].Size != size {
-				t.Fatalf("%s slot %d: batch size %d, serial %d", name, i, got[i].Size, size)
-			}
-		}
-	}
-}
-
 // TestMeasureBatchOneExchange: the whole batch costs one request on the
 // measure-batch door and zero on the serial measure door, even with slots
 // the dialect cannot encode: those slots alone fail, with the encoder's

@@ -1,15 +1,6 @@
 package adapi
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/catalog"
-	"repro/internal/cluster"
-	"repro/internal/obs"
-	"repro/internal/platform"
-	"repro/internal/targeting"
-)
+import "testing"
 
 func TestNewClusterCoordinatorErrors(t *testing.T) {
 	base := ClusterSpec{Universe: 6000, Seed: 5}
@@ -31,71 +22,5 @@ func TestNewClusterCoordinatorErrors(t *testing.T) {
 		Shards: "a=http://h1", Universe: -1, Seed: 5,
 	}); err == nil {
 		t.Error("negative universe accepted")
-	}
-}
-
-// The one shared resolver of "-cluster name=url,...": a coordinator built
-// from the flag string must measure bit-identically to a single-node
-// deployment of the same sizing.
-func TestNewClusterCoordinatorEndToEnd(t *testing.T) {
-	const (
-		size     = 6000
-		partSize = 1024
-		seed     = 5
-	)
-	nodes := []string{"a", "b"}
-	ring, err := cluster.NewRing(nodes, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := cluster.NewLayout(ring, size, partSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dopts := platform.DeployOptions{Seed: seed, UniverseSize: size, Metrics: obs.NewRegistry()}
-	entries := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		s, err := cluster.NewShard(n, layout, dopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := startShardServer(t, s)
-		entries = append(entries, n+"="+ts.URL)
-	}
-
-	coord, err := NewClusterCoordinator(ClusterSpec{
-		Shards:        strings.Join(entries, ","),
-		Replicas:      1,
-		PartitionSize: partSize,
-		Universe:      size,
-		Seed:          seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	single, err := platform.NewDeployment(dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := single.ByName(catalog.PlatformLinkedIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := coord.Provider(catalog.PlatformLinkedIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := targeting.Attr(0)
-	got, err := prov.Measure(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Measure(platform.EstimateRequest{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("cluster measured %d, single node %d", got, want)
 	}
 }

@@ -55,19 +55,20 @@ func (l *Limiter) refill() {
 	}
 }
 
-// Allow reports whether a request may proceed now, consuming a token if so.
-func (l *Limiter) Allow() bool {
+// Allow reports whether a request may proceed now, consuming a token if
+// so. A refusal also reports the wait until the bucket next holds a token.
+func (l *Limiter) Allow() (ok bool, wait time.Duration) {
 	if l == nil {
-		return true
+		return true, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.refill()
 	if l.tokens >= 1 {
 		l.tokens--
-		return true
+		return true, 0
 	}
-	return false
+	return false, time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
 }
 
 // reserve consumes a token, returning how long the caller must wait before

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -115,6 +116,24 @@ type ifaceHandler struct {
 	store        core.MeasurementStore
 	mStoreHits   *obs.Counter // adapi_server_store_hits_total
 	mStoreErrors *obs.Counter // adapi_server_store_errors_total
+}
+
+// throttled answers 429 and reports true when the interface's limiter
+// refuses a request. Retry-After carries the limiter's wait until its next
+// token in whole seconds, rounded up, when that wait is at least a second;
+// a shorter wait sends no header, so the client backs off from its own
+// RetryBase.
+func (h *ifaceHandler) throttled(w http.ResponseWriter) bool {
+	ok, wait := h.limiter.Allow()
+	if ok {
+		return false
+	}
+	h.m429.Inc()
+	if wait >= time.Second {
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((wait+time.Second-1)/time.Second), 10))
+	}
+	writeError(w, http.StatusTooManyRequests, codeRateLimited, "slow down")
+	return true
 }
 
 // doorMetrics is one endpoint's pre-resolved instruments, bound at route
@@ -324,10 +343,7 @@ func (h *ifaceHandler) wrap(fn func(http.ResponseWriter, *http.Request), method,
 			return
 		}
 		m.total.Inc()
-		if !h.limiter.Allow() {
-			h.m429.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, codeRateLimited, "slow down")
+		if h.throttled(w) {
 			return
 		}
 		h.opts.logf("adapi: %s %s", r.Method, r.URL.Path)

@@ -105,31 +105,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestEstimateOverHTTPMatchesDirect(t *testing.T) {
-	ts, d := startServer(t, ServerOptions{})
-	ctx := context.Background()
-	for _, p := range d.Interfaces() {
-		c, err := NewClient(ctx, ts.URL, p.Name(), ClientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := 0; id < 10; id++ {
-			spec := targeting.Attr(id)
-			remote, err := c.Measure(spec)
-			if err != nil {
-				t.Fatalf("%s: remote measure: %v", p.Name(), err)
-			}
-			direct, err := p.Measure(platform.EstimateRequest{Spec: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if remote != direct {
-				t.Fatalf("%s attr %d: remote %d != direct %d", p.Name(), id, remote, direct)
-			}
-		}
-	}
-}
-
 func TestAdvertiserDoorValidatesOverHTTP(t *testing.T) {
 	ts, _ := startServer(t, ServerOptions{})
 	ctx := context.Background()
@@ -340,24 +315,54 @@ func TestLimiterAllow(t *testing.T) {
 	l := NewLimiter(10, 2)
 	now := time.Unix(0, 0)
 	l.setClock(func() time.Time { return now })
-	if !l.Allow() || !l.Allow() {
+	allow := func() bool {
+		ok, _ := l.Allow()
+		return ok
+	}
+	if !allow() || !allow() {
 		t.Fatal("burst of 2 should admit 2")
 	}
-	if l.Allow() {
-		t.Fatal("third immediate request should be denied")
+	if ok, wait := l.Allow(); ok || wait != 100*time.Millisecond {
+		t.Fatalf("third immediate request: admitted %v, wait %v; want refused, 100ms", ok, wait)
 	}
 	now = now.Add(100 * time.Millisecond) // one token refilled
-	if !l.Allow() {
+	if !allow() {
 		t.Fatal("token should have refilled")
 	}
-	if l.Allow() {
+	if allow() {
 		t.Fatal("no second token yet")
+	}
+}
+
+// TestServerRetryAfter pins the 429's Retry-After header against the
+// limiter's refill time on a fake clock: none when the next token is under
+// a second away (200 qps), so the client backs off from its own RetryBase,
+// and the wait in whole seconds, rounded up, otherwise (0.5 qps: 2).
+func TestServerRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want string
+	}{{200, ""}, {0.5, "2"}, {0.4, "3"}} {
+		l := NewLimiter(tc.rate, 1)
+		now := time.Unix(0, 0)
+		l.setClock(func() time.Time { return now })
+		h := &ifaceHandler{limiter: l, m429: obs.NewRegistry().Counter("adapi_server_429_total")}
+		if h.throttled(httptest.NewRecorder()) {
+			t.Fatalf("%v qps: first request throttled", tc.rate)
+		}
+		w := httptest.NewRecorder()
+		if !h.throttled(w) || w.Code != http.StatusTooManyRequests || h.m429.Value() != 1 {
+			t.Fatalf("%v qps: second request answered %d, %d throttled; want 429, 1", tc.rate, w.Code, h.m429.Value())
+		}
+		if got, set := w.Header()["Retry-After"]; tc.want == "" && set || tc.want != "" && (len(got) != 1 || got[0] != tc.want) {
+			t.Fatalf("%v qps: Retry-After %q, want %q", tc.rate, got, tc.want)
+		}
 	}
 }
 
 func TestLimiterNil(t *testing.T) {
 	var l *Limiter
-	if !l.Allow() {
+	if ok, _ := l.Allow(); !ok {
 		t.Fatal("nil limiter must admit")
 	}
 	if err := l.Wait(context.Background()); err != nil {

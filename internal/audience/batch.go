@@ -11,8 +11,7 @@ import (
 // shared sets M times. A schedule instead walks the universe in cache-sized
 // word blocks and evaluates every pending request per block, so a block of
 // each set is loaded from memory once and reused across all requests while
-// it is hot, and a tail several requests share is intersected once per
-// block into a register they all read.
+// it is hot.
 
 const (
 	// blockWords is the tile width of the batched kernel over dense
@@ -35,25 +34,22 @@ type Window struct {
 	Lo, Hi int
 }
 
-// loweredReq is one root's kernel view: its output slot and the source
-// indices of its operands (base ∩ and… \ not…). A root whose tail is
-// shared reads the tail's register as its one AND source.
+// loweredReq is one root's kernel view: the source indices of its
+// operands (base ∩ and… \ not…).
 type loweredReq struct {
-	slot int
 	base int
 	and  []int
 	not  []int
 }
 
 // execScratch is one execution's mutable state, pooled across schedules:
-// the source tables, the registers, the tail registers, the masked edge
-// words, and the generic kernel's word buffer (one tile, blockWords long).
+// the source table, the registers, the masked edge words, and the generic
+// kernel's word buffer (one tile long).
 type execScratch struct {
-	abs, rel [][]uint64
-	regs     []uint64
-	tails    []uint64
-	edge     []uint64
-	word     []uint64
+	src  [][]uint64
+	regs []uint64
+	edge []uint64
+	word []uint64
 }
 
 var execPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -71,55 +67,25 @@ func growSlice[T any](s []T, n int) []T {
 // number of tiles the kernels walked. Windows are clamped to the universe,
 // and a user in two windows counts twice. Results are bit-identical to
 // evaluating each plan alone over the same users.
+//
+// Each window is walked tile by tile on the tile grid: every tile loads
+// each distinct operand once, then every root counts from hot words via
+// the batch kernels. A window's unaligned edge words run as one-word tiles
+// whose every source is masked to the window. All per-execution state
+// comes from a pool, so steady-state executions allocate nothing but the
+// result slice.
 func (pb *PlanBatch) Exec(windows []Window) ([]int, int) {
-	counts := make([]int, pb.nslot)
+	counts := make([]int, len(pb.roots))
 	var whole [1]Window
 	if windows == nil {
 		whole[0] = Window{0, pb.n}
 		windows = whole[:]
 	}
-	for i := range pb.comp {
-		nd := &pb.comp[i]
-		for _, w := range windows {
-			if lo, hi := max(w.Lo, 0), min(w.Hi, pb.n); lo < hi {
-				counts[nd.slot] += nd.probe.walk(nd.base, lo, hi)
-			}
-		}
-	}
-	tiles := 0
-	if len(pb.roots) > 0 {
-		tiles = pb.execRoots(counts, windows)
-	}
-	return counts, tiles
-}
-
-// execRoots walks each window tile by tile on the tile grid: shared tails
-// are intersected into registers once per tile, then every root counts
-// from hot words via the batch kernels. A window's unaligned edge words run
-// as one-word tiles whose every source is masked to the window. All
-// per-execution state comes from a pool, so steady-state executions
-// allocate nothing but the result slice.
-func (pb *PlanBatch) execRoots(counts []int, windows []Window) int {
 	s := execPool.Get().(*execScratch)
-	nops, nsrc := len(pb.ops), len(pb.ops)+len(pb.tails)
-	s.abs = growSlice(s.abs, nsrc)
-	s.rel = growSlice(s.rel, nsrc)
-	s.edge = growSlice(s.edge, nsrc)
+	s.src = growSlice(s.src, len(pb.ops))
+	s.edge = growSlice(s.edge, len(pb.ops))
 	s.regs = growSlice(s.regs, pb.nreg*regWords)
-	s.word = growSlice(s.word, blockWords)
-	relative := pb.nreg > 0
-	if relative {
-		s.tails = growSlice(s.tails, len(pb.tails)*regWords)
-	} else {
-		nw := (pb.n + 63) / 64
-		s.tails = growSlice(s.tails, len(pb.tails)*nw)
-		for k, o := range pb.ops {
-			s.abs[k] = o.Set.words
-		}
-		for t := range pb.tails {
-			s.abs[nops+t] = s.tails[t*nw : (t+1)*nw]
-		}
-	}
+	s.word = growSlice(s.word, pb.tile)
 	tiles := 0
 	for _, w := range windows {
 		lo, hi := max(w.Lo, 0), min(w.Hi, pb.n)
@@ -139,37 +105,43 @@ func (pb *PlanBatch) execRoots(counts []int, windows []Window) int {
 				bhi--
 				pb.execEdge(s, counts, bhi, wordMask(bhi, lo, hi))
 			}
-			switch {
-			case blo >= bhi:
-			case relative:
+			if blo < bhi {
 				pb.load(s, blo, bhi)
-				for ti := range pb.tails {
-					s.rel[nops+ti] = s.tails[ti*regWords : ti*regWords+bhi-blo]
-				}
-				pb.fillTails(s.rel, 0, bhi-blo)
-				pb.run(s.rel, s.word, counts, 0, bhi-blo)
-			default:
-				pb.fillTails(s.abs, blo, bhi)
-				pb.run(s.abs, s.word, counts, blo, bhi)
+				pb.run(s, counts)
 			}
 			t = e
 		}
 	}
 	// Drop the operand references before pooling the scratch.
-	clear(s.abs)
-	clear(s.rel)
+	clear(s.src)
 	execPool.Put(s)
-	return tiles
+	return counts, tiles
 }
 
-// load points the first len(ops) tile-relative sources at words [lo, hi)
-// of each operand; the range lies within one register tile.
+// wordMask returns the bits of word wi (indices [64·wi, 64·wi+64)) that
+// fall in [lo, hi).
+func wordMask(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if b := lo - wi<<6; b > 0 {
+		m <<= uint(b)
+	}
+	if e := wi<<6 + 64 - hi; e > 0 {
+		m &= ^uint64(0) >> uint(e)
+	}
+	return m
+}
+
+// load points every source at words [lo, hi) of its operand, a range
+// within one tile: dense words re-sliced, and each compressed-only operand
+// through its register — its bitmap container's words in place, the
+// shared zero tile for an empty chunk, or the tile's array or run members
+// expanded into the register.
 func (pb *PlanBatch) load(s *execScratch, lo, hi int) {
 	for k, o := range pb.ops {
 		if r := pb.reg[k]; r >= 0 {
-			s.rel[k] = o.C.tileWords(lo, hi, s.regs[r*regWords:(r+1)*regWords])
+			s.src[k] = o.C.tileWords(lo, hi, s.regs[r*regWords:(r+1)*regWords])
 		} else {
-			s.rel[k] = o.Set.words[lo:hi]
+			s.src[k] = o.Set.words[lo:hi]
 		}
 	}
 }
@@ -179,34 +151,17 @@ func (pb *PlanBatch) load(s *execScratch, lo, hi int) {
 // only the window's users.
 func (pb *PlanBatch) execEdge(s *execScratch, counts []int, wi int, mask uint64) {
 	pb.load(s, wi, wi+1)
-	for k := range s.rel {
-		if k < len(pb.ops) {
-			s.edge[k] = s.rel[k][0] & mask
-		}
-		s.rel[k] = s.edge[k : k+1]
+	for k := range s.src {
+		s.edge[k] = s.src[k][0] & mask
+		s.src[k] = s.edge[k : k+1]
 	}
-	pb.fillTails(s.rel, 0, 1)
-	pb.run(s.rel, s.word, counts, 0, 1)
+	pb.run(s, counts)
 }
 
-// fillTails intersects each shared tail's members over words [lo, hi) of
-// src into its register source.
-func (pb *PlanBatch) fillTails(src [][]uint64, lo, hi int) {
-	for t, members := range pb.tails {
-		w := src[len(pb.ops)+t][lo:hi]
-		copy(w, src[members[0]][lo:hi])
-		for _, m := range members[1:] {
-			andInto(w, src[m][lo:hi])
-		}
-	}
-}
-
-// run counts every root over words [lo, hi) of src; the generic kernel
-// builds its words in w, which holds a whole tile.
-func (pb *PlanBatch) run(src [][]uint64, w []uint64, counts []int, lo, hi int) {
-	for ri := range pb.roots {
-		lr := &pb.roots[ri]
-		counts[lr.slot] += lr.countRange(src, w, lo, hi)
+// run counts every root over the loaded tile.
+func (pb *PlanBatch) run(s *execScratch, counts []int) {
+	for i := range pb.roots {
+		counts[i] += pb.roots[i].count(s.src, s.word)
 	}
 }
 
@@ -218,47 +173,38 @@ func andInto(dst, src []uint64) {
 	}
 }
 
-// countRange counts the request's matches within words [lo, hi), building
-// the generic case's word in w.
-func (lr *loweredReq) countRange(src [][]uint64, w []uint64, lo, hi int) int {
+// count counts the request's matches in the loaded tile, building the
+// generic case's word in w, which holds a whole tile.
+func (lr *loweredReq) count(src [][]uint64, w []uint64) int {
 	base := src[lr.base]
 	if len(lr.not) == 0 {
 		switch len(lr.and) {
 		case 0:
-			return countRange1(base, lo, hi)
+			return countWords(base)
 		case 1:
-			return countAndRange(base, src[lr.and[0]], lo, hi)
+			return countAnd(base, src[lr.and[0]])
 		case 2:
-			return countAnd3Range(base, src[lr.and[0]], src[lr.and[1]], lo, hi)
+			return countAnd3(base, src[lr.and[0]], src[lr.and[1]])
 		case 3:
-			return countAnd4Range(base, src[lr.and[0]], src[lr.and[1]], src[lr.and[2]], lo, hi)
+			return countAnd4(base, src[lr.and[0]], src[lr.and[1]], src[lr.and[2]])
 		}
 	}
-	w = lr.word(w[:hi-lo], src, lo, hi)
-	return countRange1(w, 0, len(w))
-}
-
-// word writes the request's word (base ∩ and… \ not…) over [lo, hi) into
-// w, operand by operand.
-func (lr *loweredReq) word(w []uint64, src [][]uint64, lo, hi int) []uint64 {
-	copy(w, src[lr.base][lo:hi])
+	w = w[:len(base)]
+	copy(w, base)
 	for _, k := range lr.and {
-		andInto(w, src[k][lo:hi])
+		andInto(w, src[k])
 	}
 	for _, k := range lr.not {
-		s := src[k][lo:hi]
-		s = s[:len(w)]
+		s := src[k][:len(w)]
 		for i := range w {
 			w[i] &^= s[i]
 		}
 	}
-	return w
+	return countWords(w)
 }
 
-// countRange1 popcounts one word slice over [lo, hi), four words per
-// iteration.
-func countRange1(a []uint64, lo, hi int) int {
-	a = a[lo:hi]
+// countWords popcounts one word slice, four words per iteration.
+func countWords(a []uint64) int {
 	c, i := 0, 0
 	for ; i+4 <= len(a); i += 4 {
 		c += bits.OnesCount64(a[i]) +
@@ -272,10 +218,8 @@ func countRange1(a []uint64, lo, hi int) int {
 	return c
 }
 
-// countAndRange popcounts a ∩ b over [lo, hi), four words per iteration.
-func countAndRange(a, b []uint64, lo, hi int) int {
-	a = a[lo:hi]
-	b = b[lo:hi]
+// countAnd popcounts a ∩ b, four words per iteration.
+func countAnd(a, b []uint64) int {
 	b = b[:len(a)]
 	c, i := 0, 0
 	for ; i+4 <= len(a); i += 4 {
@@ -290,12 +234,9 @@ func countAndRange(a, b []uint64, lo, hi int) int {
 	return c
 }
 
-// countAnd3Range popcounts a ∩ b ∩ d over [lo, hi) — the scoped auditor's
-// dominant shape (two options AND the location scope).
-func countAnd3Range(a, b, d []uint64, lo, hi int) int {
-	a = a[lo:hi]
-	b = b[lo:hi]
-	d = d[lo:hi]
+// countAnd3 popcounts a ∩ b ∩ d — the scoped auditor's dominant shape (two
+// options AND the location scope).
+func countAnd3(a, b, d []uint64) int {
 	b = b[:len(a)]
 	d = d[:len(a)]
 	c, i := 0, 0
@@ -311,15 +252,10 @@ func countAnd3Range(a, b, d []uint64, lo, hi int) int {
 	return c
 }
 
-// countAnd4Range popcounts a ∩ b ∩ d ∩ e over [lo, hi) — the audit
-// campaign's commonest spec shape (two options AND a demographic class AND
-// the location scope), on which the generic word loop more than doubled a
-// serial query's latency.
-func countAnd4Range(a, b, d, e []uint64, lo, hi int) int {
-	a = a[lo:hi]
-	b = b[lo:hi]
-	d = d[lo:hi]
-	e = e[lo:hi]
+// countAnd4 popcounts a ∩ b ∩ d ∩ e — the audit campaign's commonest spec
+// shape (two options AND a demographic class AND the location scope), on
+// which the generic word loop more than doubled a serial query's latency.
+func countAnd4(a, b, d, e []uint64) int {
 	b = b[:len(a)]
 	d = d[:len(a)]
 	e = e[:len(a)]

@@ -24,9 +24,10 @@ import (
 //
 // Empty chunks cost nothing, which is what makes 2^24-user shards fit: an
 // audience touching 1% of such a universe stores ~2 bytes per member instead
-// of 2 MiB of mostly-zero words. The plan executor (plan.go) walks a CSet's
-// containers directly when the sparsest operand of a query is compressed,
-// skipping every chunk the audience does not touch.
+// of 2 MiB of mostly-zero words. The plan executor (batch.go) loads a
+// CSet one 64-word tile at a time: a bitmap container's words in place, an
+// empty chunk as a shared zero tile, and an array or run container's
+// members expanded into a register.
 //
 // A CSet has one representation: its canonical blob, the byte encoding a
 // snapshot file (internal/snapshot) stores per catalog option. The typed
@@ -428,9 +429,9 @@ func (c *CSet) orInto(s *Set) {
 	}
 }
 
-// Union returns the union of operands over n users as one dense operand
-// carrying its count: dense members are ORed word by word, compressed-only
-// members expanded container by container.
+// Union returns the union of operands over n users as one dense operand:
+// dense members are ORed word by word, compressed-only members expanded
+// container by container.
 func Union(n int, ops []Operand) Operand {
 	u := New(n)
 	for _, o := range ops {
@@ -440,7 +441,7 @@ func Union(n int, ops []Operand) Operand {
 			o.C.orInto(u)
 		}
 	}
-	return Operand{Set: u, Card: u.Count()}
+	return Operand{Set: u}
 }
 
 // tileWords returns words [lo, hi) of the set, a range within one chunk:
@@ -554,19 +555,6 @@ func (c *CSet) Contains(i int) bool {
 // findChunk locates the container index of a chunk key.
 func (c *CSet) findChunk(key uint32) (int, bool) {
 	return slices.BinarySearch(c.keys, key)
-}
-
-// chunkFrom returns the index of the first container whose chunk ends past
-// user lo. Keys ascend strictly from 0, so that chunk's index is at most
-// its key, and it is the key itself when no earlier chunk is empty: shards
-// count many narrow windows of a wide set.
-func (c *CSet) chunkFrom(lo int) int {
-	first := lo >> chunkBits
-	ci := min(first, len(c.keys))
-	for ci > 0 && int(c.keys[ci-1]) >= first {
-		ci--
-	}
-	return ci
 }
 
 // containerContains reports membership of offset v in one container.

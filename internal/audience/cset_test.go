@@ -101,25 +101,35 @@ func TestSetCountRange(t *testing.T) {
 // shapeNames lists csetShapes' keys in a fixed order for pairwise tests.
 var shapeNames = []string{"empty", "sparse", "dense", "full", "runs", "mixed", "gapped"}
 
-// TestCSetCountKernels pins the compressed plan walk — the one kernel that
-// counts straight off a CSet's containers — on every shape pair: a base
-// walked container-wise and probed against a dense operand, intersected and
-// subtracted, must count exactly like the dense kernels.
+// TestCSetCountKernels pins the plan a compressed catalog's option takes
+// as the base of a spec whose other operands are dense (demographics,
+// unions, custom audiences) on every shape pair: the base read through a
+// register, intersected with a dense operand or with one subtracted, over
+// the whole universe and over an unaligned window, must count exactly like
+// the dense set algebra.
 func TestCSetCountKernels(t *testing.T) {
 	for _, n := range csetSizes {
 		shapes := csetShapes(n)
 		none, all := New(n), New(n)
 		all.Fill()
+		w := []Window{{n/3 + 1, n - n/5 - 1}}
 		for _, an := range shapeNames {
 			a := shapes[an]
 			ca := FromSet(a)
 			for _, bn := range shapeNames {
 				b := shapes[bn]
-				if got, want := walkPlan(Operand{Set: a, C: ca}, b, none), CountAnd(a, b); got != want {
-					t.Fatalf("n=%d %s∩%s: compressed walk = %d, want %d", n, an, bn, got, want)
-				}
-				if got, want := walkPlan(Operand{Set: a, C: ca}, all, b), CountAndNot(a, b); got != want {
-					t.Fatalf("n=%d %s\\%s: compressed walk = %d, want %d", n, an, bn, got, want)
+				for _, tc := range []struct {
+					name      string
+					got, want int
+				}{
+					{"and", basePlan(ca, b, none, nil), CountAnd(a, b)},
+					{"andnot", basePlan(ca, all, b, nil), CountAndNot(a, b)},
+					{"and window", basePlan(ca, b, none, w), And(a, b).CountRange(w[0].Lo, w[0].Hi)},
+					{"andnot window", basePlan(ca, all, b, w), AndNot(a, b).CountRange(w[0].Lo, w[0].Hi)},
+				} {
+					if tc.got != tc.want {
+						t.Fatalf("n=%d %s %s %s: register count = %d, want %d", n, an, tc.name, bn, tc.got, tc.want)
+					}
 				}
 			}
 		}
@@ -128,8 +138,7 @@ func TestCSetCountKernels(t *testing.T) {
 
 // regCount counts a ∩ b, or a \ b when negate is set, over windows as a
 // batch of one whose operands are both compressed-only: the schedule reads
-// them through registers, whatever the dispatch rule would pick for a
-// dense probe.
+// them through registers.
 func regCount(a, b *CSet, negate bool, windows []Window) int {
 	p := CompilePlan(a.Len(), []PlanClause{{Op: Operand{C: a}}, {Op: Operand{C: b}, Negate: negate}})
 	counts, _ := CompileBatch([]*Plan{p}).Exec(windows)
@@ -138,8 +147,7 @@ func regCount(a, b *CSet, negate bool, windows []Window) int {
 
 // planCountRange counts c's members in [lo, hi) the way a shard counts a
 // lone compressed-only option: a one-operand plan executed over that
-// window, walked container by container when c is sparse and expanded into
-// registers otherwise.
+// window, read through a register tile by tile.
 func planCountRange(c *CSet, lo, hi int) int {
 	p := CompilePlan(c.Len(), []PlanClause{{Op: Operand{C: c}}})
 	counts, _ := CompileBatch([]*Plan{p}).Exec([]Window{{lo, hi}})
@@ -168,7 +176,7 @@ func TestCSetMaterializingOps(t *testing.T) {
 					t.Fatalf("n=%d %s∩%s window: registers count %d, want %d", n, an, bn, got, want)
 				}
 				u := Union(n, []Operand{{C: ca}, {Set: b}})
-				if !Equal(u.Set, Or(a, b)) || u.Card != u.Set.Count() {
+				if !Equal(u.Set, Or(a, b)) {
 					t.Fatalf("n=%d %s∪%s: Union mismatch", n, an, bn)
 				}
 			}
@@ -316,8 +324,10 @@ func TestCSetChecksCompat(t *testing.T) {
 
 // BenchmarkCSetKernels times every compressed kernel — a register-backed
 // plan intersecting and subtracting the set from a compressed-only
-// operand, Union into a dense operand, and a compressed-base plan walk — at 2^17 and 2^22 users on
-// random sets of four densities and a run-clustered set. Each case runs on
+// operand, Union into a dense operand, and a plan whose compressed-only
+// base is the set, ANDed with one dense operand and excluding another — at
+// 2^17 and 2^22 users on random sets of four densities and a
+// run-clustered set. Each case runs on
 // the set FromSet builds and on a DecodeCSet view of a copy of its blob,
 // the form snapshot-booted shards serve.
 func BenchmarkCSetKernels(b *testing.B) {
@@ -356,7 +366,8 @@ func BenchmarkCSetKernels(b *testing.B) {
 				}{
 					{"and", func() int { return regCount(acc, c, false, nil) }},
 					{"andnot", func() int { return regCount(acc, c, true, nil) }},
-					{"or", func() int { return Union(n, []Operand{{C: acc}, {C: c}}).Card }},
+					{"or", func() int { return Union(n, []Operand{{C: acc}, {C: c}}).Set.Count() }},
+					{"plan", func() int { return basePlan(c, scope, excl, nil) }},
 				} {
 					b.Run(prefix+k.op, func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
@@ -364,12 +375,6 @@ func BenchmarkCSetKernels(b *testing.B) {
 						}
 					})
 				}
-				pr := probe{and: [][]uint64{scope.words}, not: [][]uint64{excl.words}}
-				b.Run(prefix+"plan", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						sinkInt = pr.walk(c, 0, n)
-					}
-				})
 			}
 		}
 	}

@@ -344,7 +344,7 @@ func invertedRunBlob(n int) []byte {
 
 // TestInvertedRunBlob: loads never read full-chunk payloads, so a run with
 // start > last reaches the kernels. Each must treat it as empty rather
-// than walk past the chunk.
+// than read past the chunk.
 func TestInvertedRunBlob(t *testing.T) {
 	for _, off := range []int{0, 3} {
 		c, err := DecodeCSet(blobAt(invertedRunBlob(2*chunkSize), off))
@@ -355,7 +355,7 @@ func TestInvertedRunBlob(t *testing.T) {
 		if got := c.ToSet().Count(); got != 0 {
 			t.Fatalf("@%d: inverted run expanded to %d members", off, got)
 		}
-		if got := Union(c.Len(), []Operand{{C: c}}).Card; got != 0 {
+		if got := Union(c.Len(), []Operand{{C: c}}).Set.Count(); got != 0 {
 			t.Fatalf("@%d: Union added %d members", off, got)
 		}
 		all := New(c.Len())
@@ -363,8 +363,8 @@ func TestInvertedRunBlob(t *testing.T) {
 		if got := regCount(FromSet(all), c, false, nil); got != 0 {
 			t.Fatalf("@%d: registers counted %d", off, got)
 		}
-		if got := walkPlan(Operand{Set: all, C: c}, all, New(c.Len())); got != 0 {
-			t.Fatalf("@%d: compressed walk counted %d", off, got)
+		if got := basePlan(c, all, New(c.Len()), nil); got != 0 {
+			t.Fatalf("@%d: a plan on its base counted %d", off, got)
 		}
 	}
 }

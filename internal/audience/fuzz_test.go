@@ -13,16 +13,20 @@ import (
 var fuzzSizes = []int{63, 1000, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunkSize + 100}
 
 // FuzzPlanExecEquivalence decodes arbitrary bytes into a batch of
-// and-of-ors requests over a pool of sets (sparse through dense; dense,
-// compressed-only, or both), compiles them, and checks that Count, the
-// batched Exec, and Exec over seeded windows with unaligned edges agree
-// with the naive Set-algebra evaluator. Any rewrite the compiler performs
-// — operand reordering, tail extraction, compressed dispatch, register
-// expansion — must be invisible here.
+// and-of-ors requests over a pool of sets (sparse through dense; each
+// operand dense or compressed-only), compiles them, and checks that Count,
+// the batched Exec, and Exec over seeded windows with unaligned edges agree
+// with the naive Set-algebra evaluator. Anything the compiler does —
+// operand numbering, tiling, register expansion, edge masking — must be
+// invisible here.
 func FuzzPlanExecEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint64(1), []byte{0x02, 0x00, 0x13, 0x01, 0x27})
 	f.Add(uint8(3), uint64(2), []byte{0x03, 0x05, 0x81, 0x12, 0x02, 0x33, 0xa4})
 	f.Add(uint8(4), uint64(3), []byte{0x01, 0x44, 0x02, 0x96, 0x07, 0x03, 0x58, 0x1b, 0xe2})
+	// Sparse compressed-only bases (0.1% and 1.5% of the users) with dense
+	// operands, intersected and subtracted, at 2^16-1 and 2^16+1 users.
+	f.Add(uint8(2), uint64(4), []byte{0x02, 0x82, 0x01, 0x04, 0x01, 0x80, 0x02})
+	f.Add(uint8(4), uint64(5), []byte{0x02, 0x82, 0x01, 0x04, 0x01, 0x80, 0x02})
 	f.Fuzz(func(t *testing.T, sizeSel uint8, seed uint64, prog []byte) {
 		n := fuzzSizes[int(sizeSel)%len(fuzzSizes)]
 		densities := []float64{0.001, 0.1, 0.45, 0.015, 0.65}
@@ -34,11 +38,10 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 		}
 		// Each request is one count byte (1–3 clauses) followed by one byte
 		// per clause: low bits pick the first member, bit 5 widens the OR
-		// with a second member, bit 2 negates (never the first clause), bit
-		// 7 attaches the compressed form and bit 6 with it drops the dense
-		// one, as compressed catalogs lower options. A widened clause
-		// compiles to its materialized union, compressed only when bits 7
-		// and 6 are both set, as the platform lowers it.
+		// with a second member, bit 2 negates (never the first clause), and
+		// bit 7 makes the operand compressed-only, as compressed catalogs
+		// lower options. A widened clause compiles to its materialized
+		// union, compressed-only when bit 7 is set.
 		var reqs [][]testClause
 		var plans []*Plan
 		for pos := 0; pos < len(prog) && len(plans) < 6; {
@@ -55,18 +58,15 @@ func FuzzPlanExecEquivalence(f *testing.F) {
 				idx := int(b) % len(pool)
 				cl := testClause{or: []*Set{pool[idx]}, negate: ci > 0 && b&0x04 != 0}
 				pc := PlanClause{Op: Operand{Set: pool[idx]}, Negate: cl.negate}
-				if b&0x80 != 0 {
-					pc.Op.C = cpool[idx]
-				}
-				if b&0xc0 == 0xc0 {
-					pc.Op.Set = nil
-				}
 				if b&0x20 != 0 {
 					idx2 := int(b>>3) % len(pool)
 					cl.or = append(cl.or, pool[idx2])
 					pc.Op = Operand{Set: UnionAll(cl.or...)}
-					if b&0xc0 == 0xc0 {
-						pc.Op.C = FromSet(pc.Op.Set)
+				}
+				if b&0x80 != 0 {
+					pc.Op = Operand{C: cpool[idx]}
+					if len(cl.or) > 1 {
+						pc.Op = Operand{C: FromSet(UnionAll(cl.or...))}
 					}
 				}
 				req = append(req, cl)
@@ -136,10 +136,11 @@ func FuzzCSetDecode(f *testing.F) {
 }
 
 // exerciseCSet runs every kernel over a decoded set — membership, counts,
-// one-operand plans over four windows, expansion, Union, register-backed
-// plan executions over the whole universe and an unaligned window, and a
-// compressed plan walk. On any blob
-// DecodeCSet accepts none may panic, whatever the payloads hold.
+// one-operand plans over four windows, expansion, Union, and
+// register-backed plan executions over the whole universe and unaligned
+// windows, with the set beside another compressed-only operand and as the
+// base of a plan whose other operands are dense. On any blob DecodeCSet
+// accepts none may panic, whatever the payloads hold.
 func exerciseCSet(c *CSet) {
 	n := c.Len()
 	_ = c.Count()
@@ -149,20 +150,24 @@ func exerciseCSet(c *CSet) {
 	for _, w := range [][2]int{{0, n}, {1, n - 1}, {n / 3, 2 * n / 3}, {chunkSize - 3, chunkSize + 3}} {
 		planCountRange(c, w[0], w[1])
 	}
-	dense := c.ToSet()
+	c.ToSet()
 	acc := NewFromFunc(n, func(i int) bool { return i%3 == 0 })
 	Union(n, []Operand{{Set: acc}, {C: c}})
 	ca := FromSet(acc)
 	regCount(ca, c, false, nil)
 	regCount(ca, c, true, []Window{{n / 3, n - 5}})
 	regCount(c, ca, false, []Window{{1, n}})
-	walkPlan(Operand{Set: dense, C: c}, acc, NewFromFunc(n, func(i int) bool { return i%7 == 0 }))
+	sevens := NewFromFunc(n, func(i int) bool { return i%7 == 0 })
+	basePlan(c, acc, sevens, nil)
+	basePlan(c, acc, sevens, []Window{{n / 5, n - 3}})
 }
 
-// walkPlan counts base ∩ and \ not on the compressed path, whatever the
-// dispatch rule would pick: base is walked container by container and the
-// dense operands are probed.
-func walkPlan(base Operand, and, not *Set) int {
-	pr := probe{and: [][]uint64{and.words}, not: [][]uint64{not.words}}
-	return pr.walk(base.C, 0, base.C.Len())
+// basePlan counts base ∩ and \ not over windows (nil for the whole
+// universe) as a batch of one whose base is compressed-only and whose
+// other operands are dense: the schedule reads the base through a
+// register tile by tile and the dense operands in place.
+func basePlan(base *CSet, and, not *Set, windows []Window) int {
+	p := CompilePlan(base.Len(), []PlanClause{{Op: Operand{C: base}}, {Op: Operand{Set: and}}, {Op: Operand{Set: not}, Negate: true}})
+	counts, _ := CompileBatch([]*Plan{p}).Exec(windows)
+	return counts[0]
 }

@@ -3,7 +3,7 @@ package audience
 import "math/bits"
 
 // Reference code the tests compare the program's kernels against: naive
-// Set algebra with no tiling, registers or compressed walks.
+// Set algebra with no tiling or registers.
 
 // CountRange returns the number of users in the set with indices in
 // [lo, hi). Out-of-range bounds are clamped to the universe.
@@ -24,7 +24,7 @@ func (s *Set) CountRange(lo, hi int) int {
 		return bits.OnesCount64(s.words[wlo] & loMask & hiMask)
 	}
 	c := bits.OnesCount64(s.words[wlo]&loMask) + bits.OnesCount64(s.words[whi]&hiMask)
-	return c + countRange1(s.words, wlo+1, whi)
+	return c + countWords(s.words[wlo+1:whi])
 }
 
 // CountAndNot returns |a \ b| without allocating.
@@ -80,8 +80,7 @@ func (s *Set) Indices() []int {
 	return out
 }
 
-// Containers reports how many non-empty chunks the set stores — the unit of
-// work a compressed plan execution walks.
+// Containers reports how many non-empty chunks the set stores.
 func (c *CSet) Containers() int { return len(c.keys) }
 
 // ExecPlans compiles and executes a batch over the whole universe in one

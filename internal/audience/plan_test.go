@@ -52,11 +52,13 @@ func anyOf(sets ...*Set) testClause { return testClause{or: sets} }
 // planner lowers test requests the way the platform compiles specs: a
 // single-set clause passes its set through, and an OR group resolves to one
 // materialized union shared by every clause over the same member set (in
-// any order). withC attaches compressed forms to every operand, so the
-// compressed dispatch gets exercised.
+// any order). withC lowers every operand compressed-only instead, as a
+// compressed catalog does, one CSet per distinct set so shared operands
+// keep one identity.
 type planner struct {
 	withC  bool
 	unions map[string]*Set
+	csets  map[*Set]*CSet
 }
 
 // countMany counts a batch the way the platform's batch door does: every
@@ -69,6 +71,22 @@ func countMany(withC bool, reqs [][]testClause) []int {
 		plans[i] = pl.plan(req)
 	}
 	return ExecPlans(plans)
+}
+
+// operand is s in the planner's form: dense, or its one compressed set.
+func (pl *planner) operand(s *Set) Operand {
+	if !pl.withC {
+		return Operand{Set: s}
+	}
+	if pl.csets == nil {
+		pl.csets = make(map[*Set]*CSet)
+	}
+	c := pl.csets[s]
+	if c == nil {
+		c = FromSet(s)
+		pl.csets[s] = c
+	}
+	return Operand{C: c}
 }
 
 func (pl *planner) plan(req []testClause) *Plan {
@@ -90,10 +108,7 @@ func (pl *planner) plan(req []testClause) *Plan {
 				pl.unions[key] = s
 			}
 		}
-		pcs[i] = PlanClause{Op: Operand{Set: s}, Negate: cl.negate}
-		if pl.withC {
-			pcs[i].Op.C = FromSet(s)
-		}
+		pcs[i] = PlanClause{Op: pl.operand(s), Negate: cl.negate}
 	}
 	return CompilePlan(req[0].or[0].Len(), pcs)
 }
@@ -127,8 +142,8 @@ func batterySets(n int) []*Set {
 	return sets
 }
 
-// TestPlanMatchesNaive: each compiled plan, counted alone, with and
-// without compressed operands, equals the naive evaluator.
+// TestPlanMatchesNaive: each compiled plan, counted alone, over dense and
+// over compressed-only operands, equals the naive evaluator.
 func TestPlanMatchesNaive(t *testing.T) {
 	for _, n := range batchSizes {
 		if n == 0 {
@@ -145,60 +160,70 @@ func TestPlanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPlanCompressedDispatch pins the dense/compressed dispatch rule: a
-// plan whose sparsest operand is under one member per word walks the
-// compressed path when every other operand has dense words to probe; a
-// dense plan, or one with another compressed-only operand, does not; and
-// all count identically.
+// TestPlanCompressedDispatch pins the plans a compressed catalog sends
+// with a sparse option as the base: a compressed-only base intersected with
+// a dense demographic and with a dense exclusion subtracted, as a sparse or
+// a clustered set. Each runs on a register schedule (64-word tiles), as
+// does a pair of compressed-only operands, while an all-dense plan keeps
+// 512-word tiles; every plan counts like the naive evaluator over the
+// whole universe and over unaligned windows.
 func TestPlanCompressedDispatch(t *testing.T) {
 	n := 3*chunkSize + 777
 	sparse := randomSet(61, n, 0.002)
 	clustered := NewFromFunc(n, func(i int) bool { return (i>>chunkBits) == 1 && (i/300)%30 == 0 })
 	scope := randomSet(62, n, 0.5)
 	excl := randomSet(63, n, 0.3)
-	for name, base := range map[string]*Set{"sparse": sparse, "clustered": clustered} {
-		p := CompilePlan(n, []PlanClause{
+	windows := []Window{{5, chunkSize + 3}, {chunkSize + 1000, 2*chunkSize - 1}, {2*chunkSize + 70, n - 9}}
+	neg := testClause{or: []*Set{excl}, negate: true}
+	for name, tc := range map[string]struct {
+		clauses []PlanClause
+		req     []testClause
+		tile    int
+	}{
+		"sparse": {[]PlanClause{
+			{Op: Operand{C: FromSet(sparse)}},
 			{Op: Operand{Set: scope}},
-			{Op: Operand{Set: base, C: FromSet(base)}},
 			{Op: Operand{Set: excl}, Negate: true},
-		})
-		if !p.Compressed() {
-			t.Fatalf("%s: plan not compressed despite sparse base with C", name)
+		}, []testClause{anyOf(sparse), anyOf(scope), neg}, regWords},
+		"clustered": {[]PlanClause{
+			{Op: Operand{C: FromSet(clustered)}},
+			{Op: Operand{Set: scope}},
+			{Op: Operand{Set: excl}, Negate: true},
+		}, []testClause{anyOf(clustered), anyOf(scope), neg}, regWords},
+		"compressed-only": {[]PlanClause{
+			{Op: Operand{C: FromSet(sparse)}},
+			{Op: Operand{C: FromSet(scope)}},
+		}, one(sparse, scope), regWords},
+		"dense": {[]PlanClause{
+			{Op: Operand{Set: scope}},
+			{Op: Operand{Set: excl}},
+		}, one(scope, excl), blockWords},
+	} {
+		p := CompilePlan(n, tc.clauses)
+		pb := CompileBatch([]*Plan{p})
+		if pb.tile != tc.tile {
+			t.Fatalf("%s: %d-word tiles, want %d", name, pb.tile, tc.tile)
 		}
-		want := CountAndNot(And(base, scope), excl)
-		if got := p.Count(); got != want {
-			t.Fatalf("%s: compressed Count = %d, want %d", name, got, want)
+		all := naiveSet(tc.req)
+		if got, want := p.Count(), all.Count(); got != want {
+			t.Fatalf("%s: Count = %d, want %d", name, got, want)
 		}
-	}
-	dense := CompilePlan(n, []PlanClause{
-		{Op: Operand{Set: scope, C: FromSet(scope)}},
-		{Op: Operand{Set: excl, C: FromSet(excl)}},
-	})
-	if dense.Compressed() {
-		t.Fatal("dense plan took the compressed path")
-	}
-	if got, want := dense.Count(), CountAnd(scope, excl); got != want {
-		t.Fatalf("dense Count = %d, want %d", got, want)
-	}
-	// A sparse compressed-only base ANDed with a compressed-only operand has
-	// nothing dense to probe, so it runs as a dense root over registers.
-	regs := CompilePlan(n, []PlanClause{
-		{Op: Operand{C: FromSet(sparse)}},
-		{Op: Operand{C: FromSet(scope)}},
-	})
-	if regs.Compressed() {
-		t.Fatal("plan with a compressed-only non-base operand reports the compressed path")
-	}
-	if got, want := regs.Count(), CountAnd(sparse, scope); got != want {
-		t.Fatalf("compressed-only Count = %d, want %d", got, want)
+		want := 0
+		for _, w := range windows {
+			want += all.CountRange(w.Lo, w.Hi)
+		}
+		if got, _ := pb.Exec(windows); got[0] != want {
+			t.Fatalf("%s: windowed Exec = %d, want %d", name, got[0], want)
+		}
 	}
 }
 
 // TestPlanBatteryShape pins the batch analysis on reach queries and their
 // class-conditioned refinements, as the auditor's two batches send them:
-// each shape's common tail is extracted once — one register for the reach
-// plans, one for their refinements — a plan repeated in two slots counts in
-// both, and every count equals independent evaluation.
+// every plan is a root reading its own operands in clause order, each
+// distinct operand is one source however many plans read it, a plan
+// repeated in two slots counts in both, and every count equals independent
+// evaluation.
 func TestPlanBatteryShape(t *testing.T) {
 	n := blockWords*64*2 + 17
 	scope := randomSet(71, n, 0.6)
@@ -219,8 +244,21 @@ func TestPlanBatteryShape(t *testing.T) {
 	reqs = append(reqs, reqs[0])
 
 	pb := CompileBatch(plans)
-	if len(pb.tails) != 2 {
-		t.Fatalf("tails = %d, want 2 (scope∩age for reach, scope∩age∩gender for refinements)", len(pb.tails))
+	// Nine attributes, the scope, the age and the gender set.
+	if len(pb.ops) != 12 || len(pb.roots) != len(plans) {
+		t.Fatalf("%d sources and %d roots, want 12 and %d", len(pb.ops), len(pb.roots), len(plans))
+	}
+	for i, p := range plans {
+		lr := &pb.roots[i]
+		srcs := append([]int{lr.base}, lr.and...)
+		if len(srcs) != len(p.ands) || len(lr.not) != 0 {
+			t.Fatalf("root %d reads %d+%d sources, want %d", i, len(srcs), len(lr.not), len(p.ands))
+		}
+		for k, src := range srcs {
+			if pb.ops[src].Set != p.ands[k].Set {
+				t.Fatalf("root %d source %d is not clause %d's operand", i, src, k)
+			}
+		}
 	}
 	got, _ := pb.Exec(nil)
 	for i, req := range reqs {
@@ -238,9 +276,8 @@ func TestPlanBatteryShape(t *testing.T) {
 }
 
 // TestPlanRandomBatches drives random spec shapes — mixed unions,
-// negations, duplicate plans, and dense, compressed and compressed-only
-// operands — through CompileBatch, checking every slot against the naive
-// evaluator.
+// negations, duplicate plans, and dense and compressed-only operands —
+// through CompileBatch, checking every slot against the naive evaluator.
 func TestPlanRandomBatches(t *testing.T) {
 	for trial := uint64(0); trial < 40; trial++ {
 		rng := xrand.New(xrand.Mix(99, trial))
@@ -250,7 +287,7 @@ func TestPlanRandomBatches(t *testing.T) {
 		for i := range pool {
 			p := 0.2 * float64(i%4)
 			if i%3 == 0 {
-				p = 0.003 // sparse members so compressed dispatch triggers
+				p = 0.003 // sparse bases, under one member per word
 			}
 			pool[i] = randomSet(trial*20+uint64(i), n, p)
 			cpool[i] = FromSet(pool[i])
@@ -274,12 +311,9 @@ func TestPlanRandomBatches(t *testing.T) {
 					si := rng.Intn(len(pool))
 					cl.or = append(cl.or, pool[si])
 					pc.Op = Operand{Set: pool[si]}
-					switch rng.Intn(3) {
-					case 0:
-						pc.Op.C = cpool[si]
-					case 1:
+					if rng.Intn(2) == 0 {
 						pc.Op = Operand{C: cpool[si]}
-					default:
+					} else {
 						allC = false
 					}
 				}
@@ -287,7 +321,7 @@ func TestPlanRandomBatches(t *testing.T) {
 					// A union operand is compressed only when every member is.
 					pc.Op = Operand{Set: UnionAll(cl.or...)}
 					if allC {
-						pc.Op.C = FromSet(pc.Op.Set)
+						pc.Op = Operand{C: FromSet(pc.Op.Set)}
 					}
 				}
 				reqs[ri] = append(reqs[ri], cl)
@@ -353,7 +387,8 @@ func TestPlanPanics(t *testing.T) {
 		"no clauses":    func() { CompilePlan(100, nil) },
 		"negated first": func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}, Negate: true}}) },
 		"empty clause":  func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s}}, {}}) },
-		"no set":        func() { CompilePlan(100, []PlanClause{{Op: Operand{Card: 3}}}) },
+		"no set":        func() { CompilePlan(100, []PlanClause{{Op: Operand{}}}) },
+		"both forms":    func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: s, C: FromSet(s)}}}) },
 		"wrong n":       func() { CompilePlan(100, []PlanClause{{Op: Operand{Set: other}}}) },
 		"wrong n C":     func() { CompilePlan(100, []PlanClause{{Op: Operand{C: FromSet(other)}}}) },
 		"batch mixed": func() {

@@ -24,8 +24,8 @@ type Set struct {
 }
 
 // setIDs hands out a process-unique id per constructed Set. The plan
-// compiler keys subset detection and cross-plan sharing on these ids, so
-// every constructor must mint a fresh one.
+// compiler numbers a batch's operands by these ids, so every constructor
+// must mint a fresh one.
 var setIDs atomic.Uint64
 
 // ID returns a process-unique identifier for the set, assigned at
@@ -88,7 +88,7 @@ func (s *Set) Count() int {
 	for hi > 0 && s.words[hi-1] == 0 {
 		hi--
 	}
-	return countRange1(s.words, 0, hi)
+	return countWords(s.words[:hi])
 }
 
 // Clone returns a copy of the set.

@@ -93,66 +93,6 @@ func matchSlot(t *testing.T, ctxt string, i int, got platform.Estimate, want pla
 	}
 }
 
-// TestClusterProvider checks the core.Provider adapter: names, catalog
-// views, and batched measurement all flow through the scatter path and
-// match the single node.
-func TestClusterProvider(t *testing.T) {
-	opts := platform.DeployOptions{
-		Seed:         eqSeed,
-		UniverseSize: eqUniverse,
-		Compressed:   true,
-		Metrics:      obs.NewRegistry(),
-	}
-	single, err := platform.NewDeployment(platform.DeployOptions{
-		Seed: eqSeed, UniverseSize: eqUniverse, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatalf("single-node deployment: %v", err)
-	}
-	coord, _ := buildCluster(t, clusterNodes(2), 1, opts, eqPartition)
-
-	p := single.Facebook
-	prov, err := coord.Provider(p.Name())
-	if err != nil {
-		t.Fatalf("Provider: %v", err)
-	}
-	if prov.Name() != p.Name() {
-		t.Fatalf("provider name %q, want %q", prov.Name(), p.Name())
-	}
-	if got, want := len(prov.AttributeNames()), len(p.Catalog().Attributes); got != want {
-		t.Fatalf("provider has %d attributes, want %d", got, want)
-	}
-	if got, want := len(prov.TopicNames()), len(p.Catalog().Topics); got != want {
-		t.Fatalf("provider has %d topics, want %d", got, want)
-	}
-	if got, want := prov.CrossFeature(), !p.Rules().AndWithinFeature; got != want {
-		t.Fatalf("provider CrossFeature %v, want %v", got, want)
-	}
-	if got, err := prov.Measure(targeting.Attr(0)); err != nil {
-		t.Fatalf("provider Measure: %v", err)
-	} else if want, _ := p.Measure(platform.EstimateRequest{Spec: targeting.Attr(0)}); got != want {
-		t.Fatalf("provider Measure %d, single %d", got, want)
-	}
-	specs := []targeting.Spec{
-		targeting.Attr(0),
-		targeting.And(targeting.Attr(1), targeting.Attr(2)),
-		targeting.Attr(len(p.Catalog().Attributes) + 5), // unknown
-	}
-	res := prov.MeasureMany(specs)
-	for i, spec := range specs {
-		wantSize, wantErr := p.Measure(platform.EstimateRequest{Spec: spec})
-		if (res[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("spec %d: provider err=%v, single err=%v", i, res[i].Err, wantErr)
-		}
-		if wantErr == nil && res[i].Size != wantSize {
-			t.Fatalf("spec %d: provider size %d, single %d", i, res[i].Size, wantSize)
-		}
-	}
-	if _, err := coord.Provider("nope"); err == nil {
-		t.Fatal("Provider(nope) should fail")
-	}
-}
-
 // TestCoordinatorValidation exercises the constructor's error paths.
 func TestCoordinatorValidation(t *testing.T) {
 	ring, err := NewRing([]string{"a", "b"}, 4, 1)

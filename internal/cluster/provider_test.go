@@ -9,8 +9,8 @@ import (
 )
 
 // The coordinator's core.Provider adapter must answer the serial and batch
-// doors identically, and every shard must echo the layout fingerprint the
-// coordinator was built from.
+// doors identically, an unknown interface name must fail, and every shard
+// must echo the layout fingerprint the coordinator was built from.
 func TestClusterProviderContextDoors(t *testing.T) {
 	opts := platform.DeployOptions{
 		Seed:         eqSeed,
@@ -21,6 +21,9 @@ func TestClusterProviderContextDoors(t *testing.T) {
 	prov, err := coord.Provider("facebook")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := coord.Provider("nope"); err == nil {
+		t.Fatal("Provider(nope) should fail")
 	}
 
 	spec := targeting.Attr(1)

@@ -14,9 +14,9 @@ import (
 // doors. Every call validates its requests, lowers each valid spec to an
 // audience.Plan, freezes the plans into one audience.PlanBatch and executes
 // it; nothing compiled outlives the call, on either catalog posture.
-// Multi-ref OR clauses resolve to unions shared within the call, which is
-// what lets CompileBatch common-subexpression tails across plans. The
-// serial doors (Measure, Estimate, EstimateCtx) are one-slot batches.
+// Multi-ref OR clauses resolve to unions shared within the call, so a
+// union the call's plans share is one operand of the schedule. The serial
+// doors (Measure, Estimate, EstimateCtx) are one-slot batches.
 
 // Estimate is one slot of a batched size query: the rounded platform-scale
 // size, or the error the equivalent serial call would have returned.
@@ -184,9 +184,9 @@ type unionMemo map[string]audience.Operand
 // unionOperand resolves a multi-ref OR clause to a single shared operand.
 // The union is keyed by the clause's canonical form (targeting.Canonical:
 // refs sorted and deduplicated), so every plan of the call whose clause
-// unions the same options references the same materialized set, which is
-// what lets CompileBatch common-subexpression tails across plans. The union
-// is a dense set on both postures, built once per call in memo.
+// unions the same options references the same materialized set, one
+// operand CompileBatch loads once per tile. The union is a dense set on
+// both postures, built once per call in memo.
 func (p *Interface) unionOperand(cl targeting.Clause, memo *unionMemo) (audience.Operand, error) {
 	key := targeting.Canonical(targeting.Spec{Include: []targeting.Clause{cl}})
 	if op, ok := (*memo)[key]; ok {

@@ -64,60 +64,6 @@ func sameOutcome(t *testing.T, name string, i int, got Estimate, size int64, err
 	}
 }
 
-// TestMeasureManyMatchesSerial is the bit-identity property test: on all
-// four interfaces, on a dense and on a compressed-only deployment,
-// MeasureMany over a mixed batch and N serial Measure calls must both
-// return exactly what the oracle returns — same sizes, same errors — in any
-// slot order, and again on a second pass.
-func TestMeasureManyMatchesSerial(t *testing.T) {
-	for _, tc := range []struct {
-		opts      DeployOptions
-		batchSeed uint64
-	}{
-		{DeployOptions{Seed: 23, UniverseSize: 1 << 12}, 1000},
-		{DeployOptions{Seed: 47, UniverseSize: 1 << 12, Compressed: true}, 4242},
-	} {
-		d, err := NewDeployment(tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range d.Interfaces() {
-			reqs := batteryRequests(p, tc.batchSeed+uint64(len(p.Name())), 80)
-			for pass := 0; pass < 2; pass++ {
-				measureManyMatchesSerial(t, p, reqs)
-			}
-		}
-	}
-}
-
-// measureManyMatchesSerial checks one batch, and each of its requests on
-// the serial door, against the oracle, in both slot orders.
-func measureManyMatchesSerial(t *testing.T, p *Interface, reqs []EstimateRequest) {
-	t.Helper()
-	got := p.MeasureMany(reqs)
-	if len(got) != len(reqs) {
-		t.Fatalf("%s: MeasureMany returned %d results for %d requests", p.Name(), len(got), len(reqs))
-	}
-	for i, req := range reqs {
-		want, werr := oracle(p, DoorMeasure, req)
-		sameOutcome(t, p.Name()+" batch", i, got[i], want, werr)
-		size, serr := p.Measure(req)
-		sameOutcome(t, p.Name()+" serial", i, Estimate{Size: size, Err: serr}, want, werr)
-	}
-	// Slot order must not matter: reverse the batch and re-check.
-	rev := make([]EstimateRequest, len(reqs))
-	for i := range reqs {
-		rev[len(reqs)-1-i] = reqs[i]
-	}
-	gotRev := p.MeasureMany(rev)
-	for i := range reqs {
-		j := len(reqs) - 1 - i
-		if (got[i].Err == nil) != (gotRev[j].Err == nil) || got[i].Size != gotRev[j].Size {
-			t.Fatalf("%s req %d: order-dependent result: %+v vs %+v", p.Name(), i, got[i], gotRev[j])
-		}
-	}
-}
-
 // TestEstimateManyMatchesSerial checks the batch body under the advertiser
 // door the same way (its rules differ: FB-restricted rejects demographics
 // and exclusions): sizeMany and serial Estimate both against the oracle.

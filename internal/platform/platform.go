@@ -135,7 +135,7 @@ type Interface struct {
 	cfg Config
 
 	dims [len(optionKinds)]optionDim // catalog option state, by kind
-	demo []lazyOperand               // the universe's demographic sets, counted once
+	demo []lazyOperand               // the universe's demographic sets, built once
 
 	// Query counters, resolved once at construction so the estimate hot
 	// path pays only atomic adds (the Measure benchmarks gate the
@@ -178,8 +178,7 @@ func (p *Interface) dim(k targeting.Kind) *optionDim {
 	return nil
 }
 
-// lazyOperand caches one audience as a plan operand with its membership
-// count. The steady-state path is one atomic load and reads the operand
+// lazyOperand caches one audience as a plan operand. The steady-state path is one atomic load and reads the operand
 // from the slot itself, not through a pointer: a query resolves several
 // refs, and a chase to a separate object costs each one a cache miss. The
 // first miss builds under a sync.Once so racing callers never duplicate
@@ -202,9 +201,6 @@ func (lo *lazyOperand) get(build func() audience.Operand) audience.Operand {
 	})
 	return lo.op
 }
-
-// counted returns a dense set as an operand carrying its count.
-func counted(s *audience.Set) audience.Operand { return audience.Operand{Set: s, Card: s.Count()} }
 
 // New builds an Interface and validates its configuration.
 func New(cfg Config) (*Interface, error) {
@@ -246,7 +242,7 @@ func New(cfg Config) (*Interface, error) {
 	for i, opts := range [][]catalog.Attribute{cfg.Catalog.Attributes, cfg.Catalog.Topics, cfg.Catalog.Placements} {
 		sets := make([]lazyOperand, len(opts))
 		for j, c := range views[i] {
-			sets[j].op = audience.Operand{C: c, Card: c.Count()}
+			sets[j].op = audience.Operand{C: c}
 			sets[j].done.Store(true)
 		}
 		p.dims[i] = optionDim{opts: opts, sets: sets}
@@ -297,9 +293,8 @@ func (p *Interface) refSet(r targeting.Ref) (*audience.Set, error) {
 
 // operandFor resolves one targeting ref to a plan operand. A catalog option
 // resolves to its slot, built on first use: the dense set on a dense
-// catalog, the compressed set alone on a compressed one. Options and
-// demographics carry their membership count, taken once per interface; a
-// custom audience leaves counting to the compiler.
+// catalog, the compressed set alone on a compressed one. Demographics
+// resolve to their slot the same way; a custom audience to its set.
 func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
 	if d := p.dim(r.Kind); d != nil {
 		if r.ID < 0 || r.ID >= len(d.opts) {
@@ -308,10 +303,9 @@ func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
 		return d.sets[r.ID].get(func() audience.Operand {
 			s := p.cfg.Universe.Materialize(d.opts[r.ID].Model)
 			if !p.compressedCatalog() {
-				return counted(s)
+				return audience.Operand{Set: s}
 			}
-			c := audience.FromSet(s)
-			return audience.Operand{C: c, Card: c.Count()}
+			return audience.Operand{C: audience.FromSet(s)}
 		}), nil
 	}
 	u := p.cfg.Universe
@@ -336,7 +330,7 @@ func (p *Interface) operandFor(r targeting.Ref) (audience.Operand, error) {
 	if r.ID < 0 || r.ID >= limit {
 		return audience.Operand{}, fmt.Errorf("%w: %s", targeting.ErrInvalidDemoValue, r)
 	}
-	return p.demo[slot].get(func() audience.Operand { return counted(set()) }), nil
+	return p.demo[slot].get(func() audience.Operand { return audience.Operand{Set: set()} }), nil
 }
 
 // clauseSet evaluates one OR-clause into an audience set.

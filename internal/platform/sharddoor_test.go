@@ -155,60 +155,6 @@ func TestRawCountManyDoorRules(t *testing.T) {
 	}
 }
 
-// TestShardSliceMatchesFullUniverse builds a span-restricted deployment — a
-// shard holding the middle of the ID space — and checks its raw counts equal
-// the same windows counted on the full universe, compressed catalog and all.
-func TestShardSliceMatchesFullUniverse(t *testing.T) {
-	const size = 1 << 12
-	span := population.Span{Lo: 1024, Hi: 2048}
-	full, err := NewDeployment(DeployOptions{Seed: 53, UniverseSize: size})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := NewDeployment(DeployOptions{
-		Seed: 53, UniverseSize: size, Compressed: true,
-		ShardSpans: []population.Span{span},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range full.Interfaces() {
-		reqs := batterySpecs(fp, 53)
-		sp, err := shard.ByName(fp.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The shard's whole local space is the span; on the full universe
-		// the same users sit at global indices [Lo, Hi).
-		local := sp.RawCountMany(DoorMeasure, reqs, []IndexRange{{Lo: 0, Hi: span.Len()}})
-		global := fp.RawCountMany(DoorMeasure, reqs, []IndexRange{{Lo: span.Lo, Hi: span.Hi}})
-		for i := range reqs {
-			if (local[i].Err == nil) != (global[i].Err == nil) {
-				t.Fatalf("%s slot %d: shard err %v, full err %v", fp.Name(), i, local[i].Err, global[i].Err)
-			}
-			if local[i].Err == nil && local[i].Count != global[i].Count {
-				t.Fatalf("%s slot %d: shard counts %d, full universe counts %d",
-					fp.Name(), i, local[i].Count, global[i].Count)
-			}
-		}
-		// CSetOnly batching serves the same sizes through MeasureMany.
-		localMany := sp.MeasureMany(reqs)
-		for i := range reqs {
-			if localMany[i].Err != nil {
-				continue
-			}
-			one, err := sp.Measure(reqs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if localMany[i].Size != one {
-				t.Fatalf("%s slot %d: CSetOnly MeasureMany %d, Measure %d",
-					fp.Name(), i, localMany[i].Size, one)
-			}
-		}
-	}
-}
-
 // TestShardDoorErrors: malformed specs and unknown refs surface the same
 // typed errors, with the same text, on the shard door of every posture —
 // a span-restricted compressed shard included — as on the dense path.

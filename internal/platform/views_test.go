@@ -52,37 +52,6 @@ func prebuiltFrom(t testing.TB, d *Deployment) *Prebuilt {
 	return pre
 }
 
-// TestViewBackedDeploymentEquivalence pins the view-mode query path at the
-// platform layer: a deployment assembled from prebuilt views must answer the
-// full random batch surface bit-identically to the built deployment it came
-// from, on every interface and through both doors.
-func TestViewBackedDeploymentEquivalence(t *testing.T) {
-	opts := DeployOptions{Seed: 71, UniverseSize: 1 << 12}
-	built, err := NewDeployment(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewed, err := NewDeploymentFrom(opts, prebuiltFrom(t, built))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi, p := range viewed.Interfaces() {
-		bp := built.Interfaces()[pi]
-		reqs := batteryRequests(bp, 777, 80)
-		want := bp.MeasureMany(reqs)
-		got := p.MeasureMany(reqs)
-		for i := range reqs {
-			sameOutcome(t, p.Name()+"/views", i, got[i], want[i].Size, want[i].Err)
-		}
-		// Warm must not change behaviour (or allocate the dense catalog).
-		p.Warm()
-		again := p.MeasureMany(reqs)
-		for i := range reqs {
-			sameOutcome(t, p.Name()+"/views-warm", i, again[i], want[i].Size, want[i].Err)
-		}
-	}
-}
-
 // TestViewsValidate pins Config.Views validation: wrong lengths, nil views,
 // and universe-size disagreement are all constructor errors.
 func TestViewsValidate(t *testing.T) {

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/battery"
 	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/population"
@@ -168,45 +166,6 @@ func TestSnapshotBytesCanonical(t *testing.T) {
 	}
 	if rewrote.ContentHash != dense.ContentHash {
 		t.Fatalf("snapshot-of-snapshot hash %s, original %s", rewrote.ContentHash, dense.ContentHash)
-	}
-}
-
-// renderFigs runs fig1 and fig2 through a runner and returns the rendered
-// tables — the full presentation bytes the paper's figures are read from.
-func renderFigs(t *testing.T, cfg experiments.Config) []byte {
-	t.Helper()
-	cfg.K = 25
-	cfg.Seed = 5
-	r, err := experiments.NewRunner(cfg)
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	var buf bytes.Buffer
-	for _, name := range []string{"fig1", "fig2"} {
-		res, err := r.RunExperiment(name, experiments.PhaseOptions{})
-		if err != nil {
-			t.Fatalf("RunExperiment(%s): %v", name, err)
-		}
-		if err := res.Render(&buf); err != nil {
-			t.Fatalf("Render(%s): %v", name, err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotFigureBitIdentity is the acceptance battery's single-node
-// half: the paper's fig1/fig2 pipelines, rendered to bytes, must be
-// identical between a freshly built deployment and one reconstructed from
-// its snapshot.
-func TestSnapshotFigureBitIdentity(t *testing.T) {
-	opts := snapOpts(33, 5000)
-	path, built, _ := buildAndWrite(t, opts)
-	loaded, _ := loadFresh(t, path, opts)
-
-	want := renderFigs(t, experiments.Config{Deployment: built, Metrics: obs.NewRegistry()})
-	got := renderFigs(t, experiments.Config{Deployment: loaded, Metrics: obs.NewRegistry()})
-	if !bytes.Equal(want, got) {
-		t.Fatalf("fig1/fig2 renders diverge:\nbuilt:\n%s\nloaded:\n%s", want, got)
 	}
 }
 
