@@ -35,9 +35,10 @@ var (
 // that is not {"requests":[…]}, fails the whole envelope.
 func decodeBatch(codec Codec, body []byte) (reqs []platform.EstimateRequest, errs []error, err error) {
 	cur := cursor{buf: body}
+	var arena specArena
 	cur.members(batchRequestKeys, func(int) {
 		cur.elements(func() {
-			req, err := codec.decodeRequest(&cur)
+			req, err := codec.decodeRequest(&cur, &arena)
 			if err == nil {
 				reqs = append(reqs, req)
 			}

@@ -2,6 +2,7 @@ package adapi
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/catalog"
@@ -28,9 +29,61 @@ type Codec interface {
 	DecodeResponse(body []byte) (int64, error)
 
 	// decodeRequest and decodeResponse decode the next value of a cursor in
-	// place, so a batch envelope's slots are read where they lie.
-	decodeRequest(c *cursor) (platform.EstimateRequest, error)
+	// place, so a batch envelope's slots are read where they lie; a
+	// request's clauses are carved from a, shared by the whole envelope.
+	decodeRequest(c *cursor, a *specArena) (platform.EstimateRequest, error)
 	decodeResponse(c *cursor) (int64, error)
+}
+
+// specArena holds the clauses and clause lists of the specs decoded from
+// one request body or one batch envelope, back to back in two slices, so
+// a batch of specs costs a few allocations, not several per spec. A
+// decoder adds a clause's refs, or a list's clauses, then carves them out
+// with a full-slice expression (len == cap), so an append to one decoded
+// clause or list reallocates and cannot reach its neighbour. Nothing
+// writes into a decoded spec (targeting.Clause is immutable), so the
+// sharing is safe.
+type specArena struct {
+	refs    []targeting.Ref
+	clauses []targeting.Clause
+}
+
+// ref adds one ref to the clause being read.
+func (a *specArena) ref(kind targeting.Kind, id int) {
+	a.refs = grow(a.refs, targeting.Ref{Kind: kind, ID: id})
+}
+
+// push adds clauses to the list being read.
+func (a *specArena) push(cls ...targeting.Clause) {
+	a.clauses = grow(a.clauses, cls...)
+}
+
+// grow appends v to s, at least doubling s's capacity when v does not
+// fit. An arena's slices grow past the size where append's own steps
+// shrink to 1.25×, and each superseded backing array stays alive under
+// the pieces carved from it; doubling keeps them all at about twice the
+// final size.
+func grow[T any](s []T, v ...T) []T {
+	if len(s)+len(v) > cap(s) {
+		s = slices.Grow(s, max(len(s), len(v), 8))
+	}
+	return append(s, v...)
+}
+
+// clause carves the refs added since start as one clause, nil if none.
+func (a *specArena) clause(start int) targeting.Clause {
+	if len(a.refs) == start {
+		return nil
+	}
+	return a.refs[start:len(a.refs):len(a.refs)]
+}
+
+// list carves the clauses added since start as one list, nil if none.
+func (a *specArena) list(start int) []targeting.Clause {
+	if len(a.clauses) == start {
+		return nil
+	}
+	return a.clauses[start:len(a.clauses):len(a.clauses)]
 }
 
 // CodecFor returns the codec for a platform interface name.

@@ -318,8 +318,21 @@ var ambiguousBodies = map[string][]string{
 	},
 }
 
-// sameRequest reports how a decoded request differs from the reference's.
+// sameRequest reports how a decoded request differs from the reference's,
+// or a list or clause of it whose capacity exceeds its length: decoders
+// carve them from an arena the whole body or envelope shares, each with
+// len == cap, so that no append to one can reach its neighbour.
 func sameRequest(got, want platform.EstimateRequest) string {
+	for _, list := range [][]targeting.Clause{got.Spec.Include, got.Spec.Exclude} {
+		if len(list) != cap(list) {
+			return fmt.Sprintf("clause list len %d cap %d", len(list), cap(list))
+		}
+		for _, cl := range list {
+			if len(cl) != cap(cl) {
+				return fmt.Sprintf("clause %v len %d cap %d", cl, len(cl), cap(cl))
+			}
+		}
+	}
 	if g, w := targeting.Canonical(got.Spec), targeting.Canonical(want.Spec); g != w {
 		return fmt.Sprintf("spec %s, reference %s", g, w)
 	}

@@ -178,10 +178,10 @@ func appendFBIDs(dst []byte, cl targeting.Clause) []byte {
 
 // DecodeRequest implements Codec.
 func (c facebookCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
-	return c.decodeRequest(&cursor{buf: body})
+	return c.decodeRequest(&cursor{buf: body}, new(specArena))
 }
 
-func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) {
+func (facebookCodec) decodeRequest(cur *cursor, a *specArena) (platform.EstimateRequest, error) {
 	outer := cur.begin()
 	var (
 		flex, audiences    []targeting.Clause
@@ -199,16 +199,19 @@ func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 		cur.members(fbTargetingKeys, func(i int) {
 			switch i {
 			case 0: // flexible_spec
-				cur.elements(func() { flex = append(flex, fbGroup(cur)) })
+				start := len(a.clauses)
+				cur.elements(func() { a.push(fbGroup(cur, a)) })
+				flex = a.list(start)
 			case 1: // exclusions
 				if !cur.null() {
-					hasExcl, excl = true, fbGroup(cur)
+					hasExcl, excl = true, fbGroup(cur, a)
 				}
 			case 2: // genders
-				cur.elements(func() {
-					genders = append(genders, targeting.Ref{Kind: targeting.KindGender, ID: cur.int() - 1})
-				})
+				start := len(a.refs)
+				cur.elements(func() { a.ref(targeting.KindGender, cur.int()-1) })
+				genders = a.clause(start)
 			case 3: // age_ranges
+				start := len(a.refs)
 				cur.elements(func() {
 					var b [2]int // min, max
 					cur.members(fbAgeKeys, func(i int) { b[i] = cur.int() })
@@ -216,24 +219,29 @@ func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 					if ageErr == nil {
 						ageErr = err
 					}
-					ages = append(ages, targeting.Ref{Kind: targeting.KindAge, ID: id})
+					a.ref(targeting.KindAge, id)
 				})
+				ages = a.clause(start)
 			case 4: // custom_audiences
-				cur.elements(func() { audiences = append(audiences, fbIDs(cur, targeting.KindCustomAudience)) })
+				start := len(a.clauses)
+				cur.elements(func() { a.push(fbIDs(cur, a, targeting.KindCustomAudience)) })
+				audiences = a.list(start)
 			case 5: // geo_locations
 				if cur.null() {
 					return
 				}
 				hasGeo = true
+				start := len(a.refs)
 				cur.members(fbGeoKeys, func(int) {
 					cur.elements(func() {
 						id, err := regionFromCode(cur.str())
 						if geoErr == nil {
 							geoErr = err
 						}
-						geo = append(geo, targeting.Ref{Kind: targeting.KindLocation, ID: id})
+						a.ref(targeting.KindLocation, id)
 					})
 				})
+				geo = a.clause(start)
 			}
 		})
 	})
@@ -246,19 +254,23 @@ func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 	if geoErr != nil {
 		return platform.EstimateRequest{}, geoErr
 	}
-	spec := targeting.Spec{Include: flex}
+	start := len(a.clauses)
+	a.push(flex...)
 	if len(genders) > 0 {
-		spec.Include = append(spec.Include, genders)
+		a.push(genders)
 	}
 	if len(ages) > 0 {
-		spec.Include = append(spec.Include, ages)
+		a.push(ages)
 	}
 	if hasGeo {
-		spec.Include = append(spec.Include, geo)
+		a.push(geo)
 	}
-	spec.Include = append(spec.Include, audiences...)
+	a.push(audiences...)
+	spec := targeting.Spec{Include: a.list(start)}
 	if hasExcl {
-		spec.Exclude = []targeting.Clause{excl}
+		start = len(a.clauses)
+		a.push(excl)
+		spec.Exclude = a.list(start)
 	}
 	out := platform.EstimateRequest{Spec: spec}
 	switch string(goal) {
@@ -275,19 +287,20 @@ func (facebookCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 
 // fbGroup reads an OR-group, {"interests":[{"id":…},…]}, as a clause of
 // attributes.
-func fbGroup(cur *cursor) (cl targeting.Clause) {
-	cur.members(fbGroupKeys, func(int) { cl = fbIDs(cur, targeting.KindAttribute) })
+func fbGroup(cur *cursor, a *specArena) (cl targeting.Clause) {
+	cur.members(fbGroupKeys, func(int) { cl = fbIDs(cur, a, targeting.KindAttribute) })
 	return cl
 }
 
 // fbIDs reads a list of {"id":…} objects as a clause of kind.
-func fbIDs(cur *cursor, kind targeting.Kind) (cl targeting.Clause) {
+func fbIDs(cur *cursor, a *specArena, kind targeting.Kind) targeting.Clause {
+	start := len(a.refs)
 	cur.elements(func() {
 		id := 0
 		cur.members(fbIDKeys, func(int) { id = cur.int() })
-		cl = append(cl, targeting.Ref{Kind: kind, ID: id})
+		a.ref(kind, id)
 	})
-	return cl
+	return a.clause(start)
 }
 
 // AppendResponse implements Codec.

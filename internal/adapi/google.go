@@ -151,10 +151,10 @@ func appendGroups(dst []byte, key string, clauses []targeting.Clause, kind targe
 
 // DecodeRequest implements Codec.
 func (g googleCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
-	return g.decodeRequest(&cursor{buf: body})
+	return g.decodeRequest(&cursor{buf: body}, new(specArena))
 }
 
-func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) {
+func (googleCodec) decodeRequest(cur *cursor, a *specArena) (platform.EstimateRequest, error) {
 	outer := cur.begin()
 	var (
 		attrs, topics, audiences, locations, placements []targeting.Clause
@@ -176,14 +176,15 @@ func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) 
 			cur.members(gTargetingKeys, func(i int) {
 				switch i {
 				case 0: // "3"
-					attrs = gGroups(cur, targeting.KindAttribute)
+					attrs = gGroups(cur, a, targeting.KindAttribute)
 				case 1: // "4"
-					topics = gGroups(cur, targeting.KindTopic)
+					topics = gGroups(cur, a, targeting.KindTopic)
 				case 2: // "6"
-					cur.elements(func() {
-						genders = append(genders, targeting.Ref{Kind: targeting.KindGender, ID: cur.int() - 1})
-					})
+					start := len(a.refs)
+					cur.elements(func() { a.ref(targeting.KindGender, cur.int()-1) })
+					genders = a.clause(start)
 				case 3: // "7": [min, max] pairs, read as a Go [2]int reads them
+					start := len(a.refs)
 					cur.elements(func() {
 						var b [2]int
 						n := 0
@@ -199,22 +200,23 @@ func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) 
 						if ageErr == nil {
 							ageErr = err
 						}
-						ages = append(ages, targeting.Ref{Kind: targeting.KindAge, ID: id})
+						a.ref(targeting.KindAge, id)
 					})
+					ages = a.clause(start)
 				case 4: // "9": exclusions
 					cur.members(gExcludeKeys, func(i int) {
 						if i == 0 {
-							exAttrs = gGroups(cur, targeting.KindAttribute)
+							exAttrs = gGroups(cur, a, targeting.KindAttribute)
 						} else {
-							exTopics = gGroups(cur, targeting.KindTopic)
+							exTopics = gGroups(cur, a, targeting.KindTopic)
 						}
 					})
 				case 5: // "11"
-					audiences = gGroups(cur, targeting.KindCustomAudience)
+					audiences = gGroups(cur, a, targeting.KindCustomAudience)
 				case 6: // "8"
-					locations = gGroups(cur, targeting.KindLocation)
+					locations = gGroups(cur, a, targeting.KindLocation)
 				case 7: // "12"
-					placements = gGroups(cur, targeting.KindPlacement)
+					placements = gGroups(cur, a, targeting.KindPlacement)
 				}
 			})
 		})
@@ -225,17 +227,21 @@ func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) 
 	if ageErr != nil {
 		return platform.EstimateRequest{}, ageErr
 	}
-	var spec targeting.Spec
+	start := len(a.clauses)
 	for _, group := range [][]targeting.Clause{attrs, topics, audiences, locations, placements} {
-		spec.Include = append(spec.Include, group...)
+		a.push(group...)
 	}
 	if len(genders) > 0 {
-		spec.Include = append(spec.Include, genders)
+		a.push(genders)
 	}
 	if len(ages) > 0 {
-		spec.Include = append(spec.Include, ages)
+		a.push(ages)
 	}
-	spec.Exclude = append(exAttrs, exTopics...)
+	spec := targeting.Spec{Include: a.list(start)}
+	start = len(a.clauses)
+	a.push(exAttrs...)
+	a.push(exTopics...)
+	spec.Exclude = a.list(start)
 	out := platform.EstimateRequest{Spec: spec, FrequencyCapPerMonth: freqCap}
 	switch objective {
 	case 0:
@@ -251,13 +257,14 @@ func (googleCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) 
 
 // gGroups reads a list of OR-groups, each an array of option ids, as
 // clauses of kind.
-func gGroups(cur *cursor, kind targeting.Kind) (out []targeting.Clause) {
+func gGroups(cur *cursor, a *specArena, kind targeting.Kind) []targeting.Clause {
+	start := len(a.clauses)
 	cur.elements(func() {
-		var cl targeting.Clause
-		cur.elements(func() { cl = append(cl, targeting.Ref{Kind: kind, ID: cur.int()}) })
-		out = append(out, cl)
+		from := len(a.refs)
+		cur.elements(func() { a.ref(kind, cur.int()) })
+		a.push(a.clause(from))
 	})
-	return out
+	return a.list(start)
 }
 
 // AppendResponse implements Codec.

@@ -218,10 +218,10 @@ func appendCriteria(dst []byte, key string, clauses []targeting.Clause) ([]byte,
 
 // DecodeRequest implements Codec.
 func (l linkedInCodec) DecodeRequest(body []byte) (platform.EstimateRequest, error) {
-	return l.decodeRequest(&cursor{buf: body})
+	return l.decodeRequest(&cursor{buf: body}, new(specArena))
 }
 
-func (linkedInCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error) {
+func (linkedInCodec) decodeRequest(cur *cursor, a *specArena) (platform.EstimateRequest, error) {
 	outer := cur.begin()
 	var (
 		inc, exc       []targeting.Clause
@@ -231,9 +231,9 @@ func (linkedInCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 	cur.members(liRequestKeys, func(i int) {
 		switch i {
 		case 0:
-			inc, incErr = readCriteria(cur)
+			inc, incErr = readCriteria(cur, a)
 		case 1:
-			exc, excErr = readCriteria(cur)
+			exc, excErr = readCriteria(cur, a)
 		case 2:
 			objective = cur.str()
 		}
@@ -266,10 +266,11 @@ func (linkedInCodec) decodeRequest(cur *cursor) (platform.EstimateRequest, error
 // where encoding/json would keep the second list alone. The error names
 // the first member URN that is no option; the caller reports it only once
 // the walk succeeded.
-func readCriteria(cur *cursor) (out []targeting.Clause, firstErr error) {
+func readCriteria(cur *cursor, a *specArena) (out []targeting.Clause, firstErr error) {
+	start := len(a.clauses)
 	cur.members(liCriteriaKeys, func(int) {
 		cur.elements(func() {
-			var cl targeting.Clause
+			from := len(a.refs)
 			cur.members(liTermKeys, func(int) {
 				var buf [4][]byte
 				named := buf[:0] // the facets this term has named
@@ -290,14 +291,14 @@ func readCriteria(cur *cursor) (out []targeting.Clause, firstErr error) {
 							}
 							return
 						}
-						cl = append(cl, r)
+						a.ref(r.Kind, r.ID)
 					})
 				})
 			})
-			out = append(out, cl)
+			a.push(a.clause(from))
 		})
 	})
-	return out, firstErr
+	return a.list(start), firstErr
 }
 
 // AppendResponse implements Codec.

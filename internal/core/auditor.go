@@ -133,19 +133,27 @@ func (a *Auditor) ctxErr() error {
 	return a.Ctx.Err()
 }
 
-// scoped returns spec AND the auditor's location scope.
-func (a *Auditor) scoped(spec targeting.Spec) targeting.Spec {
-	return withClause(spec, a.scope)
+// scoped returns spec AND cl AND the auditor's location scope, clauses in
+// that order: the spec's audience among the scope population, conditioned
+// on a class clause unless cl is nil. The order fixes the compiled plan's
+// operand order. The result is one allocation, its include list; the
+// clauses are shared, not copied (targeting.Clause is immutable).
+func (a *Auditor) scoped(spec targeting.Spec, cl targeting.Clause) targeting.Spec {
+	if cl == nil {
+		return targeting.And(spec, targeting.Spec{Include: []targeting.Clause{a.scope}})
+	}
+	return targeting.And(spec, targeting.Spec{Include: []targeting.Clause{cl, a.scope}})
 }
 
 // measureScoped is the auditor's serial measurement path, a one-slot
-// batch through the cache: every size the methodology consumes is
-// restricted to the scope population. With a live span the measurement
-// flows through the provider chain's traced doors (cache partition,
-// platform kernel, cluster fan-out spans).
-func (a *Auditor) measureScoped(span *trace.Span, spec targeting.Spec) (int64, error) {
+// batch through the cache: it measures spec AND cl (nil cl: spec alone),
+// restricted to the scope population as every size the methodology
+// consumes is. With a live span the measurement flows through the provider
+// chain's traced doors (cache partition, platform kernel, cluster fan-out
+// spans).
+func (a *Auditor) measureScoped(span *trace.Span, spec targeting.Spec, cl targeting.Clause) (int64, error) {
 	var buf [1]BatchResult
-	r := a.p.measureMany(span, []targeting.Spec{a.scoped(spec)}, buf[:0])[0]
+	r := a.p.measureMany(span, []targeting.Spec{a.scoped(spec, cl)}, buf[:0])[0]
 	return r.Size, r.Err
 }
 
@@ -196,13 +204,14 @@ func (a *Auditor) totals(span *trace.Span, c Class) (classTotals, error) {
 	if t, ok := a.classTotals[key]; ok {
 		return t, nil
 	}
-	in, err := a.measureScoped(span, specOf(key.baseClause()))
+	// |RA_v| is the scoped audience of value v's clause alone.
+	in, err := a.measureScoped(span, targeting.Spec{}, key.baseClause())
 	if err != nil {
 		return classTotals{}, fmt.Errorf("measuring |RA_s| for %s: %w", key, err)
 	}
 	var out int64
 	for _, cl := range key.otherClauses() {
-		v, err := a.measureScoped(span, specOf(cl))
+		v, err := a.measureScoped(span, targeting.Spec{}, cl)
 		if err != nil {
 			return classTotals{}, fmt.Errorf("measuring |RA_v| for %s: %w", key, err)
 		}
@@ -257,7 +266,7 @@ func (a *Auditor) Audit(spec targeting.Spec, c Class) (Measurement, error) {
 		root.End()
 	}()
 
-	reach, err := a.measureScoped(root, spec)
+	reach, err := a.measureScoped(root, spec, nil)
 	if err != nil {
 		auditErr = err
 		return m, err
@@ -276,14 +285,14 @@ func (a *Auditor) Audit(spec targeting.Spec, c Class) (Measurement, error) {
 		auditErr = err
 		return m, err
 	}
-	tIn, err := a.measureScoped(root, withClause(spec, base.baseClause()))
+	tIn, err := a.measureScoped(root, spec, base.baseClause())
 	if err != nil {
 		auditErr = err
 		return m, err
 	}
 	var tOut int64
 	for _, cl := range base.otherClauses() {
-		v, err := a.measureScoped(root, withClause(spec, cl))
+		v, err := a.measureScoped(root, spec, cl)
 		if err != nil {
 			auditErr = err
 			return m, err

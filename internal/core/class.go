@@ -107,19 +107,6 @@ func Table1Classes() []Class {
 	}
 }
 
-// withClause returns spec AND clause, without mutating spec.
-func withClause(spec targeting.Spec, cl targeting.Clause) targeting.Spec {
-	out := targeting.And(spec)
-	out.Include = append(out.Include, append(targeting.Clause(nil), cl...))
-	return out
-}
-
-// specOf returns a spec matching exactly the given clause (used to measure
-// |RA_s| by targeting all users with value s).
-func specOf(cl targeting.Clause) targeting.Spec {
-	return targeting.Spec{Include: []targeting.Clause{append(targeting.Clause(nil), cl...)}}
-}
-
 // validateClass panics on an impossible class value; Class is constructed
 // by this package's helpers so this is purely defensive.
 func validateClass(c Class) error {

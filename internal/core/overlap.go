@@ -40,7 +40,7 @@ func (a *Auditor) classCounts(specs []targeting.Spec, c Class) ([]int64, error) 
 	cond := make([]targeting.Spec, 0, len(specs)*per)
 	for _, s := range specs {
 		for _, cl := range clauses {
-			cond = append(cond, a.scoped(withClause(s, cl)))
+			cond = append(cond, a.scoped(s, cl))
 		}
 	}
 	res := a.p.measureMany(nil, cond, nil)

@@ -49,7 +49,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 	results := make([]auditResult, len(specs))
 	base := c
 	base.Excluded = false
-	others := base.otherClauses()
+	baseCl, others := base.baseClause(), base.otherClauses()
 
 	a.mSpecs.Add(int64(len(specs)))
 	for i, spec := range specs {
@@ -81,7 +81,7 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 	}
 	reachSpecs := make([]targeting.Spec, len(specs))
 	for i, spec := range specs {
-		reachSpecs[i] = a.scoped(spec)
+		reachSpecs[i] = a.scoped(spec, nil)
 	}
 	reach := a.p.measureMany(root, reachSpecs, nil)
 
@@ -104,9 +104,9 @@ func (a *Auditor) auditManyBatched(specs []targeting.Spec, c Class, tot classTot
 			continue
 		}
 		start[i] = len(cond)
-		cond = append(cond, a.scoped(withClause(spec, base.baseClause())))
+		cond = append(cond, a.scoped(spec, baseCl))
 		for _, cl := range others {
-			cond = append(cond, a.scoped(withClause(spec, cl)))
+			cond = append(cond, a.scoped(spec, cl))
 		}
 	}
 	a.mBelowFloor.Add(belowFloor)

@@ -50,7 +50,7 @@ func (a *Auditor) ConsistencyStudy(nOptions, nComps, repeats int, seed uint64) (
 	}
 	rep := ConsistencyReport{Targetings: len(specs), Repeats: repeats}
 	for _, s := range specs {
-		s = a.scoped(s)
+		s = a.scoped(s, nil)
 		first, err := a.p.Provider.Measure(s)
 		if err != nil {
 			return rep, err
@@ -113,8 +113,9 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 		batch = batch[:0]
 		return nil
 	}
-	add := func(spec targeting.Spec) error {
-		batch = append(batch, a.scoped(spec))
+	// add queues spec AND cl (nil cl: spec alone), scoped.
+	add := func(spec targeting.Spec, cl targeting.Clause) error {
+		batch = append(batch, a.scoped(spec, cl))
 		if len(batch) == granularityBatch {
 			return flush()
 		}
@@ -131,11 +132,7 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 	// Pass 1: every option × every demographic conditioning.
 	for id := 0; id < len(a.attrNames) && collected() < target; id++ {
 		for _, cl := range demoClauses {
-			spec := targeting.Attr(id)
-			if cl != nil {
-				spec = withClause(spec, cl)
-			}
-			if err := add(spec); err != nil {
+			if err := add(targeting.Attr(id), cl); err != nil {
 				return GranularityReport{}, err
 			}
 			if collected() >= target {
@@ -144,7 +141,7 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 		}
 	}
 	for id := 0; id < len(a.topicNames) && collected() < target; id++ {
-		if err := add(targeting.Topic(id)); err != nil {
+		if err := add(targeting.Topic(id), nil); err != nil {
 			return GranularityReport{}, err
 		}
 	}
@@ -160,11 +157,7 @@ func (a *Auditor) GranularityStudy(target int, seed uint64) (GranularityReport, 
 			ids := rng.Sample(len(a.attrNames), 2)
 			spec = targeting.And(targeting.Attr(ids[0]), targeting.Attr(ids[1]))
 		}
-		cl := demoClauses[rng.Intn(len(demoClauses))]
-		if cl != nil {
-			spec = withClause(spec, cl)
-		}
-		if err := add(spec); err != nil {
+		if err := add(spec, demoClauses[rng.Intn(len(demoClauses))]); err != nil {
 			return GranularityReport{}, err
 		}
 	}

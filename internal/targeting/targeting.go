@@ -85,11 +85,21 @@ func (r Ref) String() string { return fmt.Sprintf("%s:%d", r.Kind, r.ID) }
 
 // Clause is a logical OR of refs. A user matches the clause if they match
 // any ref in it.
+//
+// A built clause is immutable: nothing writes into it, so specs share
+// clauses instead of copying them. A clause carried by a spec may be read
+// by any number of specs, caches and goroutines at once.
 type Clause []Ref
 
 // Spec is a full targeting expression: (AND over Include clauses) AND NOT
 // (OR over Exclude clauses). A user is in the audience if they match every
 // include clause and no exclude clause.
+//
+// A built spec is immutable too. The constructors below share their
+// inputs' clauses and copy only the outer Include and Exclude lists, into
+// fresh lists of exact length (len == cap, nil when empty): appending to a
+// result's list reallocates, so it never shows in an input or in another
+// result. Nothing writes into a received spec's lists.
 type Spec struct {
 	Include []Clause `json:"include"`
 	Exclude []Clause `json:"exclude,omitempty"`
@@ -267,63 +277,75 @@ func AnyAttr(ids ...int) Spec {
 
 // And returns the conjunction of specs: all include clauses concatenated,
 // all exclude clauses concatenated. This is how the paper composes
-// targetings (logical AND of individual targetings).
+// targetings (logical AND of individual targetings). The clauses are
+// shared with the inputs; both lists share one allocation.
 func And(specs ...Spec) Spec {
-	var out Spec
+	var nInc, nExc int
 	for _, s := range specs {
-		out.Include = append(out.Include, cloneClauses(s.Include)...)
-		out.Exclude = append(out.Exclude, cloneClauses(s.Exclude)...)
+		nInc += len(s.Include)
+		nExc += len(s.Exclude)
+	}
+	out := lists(nInc, nExc)
+	i, j := 0, 0
+	for _, s := range specs {
+		i += copy(out.Include[i:], s.Include)
+		j += copy(out.Exclude[j:], s.Exclude)
 	}
 	return out
 }
 
 // WithLocation returns s AND (region ∈ regions), a single OR clause.
 func WithLocation(s Spec, regions ...int) Spec {
-	out := clone(s)
 	cl := make(Clause, len(regions))
 	for i, r := range regions {
 		cl[i] = Ref{Kind: KindLocation, ID: r}
 	}
-	out.Include = append(out.Include, cl)
-	return out
+	return with(s, cl)
 }
 
 // WithGender returns s AND (gender = g).
 func WithGender(s Spec, g int) Spec {
-	out := clone(s)
-	out.Include = append(out.Include, Clause{{Kind: KindGender, ID: g}})
-	return out
+	return with(s, Clause{{Kind: KindGender, ID: g}})
 }
 
 // WithAge returns s AND (age ∈ ages), a single OR clause over age ranges.
 func WithAge(s Spec, ages ...int) Spec {
-	out := clone(s)
 	cl := make(Clause, len(ages))
 	for i, a := range ages {
 		cl[i] = Ref{Kind: KindAge, ID: a}
 	}
-	out.Include = append(out.Include, cl)
-	return out
+	return with(s, cl)
 }
 
 // Excluding returns s AND NOT other's include clauses.
 func Excluding(s Spec, other Spec) Spec {
-	out := clone(s)
-	out.Exclude = append(out.Exclude, cloneClauses(other.Include)...)
+	out := lists(len(s.Include), len(s.Exclude)+len(other.Include))
+	copy(out.Include, s.Include)
+	copy(out.Exclude[copy(out.Exclude, s.Exclude):], other.Include)
 	return out
 }
 
-func clone(s Spec) Spec {
-	return Spec{Include: cloneClauses(s.Include), Exclude: cloneClauses(s.Exclude)}
+// with returns s AND cl, cl after s's include clauses.
+func with(s Spec, cl Clause) Spec {
+	out := lists(len(s.Include)+1, len(s.Exclude))
+	out.Include[copy(out.Include, s.Include)] = cl
+	copy(out.Exclude, s.Exclude)
+	return out
 }
 
-func cloneClauses(cs []Clause) []Clause {
-	if cs == nil {
-		return nil
+// lists returns a spec with nInc include and nExc exclude slots, each list
+// of exact length and nil when empty, both carved from one allocation.
+func lists(nInc, nExc int) Spec {
+	var out Spec
+	if nInc+nExc == 0 {
+		return out
 	}
-	out := make([]Clause, len(cs))
-	for i, c := range cs {
-		out[i] = append(Clause(nil), c...)
+	buf := make([]Clause, nInc+nExc)
+	if nInc > 0 {
+		out.Include = buf[:nInc:nInc]
+	}
+	if nExc > 0 {
+		out.Exclude = buf[nInc:]
 	}
 	return out
 }

@@ -196,12 +196,69 @@ func TestAndConcatenates(t *testing.T) {
 	}
 }
 
-func TestAndDoesNotAliasInputs(t *testing.T) {
-	a := Attr(1)
-	s := And(a, Attr(2))
-	s.Include[0][0].ID = 99
-	if a.Include[0][0].ID != 1 {
-		t.Fatal("And aliased its input clauses")
+// TestConstructorsShareClausesInExactLists pins the immutability contract
+// of Clause and Spec: every constructor shares its inputs' clauses, copying
+// none, and returns fresh outer lists with len == cap, so that appending
+// to a result reallocates and never shows in an input or in a sibling
+// result appended from the same one.
+func TestConstructorsShareClausesInExactLists(t *testing.T) {
+	// The input's lists have spare capacity, as a hand-built spec may.
+	in := Spec{
+		Include: append(make([]Clause, 0, 4), Clause{{KindAttribute, 1}}, Clause{{KindAttribute, 2}, {KindAttribute, 3}}),
+		Exclude: append(make([]Clause, 0, 4), Clause{{KindAttribute, 4}}),
+	}
+	other := Excluding(Topic(5), Attr(6))
+	want := Canonical(in)
+	for _, tc := range []struct {
+		name string
+		f    func(Spec) Spec
+	}{
+		{"And", func(s Spec) Spec { return And(s, other) }},
+		{"And/one", func(s Spec) Spec { return And(s) }},
+		{"WithLocation", func(s Spec) Spec { return WithLocation(s, 0, 2) }},
+		{"WithGender", func(s Spec) Spec { return WithGender(s, 1) }},
+		{"WithAge", func(s Spec) Spec { return WithAge(s, 0, 3) }},
+		{"Excluding", func(s Spec) Spec { return Excluding(s, other) }},
+	} {
+		r := tc.f(in)
+		if len(r.Include) != cap(r.Include) || len(r.Exclude) != cap(r.Exclude) {
+			t.Errorf("%s: include len %d cap %d, exclude len %d cap %d", tc.name,
+				len(r.Include), cap(r.Include), len(r.Exclude), cap(r.Exclude))
+		}
+		if &r.Include[0] == &in.Include[0] || &r.Exclude[0] == &in.Exclude[0] {
+			t.Errorf("%s: returned its input's list", tc.name)
+		}
+		for i, cl := range in.Include {
+			if &r.Include[i][0] != &cl[0] {
+				t.Errorf("%s: include clause %d copied, not shared", tc.name, i)
+			}
+		}
+		if &r.Exclude[0][0] != &in.Exclude[0][0] {
+			t.Errorf("%s: exclude clause copied, not shared", tc.name)
+		}
+		x, y := Clause{{KindTopic, 8}}, Clause{{KindTopic, 9}}
+		inc1, inc2 := append(r.Include, x), append(r.Include, y)
+		exc1, exc2 := append(r.Exclude, x), append(r.Exclude, y)
+		if inc1[len(inc1)-1][0] != x[0] || exc1[len(exc1)-1][0] != x[0] ||
+			inc2[len(inc2)-1][0] != y[0] || exc2[len(exc2)-1][0] != y[0] {
+			t.Errorf("%s: sibling appends overwrote each other", tc.name)
+		}
+		if got := Canonical(in); got != want {
+			t.Errorf("%s: input changed to %s", tc.name, got)
+		}
+	}
+}
+
+// allocSink keeps a measured result alive, so the compiler cannot drop
+// the call an allocation count measures.
+var allocSink Spec
+
+// TestAndAllocs pins And of two one-clause specs at one allocation: the
+// outer list, its clauses shared.
+func TestAndAllocs(t *testing.T) {
+	a, b := Attr(1), Attr(2)
+	if n := testing.AllocsPerRun(100, func() { allocSink = And(a, b) }); n != 1 {
+		t.Errorf("And of two one-clause specs: %v allocations, want 1", n)
 	}
 }
 
